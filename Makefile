@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular bench-steady bench-batch bench-values bench-audit chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular bench-steady bench-values bench-audit chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -45,23 +45,12 @@ bench-secular:
 bench-steady:
 	$(GO) run ./cmd/dcbench perf -steady 12 -json
 
-# Batched small-solve throughput: a sequential Solve loop vs one SolveBatch
-# DAG vs a coalescing server flood over the same matrices, with every batch
-# member validated against the residual/orthogonality bars. Merged into
-# BENCH_taskflow.json under the "batch" key. The batch/server speedups scale
-# with core count (a single-core CI box only shows the runtime-amortization
-# fraction of the win).
-bench-batch:
-	$(GO) run ./cmd/dcbench batch -quick -json
-
 # Eigenvalue-only fast lane vs the full task-flow solve: wall-time medians
 # and peak pooled workspace per (n, workers), merged into BENCH_taskflow.json
-# under "values_only"; the batch suite rerun through the lane lands under
-# "batch_values_only". The workspace ratio is the headline — carrier rows
+# under "values_only". The workspace ratio is the headline — carrier rows
 # replace the O(n²) eigenvector state.
 bench-values:
 	$(GO) run ./cmd/dcbench perf -values-only -quick -json
-	$(GO) run ./cmd/dcbench batch -values-only -quick -json
 
 # Silent-error defense overhead: the shipping default (ABFT + result audit)
 # vs the audit-disabled and fully bare builds on the n=2000 task-flow point,
@@ -81,7 +70,7 @@ chaos:
 
 # Silent-data-corruption gate: randomized bit flips injected into packed GEMM
 # operands, merge outputs, and served results across every lane (direct solve,
-# values-only, batch, server) under the race detector. Asserts every injected
+# values-only, server) under the race detector. Asserts every injected
 # corruption is either detected-and-healed or surfaces as a classified error —
 # zero silent wrong-answer escapes — plus the ABFT checksum/invariant unit
 # tests and the pathological no-false-positive audit suite.
@@ -94,12 +83,14 @@ chaos-sdc:
 
 # Serving-layer acceptance gate: 64 concurrent mixed-size solves against a
 # memory-budgeted eigen.Server under wildcard chaos probes and the race
-# detector, plus the watchdog/cancellation goroutine-leak regression tests.
-# Asserts every job ends in a classified disposition, reservations never
-# exceed the budget, the pool accountant returns to baseline, and no
-# goroutines leak.
+# detector, a 64-client small-solve flood, plus the watchdog/cancellation
+# goroutine-leak regression tests. Asserts every job ends in a classified
+# disposition, reservations never exceed the budget, the pool accountant
+# returns to baseline, and no goroutines leak. The admission and drain tests
+# repeat 20 times so a timing-dependent regression shows up here.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
+	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful)' ./eigen/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
 # detector — 3 httptest workers behind a real coordinator serving 220 mixed
@@ -109,4 +100,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race bench-smoke bench-steady bench-batch bench-values chaos chaos-sdc stress stress-cluster
+ci: vet build test test-pooldebug race bench-smoke bench-steady bench-values chaos chaos-sdc stress stress-cluster

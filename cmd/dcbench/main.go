@@ -18,9 +18,6 @@
 //	dcbench perf -values-only eigenvalue-only lane vs full solve: wall time
 //	                            and peak pooled workspace per (n, workers)
 //	dcbench secular           secular-phase kernels, scalar vs SIMD
-//	dcbench batch             batched small-solve throughput: sequential
-//	                            Solve loop vs SolveBatch vs coalescing server
-//	                            (-values-only runs it through the fast lane)
 //	dcbench audit             silent-error defense overhead: ABFT + result
 //	                            audit on (the default) vs both layers off
 //	dcbench all               everything above in sequence
@@ -64,12 +61,12 @@ func main() {
 	seed := fs.Int64("seed", 0, "random seed (0: fixed default)")
 	quick := fs.Bool("quick", false, "smaller sizes for a fast smoke run")
 	valuesOnly := fs.Bool("values-only", false,
-		"perf: compare the eigenvalue-only lane against the full solve; batch: run the batch suite through the values-only lane")
+		"perf: compare the eigenvalue-only lane against the full solve")
 	steady := fs.Int("steady", 0, "perf: run N solves per worker count in one process and report steady-state medians + GC stats")
 	bw := fs.Float64("bw", 0, "bandwidth cap in concurrent streams (0: default 4)")
 	jsonOut := fs.Bool("json", false, "write the perf snapshot to BENCH_taskflow.json")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|perf|secular|batch|audit|ablate|theory|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|perf|secular|audit|ablate|theory|all>\n")
 		fs.PrintDefaults()
 	}
 	if len(os.Args) < 2 {
@@ -162,15 +159,6 @@ func main() {
 				err = rec.MergeJSON("BENCH_taskflow.json")
 				if err == nil {
 					fmt.Println("merged secular record into BENCH_taskflow.json")
-				}
-			}
-		case "batch":
-			var rec *bench.BatchRecord
-			rec, err = bench.Batch(cfg)
-			if err == nil && *jsonOut {
-				err = rec.MergeJSON("BENCH_taskflow.json")
-				if err == nil {
-					fmt.Println("merged batch record into BENCH_taskflow.json")
 				}
 			}
 		case "audit":

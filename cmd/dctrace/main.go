@@ -5,14 +5,6 @@
 //
 //	dctrace -type 4 -n 1500 -p 16 -model taskflow
 //	dctrace -type 1 -n 1500 -p 16 -csv trace.csv
-//
-// With -batch B, B matrices of the same type and size are solved as ONE
-// shared task DAG (the batched small-solve engine) and the combined graph is
-// traced: the gantt shows leaves and merges of different matrices
-// interleaving across workers, and the task-time report totals the whole
-// batch.
-//
-//	dctrace -type 4 -n 200 -batch 16 -p 8
 package main
 
 import (
@@ -25,7 +17,6 @@ import (
 	"time"
 
 	"tridiag/internal/core"
-	"tridiag/internal/quark"
 	"tridiag/internal/sched"
 	"tridiag/internal/testmat"
 	"tridiag/internal/trace"
@@ -87,7 +78,6 @@ func main() {
 	csv := flag.String("csv", "", "write the timeline as CSV to this file")
 	seed := flag.Int64("seed", 1, "random seed")
 	real := flag.Bool("real", false, "show the real measured trace of a concurrent run instead of a simulation")
-	batch := flag.Int("batch", 1, "solve this many matrices as one shared DAG and trace the combined graph")
 	valuesOnly := flag.Bool("values-only", false, "trace the eigenvalue-only lane (no eigenvector task classes, no n×n block)")
 	flag.Parse()
 
@@ -106,73 +96,29 @@ func main() {
 	if *real {
 		workers = *p
 	}
-	var g *quark.Graph
-	var taskTimes map[string]time.Duration
-	var statsLines string
-	if *batch > 1 {
-		if *model == "levelsync" {
-			fail(fmt.Errorf("-batch runs as one task flow; the levelsync model does not apply"))
-		}
-		probs := make([]core.BatchProblem, *batch)
-		for i := range probs {
-			mi, err := testmat.Type(*typ, *n, rand.New(rand.NewSource(*seed+int64(i))))
-			fail(err)
-			probs[i] = core.BatchProblem{
-				N: *n,
-				D: append([]float64(nil), mi.D...),
-				E: append([]float64(nil), mi.E...),
-			}
-			if !*valuesOnly {
-				probs[i].Q = make([]float64, *n**n)
-				probs[i].LDQ = *n
-			}
-		}
-		br, err := core.SolveDCBatch(probs, &core.Options{
-			Workers: workers, CaptureGraph: true, ValuesOnly: *valuesOnly,
-			PanelSize: max(16, *n/16), MinPartition: max(32, *n/16),
-		})
-		fail(err)
-		for i := range br.Items {
-			if br.Items[i].Err != nil {
-				fail(fmt.Errorf("batch matrix %d: %w", i, br.Items[i].Err))
-			}
-		}
-		g = br.Graph
-		taskTimes = br.Stats.TaskTimes()
-		var total time.Duration
-		for _, t := range taskTimes {
-			total += t
-		}
-		statsLines = fmt.Sprintf("matrix %s n=%d × batch %d, one shared DAG\n", m.Name, *n, *batch) +
-			fmt.Sprintf("per-batch task time total: %s\n", total.Round(time.Microsecond)) +
-			fmt.Sprintf("workspace leaked to GC: %d bytes\n", br.Stats.LeakedBytes()) +
-			abftReport(br.Stats)
-	} else {
-		d := append([]float64(nil), m.D...)
-		e := append([]float64(nil), m.E...)
-		var q []float64
-		ldq := 0
-		if !*valuesOnly {
-			q = make([]float64, *n**n)
-			ldq = *n
-		}
-		res, err := core.SolveDC(*n, d, e, q, ldq, &core.Options{
-			Workers: workers, CaptureGraph: true, Mode: mode, ValuesOnly: *valuesOnly,
-			PanelSize: max(16, *n/16), MinPartition: max(32, *n/16),
-		})
-		fail(err)
-		g = res.Graph
-		taskTimes = res.Stats.TaskTimes()
-		statsLines = fmt.Sprintf("matrix %s n=%d, deflation %.1f%%\n", m.Name, *n, 100*res.Stats.DeflationRatio())
-		if *valuesOnly {
-			statsLines += "values-only lane: no eigenvector tasks, no n×n block\n"
-		} else {
-			hits, misses, bytes, rate := res.Stats.PackReuse()
-			statsLines += fmt.Sprintf("UpdateVect pack: hits=%d misses=%d packed_bytes=%d reuse_rate=%.3f\n", hits, misses, bytes, rate)
-		}
-		statsLines += fmt.Sprintf("workspace leaked to GC: %d bytes\n", res.Stats.LeakedBytes())
-		statsLines += abftReport(res.Stats)
+	d := append([]float64(nil), m.D...)
+	e := append([]float64(nil), m.E...)
+	var q []float64
+	ldq := 0
+	if !*valuesOnly {
+		q = make([]float64, *n**n)
+		ldq = *n
 	}
+	res, err := core.SolveDC(*n, d, e, q, ldq, &core.Options{
+		Workers: workers, CaptureGraph: true, Mode: mode, ValuesOnly: *valuesOnly,
+		PanelSize: max(16, *n/16), MinPartition: max(32, *n/16),
+	})
+	fail(err)
+	g := res.Graph
+	statsLines := fmt.Sprintf("matrix %s n=%d, deflation %.1f%%\n", m.Name, *n, 100*res.Stats.DeflationRatio())
+	if *valuesOnly {
+		statsLines += "values-only lane: no eigenvector tasks, no n×n block\n"
+	} else {
+		hits, misses, bytes, rate := res.Stats.PackReuse()
+		statsLines += fmt.Sprintf("UpdateVect pack: hits=%d misses=%d packed_bytes=%d reuse_rate=%.3f\n", hits, misses, bytes, rate)
+	}
+	statsLines += fmt.Sprintf("workspace leaked to GC: %d bytes\n", res.Stats.LeakedBytes())
+	statsLines += abftReport(res.Stats)
 
 	var tl *trace.Timeline
 	if *real {
@@ -198,7 +144,7 @@ func main() {
 	fmt.Print(tl.Gantt(*width))
 	fmt.Println()
 	fmt.Print(tl.BreakdownReport())
-	timeReport, timeCSV := taskTimeReport(taskTimes)
+	timeReport, timeCSV := taskTimeReport(res.Stats.TaskTimes())
 	fmt.Print(timeReport)
 
 	if *csv != "" {

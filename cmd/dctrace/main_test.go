@@ -89,42 +89,3 @@ func TestValuesOnlyTrace(t *testing.T) {
 		}
 	}
 }
-
-// TestValuesOnlyBatchTrace covers the -batch path of dctrace under
-// -values-only: several matrices solved as one shared DAG with no Q blocks
-// at all, and the combined graph still free of eigenvector classes.
-func TestValuesOnlyBatchTrace(t *testing.T) {
-	const n, batch = 150, 4
-	probs := make([]core.BatchProblem, batch)
-	for i := range probs {
-		d, e := randomTridiag(n, int64(10+i))
-		probs[i] = core.BatchProblem{N: n, D: d, E: e}
-	}
-	br, err := core.SolveDCBatch(probs, &core.Options{
-		Workers: 1, CaptureGraph: true, ValuesOnly: true,
-		PanelSize: max(16, n/16), MinPartition: max(32, n/16),
-	})
-	if err != nil {
-		t.Fatalf("values-only batch capture: %v", err)
-	}
-	for i := range br.Items {
-		if br.Items[i].Err != nil {
-			t.Fatalf("batch matrix %d: %v", i, br.Items[i].Err)
-		}
-	}
-	if br.Graph == nil {
-		t.Fatal("CaptureGraph produced no batch graph")
-	}
-	counts := br.Graph.ClassCounts()
-	for _, c := range vectorClasses {
-		if counts[c] > 0 {
-			t.Errorf("values-only batch graph contains %d %s tasks; want none", counts[c], c)
-		}
-	}
-	if counts["STEDC"] == 0 {
-		t.Error("values-only batch graph has no leaf STEDC tasks")
-	}
-	if _, err := sched.Simulate(br.Graph, sched.Config{Workers: 4, StreamsPerSocket: 4, WorkersPerSocket: 8}); err != nil {
-		t.Fatalf("simulating values-only batch graph: %v", err)
-	}
-}

@@ -19,7 +19,8 @@
 //	            →  {"values": [...], "disposition": "completed", ...}
 //	POST /solve/batch  {"jobs": [{"d": [...], "e": [...]}, ...]}
 //	            →  {"results": [{...}, ...]} — one result per job, in order;
-//	               routed/served as one unit so small solves share a runtime
+//	               each job is served (and, on a coordinator, routed) as
+//	               its own /solve job
 //	GET  /stats    service counters (per-worker breaker state on coordinators)
 //	GET  /healthz  liveness
 //	GET  /readyz   readiness (503 while draining or backed up)
@@ -61,10 +62,6 @@ func main() {
 	budget := flag.Int64("budget", 0, "workspace budget in MiB (0: unlimited)")
 	stall := flag.Duration("stall", 10*time.Second, "watchdog no-progress abort window")
 	retries := flag.Int("retries", 2, "same-tier retries for transient failures")
-	batchWindow := flag.Duration("batch-window", 2*time.Millisecond,
-		"coalescing window for small /solve jobs (0 disables batching)")
-	batchMax := flag.Int("batch-max", 64, "max jobs per coalesced batch")
-	batchMaxN := flag.Int("batch-maxn", 256, "max matrix order admitted into a coalesced batch")
 	drain := flag.Duration("drain", 30*time.Second, "graceful-drain deadline on SIGINT/SIGTERM")
 	maxBody := flag.Int64("max-body", 64, "max /solve request body in MiB (413 beyond)")
 	readTimeout := flag.Duration("read-timeout", 2*time.Minute, "HTTP read deadline (headers+body)")
@@ -86,9 +83,6 @@ func main() {
 		MemoryBudget:  *budget << 20,
 		StallWindow:   *stall,
 		MaxRetries:    *retries,
-		BatchWindow:   *batchWindow,
-		BatchMaxSize:  *batchMax,
-		BatchMaxN:     *batchMaxN,
 	})
 
 	var handler http.Handler
@@ -115,11 +109,6 @@ func main() {
 					st.ValuesOnlyAdmitted, st.ValuesOnlyCompleted,
 					time.Duration(st.ValuesOnlyAvgServiceNanos).Round(time.Microsecond),
 					time.Duration(st.AvgServiceNanos).Round(time.Microsecond))
-			}
-			if st.BatchesFlushed > 0 {
-				log.Printf("batched: flushes=%d (timer=%d size=%d bytes=%d) coalesced=%d batch-served=%d direct=%d",
-					st.BatchesFlushed, st.FlushByTimer, st.FlushBySize, st.FlushByBytes,
-					st.CoalescedJobs, st.BatchServedJobs, st.DirectJobs)
 			}
 			if st.CorruptionsDetected > 0 || st.LeakedBytes > 0 {
 				log.Printf("silent-error defense: corruptions detected=%d healed=%d workspace-leaked=%d bytes",

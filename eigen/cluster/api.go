@@ -97,10 +97,10 @@ func SpectrumChecksum(values []float64) uint64 {
 	return h
 }
 
-// BatchRequest is the wire form of a coalesced solve batch, shared by the
-// worker and coordinator /solve/batch endpoints. Members keep their own
-// method, worker cap, deadline and vector flag; the batch-level TimeoutMS
-// bounds the whole request.
+// BatchRequest is the wire form of a solve batch, shared by the worker and
+// coordinator /solve/batch endpoints. Each member is served as its own
+// /solve job with its own method, worker cap, deadline and class; the
+// batch-level TimeoutMS bounds every member.
 type BatchRequest struct {
 	Jobs []SolveRequest `json:"jobs"`
 	// TimeoutMS bounds the whole batch; member TimeoutMS values bound their
@@ -108,19 +108,11 @@ type BatchRequest struct {
 	TimeoutMS int64 `json:"timeout_ms,omitempty"`
 }
 
-// BatchResponse is the wire form of a batch outcome: per-matrix results in
-// job order (each with its own disposition and error — one member failing
-// never voids its batch-mates), plus batch-level routing facts filled by
-// coordinators.
+// BatchResponse is the wire form of a batch outcome: one SolveResponse per
+// job, in job order, each with its own disposition, error and seal — one
+// member failing never voids another.
 type BatchResponse struct {
 	Results []SolveResponse `json:"results"`
-	// Worker names the instance that served the batch ("local" for the
-	// coordinator's degraded tier); set by coordinators only.
-	Worker string `json:"worker,omitempty"`
-	// Failovers counts abandoned remote attempts before a worker served the
-	// batch; set by coordinators only.
-	Failovers int    `json:"failovers,omitempty"`
-	Error     string `json:"error,omitempty"`
 }
 
 // ParseMethod maps the wire method name to the eigen.Method ("" selects the

@@ -3,6 +3,7 @@ package cluster
 import (
 	"context"
 	"encoding/json"
+	"math"
 	"math/rand"
 	"net/http"
 	"net/http/httptest"
@@ -34,6 +35,17 @@ func decodeBatch(t *testing.T, resp *http.Response) *BatchResponse {
 	return &br
 }
 
+// mustBatch posts req to url's /solve/batch and returns the decoded 200 body.
+func mustBatch(t *testing.T, url string, req *BatchRequest) *BatchResponse {
+	t.Helper()
+	resp := postBatch(t, url, mustJSON(t, req))
+	if resp.StatusCode != http.StatusOK {
+		resp.Body.Close()
+		t.Fatalf("status %d, want 200", resp.StatusCode)
+	}
+	return decodeBatch(t, resp)
+}
+
 func randomBatch(rng *rand.Rand, sizes ...int) *BatchRequest {
 	req := &BatchRequest{}
 	for _, n := range sizes {
@@ -42,18 +54,45 @@ func randomBatch(rng *rand.Rand, sizes ...int) *BatchRequest {
 	return req
 }
 
-// checkBatchSpectra asserts the per-matrix round trip: results in job order,
-// each a valid ascending spectrum for its own input.
+// checkBatchSpectra asserts the per-member contract of a fan-out batch: one
+// result per job in job order, each served, sealed over the values that
+// crossed the wire, and the spectrum of its own matrix (compared against an
+// independent in-process solve of that member) in its own request class.
 func checkBatchSpectra(t *testing.T, req *BatchRequest, br *BatchResponse) {
 	t.Helper()
 	if len(br.Results) != len(req.Jobs) {
 		t.Fatalf("batch returned %d results for %d jobs", len(br.Results), len(req.Jobs))
 	}
 	for i := range req.Jobs {
-		if br.Results[i].Error != "" {
-			t.Fatalf("job %d: %s", i, br.Results[i].Error)
+		job, res := &req.Jobs[i], &br.Results[i]
+		if res.Error != "" {
+			t.Fatalf("job %d: %s", i, res.Error)
 		}
-		checkSpectrum(t, &req.Jobs[i], &br.Results[i])
+		checkSpectrum(t, job, res)
+		if res.Checksum == 0 || res.Checksum != SpectrumChecksum(res.Values) {
+			t.Errorf("job %d: checksum %#x does not seal its values (want %#x)", i, res.Checksum, SpectrumChecksum(res.Values))
+		}
+		ref, err := eigen.Solve(job.Tri(), &eigen.Options{ValuesOnly: true})
+		if err != nil {
+			t.Fatalf("job %d: reference solve: %v", i, err)
+		}
+		scale := 1.0
+		for _, v := range ref.Values {
+			scale = math.Max(scale, math.Abs(v))
+		}
+		for j, v := range ref.Values {
+			if d := math.Abs(res.Values[j] - v); d > 1e-10*scale {
+				t.Fatalf("job %d: eigenvalue %d off by %.3e — result is not this member's spectrum", i, j, d)
+			}
+		}
+		n, wantVec := len(job.D), 0
+		if job.Vectors {
+			wantVec = n * n
+		}
+		if len(res.Vectors) != wantVec {
+			t.Errorf("job %d (values_only=%v vectors=%v): %d vector entries, want %d",
+				i, job.ValuesOnly, job.Vectors, len(res.Vectors), wantVec)
+		}
 	}
 }
 
@@ -88,6 +127,9 @@ func TestClusterBatchWorkerHTTPErrors(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
+	if st := w.srv.Stats(); st.Admitted != 0 {
+		t.Errorf("rejected batches admitted %d jobs, want 0", st.Admitted)
+	}
 
 	big := &BatchRequest{}
 	n := 512
@@ -105,65 +147,63 @@ func TestClusterBatchWorkerHTTPErrors(t *testing.T) {
 	}
 }
 
-// TestClusterBatchWorkerRoundTrip serves a real batch through a coalescing
-// worker: per-matrix results come back in job order, each member keeps its
-// own vectors flag, and every disposition is a served one.
+// TestClusterBatchWorkerRoundTrip serves batches through a worker: every
+// member runs as its own server job, comes back in job order with its own
+// vectors flag, spectrum and seal, and the server admits exactly one job per
+// member — also when the batch has more members than run at once.
 func TestClusterBatchWorkerRoundTrip(t *testing.T) {
-	cfg := workerServerConfig()
-	cfg.BatchWindow = 2 * time.Millisecond
-	w := newTestWorker(cfg)
+	w := newTestWorker(workerServerConfig())
 	defer w.close()
 	rng := rand.New(rand.NewSource(60))
 	req := randomBatch(rng, 24, 40, 16, 33, 48, 28)
 	req.Jobs[2].Vectors = true
-	resp := postBatch(t, w.ts.URL, mustJSON(t, req))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	br := decodeBatch(t, resp)
+	br := mustBatch(t, w.ts.URL, req)
 	checkBatchSpectra(t, req, br)
 	for i := range br.Results {
-		wantVec := 0
-		if i == 2 {
-			n := len(req.Jobs[2].D)
-			wantVec = n * n
-		}
-		if len(br.Results[i].Vectors) != wantVec {
-			t.Errorf("job %d: %d vector entries, want %d", i, len(br.Results[i].Vectors), wantVec)
+		if br.Results[i].Disposition != "completed" {
+			t.Errorf("job %d: disposition %q, want completed", i, br.Results[i].Disposition)
 		}
 	}
-	st := w.srv.Stats()
-	if st.CoalescedJobs == 0 {
-		t.Errorf("no jobs coalesced on a coalescing worker (batch window ignored?)")
+	if st := w.srv.Stats(); st.Admitted != int64(len(req.Jobs)) || st.Completed != int64(len(req.Jobs)) {
+		t.Errorf("server admitted %d and completed %d jobs, want %d each", st.Admitted, st.Completed, len(req.Jobs))
 	}
+
+	// More members than batchFanout: the excess waits for a free slot and
+	// every member is still served.
+	sizes := make([]int, batchFanout+36)
+	for i := range sizes {
+		sizes[i] = 2 + i%5
+	}
+	big := randomBatch(rng, sizes...)
+	checkBatchSpectra(t, big, mustBatch(t, w.ts.URL, big))
 }
 
 // TestClusterBatchCoordinatorHTTPRoundTrip drives the coordinator's
-// /solve/batch end to end over real HTTP: the batch routes to a worker as
-// one unit and every matrix's result survives the round trip.
+// /solve/batch end to end over real HTTP: every member is routed as its own
+// cluster job, names the worker that served it, and comes back sealed in
+// its own request class — full, full with vectors and values-only members
+// share one batch.
 func TestClusterBatchCoordinatorHTTPRoundTrip(t *testing.T) {
 	w1 := newTestWorker(workerServerConfig())
 	defer w1.close()
 	w2 := newTestWorker(workerServerConfig())
 	defer w2.close()
-	c, err := NewCoordinator(testCoordConfig([]string{w1.ts.URL, w2.ts.URL}, nil))
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
+	c := newCoord(t, testCoordConfig([]string{w1.ts.URL, w2.ts.URL}, nil))
 	defer c.Shutdown(context.Background())
 	ts := httptest.NewServer(NewCoordinatorHandler(c, HTTPConfig{Logf: discardLogf}))
 	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(61))
-	req := randomBatch(rng, 30, 45, 20, 36)
-	resp := postBatch(t, ts.URL, mustJSON(t, req))
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("status %d, want 200", resp.StatusCode)
-	}
-	br := decodeBatch(t, resp)
+	req := randomBatch(rng, 30, 45, 20, 36, 300)
+	req.Jobs[1].ValuesOnly = true
+	req.Jobs[2].Vectors = true
+	req.Jobs[4].ValuesOnly = true
+	br := mustBatch(t, ts.URL, req)
 	checkBatchSpectra(t, req, br)
-	if br.Worker != w1.ts.URL && br.Worker != w2.ts.URL {
-		t.Errorf("batch served by %q, want one of the workers", br.Worker)
+	for i, res := range br.Results {
+		if res.Worker != w1.ts.URL && res.Worker != w2.ts.URL {
+			t.Errorf("job %d served by %q, want one of the workers", i, res.Worker)
+		}
 	}
 	for _, tc := range []struct{ name, body string }{
 		{"empty", `{"jobs": []}`},
@@ -175,15 +215,16 @@ func TestClusterBatchCoordinatorHTTPRoundTrip(t *testing.T) {
 			t.Errorf("%s: status %d, want 400", tc.name, resp.StatusCode)
 		}
 	}
-	if st := c.Stats(); st.Completed != 1 {
-		t.Errorf("coordinator completed %d batches, want 1", st.Completed)
+	if st := c.Stats(); st.Admitted != int64(len(req.Jobs)) || st.Completed != int64(len(req.Jobs)) {
+		t.Errorf("coordinator admitted %d and completed %d jobs, want %d each", st.Admitted, st.Completed, len(req.Jobs))
 	}
 }
 
-// TestClusterBatchFailover kills the batch's first two remote attempts with
-// deterministic injected network faults: the batch must fail over and come
-// back complete from a surviving attempt — zero lost matrices, exactly one
-// batch-level disposition.
+// TestClusterBatchFailover kills the first remote attempt on each worker
+// with deterministic injected network faults while a batch is in flight
+// through the coordinator's HTTP handler: the members those attempts
+// belonged to fail over on their own, every member comes back served and
+// verified — zero lost members — and no goroutines leak.
 func TestClusterBatchFailover(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w1 := newTestWorker(workerServerConfig())
@@ -192,44 +233,57 @@ func TestClusterBatchFailover(t *testing.T) {
 	defer w2.close()
 	cfg := testCoordConfig([]string{w1.ts.URL, w2.ts.URL}, nil)
 	cfg.ProbeInterval = time.Hour // probes must not consume the single-shot faults
-	c, err := NewCoordinator(cfg)
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
+	c := newCoord(t, cfg)
+	ts := httptest.NewServer(NewCoordinatorHandler(c, HTTPConfig{Logf: discardLogf}))
 
-	// One single-shot network fault per worker: whichever two attempts run
-	// first die as transport failures, the third serves the whole batch.
+	// One single-shot network fault per worker: whichever attempt reaches
+	// each worker first dies as a transport failure.
 	faultinject.Enable(17,
 		faultinject.Probe{Class: faultinject.NetClass(w1.ts.URL), Kind: faultinject.KindError, P: 1, MaxFires: 1},
 		faultinject.Probe{Class: faultinject.NetClass(w2.ts.URL), Kind: faultinject.KindError, P: 1, MaxFires: 1},
 	)
 	rng := rand.New(rand.NewSource(62))
-	req := randomBatch(rng, 25, 40, 18, 31, 22)
-	br, err := c.SolveBatch(context.Background(), req)
+	req := randomBatch(rng, 25, 40, 18, 31, 22, 60, 35, 27)
+	br := mustBatch(t, ts.URL, req)
+	fired := faultinject.Fired()
 	faultinject.Disable()
-	if err != nil {
-		t.Fatalf("SolveBatch: %v", err)
-	}
 	checkBatchSpectra(t, req, br)
-	if br.Failovers < 1 {
-		t.Errorf("batch failovers=%d, want >= 1", br.Failovers)
+
+	faults := fired[faultinject.NetClass(w1.ts.URL)] + fired[faultinject.NetClass(w2.ts.URL)]
+	if faults == 0 {
+		t.Fatal("no injected network fault fired; the test exercised nothing")
+	}
+	var moved int
+	for _, res := range br.Results {
+		switch res.Disposition {
+		case DispositionCompleted.String():
+		case DispositionRetried.String(), DispositionFailedOver.String():
+			moved++
+		default:
+			t.Errorf("member served by %q with disposition %q", res.Worker, res.Disposition)
+		}
+	}
+	if moved == 0 {
+		t.Errorf("%d attempts died but no member reports a retry or failover", faults)
 	}
 	st := c.Stats()
-	if st.FailedOver != 1 || st.Completed+st.Retried+st.Failed+st.Cancelled != 0 {
-		t.Errorf("dispositions failed-over=%d completed=%d retried=%d failed=%d cancelled=%d, want exactly one failed-over",
-			st.FailedOver, st.Completed, st.Retried, st.Failed, st.Cancelled)
+	if st.Admitted != int64(len(req.Jobs)) || st.Completed+st.Retried+st.FailedOver != int64(len(req.Jobs)) {
+		t.Errorf("admitted=%d completed=%d retried=%d failed-over=%d, want all %d members served",
+			st.Admitted, st.Completed, st.Retried, st.FailedOver, len(req.Jobs))
 	}
-	if st.Retries < 2 {
-		t.Errorf("retries=%d, want >= 2 (two injected attempt deaths)", st.Retries)
+	if st.Retries != faults {
+		t.Errorf("retries=%d, want %d (one per injected attempt death)", st.Retries, faults)
 	}
+	ts.Close()
 	if _, err := c.Shutdown(context.Background()); err != nil {
 		t.Fatalf("shutdown: %v", err)
 	}
 	checkGoroutines(t, before)
 }
 
-// TestClusterBatchDegradedLocal partitions every worker: the batch must still
-// be served, member by member, by the coordinator's local tier.
+// TestClusterBatchDegradedLocal partitions every worker away: each member of
+// a batch posted to the coordinator must still be served, on its own, by the
+// coordinator's local tier — sealed like a worker response.
 func TestClusterBatchDegradedLocal(t *testing.T) {
 	w1 := newTestWorker(workerServerConfig())
 	defer w1.close()
@@ -237,23 +291,22 @@ func TestClusterBatchDegradedLocal(t *testing.T) {
 	defer w2.close()
 	w1.gate.down.Store(true)
 	w2.gate.down.Store(true)
-	c, err := NewCoordinator(testCoordConfig([]string{w1.ts.URL, w2.ts.URL}, nil))
-	if err != nil {
-		t.Fatalf("NewCoordinator: %v", err)
-	}
+	c := newCoord(t, testCoordConfig([]string{w1.ts.URL, w2.ts.URL}, nil))
 	defer c.Shutdown(context.Background())
+	ts := httptest.NewServer(NewCoordinatorHandler(c, HTTPConfig{Logf: discardLogf}))
+	defer ts.Close()
 
 	rng := rand.New(rand.NewSource(63))
 	req := randomBatch(rng, 20, 35, 27)
-	br, err := c.SolveBatch(context.Background(), req)
-	if err != nil {
-		t.Fatalf("SolveBatch with all workers down: %v", err)
-	}
+	req.Jobs[1].ValuesOnly = true
+	br := mustBatch(t, ts.URL, req)
 	checkBatchSpectra(t, req, br)
-	if br.Worker != "local" {
-		t.Errorf("batch served by %q, want local", br.Worker)
+	for i, res := range br.Results {
+		if res.Worker != "local" || res.Disposition != DispositionDegradedLocal.String() {
+			t.Errorf("job %d served by %q as %q, want local/degraded-local", i, res.Worker, res.Disposition)
+		}
 	}
-	if st := c.Stats(); st.DegradedLocal != 1 || st.LocalSolves != 1 {
-		t.Errorf("degraded-local=%d local-solves=%d, want 1/1", st.DegradedLocal, st.LocalSolves)
+	if st := c.Stats(); st.DegradedLocal != int64(len(req.Jobs)) || st.LocalSolves != int64(len(req.Jobs)) {
+		t.Errorf("degraded-local=%d local-solves=%d, want %d each", st.DegradedLocal, st.LocalSolves, len(req.Jobs))
 	}
 }

@@ -77,7 +77,8 @@ func (p *bitflipProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestCoordinatorChecksumMismatchFailsOver: a worker whose responses are
 // corrupted in transit must never have its payload served — the coordinator
 // re-derives the seal after decoding, counts the mismatch, marks the worker
-// failing, and serves through the degraded-local tier instead.
+// failing, and serves through the degraded-local tier instead, sealed like a
+// worker response.
 func TestCoordinatorChecksumMismatchFailsOver(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newTestWorker(workerServerConfig())
@@ -107,6 +108,9 @@ func TestCoordinatorChecksumMismatchFailsOver(t *testing.T) {
 	}
 	if resp.Worker != "local" {
 		t.Errorf("corrupted remote served the job: worker %q", resp.Worker)
+	}
+	if resp.Checksum == 0 || resp.Checksum != SpectrumChecksum(resp.Values) {
+		t.Errorf("degraded-local response seal %#x does not match its values (want %#x)", resp.Checksum, SpectrumChecksum(resp.Values))
 	}
 	for i := range want.Values {
 		if math.Abs(resp.Values[i]-want.Values[i]) > 1e-12 {

@@ -9,7 +9,8 @@ import (
 // a worker, so clients cannot tell which tier they are talking to:
 //
 //	POST /solve        route one job through the cluster
-//	POST /solve/batch  route a batch as one unit, per-matrix results back
+//	POST /solve/batch  route every job of a batch as its own /solve job:
+//	                   each member is routed, failed over and sealed alone
 //	GET  /stats    the coordinator's cluster Stats (per-worker breaker and
 //	               health state included)
 //	GET  /healthz  liveness
@@ -17,28 +18,8 @@ import (
 func NewCoordinatorHandler(c *Coordinator, cfg HTTPConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/solve", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeSolveRequest(w, r, cfg)
-		if !ok {
-			return
-		}
-		resp, err := c.Solve(r.Context(), req)
-		if err != nil {
-			resp.Error = err.Error()
-		}
-		writeJSON(w, StatusOf(err), resp, cfg.Logf)
-	})
-	mux.HandleFunc("/solve/batch", func(w http.ResponseWriter, r *http.Request) {
-		req, ok := decodeBatchRequest(w, r, cfg)
-		if !ok {
-			return
-		}
-		resp, err := c.SolveBatch(r.Context(), req)
-		if err != nil {
-			resp.Error = err.Error()
-		}
-		writeJSON(w, StatusOf(err), resp, cfg.Logf)
-	})
+	mux.HandleFunc("/solve", solveHandler(c.Solve, cfg))
+	mux.HandleFunc("/solve/batch", batchHandler(c.Solve, cfg))
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		if !requireMethod(w, r, http.MethodGet) {
 			return

@@ -446,28 +446,17 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	}
 
 	// Degraded-local tier: the coordinator's own eigen.Server, with its full
-	// in-process ladder (watchdog, retries, sequential fallback tiers).
+	// in-process ladder (watchdog, retries, sequential fallback tiers). The
+	// response is built and sealed exactly as a worker would.
 	c.localSolves.Add(1)
 	job.worker = "local"
-	method, _ := ParseMethod(req.Method)
-	ssr, err := c.local.Solve(actx, req.Tri(), &eigen.Options{Method: method, Workers: req.Workers, ValuesOnly: req.ValuesOnly})
+	out, err := serverSolve(actx, c.local, req)
 	if err == nil {
 		disp = DispositionDegradedLocal
-		out := &SolveResponse{
-			N:           n,
-			Values:      ssr.Result.Values,
-			Disposition: disp.String(),
-			Attempts:    attempts + ssr.Attempts,
-			Stalls:      ssr.Stalls,
-			Worker:      "local",
-			Failovers:   attempts,
-		}
-		if req.Vectors {
-			out.Vectors = ssr.Result.Vectors
-		}
-		if ssr.Result.Stats != nil {
-			out.Tier = ssr.Result.Stats.Tier
-		}
+		out.Disposition = disp.String()
+		out.Attempts += attempts
+		out.Worker = "local"
+		out.Failovers = attempts
 		return out, nil
 	}
 	if lastErr != nil {
@@ -480,244 +469,6 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 		return fail(DispositionCancelled, c.cancelCause(ctx))
 	}
 	return fail(DispositionFailed, fmt.Errorf("cluster: job n=%d failed on every tier: %w", n, err))
-}
-
-// SolveBatch routes a whole batch through the cluster as one unit: one
-// admission slot, one routing decision, one remote request — so batch-mates
-// land in the serving worker's coalescing window together and flush as one
-// shared-runtime solve. Failover re-sends the entire batch to a surviving
-// worker (per-matrix results come back from whichever worker finally serves
-// it — zero matrices lost), and when no worker can serve, the batch degrades
-// to the coordinator's local tier member by member. The batch ends in exactly
-// one coordinator disposition; per-matrix dispositions ride in the results.
-func (c *Coordinator) SolveBatch(ctx context.Context, req *BatchRequest) (*BatchResponse, error) {
-	resp := &BatchResponse{}
-
-	// Validation before admission, exactly like Solve: a malformed member
-	// rejects the whole batch before it consumes a slot.
-	if len(req.Jobs) == 0 {
-		c.counts[DispositionRejected].Add(1)
-		return resp, fmt.Errorf("%w: empty batch", eigen.ErrBadInput)
-	}
-	maxN := 0
-	for i := range req.Jobs {
-		if _, err := ParseMethod(req.Jobs[i].Method); err != nil {
-			c.counts[DispositionRejected].Add(1)
-			return resp, fmt.Errorf("%w: job %d: %v", eigen.ErrBadInput, i, err)
-		}
-		if err := req.Jobs[i].Tri().Validate(); err != nil {
-			c.counts[DispositionRejected].Add(1)
-			return resp, fmt.Errorf("job %d: %w", i, err)
-		}
-		if err := req.Jobs[i].ValidateClass(); err != nil {
-			c.counts[DispositionRejected].Add(1)
-			return resp, fmt.Errorf("%w: job %d: %v", eigen.ErrBadInput, i, err)
-		}
-		if req.Jobs[i].ValuesOnly != req.Jobs[0].ValuesOnly {
-			c.counts[DispositionRejected].Add(1)
-			return resp, fmt.Errorf("%w: job %d: batch mixes values_only and full solves", eigen.ErrBadInput, i)
-		}
-		if n := len(req.Jobs[i].D); n > maxN {
-			maxN = n
-		}
-	}
-
-	c.mu.Lock()
-	if c.closed {
-		c.mu.Unlock()
-		c.counts[DispositionRejected].Add(1)
-		return resp, eigen.ErrServerClosed
-	}
-	if c.inflight >= c.cfg.MaxInflight {
-		inflight := c.inflight
-		c.mu.Unlock()
-		c.counts[DispositionRejected].Add(1)
-		return resp, fmt.Errorf("%w: %d jobs in flight", eigen.ErrOverloaded, inflight)
-	}
-	job := &clusterJob{id: c.nextID.Add(1), n: maxN, done: make(chan struct{})}
-	c.inflight++
-	c.jobs[job.id] = job
-	c.mu.Unlock()
-	c.admitted.Add(1)
-
-	disp := DispositionFailed
-	defer func() {
-		c.mu.Lock()
-		c.inflight--
-		delete(c.jobs, job.id)
-		c.mu.Unlock()
-		c.counts[disp].Add(1)
-		job.disposition = disp
-		close(job.done)
-	}()
-	fail := func(d Disposition, err error) (*BatchResponse, error) {
-		disp = d
-		resp.Error = err.Error()
-		return resp, err
-	}
-
-	if req.TimeoutMS > 0 {
-		var cancel context.CancelFunc
-		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-		defer cancel()
-	}
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	stopDrain := context.AfterFunc(c.drainCtx, acancel)
-	defer stopDrain()
-
-	body, err := json.Marshal(req)
-	if err != nil {
-		return fail(DispositionRejected, fmt.Errorf("%w: %v", eigen.ErrBadInput, err))
-	}
-
-	// Batches always route least-loaded: they are an aggregate, so the
-	// content-affinity cache win of small single solves does not apply.
-	rng := rand.New(rand.NewSource(int64(job.id)))
-	tried := make(map[string]bool)
-	var first string
-	attempts := 0
-	var lastErr error
-	for attempts < c.cfg.MaxAttempts {
-		w := c.route(0, c.cfg.SmallN+1, tried)
-		if w == nil {
-			break
-		}
-		attempts++
-		tried[w.name] = true
-		if first == "" {
-			first = w.name
-		}
-		job.worker = w.name
-		br, err := c.sendBatch(actx, w, body)
-		if err == nil {
-			if w.noteSuccess() {
-				c.breakerCloses.Add(1)
-			}
-			br.Worker = w.name
-			switch {
-			case attempts == 1:
-				disp = DispositionCompleted
-			case w.name == first && len(tried) == 1:
-				disp = DispositionRetried
-			default:
-				disp = DispositionFailedOver
-				br.Failovers = attempts - 1
-			}
-			return br, nil
-		}
-		lastErr = err
-		if actx.Err() != nil {
-			return fail(DispositionCancelled, c.cancelCause(ctx))
-		}
-		if !faultinject.Transient(err) {
-			return fail(DispositionFailed,
-				fmt.Errorf("cluster: batch of %d failed on worker %s: %w", len(req.Jobs), w.name, err))
-		}
-		if w.noteFailure(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown) {
-			c.breakerOpens.Add(1)
-		}
-		c.retries.Add(1)
-		if !c.backoff(actx, rng, attempts) {
-			return fail(DispositionCancelled, c.cancelCause(ctx))
-		}
-	}
-
-	// Degraded-local tier: the batch runs member by member through the
-	// coordinator's own eigen.Server (whose coalescing window reassembles it
-	// when enabled).
-	c.localSolves.Add(1)
-	job.worker = "local"
-	results, errs := serveBatch(actx, c.local, req.Jobs)
-	served := false
-	var firstErr error
-	for _, e := range errs {
-		if e == nil {
-			served = true
-		} else if firstErr == nil {
-			firstErr = e
-		}
-	}
-	if served {
-		disp = DispositionDegradedLocal
-		resp.Results = results
-		resp.Worker = "local"
-		resp.Failovers = attempts
-		return resp, nil
-	}
-	err = firstErr
-	if lastErr != nil {
-		err = fmt.Errorf("%w (remote attempts: %v)", err, lastErr)
-	}
-	switch {
-	case errors.Is(err, eigen.ErrOverloaded), errors.Is(err, eigen.ErrServerClosed):
-		return fail(DispositionRejected, err)
-	case actx.Err() != nil:
-		return fail(DispositionCancelled, c.cancelCause(ctx))
-	}
-	return fail(DispositionFailed, fmt.Errorf("cluster: batch of %d failed on every tier: %w", len(req.Jobs), err))
-}
-
-// sendBatch runs one remote batch attempt against w's /solve/batch, with the
-// same transport-failure classification as send.
-func (c *Coordinator) sendBatch(ctx context.Context, w *worker, body []byte) (*BatchResponse, error) {
-	if faultinject.Active() {
-		if err := faultinject.FireCtx(ctx, faultinject.NetClass(w.name)); err != nil {
-			w.sent.Add(1)
-			w.failures.Add(1)
-			return nil, &RemoteError{Worker: w.name, Err: err}
-		}
-	}
-	w.sent.Add(1)
-	w.inflight.Add(1)
-	defer w.inflight.Add(-1)
-	actx := ctx
-	if c.cfg.AttemptTimeout > 0 {
-		var cancel context.CancelFunc
-		actx, cancel = context.WithTimeout(ctx, c.cfg.AttemptTimeout)
-		defer cancel()
-	}
-	hreq, err := http.NewRequestWithContext(actx, http.MethodPost, w.name+"/solve/batch", bytes.NewReader(body))
-	if err != nil {
-		return nil, &RemoteError{Worker: w.name, Err: err}
-	}
-	hreq.Header.Set("Content-Type", "application/json")
-	hresp, err := c.client.Do(hreq)
-	if err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		w.failures.Add(1)
-		return nil, &RemoteError{Worker: w.name, Err: err}
-	}
-	defer hresp.Body.Close()
-	if hresp.StatusCode != http.StatusOK {
-		msg, _ := io.ReadAll(io.LimitReader(hresp.Body, 4096))
-		var br BatchResponse
-		text := strings.TrimSpace(string(msg))
-		if json.Unmarshal(msg, &br) == nil && br.Error != "" {
-			text = br.Error
-		}
-		w.failures.Add(1)
-		return nil, &RemoteError{Worker: w.name, Status: hresp.StatusCode, Err: errors.New(text)}
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(hresp.Body).Decode(&br); err != nil {
-		if ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		w.failures.Add(1)
-		return nil, &RemoteError{Worker: w.name, Err: fmt.Errorf("truncated response: %w", err)}
-	}
-	// Every served member's spectrum seal is verified; one corrupted member
-	// fails the whole batch over (the batch is the routing unit, and the
-	// re-sent batch recomputes every member on the surviving worker).
-	for i := range br.Results {
-		if err := c.verifyChecksum(w, &br.Results[i]); err != nil {
-			return nil, err
-		}
-	}
-	return &br, nil
 }
 
 // route picks the worker for the next attempt: breaker-closed workers not

@@ -54,58 +54,41 @@ func TestWorkerHTTPValuesOnlyRoundTrip(t *testing.T) {
 	}
 }
 
-// TestWorkerHTTPValuesOnlyBatch: a homogeneous values_only batch serves every
-// member without vectors; a batch mixing request classes is rejected whole
-// with 400 (one flush, one class).
+// TestWorkerHTTPValuesOnlyBatch: a batch mixing values_only and full members
+// is served member by member, each in its own request class — values_only
+// members carry no vectors, a full member asking for vectors gets them — and
+// the server's per-class counters see every values_only member. A conflicted
+// member (values_only+vectors) still rejects the whole batch with 400.
 func TestWorkerHTTPValuesOnlyBatch(t *testing.T) {
 	w := newTestWorker(workerServerConfig())
 	defer w.close()
 	rng := rand.New(rand.NewSource(31))
 
-	jobs := make([]SolveRequest, 5)
-	for i := range jobs {
+	req := &BatchRequest{}
+	for i := 0; i < 6; i++ {
 		r := randomRequest(rng, 40+20*i)
-		r.ValuesOnly = true
-		jobs[i] = *r
+		r.ValuesOnly = i%2 == 0
+		r.Vectors = i == 3
+		req.Jobs = append(req.Jobs, *r)
 	}
-	resp := postBatch(t, w.ts.URL, mustJSON(t, &BatchRequest{Jobs: jobs}))
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		t.Fatalf("values_only batch: status %d, want 200", resp.StatusCode)
-	}
-	var br BatchResponse
-	if err := json.NewDecoder(resp.Body).Decode(&br); err != nil {
-		t.Fatalf("decode: %v", err)
-	}
-	if len(br.Results) != len(jobs) {
-		t.Fatalf("%d results for %d jobs", len(br.Results), len(jobs))
-	}
+	br := mustBatch(t, w.ts.URL, req)
+	checkBatchSpectra(t, req, br)
 	for i := range br.Results {
-		checkSpectrum(t, &jobs[i], &br.Results[i])
-		if len(br.Results[i].Vectors) != 0 {
-			t.Errorf("member %d: values_only batch member carries vectors", i)
-		}
 		if br.Results[i].Disposition != "completed" {
 			t.Errorf("member %d: disposition %q", i, br.Results[i].Disposition)
 		}
 	}
-
-	// One full-solve member in a values_only window: the whole batch is a
-	// client error — a flush has exactly one request class.
-	mixed := append(append([]SolveRequest(nil), jobs...), *randomRequest(rng, 30))
-	resp2 := postBatch(t, w.ts.URL, mustJSON(t, &BatchRequest{Jobs: mixed}))
-	resp2.Body.Close()
-	if resp2.StatusCode != http.StatusBadRequest {
-		t.Fatalf("mixed-class batch: status %d, want 400", resp2.StatusCode)
+	if st := w.srv.Stats(); st.ValuesOnlyAdmitted != 3 || st.ValuesOnlyCompleted != 3 || st.Admitted != 6 {
+		t.Errorf("admitted=%d values-only admitted=%d completed=%d, want 6/3/3",
+			st.Admitted, st.ValuesOnlyAdmitted, st.ValuesOnlyCompleted)
 	}
 
-	// A conflicted member (values_only+vectors) also rejects the batch.
-	conflicted := append([]SolveRequest(nil), jobs...)
+	conflicted := append([]SolveRequest(nil), req.Jobs...)
 	conflicted[2].Vectors = true
-	resp3 := postBatch(t, w.ts.URL, mustJSON(t, &BatchRequest{Jobs: conflicted}))
-	resp3.Body.Close()
-	if resp3.StatusCode != http.StatusBadRequest {
-		t.Fatalf("conflicted batch member: status %d, want 400", resp3.StatusCode)
+	resp := postBatch(t, w.ts.URL, mustJSON(t, &BatchRequest{Jobs: conflicted}))
+	resp.Body.Close()
+	if resp.StatusCode != http.StatusBadRequest {
+		t.Fatalf("conflicted batch member: status %d, want 400", resp.StatusCode)
 	}
 }
 
@@ -131,12 +114,6 @@ func TestCoordinatorValuesOnly(t *testing.T) {
 	bad.Vectors = true
 	if _, err := c.Solve(context.Background(), bad); !errors.Is(err, eigen.ErrBadInput) {
 		t.Fatalf("values_only+vectors through coordinator: err=%v, want ErrBadInput", err)
-	}
-
-	// Mixed-class batches die at the coordinator, before any worker attempt.
-	mixedJobs := []SolveRequest{*req, *randomRequest(rng, 30)}
-	if _, err := c.SolveBatch(context.Background(), &BatchRequest{Jobs: mixedJobs}); !errors.Is(err, eigen.ErrBadInput) {
-		t.Fatalf("mixed-class batch through coordinator: err=%v, want ErrBadInput", err)
 	}
 
 	// Partition the only worker away: the degraded-local tier must still

@@ -39,8 +39,8 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 // the cluster tier, and the whole API of a standalone eigserve:
 //
 //	POST /solve        run one job ({"d": [...], "e": [...], ...})
-//	POST /solve/batch  run a batch ({"jobs": [{...}, ...]}) as one unit,
-//	                   per-matrix results in job order
+//	POST /solve/batch  run every job of {"jobs": [{...}, ...]} as its own
+//	                   /solve job, concurrently; results in job order
 //	GET  /stats    the server's ServerStats counters
 //	GET  /healthz  liveness: 200 while the process can answer at all
 //	GET  /readyz   readiness: 503 once a drain has started or the queue
@@ -51,8 +51,16 @@ func (c HTTPConfig) withDefaults() HTTPConfig {
 func NewWorkerHandler(s *eigen.Server, cfg HTTPConfig) http.Handler {
 	cfg = cfg.withDefaults()
 	mux := http.NewServeMux()
-	mux.HandleFunc("/solve", workerSolveHandler(s, cfg))
-	mux.HandleFunc("/solve/batch", workerBatchHandler(s, cfg))
+	solve := func(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
+		if req.TimeoutMS > 0 {
+			var cancel context.CancelFunc
+			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
+			defer cancel()
+		}
+		return serverSolve(ctx, s, req)
+	}
+	mux.HandleFunc("/solve", solveHandler(solve, cfg))
+	mux.HandleFunc("/solve/batch", batchHandler(solve, cfg))
 	mux.HandleFunc("/stats", func(w http.ResponseWriter, r *http.Request) {
 		if !requireMethod(w, r, http.MethodGet) {
 			return
@@ -76,43 +84,62 @@ func NewWorkerHandler(s *eigen.Server, cfg HTTPConfig) http.Handler {
 	return mux
 }
 
-func workerSolveHandler(s *eigen.Server, cfg HTTPConfig) http.HandlerFunc {
+// solveFunc is one role's single-job function: the worker's serverSolve or
+// the coordinator's Solve. The response is non-nil even on error.
+type solveFunc func(ctx context.Context, req *SolveRequest) (*SolveResponse, error)
+
+// serverSolve runs one decoded job on an in-process eigen.Server and builds
+// its wire response: a served one carries the values sealed with
+// SpectrumChecksum, a failed one only the disposition.
+func serverSolve(ctx context.Context, s *eigen.Server, req *SolveRequest) (*SolveResponse, error) {
+	method, _ := ParseMethod(req.Method) // validated by the caller
+	sr, err := s.Solve(ctx, req.Tri(), &eigen.Options{Method: method, Workers: req.Workers, ValuesOnly: req.ValuesOnly})
+	resp := &SolveResponse{
+		N:           req.Tri().N(),
+		Disposition: sr.Disposition.String(),
+		Attempts:    sr.Attempts,
+		Stalls:      sr.Stalls,
+	}
+	if err != nil {
+		return resp, err
+	}
+	resp.Values = sr.Result.Values
+	resp.Checksum = SpectrumChecksum(resp.Values)
+	if req.Vectors {
+		resp.Vectors = sr.Result.Vectors
+	}
+	if sr.Result.Stats != nil {
+		resp.Tier = sr.Result.Stats.Tier
+	}
+	return resp, nil
+}
+
+// solveHandler serves POST /solve for either role.
+func solveHandler(solve solveFunc, cfg HTTPConfig) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decodeSolveRequest(w, r, cfg)
 		if !ok {
 			return
 		}
-		ctx := r.Context()
-		if req.TimeoutMS > 0 {
-			var cancel context.CancelFunc
-			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
-			defer cancel()
-		}
-		method, _ := ParseMethod(req.Method) // validated by decodeSolveRequest
-		sr, err := s.Solve(ctx, req.Tri(), &eigen.Options{Method: method, Workers: req.Workers, ValuesOnly: req.ValuesOnly})
-		resp := SolveResponse{
-			N:           req.Tri().N(),
-			Disposition: sr.Disposition.String(),
-			Attempts:    sr.Attempts,
-			Stalls:      sr.Stalls,
-		}
+		resp, err := solve(r.Context(), req)
 		if err != nil {
 			resp.Error = err.Error()
-		} else {
-			resp.Values = sr.Result.Values
-			resp.Checksum = SpectrumChecksum(resp.Values)
-			if req.Vectors {
-				resp.Vectors = sr.Result.Vectors
-			}
-			if sr.Result.Stats != nil {
-				resp.Tier = sr.Result.Stats.Tier
-			}
 		}
-		writeJSON(w, StatusOf(err), &resp, cfg.Logf)
+		writeJSON(w, StatusOf(err), resp, cfg.Logf)
 	}
 }
 
-func workerBatchHandler(s *eigen.Server, cfg HTTPConfig) http.HandlerFunc {
+// batchFanout bounds how many members of one batch run at once: the body
+// cap admits millions of tiny members, and each running member holds a
+// goroutine.
+const batchFanout = 64
+
+// batchHandler serves POST /solve/batch for either role as a fan-out: the
+// members run concurrently (at most batchFanout at a time) through solve,
+// the same single-job function as POST /solve, so each member keeps its own
+// options, deadline, disposition and seal — and on a coordinator its own
+// routing and failover. The batch-level TimeoutMS bounds every member.
+func batchHandler(solve solveFunc, cfg HTTPConfig) http.HandlerFunc {
 	return func(w http.ResponseWriter, r *http.Request) {
 		req, ok := decodeBatchRequest(w, r, cfg)
 		if !ok {
@@ -124,62 +151,31 @@ func workerBatchHandler(s *eigen.Server, cfg HTTPConfig) http.HandlerFunc {
 			ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 			defer cancel()
 		}
-		results, errs := serveBatch(ctx, s, req.Jobs)
+		results := make([]SolveResponse, len(req.Jobs))
+		errs := make([]error, len(req.Jobs))
+		var wg sync.WaitGroup
+		sem := make(chan struct{}, batchFanout)
+		for i := range req.Jobs {
+			sem <- struct{}{}
+			wg.Add(1)
+			go func(i int) {
+				defer func() { <-sem; wg.Done() }()
+				resp, err := solve(ctx, &req.Jobs[i])
+				if err != nil {
+					resp.Error = err.Error()
+				}
+				results[i], errs[i] = *resp, err
+			}(i)
+		}
+		wg.Wait()
 		writeJSON(w, batchStatus(errs), &BatchResponse{Results: results}, cfg.Logf)
 	}
 }
 
-// serveBatch runs every member of a decoded batch through srv concurrently —
-// the members land in the server's coalescing window together and flush as
-// one shared-runtime solve. Each member keeps its own options, deadline and
-// disposition; the error slice is indexed like jobs.
-func serveBatch(ctx context.Context, srv *eigen.Server, jobs []SolveRequest) ([]SolveResponse, []error) {
-	results := make([]SolveResponse, len(jobs))
-	errs := make([]error, len(jobs))
-	var wg sync.WaitGroup
-	for i := range jobs {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			job := &jobs[i]
-			jctx := ctx
-			if job.TimeoutMS > 0 {
-				var cancel context.CancelFunc
-				jctx, cancel = context.WithTimeout(ctx, time.Duration(job.TimeoutMS)*time.Millisecond)
-				defer cancel()
-			}
-			method, _ := ParseMethod(job.Method) // validated by decodeBatchRequest
-			sr, err := srv.Solve(jctx, job.Tri(), &eigen.Options{Method: method, Workers: job.Workers, ValuesOnly: job.ValuesOnly})
-			resp := SolveResponse{
-				N:           job.Tri().N(),
-				Disposition: sr.Disposition.String(),
-				Attempts:    sr.Attempts,
-				Stalls:      sr.Stalls,
-			}
-			if err != nil {
-				resp.Error = err.Error()
-				errs[i] = err
-			} else {
-				resp.Values = sr.Result.Values
-				resp.Checksum = SpectrumChecksum(resp.Values)
-				if job.Vectors {
-					resp.Vectors = sr.Result.Vectors
-				}
-				if sr.Result.Stats != nil {
-					resp.Tier = sr.Result.Stats.Tier
-				}
-			}
-			results[i] = resp
-		}(i)
-	}
-	wg.Wait()
-	return results, errs
-}
-
 // batchStatus maps a batch's member errors to the response status: any
-// served member makes the batch a 200 (per-matrix errors ride inside), a
-// batch where every member failed reports the first member's status so
-// coordinators classify it like a single-job failure.
+// served member makes the batch a 200 (per-member errors ride inside), a
+// batch where every member failed reports the first member's status, as a
+// failed single job would.
 func batchStatus(errs []error) int {
 	var first error
 	for _, err := range errs {
@@ -196,8 +192,8 @@ func batchStatus(errs []error) int {
 // decodeBatchRequest enforces the /solve/batch preconditions shared by
 // workers and coordinators: POST only (405), body under MaxBodyBytes (413),
 // well-formed JSON with at least one job and every member carrying a known
-// method and a consistent shape (400). A malformed member rejects the whole
-// batch — the coalescing tiers only ever see well-formed jobs.
+// method, a consistent shape and a consistent class (400). A malformed member
+// rejects the whole batch before any member runs.
 func decodeBatchRequest(w http.ResponseWriter, r *http.Request, cfg HTTPConfig) (*BatchRequest, bool) {
 	if !requireMethod(w, r, http.MethodPost) {
 		return nil, false
@@ -229,13 +225,6 @@ func decodeBatchRequest(w http.ResponseWriter, r *http.Request, cfg HTTPConfig) 
 		}
 		if err := req.Jobs[i].ValidateClass(); err != nil {
 			http.Error(w, fmt.Sprintf("job %d: %v", i, err), http.StatusBadRequest)
-			return nil, false
-		}
-		if req.Jobs[i].ValuesOnly != req.Jobs[0].ValuesOnly {
-			// A batch flushes as ONE SolveBatch with one request class; mixed
-			// windows would force the coalescer to split what the client
-			// asked to run as a unit.
-			http.Error(w, fmt.Sprintf("job %d: batch mixes values_only and full solves", i), http.StatusBadRequest)
 			return nil, false
 		}
 	}

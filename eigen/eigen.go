@@ -202,13 +202,6 @@ type SolveStats struct {
 	// merges abandoned to the GC (the pool accountant's per-solve ledger);
 	// zero on every clean solve.
 	LeakedBytes int64
-	// BatchSize is the number of matrices that shared the runtime when this
-	// result was produced by SolveBatch (0 for single solves).
-	BatchSize int
-	// BatchTaskNanos is the total task-kernel time the shared batch runtime
-	// executed (the same value on every member of a batch; 0 for single
-	// solves and for members retried outside the batch).
-	BatchTaskNanos int64
 }
 
 // Degraded reports whether the result came from a lower tier or needed

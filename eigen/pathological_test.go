@@ -42,6 +42,28 @@ func gluedWilkinson(k, blockN int, glue float64) Tridiagonal {
 	return Tridiagonal{D: d, E: e}
 }
 
+// exactGluedW21 chains W21⁺ blocks (the last one truncated to fit n) with
+// one glue strength and no jitter: every block repeats the same eigenvalues
+// exactly, so each cluster holds ~n/21 poles that agree to the last bit.
+func exactGluedW21(n int, glue float64) Tridiagonal {
+	const block = 21
+	d := make([]float64, n)
+	e := make([]float64, n-1)
+	for s := 0; s < n; s += block {
+		bs := min(block, n-s)
+		for i := 0; i < bs; i++ {
+			d[s+i] = math.Abs(float64(i - bs/2))
+			if i < bs-1 {
+				e[s+i] = 1
+			}
+		}
+		if s+bs < n {
+			e[s+bs-1] = glue
+		}
+	}
+	return Tridiagonal{D: d, E: e}
+}
+
 func scaled(t Tridiagonal, s float64) Tridiagonal {
 	d := make([]float64, len(t.D))
 	e := make([]float64, len(t.E))
@@ -117,8 +139,9 @@ func TestPathologicalMatrices(t *testing.T) {
 // sampled-inertia check with pathologically tight eigenvalue clusters, the
 // 1e±300 scalings stress it at the edge of the exponent range (the audit
 // runs against the pre-scaled problem, so its Sturm pivots must not
-// over/underflow), and the tight-cluster case puts every sampled count on
-// the edge of a cluster boundary.
+// over/underflow), the tight-cluster case puts every sampled count on the
+// edge of a cluster boundary, and the exact glued-W21 grid holds the D&C
+// paths to exact ascending order on bit-identical clusters.
 func TestAuditPathologicalNoFalsePositives(t *testing.T) {
 	rng := rand.New(rand.NewSource(79))
 	base := randomTridiag(rng, 60)
@@ -170,6 +193,22 @@ func TestAuditPathologicalNoFalsePositives(t *testing.T) {
 		for _, w := range []int{1, 4, 8} {
 			res, err := Solve(tc.tri, &Options{Workers: w, ValuesOnly: true})
 			check(fmt.Sprintf("%s/values-only/w%d", tc.name, w), res, err)
+		}
+	}
+
+	// The exact glued-W21 grid: secular roots of bit-identical poles came
+	// out of the merge permutation with 1–4 ulp inversions near 10.746, and
+	// the default solve failed its own ascending-order audit until the D&C
+	// paths gained DSTEDC's closing sort.
+	for _, glue := range []float64{1e-7, 1e-10, 1e-14} {
+		for _, n := range []int{300, 500, 1000, 2000} {
+			tri := exactGluedW21(n, glue)
+			for _, m := range []Method{MethodDC, MethodDCSequential} {
+				for _, vo := range []bool{false, true} {
+					res, err := Solve(tri, &Options{Method: m, ValuesOnly: vo})
+					check(fmt.Sprintf("glued-w21-exact/glue%g/n%d/%v/values-only=%v", glue, n, m, vo), res, err)
+				}
+			}
 		}
 	}
 }

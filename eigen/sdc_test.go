@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"runtime"
 	"testing"
+	"time"
 
 	"tridiag/internal/faultinject"
 	"tridiag/internal/pool"
@@ -53,7 +54,7 @@ func sdcLedgerCheck(t *testing.T, label string, st *SolveStats) {
 
 // TestChaosSDCGate is the silent-data-corruption gate: a single-shot bit
 // flip is injected into every corrupt-hooked kernel class, across the full,
-// values-only and batched lanes, over randomized matrices. Every solve must
+// values-only and server lanes, over randomized matrices. Every solve must
 // serve a verified-correct result (checked test-side, independently of the
 // in-tree defenses), every fired flip must appear in the corruption ledger as
 // detected-and-healed, the pool accountant must return to baseline, and no
@@ -65,11 +66,10 @@ func TestChaosSDCGate(t *testing.T) {
 	defer faultinject.Disable()
 
 	const (
-		fullPerClass  = 20 // full-lane solves per class
-		batchRuns     = 5  // batched runs per class ...
-		batchMembers  = 8  // ... of this many member solves each (40/class)
-		voPerClass    = 60 // values-only solves per class
-		valueTolScale = 1e-8
+		fullPerClass   = 20 // full-lane solves per class
+		serverPerClass = 10 // server-lane jobs per class
+		voPerClass     = 60 // values-only solves per class
+		valueTolScale  = 1e-8
 	)
 
 	// Full lane: every served result is re-verified test-side with the
@@ -156,51 +156,48 @@ func TestChaosSDCGate(t *testing.T) {
 		}
 	}
 
-	// Batched lane: one member of each shared-DAG batch takes the flip; its
-	// batch-mates must be untouched and the hit member must still serve a
-	// correct result through the batched audit + solo-degraded-retry path.
+	// Server lane: the flip lands inside a job served through eigen.Server,
+	// whose retry and fallback ladder owns the recovery. Every job must still
+	// serve a test-verified result, and the server's own ledger must show
+	// every detection healed.
 	rng = rand.New(rand.NewSource(44))
+	srv := NewServer(ServerConfig{MaxConcurrent: 1, StallWindow: time.Minute, RetryBase: time.Millisecond})
 	for ci, class := range sdcFullClasses {
-		var fired, classDetected int64
-		for it := 0; it < batchRuns; it++ {
-			seed := int64(3000*ci + it)
-			tris := make([]Tridiagonal, batchMembers)
-			for i := range tris {
-				tris[i] = randomTridiag(rng, 48+rng.Intn(48))
-			}
-			sdcProbe(seed, class)
-			results, err := SolveBatch(context.Background(), tris, chaosOptions(true))
+		var fired int64
+		st0 := srv.Stats()
+		for it := 0; it < serverPerClass; it++ {
+			sdcProbe(int64(3000*ci+it), class)
+			tri := randomTridiag(rng, 64+rng.Intn(64))
+			sr, err := srv.Solve(context.Background(), tri, &Options{Workers: 4, MinPartition: 24})
 			f := faultinject.Fired()[class]
 			faultinject.Disable()
-			checkAccountant(t, "batch/"+class, baseline)
+			checkAccountant(t, "server/"+class, baseline)
 			if err != nil {
-				t.Fatalf("batch/%s it=%d: corruption was not healed: %v", class, it, err)
+				t.Fatalf("server/%s it=%d: corruption was not healed: %v (disposition %v)", class, it, err, sr.Disposition)
 			}
-			var detected int64
-			for i, res := range results {
-				if res == nil {
-					t.Fatalf("batch/%s it=%d: member %d has no result", class, it, i)
-				}
-				if r := Residual(tris[i], res); r > 1e-12 {
-					t.Errorf("batch/%s it=%d member=%d: WRONG ANSWER ESCAPED: residual %.3e (tier %s)", class, it, i, r, res.Stats.Tier)
-				}
-				if o := Orthogonality(res); o > 1e-12 {
-					t.Errorf("batch/%s it=%d member=%d: WRONG ANSWER ESCAPED: orthogonality %.3e (tier %s)", class, it, i, o, res.Stats.Tier)
-				}
-				if res.Stats.CorruptionsHealed != res.Stats.CorruptionsDetected {
-					t.Errorf("batch/%s it=%d member=%d: detected %d but healed %d", class, it, i, res.Stats.CorruptionsDetected, res.Stats.CorruptionsHealed)
-				}
-				detected += res.Stats.CorruptionsDetected
+			if r := Residual(tri, sr.Result); r > 1e-12 {
+				t.Errorf("server/%s it=%d: WRONG ANSWER ESCAPED: residual %.3e (tier %s)", class, it, r, sr.Stats.Tier)
 			}
-			classDetected += detected
+			if o := Orthogonality(sr.Result); o > 1e-12 {
+				t.Errorf("server/%s it=%d: WRONG ANSWER ESCAPED: orthogonality %.3e (tier %s)", class, it, o, sr.Stats.Tier)
+			}
+			sdcLedgerCheck(t, "server/"+class, sr.Stats)
 			fired += f
 		}
+		st := srv.Stats()
+		detected, healed := st.CorruptionsDetected-st0.CorruptionsDetected, st.CorruptionsHealed-st0.CorruptionsHealed
+		if detected != healed {
+			t.Errorf("server/%s: server detected %d corruptions but healed %d", class, detected, healed)
+		}
 		if fired == 0 {
-			t.Errorf("batch/%s: probe never fired in %d batches; the gate tested nothing for this class", class, batchRuns)
+			t.Errorf("server/%s: probe never fired in %d jobs; the gate tested nothing for this class", class, serverPerClass)
 		}
-		if classDetected == 0 {
-			t.Errorf("batch/%s: %d flips injected, zero ever detected — the class has no working defense", class, fired)
+		if detected == 0 {
+			t.Errorf("server/%s: %d flips injected, zero ever detected — the class has no working defense", class, fired)
 		}
+	}
+	if _, err := srv.Shutdown(context.Background()); err != nil {
+		t.Fatalf("server shutdown: %v", err)
 	}
 
 	checkGoroutines(t, before)

@@ -69,20 +69,8 @@ type Server struct {
 	corrDetected atomic.Int64 // silent-corruption detections across served jobs
 	corrHealed   atomic.Int64 // detections healed by recompute, retry or fallback
 
-	b   batcher // full-solve request-coalescing window (enabled by BatchWindow > 0)
-	bVO batcher // values-only coalescing window: the two classes never mix in a batch
-
-	voAdmitted     atomic.Int64 // values_only jobs past admission
-	voCompleted    atomic.Int64 // values_only jobs served (completed/retried/degraded)
-	batchesFlushed atomic.Int64
-	coalesced      atomic.Int64
-	batchServed    atomic.Int64
-	direct         atomic.Int64
-	flushTimer     atomic.Int64
-	flushSize      atomic.Int64
-	flushBytes     atomic.Int64
-	batchHist      [batchHistBuckets]atomic.Int64
-	batchTaskNanos atomic.Int64
+	voAdmitted  atomic.Int64 // values_only jobs past admission
+	voCompleted atomic.Int64 // values_only jobs served (completed/retried/degraded)
 }
 
 // ServerConfig tunes a Server; zero values select the documented defaults.
@@ -130,32 +118,9 @@ type ServerConfig struct {
 	// trimming). Busy periods never trigger it: any admission re-arms the
 	// timer.
 	PoolIdleTrimDelay time.Duration
-	// BatchWindow enables request coalescing when positive: eligible small
-	// solves (MethodDC, n ≤ BatchMaxN, default tuning options) are held up
-	// to this long and flushed as ONE SolveBatch on ONE worker slot, giving
-	// the scheduler cross-matrix width that a single small solve cannot.
-	// The window adapts to traffic like the solver's PanelSize does: a
-	// window that keeps flushing near-empty (one waiter) halves, down to
-	// BatchWindow/8, so sparse traffic pays almost no added latency; a
-	// window that keeps filling by size doubles back toward BatchWindow.
-	// 0 disables coalescing (the default — existing deployments are
-	// unchanged). Each held request keeps its own deadline, retry/degrade
-	// policy and disposition.
+	// Deprecated: BatchWindow has no effect. The server no longer coalesces
+	// small solves into shared batches; every job is served on its own.
 	BatchWindow time.Duration
-	// BatchMaxSize flushes the window early when this many requests are
-	// waiting (default 64). The queue bound still applies: coalesced
-	// requests occupy queue slots while they wait, so the effective batch
-	// size is also capped by MaxQueue.
-	BatchMaxSize int
-	// BatchMaxN is the largest matrix order admitted into the coalescing
-	// window (default 256); larger solves have enough width of their own
-	// and are served directly.
-	BatchMaxN int
-	// BatchMaxBytes flushes the window early when the batch-aware
-	// workspace estimate (EstimateBatchSolveBytes) of the waiting requests
-	// reaches this many bytes (default MemoryBudget/4 when a budget is
-	// set, else unbounded).
-	BatchMaxBytes int64
 }
 
 func (c ServerConfig) withDefaults() ServerConfig {
@@ -184,17 +149,6 @@ func (c ServerConfig) withDefaults() ServerConfig {
 	}
 	if c.PoolIdleTrimDelay == 0 {
 		c.PoolIdleTrimDelay = 2 * time.Second
-	}
-	if c.BatchWindow > 0 {
-		if c.BatchMaxSize <= 0 {
-			c.BatchMaxSize = 64
-		}
-		if c.BatchMaxN <= 0 {
-			c.BatchMaxN = 256
-		}
-		if c.BatchMaxBytes == 0 && c.MemoryBudget > 0 {
-			c.BatchMaxBytes = c.MemoryBudget / 4
-		}
 	}
 	return c
 }
@@ -280,10 +234,6 @@ type ServeResult struct {
 	Attempts int
 	// Stalls counts watchdog aborts this job suffered.
 	Stalls int
-	// Err is this job's error when served through Server.SolveBatch (nil
-	// on success); single-job Solve reports its error through the return
-	// value instead.
-	Err error
 }
 
 // ServerStats is a snapshot of the service counters.
@@ -312,27 +262,15 @@ type ServerStats struct {
 	// PoolRetainedBytes is the idle scratch kept warm for the next solve
 	// (bounded by the retention cap and dropped after idle trimming).
 	PoolInUseBytes, PoolRetainedBytes int64
-	// BatchesFlushed counts coalescing-window flushes; FlushByTimer,
-	// FlushBySize and FlushByBytes break them down by trigger.
-	BatchesFlushed                          int64
-	FlushByTimer, FlushBySize, FlushByBytes int64
-	// CoalescedJobs counts jobs that entered a coalescing batch;
-	// BatchServedJobs those served by their batch (the rest fell back to
-	// the solo path); DirectJobs counts jobs served without a batch.
-	CoalescedJobs, BatchServedJobs, DirectJobs int64
-	// BatchSizeHist is a power-of-two histogram of flushed batch sizes:
-	// bucket i counts batches of size in (2^(i-1), 2^i] (bucket 0 = size
-	// 1, last bucket = everything larger).
-	BatchSizeHist []int64
-	// BatchTaskNanos totals the task-kernel time executed inside coalesced
-	// batches (the per-batch task-time totals, summed over batches).
-	BatchTaskNanos int64
+	// Deprecated: CoalescedJobs is always 0. The server no longer coalesces
+	// small solves into shared batches.
+	CoalescedJobs int64
 	// ValuesOnlyAdmitted and ValuesOnlyCompleted are the values_only request
 	// class's share of Admitted and of the served dispositions
 	// (completed + retried + degraded). The class has its own admission
-	// estimate (EstimateValuesOnlySolveBytes), coalescing window and
-	// service-time EWMA, so these counters are what capacity planning needs
-	// to see the two classes separately.
+	// estimate (EstimateValuesOnlySolveBytes) and service-time EWMA, so
+	// these counters are what capacity planning needs to see the two classes
+	// separately.
 	ValuesOnlyAdmitted, ValuesOnlyCompleted int64
 	// LeakedBytes totals the pooled workspace served jobs leaked to the GC
 	// through failed or cancelled merges (the per-solve
@@ -352,9 +290,6 @@ type ServerStats struct {
 	// service-time EWMAs feeding the deadline-aware admission check
 	// (0 until a job of that class completes).
 	AvgServiceNanos, ValuesOnlyAvgServiceNanos int64
-	// BatchWindow is the coalescer's current adaptive flush window
-	// (0 when coalescing is disabled).
-	BatchWindow time.Duration
 }
 
 // JobReport is one job's final disposition in a drain report.
@@ -396,55 +331,7 @@ func NewServer(cfg ServerConfig) *Server {
 			m:         make(map[string]*breaker),
 		},
 	}
-	s.b.window.Store(int64(cfg.BatchWindow))
-	s.bVO.window.Store(int64(cfg.BatchWindow))
 	return s
-}
-
-// batcherFor returns the coalescing window of a request class. Values-only
-// and full solves never share a batch: one SolveBatch runs with one Options,
-// and the two classes differ in workspace shape, runtime and result payload.
-func (s *Server) batcherFor(valuesOnly bool) *batcher {
-	if valuesOnly {
-		return &s.bVO
-	}
-	return &s.b
-}
-
-// batchReq is one job waiting in (or flushed from) the coalescing window.
-// The flusher writes exactly one of res/err and then closes done; the
-// waiting Solve call reads them only after done.
-type batchReq struct {
-	t    Tridiagonal
-	res  *Result
-	err  error
-	done chan struct{}
-}
-
-// batcher is the request-coalescing window: eligible jobs accumulate in
-// pending and are flushed as one SolveBatch when the adaptive window timer
-// fires, the size cap is reached, or the batch-aware workspace estimate hits
-// the bytes cap.
-type batcher struct {
-	mu      sync.Mutex
-	pending []*batchReq
-	bytes   int64        // telescoped batch-aware estimate of pending
-	gen     uint64       // invalidates stale timer firings
-	timer   *time.Timer  // armed while pending is non-empty, nil otherwise
-	window  atomic.Int64 // current adaptive flush window, nanoseconds
-}
-
-// takeLocked removes and returns the pending window; the caller holds b.mu.
-func (b *batcher) takeLocked() []*batchReq {
-	reqs := b.pending
-	b.pending = nil
-	b.bytes = 0
-	b.gen++
-	if b.timer != nil {
-		b.timer.Stop()
-		b.timer = nil
-	}
-	return reqs
 }
 
 // EstimateSolveBytes is the admission-control estimate of the pooled
@@ -486,64 +373,15 @@ func estimateMergeBytes(n int) int64 {
 	return poolClassBytes(nn) + 2*poolClassBytes(nn/2+1) + poolClassBytes(nn) + 2*poolClassBytes(nn/2+1)
 }
 
-// EstimateBatchSolveBytes is the admission-control estimate for a coalesced
-// batch of task-flow solves of the given orders sharing one runtime. A
-// per-job EstimateSolveBytes sum over-reserves a batch severely: the
-// per-worker small scratch is pooled across the batch (one set per runtime,
-// not per matrix), and with every matrix sharing one worker pool at most
-// ~workers matrices can sit at their peak (doubled, lower-levels-live)
-// footprint at once — the rest hold at most one live root merge each. The
-// estimate is exact for a single matrix (it equals EstimateSolveBytes) and
-// never exceeds the sum of the per-job singles; adding a matrix to a batch
-// never decreases it, so marginal (telescoped) reservations are safe.
-func EstimateBatchSolveBytes(ns []int, workers int) int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	sorted := make([]int, 0, len(ns))
-	for _, n := range ns {
-		if n > 0 {
-			sorted = append(sorted, n)
-		}
-	}
-	if len(sorted) == 0 {
-		return 0
-	}
-	sort.Sort(sort.Reverse(sort.IntSlice(sorted)))
-	var total int64
-	for i, n := range sorted {
-		m := estimateMergeBytes(n)
-		if i < workers {
-			m *= 2 // concurrently-live lower levels, as in the single estimate
-		}
-		total += m
-	}
-	// One set of per-worker O(n) scratch for the shared runtime, sized by
-	// the largest matrix.
-	total += int64(workers+1) * poolClassBytes(int64(8*sorted[0])+1)
-	return total
-}
-
 // voLeafCutoff is the default D&C leaf size (core.Options.MinPartition's
 // default): values-only leaves solve on a pooled m×m scratch with m bounded
 // by it, the only super-linear term of the lane's footprint.
 const voLeafCutoff = 48
 
-// estimateValuesOnlyJobBytes is the per-job part of the values-only
-// admission estimate, without the shared per-worker scratch: the 2×n carrier
-// rows plus O(n) merge slices (g2, weights, secular roots, gathered carrier
-// rows, sort scratch) on each of the ~log₂(n/leaf) concurrently-live tree
-// levels.
-func estimateValuesOnlyJobBytes(n int) int64 {
-	if n <= 0 {
-		return 0
-	}
-	depth := bits.Len(uint((n + voLeafCutoff - 1) / voLeafCutoff))
-	return poolClassBytes(int64(2*n)) + int64(depth+1)*poolClassBytes(int64(8*n)+1)
-}
-
 // EstimateValuesOnlySolveBytes is the admission-control estimate for one
-// values-only task-flow solve of order n: O(n·depth) merge state plus
+// values-only task-flow solve of order n: the 2×n carrier rows plus O(n)
+// merge slices (g2, weights, secular roots, gathered carrier rows, sort
+// scratch) on each of the ~log₂(n/leaf) concurrently-live tree levels, plus
 // per-worker leaf and secular scratch, instead of the full solve's O(n²)
 // eigenvector workspace. It is monotone in n and never exceeds
 // EstimateSolveBytes, so a values_only job always reserves no more than the
@@ -560,47 +398,13 @@ func EstimateValuesOnlySolveBytes(n, workers int) int64 {
 	if nn := int64(n) * int64(n); nn < leaf {
 		leaf = nn
 	}
-	est := estimateValuesOnlyJobBytes(n) +
+	depth := bits.Len(uint((n + voLeafCutoff - 1) / voLeafCutoff))
+	est := poolClassBytes(int64(2*n)) + int64(depth+1)*poolClassBytes(int64(8*n)+1) +
 		int64(workers+1)*(poolClassBytes(leaf)+poolClassBytes(int64(4*n)+1))
 	if full := EstimateSolveBytes(n, workers); est > full {
 		return full
 	}
 	return est
-}
-
-// EstimateBatchValuesOnlySolveBytes is the batch-aware analogue for a
-// coalesced values-only window: per-job carrier and merge slices summed over
-// the members, one set of shared per-worker scratch sized by the largest
-// member. Exact for a single member (it equals EstimateValuesOnlySolveBytes)
-// and monotone in the member set, so marginal (telescoped) reservations are
-// safe.
-func EstimateBatchValuesOnlySolveBytes(ns []int, workers int) int64 {
-	if workers <= 0 {
-		workers = runtime.GOMAXPROCS(0)
-	}
-	var total int64
-	maxN := 0
-	for _, n := range ns {
-		if n <= 0 {
-			continue
-		}
-		total += estimateValuesOnlyJobBytes(n)
-		if n > maxN {
-			maxN = n
-		}
-	}
-	if maxN == 0 {
-		return 0
-	}
-	leaf := int64(voLeafCutoff * voLeafCutoff)
-	if nn := int64(maxN) * int64(maxN); nn < leaf {
-		leaf = nn
-	}
-	total += int64(workers+1) * (poolClassBytes(leaf) + poolClassBytes(int64(4*maxN)+1))
-	if full := EstimateBatchSolveBytes(ns, workers); total > full {
-		return full
-	}
-	return total
 }
 
 // Solve runs one job through the service: admission, queueing, the
@@ -621,23 +425,14 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	eligible := s.batchEligible(n, &o)
-	var est int64
-	switch {
-	case eligible:
-		// A coalesced job shares the batch's workspace: reserve only its
-		// marginal contribution to the batch-aware estimate, not a full
-		// per-job footprint (which would starve admission ~Nx under floods
-		// of small solves).
-		est = s.batchMarginalEstimate(n, workers, o.ValuesOnly)
-	case o.ValuesOnly:
-		// The values-only lane never materializes the n×n eigenvector
-		// block: charge its O(n·depth) footprint so one memory budget
-		// admits far more values-only concurrency.
-		est = EstimateValuesOnlySolveBytes(n, workers)
-	default:
-		est = EstimateSolveBytes(n, workers)
+	// The values-only lane never materializes the n×n eigenvector block:
+	// charge its O(n·depth) footprint so one memory budget admits far more
+	// values-only concurrency.
+	estimate := EstimateSolveBytes
+	if o.ValuesOnly {
+		estimate = EstimateValuesOnlySolveBytes
 	}
+	est := estimate(n, workers)
 
 	// Admission: all-or-nothing under the server lock.
 	s.mu.Lock()
@@ -727,29 +522,6 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	// they are healed if a later attempt (or the fallback tier) serves.
 	var jobCorrupt int64
 
-	// Coalescing: an eligible job joins the batch window and waits for its
-	// flush; only members whose batched attempt fails fall through to the
-	// solo ladder below (keeping their queue slot, with the batch attempt
-	// counted against their retry budget).
-	var lastErr error
-	if eligible {
-		out, oerr := s.awaitBatched(ctx, t, est, sr, o.ValuesOnly)
-		switch out {
-		case batchServed:
-			ran = true
-			return sr, nil
-		case batchCancelled:
-			sr.Disposition = DispositionCancelled
-			return sr, oerr
-		case batchFailed:
-			lastErr = oerr
-			if faultinject.Corruption(oerr) {
-				s.corrDetected.Add(1)
-				jobCorrupt++
-			}
-		}
-	}
-
 	// Queue for a worker slot.
 	var slotErr error
 	select {
@@ -777,9 +549,9 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 		s.afterJob()
 	}()
 	ran = true
-	s.direct.Add(1)
 
 	// Primary-tier attempts with transient retries.
+	var lastErr error
 	for {
 		probe, primary := s.breakers.route()
 		if !primary {
@@ -921,299 +693,6 @@ func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options) (*Resul
 	return res, err
 }
 
-// batchOutcome is how a coalesced job left the batch window.
-type batchOutcome int
-
-const (
-	// batchServed: the batched attempt produced this member's result.
-	batchServed batchOutcome = iota
-	// batchCancelled: the member's context, deadline, or the drain fired.
-	batchCancelled
-	// batchFailed: the batched attempt failed for this member; the job
-	// continues on the solo retry/degrade ladder.
-	batchFailed
-)
-
-// batchEligible reports whether a job may be served through the coalescing
-// window: small MethodDC solves with default tuning. A batch runs with one
-// shared adaptive configuration, so jobs pinning their own panel size, leaf
-// cutoff, workspace mode or worker count are served directly. Values-only
-// jobs are eligible too — they coalesce in their own window (batcherFor), so
-// a flushed batch is always single-class.
-func (s *Server) batchEligible(n int, o *Options) bool {
-	return s.cfg.BatchWindow > 0 && o.Method == MethodDC &&
-		n > 0 && n <= s.cfg.BatchMaxN &&
-		o.PanelSize <= 0 && o.MinPartition <= 0 && !o.ExtraWorkspace && o.Workers <= 0
-}
-
-// batchMarginalEstimate is the admission reservation for a job joining its
-// class's coalescing window: the increase of the class's batch-aware
-// workspace estimate over the currently-pending window. Both batch estimates
-// are monotone in their member set, so the marginal is always positive, and
-// the telescoped sum of the members' reservations equals the batch estimate
-// instead of N full per-job estimates.
-func (s *Server) batchMarginalEstimate(n, workers int, valuesOnly bool) int64 {
-	b := s.batcherFor(valuesOnly)
-	b.mu.Lock()
-	ns := make([]int, len(b.pending), len(b.pending)+1)
-	for i, r := range b.pending {
-		ns[i] = r.t.N()
-	}
-	b.mu.Unlock()
-	estimate := EstimateBatchSolveBytes
-	if valuesOnly {
-		estimate = EstimateBatchValuesOnlySolveBytes
-	}
-	return estimate(append(ns, n), workers) - estimate(ns, workers)
-}
-
-// awaitBatched enqueues an admitted job into the coalescing window, flushes
-// the window if this job tripped the size or bytes cap, and waits for the
-// member's outcome. The job keeps its queue slot throughout; it is released
-// here for outcomes that end the job (served, cancelled) and kept for
-// batchFailed, whose caller proceeds to the solo slot wait.
-func (s *Server) awaitBatched(ctx context.Context, t Tridiagonal, est int64, sr *ServeResult, valuesOnly bool) (batchOutcome, error) {
-	req := &batchReq{t: t, done: make(chan struct{})}
-	b := s.batcherFor(valuesOnly)
-	b.mu.Lock()
-	b.pending = append(b.pending, req)
-	b.bytes += est
-	var flush []*batchReq
-	reason := ""
-	switch {
-	case len(b.pending) >= s.cfg.BatchMaxSize:
-		flush, reason = b.takeLocked(), "size"
-	case s.cfg.BatchMaxBytes > 0 && b.bytes >= s.cfg.BatchMaxBytes:
-		flush, reason = b.takeLocked(), "bytes"
-	case len(b.pending) == 1:
-		b.gen++
-		gen := b.gen
-		w := time.Duration(b.window.Load())
-		b.timer = time.AfterFunc(w, func() { s.timerFlush(gen, valuesOnly) })
-	}
-	b.mu.Unlock()
-	s.coalesced.Add(1)
-	if flush != nil {
-		go s.runBatch(flush, reason, valuesOnly)
-	}
-
-	select {
-	case <-req.done:
-	case <-ctx.Done():
-		// The member abandons; if its matrix is already mid-flush the
-		// flusher's write lands on a req nobody reads. Its queue slot and
-		// reservation are released now (the finalize deferred in Solve).
-		s.unqueue()
-		return batchCancelled, ctx.Err()
-	case <-s.drainCtx.Done():
-		s.unqueue()
-		return batchCancelled, fmt.Errorf("%w: drained while queued", ErrServerClosed)
-	}
-	sr.Attempts++
-	if req.err == nil {
-		s.unqueue()
-		s.batchServed.Add(1)
-		s.breakers.success("")
-		s.absorb(req.res)
-		sr.Result = req.res
-		sr.Disposition = DispositionCompleted
-		return batchServed, nil
-	}
-	if ctx.Err() != nil || s.drainCtx.Err() != nil {
-		s.unqueue()
-		return batchCancelled, cancelCause(ctx, s.drainCtx)
-	}
-	var stall *StallError
-	if errors.As(req.err, &stall) {
-		sr.Stalls++
-	}
-	s.breakers.failure(faultinject.ClassOf(req.err), "")
-	return batchFailed, req.err
-}
-
-// unqueue releases a coalesced job's queue slot.
-func (s *Server) unqueue() {
-	s.mu.Lock()
-	s.queued--
-	s.mu.Unlock()
-}
-
-// timerFlush fires from the window timer: if no size/bytes flush got there
-// first (the generation still matches), the pending window runs as a batch
-// on this (timer) goroutine.
-func (s *Server) timerFlush(gen uint64, valuesOnly bool) {
-	b := s.batcherFor(valuesOnly)
-	b.mu.Lock()
-	if gen != b.gen || len(b.pending) == 0 {
-		b.mu.Unlock()
-		return
-	}
-	flush := b.takeLocked()
-	b.mu.Unlock()
-	s.runBatch(flush, "timer", valuesOnly)
-}
-
-// runBatch executes one flushed window as a single SolveBatch on ONE worker
-// slot (the members keep their queue slots while it runs) and delivers each
-// member's result or error.
-func (s *Server) runBatch(reqs []*batchReq, reason string, valuesOnly bool) {
-	s.batchesFlushed.Add(1)
-	switch reason {
-	case "timer":
-		s.flushTimer.Add(1)
-	case "size":
-		s.flushSize.Add(1)
-	case "bytes":
-		s.flushBytes.Add(1)
-	}
-	s.batchHist[batchHistBucket(len(reqs))].Add(1)
-	s.adaptWindow(reason, len(reqs), valuesOnly)
-
-	deliverAll := func(err error) {
-		for _, r := range reqs {
-			r.err = err
-			close(r.done)
-		}
-	}
-	select {
-	case s.slots <- struct{}{}:
-	case <-s.drainCtx.Done():
-		deliverAll(fmt.Errorf("%w: drained while queued", ErrServerClosed))
-		return
-	}
-	s.mu.Lock()
-	s.running++
-	s.mu.Unlock()
-	defer func() {
-		s.mu.Lock()
-		s.running--
-		s.mu.Unlock()
-		<-s.slots
-		s.afterJob()
-	}()
-
-	results, err := s.attemptBatch(reqs, valuesOnly)
-	if results == nil {
-		// Batch-level abort: a watchdog stall or the drain — every member
-		// gets the same classified error and decides its own next step
-		// (retry solo, degrade, or report cancellation).
-		var stall *StallError
-		if errors.As(err, &stall) {
-			s.stalls.Add(1)
-		}
-		deliverAll(err)
-		return
-	}
-	var be *BatchError
-	errors.As(err, &be)
-	counted := false
-	for i, r := range reqs {
-		switch {
-		case results[i] != nil:
-			r.res = results[i]
-			if !counted {
-				counted = true
-				if st := results[i].Stats; st != nil {
-					s.batchTaskNanos.Add(st.BatchTaskNanos)
-				}
-			}
-		case be != nil && be.Errs[i] != nil:
-			r.err = be.Errs[i]
-		default:
-			r.err = err
-		}
-		close(r.done)
-	}
-	if counted {
-		s.breakers.success("")
-	}
-}
-
-// attemptBatch runs one watchdog-guarded SolveBatch over a flushed window,
-// mirroring attempt: no task progress within the stall window cancels the
-// whole batch and rewrites the outcome to *StallError. The batch is bounded
-// by the drain, not by any single member's context — each member enforces
-// its own deadline while waiting.
-func (s *Server) attemptBatch(reqs []*batchReq, valuesOnly bool) ([]*Result, error) {
-	actx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	stopDrain := context.AfterFunc(s.drainCtx, cancel)
-	defer stopDrain()
-
-	heartbeat, stop, stalled := s.startWatchdog(actx, cancel)
-	defer stop()
-	o := Options{Method: MethodDC, ValuesOnly: valuesOnly, Progress: heartbeat}
-	tris := make([]Tridiagonal, len(reqs))
-	for i, r := range reqs {
-		tris[i] = r.t
-	}
-	results, err := SolveBatch(actx, tris, &o)
-	if results == nil && stalled.Load() && s.drainCtx.Err() == nil {
-		return nil, &StallError{Window: s.cfg.StallWindow}
-	}
-	return results, err
-}
-
-// adaptWindow tunes the flush window the way PanelSize adapts per merge:
-// timer flushes that caught at most one waiter mean traffic is too sparse
-// for the current window — halve it (down to BatchWindow/8) so lone requests
-// stop paying coalescing latency for nothing; size- or bytes-capped flushes
-// mean the window over-fills — double it back toward the configured ceiling
-// so the timer, not the cap, paces the batches.
-func (s *Server) adaptWindow(reason string, size int, valuesOnly bool) {
-	b := s.batcherFor(valuesOnly)
-	cur := b.window.Load()
-	ceil := int64(s.cfg.BatchWindow)
-	switch {
-	case reason == "timer" && size <= 1:
-		if nw := cur / 2; nw >= ceil/8 {
-			b.window.Store(nw)
-		}
-	case reason == "size" || reason == "bytes":
-		if nw := cur * 2; nw <= ceil {
-			b.window.Store(nw)
-		} else if cur < ceil {
-			b.window.Store(ceil)
-		}
-	}
-}
-
-// batchHistBuckets sizes the flushed-batch-size histogram: bucket i counts
-// batches of size in (2^(i-1), 2^i] (bucket 0 = singletons, the last bucket
-// open-ended).
-const batchHistBuckets = 8
-
-func batchHistBucket(size int) int {
-	b := 0
-	for s := 1; s < size && b < batchHistBuckets-1; s <<= 1 {
-		b++
-	}
-	return b
-}
-
-// SolveBatch serves many matrices through the service in one call: each
-// member is admitted, accounted and classified exactly like a Solve job
-// (deadline via ctx, watchdog, retries, degradation, its own disposition),
-// and eligible members coalesce into shared batch flushes — a full window
-// arriving at once flushes immediately on the size cap, as one SolveBatch.
-// The result slice is indexed like ts; every entry is non-nil and carries
-// its member's disposition, with Err set for members that failed.
-func (s *Server) SolveBatch(ctx context.Context, ts []Tridiagonal, opts *Options) []*ServeResult {
-	out := make([]*ServeResult, len(ts))
-	var wg sync.WaitGroup
-	for i := range ts {
-		wg.Add(1)
-		go func(i int) {
-			defer wg.Done()
-			sr, err := s.Solve(ctx, ts[i], opts)
-			sr.Err = err
-			out[i] = sr
-		}(i)
-	}
-	wg.Wait()
-	return out
-}
-
 // absorb folds one served result's per-solve ledgers (leaked workspace,
 // corruption detections and heals) into the service counters.
 func (s *Server) absorb(res *Result) {
@@ -1351,26 +830,11 @@ func (s *Server) Stats() ServerStats {
 	st.PoolInUseBytes = pool.InUseBytes()
 	st.PoolRetainedBytes = pool.RetainedBytes()
 	st.BreakerOpens, st.OpenBreakers = s.breakers.snapshot()
-	st.BatchesFlushed = s.batchesFlushed.Load()
-	st.FlushByTimer = s.flushTimer.Load()
-	st.FlushBySize = s.flushSize.Load()
-	st.FlushByBytes = s.flushBytes.Load()
-	st.CoalescedJobs = s.coalesced.Load()
-	st.BatchServedJobs = s.batchServed.Load()
-	st.DirectJobs = s.direct.Load()
-	st.BatchTaskNanos = s.batchTaskNanos.Load()
 	st.ValuesOnlyAdmitted = s.voAdmitted.Load()
 	st.ValuesOnlyCompleted = s.voCompleted.Load()
 	st.LeakedBytes = s.leakedBytes.Load()
 	st.CorruptionsDetected = s.corrDetected.Load()
 	st.CorruptionsHealed = s.corrHealed.Load()
-	if s.cfg.BatchWindow > 0 {
-		st.BatchWindow = time.Duration(s.b.window.Load())
-		st.BatchSizeHist = make([]int64, batchHistBuckets)
-		for i := range st.BatchSizeHist {
-			st.BatchSizeHist[i] = s.batchHist[i].Load()
-		}
-	}
 	s.mu.Lock()
 	st.Queued, st.Running = s.queued, s.running
 	st.ReservedBytes, st.PeakReservedBytes = s.reserved, s.peakReserved

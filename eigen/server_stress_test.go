@@ -162,3 +162,69 @@ func TestServerStress(t *testing.T) {
 	}
 	checkGoroutines(t, before)
 }
+
+// TestServerStressSmallSolveFlood is the small-solve flood gate (picked up by
+// the race-enabled stress target): 64 clients flood the server with small
+// solves, each served on its own, and every job must come back served,
+// attributed to its own matrix, with the disposition ledger balancing
+// exactly — zero lost jobs.
+func TestServerStressSmallSolveFlood(t *testing.T) {
+	before := runtime.NumGoroutine()
+	cfg := ServerConfig{
+		MaxConcurrent: 4,
+		MaxQueue:      256,
+		StallWindow:   time.Minute,
+		MaxRetries:    2,
+		RetryBase:     time.Millisecond,
+	}
+	s := NewServer(cfg)
+	const clients = 64
+	perClient := 4
+	if testing.Short() {
+		perClient = 2
+	}
+	var served, badAttr atomic.Int64
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		wg.Add(1)
+		go func(c int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(int64(1000 + c)))
+			for j := 0; j < perClient; j++ {
+				tri := randomTridiag(rng, 16+rng.Intn(48))
+				sr, err := s.Solve(context.Background(), tri, nil)
+				if err != nil {
+					t.Errorf("client %d job %d: %v", c, j, err)
+					continue
+				}
+				if sr.Disposition != DispositionCompleted && sr.Disposition != DispositionRetried {
+					t.Errorf("client %d job %d: disposition %v", c, j, sr.Disposition)
+					continue
+				}
+				if rres := Residual(tri, sr.Result); rres > maxResidual {
+					badAttr.Add(1)
+					t.Errorf("client %d job %d: residual %.3e — result not for this matrix", c, j, rres)
+					continue
+				}
+				served.Add(1)
+			}
+		}(c)
+	}
+	wg.Wait()
+	total := int64(clients * perClient)
+	if served.Load() != total {
+		t.Fatalf("served %d of %d jobs (mis-attributed: %d)", served.Load(), total, badAttr.Load())
+	}
+	st := s.Stats()
+	if st.Admitted != total {
+		t.Fatalf("admitted %d, want %d", st.Admitted, total)
+	}
+	if st.Completed+st.Retried != total || st.Failed != 0 || st.Cancelled != 0 || st.Degraded != 0 {
+		t.Fatalf("disposition ledger completed=%d retried=%d degraded=%d cancelled=%d failed=%d, want sum %d with no losses",
+			st.Completed, st.Retried, st.Degraded, st.Cancelled, st.Failed, total)
+	}
+	if st.Queued != 0 || st.Running != 0 || st.ReservedBytes != 0 {
+		t.Fatalf("leftover state: queued=%d running=%d reserved=%d", st.Queued, st.Running, st.ReservedBytes)
+	}
+	checkGoroutines(t, before)
+}

@@ -82,22 +82,34 @@ func TestServerBasic(t *testing.T) {
 // delay-stalled jobs; the next job must be rejected with ErrOverloaded and
 // counted, without being admitted.
 func TestServerQueueFull(t *testing.T) {
+	// A job stalls in its Scale task, which every other task depends on.
+	// Once the forced drain cuts the stall short, the job's next task fails:
+	// with delays alone the released job could run its remaining tasks
+	// before the runtime observes the cancellation, and complete.
 	defer faultinject.Disable()
-	faultinject.Enable(1, faultinject.Probe{Class: "*", Kind: faultinject.KindDelay, P: 1, Delay: 10 * time.Second})
+	faultinject.Enable(1,
+		faultinject.Probe{Class: "Scale", Kind: faultinject.KindDelay, P: 1, Delay: 10 * time.Second},
+		faultinject.Probe{Class: "*", Kind: faultinject.KindError, P: 1},
+	)
 	cfg := serverConfig()
 	cfg.MaxConcurrent, cfg.MaxQueue = 1, 1
 	s := NewServer(cfg)
 	rng := rand.New(rand.NewSource(2))
 	tri := randomTridiag(rng, 80)
 
+	// Job 2 starts only once job 1 holds the slot: admitted earlier, it
+	// would find job 1 still on the only queue seat and be rejected itself.
 	var wg sync.WaitGroup
-	for i := 0; i < 2; i++ {
+	solve := func() {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
 			s.Solve(context.Background(), tri, chaosOptions(false))
 		}()
 	}
+	solve()
+	waitFor(t, func() bool { return s.Stats().Running == 1 })
+	solve()
 	waitFor(t, func() bool {
 		st := s.Stats()
 		return st.Running == 1 && st.Queued == 1
@@ -301,6 +313,11 @@ func TestServerRetriedDisposition(t *testing.T) {
 // TestServerShutdownGraceful drains a busy server with a generous deadline:
 // every in-flight job finishes normally and appears in the report.
 func TestServerShutdownGraceful(t *testing.T) {
+	// Every solve's one Scale task stalls, so each wave of two running jobs
+	// holds its slots long enough for all four jobs to be in flight at once.
+	// The stall delays the jobs without failing them.
+	defer faultinject.Disable()
+	faultinject.Enable(10, faultinject.Probe{Class: "Scale", Kind: faultinject.KindDelay, P: 1, MaxFires: 4, Delay: 500 * time.Millisecond})
 	s := NewServer(serverConfig())
 	rng := rand.New(rand.NewSource(10))
 	var wg sync.WaitGroup
@@ -318,8 +335,8 @@ func TestServerShutdownGraceful(t *testing.T) {
 		}()
 	}
 	// Wait until all four jobs are simultaneously in flight (not merely
-	// admitted): a fast job that already completed would be gone from the
-	// drain snapshot and flake the report-size assertion below.
+	// admitted): a job that already completed would be gone from the drain
+	// snapshot and fail the report-size assertion below.
 	waitFor(t, func() bool {
 		st := s.Stats()
 		return st.Queued+st.Running == 4

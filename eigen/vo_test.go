@@ -239,8 +239,8 @@ func TestValuesOnlyWorkspaceBound(t *testing.T) {
 }
 
 // TestEstimateValuesOnlySolveBytesProperties: the per-class admission
-// estimates must be monotone in n (telescoped marginal reservations depend on
-// it) and never exceed the full-solve charge of the same job.
+// estimates must be monotone in n and never exceed the full-solve charge of
+// the same job.
 func TestEstimateValuesOnlySolveBytesProperties(t *testing.T) {
 	for _, w := range []int{1, 4, 8} {
 		if EstimateValuesOnlySolveBytes(0, w) != 0 || EstimateValuesOnlySolveBytes(-3, w) != 0 {
@@ -259,28 +259,6 @@ func TestEstimateValuesOnlySolveBytesProperties(t *testing.T) {
 			if full := EstimateSolveBytes(n, w); est > full {
 				t.Fatalf("workers=%d n=%d: values-only estimate %d exceeds full estimate %d", w, n, est, full)
 			}
-		}
-	}
-
-	// Batch analogue: exact for one member, monotone under member growth,
-	// never above the full batch charge.
-	for _, n := range []int{1, 17, 48, 300, 2000} {
-		solo := EstimateValuesOnlySolveBytes(n, 4)
-		if batch := EstimateBatchValuesOnlySolveBytes([]int{n}, 4); batch != solo {
-			t.Errorf("single-member batch estimate %d != solo estimate %d at n=%d", batch, solo, n)
-		}
-	}
-	var ns []int
-	prev := int64(0)
-	for _, n := range []int{64, 512, 128, 2000, 96, 4000} {
-		ns = append(ns, n)
-		est := EstimateBatchValuesOnlySolveBytes(ns, 4)
-		if est < prev {
-			t.Fatalf("batch estimate not monotone adding n=%d: %d < %d", n, est, prev)
-		}
-		prev = est
-		if full := EstimateBatchSolveBytes(ns, 4); est > full {
-			t.Fatalf("batch values-only estimate %d exceeds full batch estimate %d (%v)", est, full, ns)
 		}
 	}
 }

@@ -33,7 +33,7 @@ type Config struct {
 	Workers          []int
 	Seed             int64
 	Quick            bool
-	ValuesOnly       bool    // perf/batch: measure the eigenvalue-only lane against the full solve
+	ValuesOnly       bool    // perf: measure the eigenvalue-only lane against the full solve
 	Steady           int     // perf: solves per worker count in one process (0: fresh-style reps)
 	BandwidthStreams float64 // memory-bound concurrency cap for simulation
 	Out              io.Writer

@@ -227,7 +227,7 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		fl = pool.Get(2 * n)
 		err = submitTaskFlowVO(rt, n, d, e, fl, &o, res.Stats, &merges)
 	} else {
-		err = submitTaskFlow(rt, rt.Wait, n, d, e, q, ldq, &o, res.Stats, &merges)
+		err = submitTaskFlow(rt, n, d, e, q, ldq, &o, res.Stats, &merges)
 	}
 	werr := rt.Wait()
 	res.Stats.setABFTRetries(rt.Retries())
@@ -303,24 +303,11 @@ type node struct {
 	hV, hD      *quark.Handle
 }
 
-// taskRuntime is the submission surface shared by *quark.Runtime and
-// *quark.Scope. Single solves submit straight to the runtime; batched solves
-// submit each matrix's task flow through its own scope, so a failure cascade
-// attributes (and confines its skip accounting) to one matrix while every
-// matrix shares the same worker pool.
-type taskRuntime interface {
-	Handle(name string) *quark.Handle
-	Submit(class, label string, fn func(), accesses ...quark.Access)
-	SubmitPrio(class, label string, priority int, fn func(), accesses ...quark.Access)
-	Workers() int
-}
-
 // submitTaskFlow submits the whole task graph in sequential program order.
 // Every merge's runtime state is appended to *merges so the caller can sweep
-// abandoned workspaces after the runtime stops. barrier is the runtime's Wait,
-// used only by the level-synchronized modes (ModeLevelSync, ModeScaLAPACK);
-// batched solves always run ModeTaskFlow and pass nil.
-func submitTaskFlow(rt taskRuntime, barrier func() error, n int, d, e []float64, q []float64, ldq int, o *Options, st *Stats, merges *[]*mergeState) error {
+// abandoned workspaces after the runtime stops. The level-synchronized modes
+// (ModeLevelSync, ModeScaLAPACK) barrier on rt.Wait between tree levels.
+func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq int, o *Options, st *Stats, merges *[]*mergeState) error {
 	sizes := lapack.PartitionSizes(n, o.MinPartition)
 	starts := make([]int, len(sizes)+1)
 	for i, s := range sizes {
@@ -427,7 +414,7 @@ func submitTaskFlow(rt taskRuntime, barrier func() error, n int, d, e []float64,
 				acc = append(acc, quark.ReadWrite(nd.hV), quark.ReadWrite(nd.hD))
 			}
 			rt.Submit("Barrier", fmt.Sprintf("level%d", lvl), func() {}, acc...)
-			if err := barrier(); err != nil {
+			if err := rt.Wait(); err != nil {
 				return err
 			}
 		}
@@ -436,6 +423,7 @@ func submitTaskFlow(rt taskRuntime, barrier func() error, n int, d, e []float64,
 	root := level[0]
 	rt.Submit("SortEigenvectors", "sort", func() {
 		lapack.SortEigen(n, d, q, ldq, indxq)
+		lapack.SortAscending(n, d, q, ldq)
 		if orgnrm != 1 {
 			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
 		}
@@ -586,7 +574,7 @@ const (
 // task's last-declared non-Gatherv handle, so each task lists its panel
 // handle last (UpdateVect follows ComputeVect's hSec panel, CopyBackDeflated
 // follows PermuteV's hPerm panel, and so on).
-func submitMerge(rt taskRuntime, parent, left, right *node, lvl int, d, e []float64, q []float64, ldq int, indxq []int, o *Options, st *Stats) *mergeState {
+func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []float64, q []float64, ldq int, indxq []int, o *Options, st *Stats) *mergeState {
 	prio := lvl * prioStride
 	start := parent.start
 	nm := parent.size

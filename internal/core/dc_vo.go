@@ -24,7 +24,7 @@ import (
 // in-flight merge — O(n·depth) across the solve — and eigenvalues are moved
 // once, by a final O(n) gather at the root, instead of per-merge column
 // sorts.
-func submitTaskFlowVO(rt taskRuntime, n int, d, e, fl []float64, o *Options, st *Stats, merges *[]*mergeState) error {
+func submitTaskFlowVO(rt *quark.Runtime, n int, d, e, fl []float64, o *Options, st *Stats, merges *[]*mergeState) error {
 	sizes := lapack.PartitionSizes(n, o.MinPartition)
 	starts := make([]int, len(sizes)+1)
 	for i, s := range sizes {
@@ -103,7 +103,8 @@ func submitTaskFlowVO(rt taskRuntime, n int, d, e, fl []float64, o *Options, st 
 	}
 
 	// The values-only analogue of SortEigenvectors: one O(n) gather through
-	// the root's merge permutation, then the scale-back.
+	// the root's merge permutation, the closing insertion sort, then the
+	// scale-back.
 	root := level[0]
 	rt.Submit("SortEigenvalues", "sort", func() {
 		tmp := pool.Get(n)
@@ -112,6 +113,7 @@ func submitTaskFlowVO(rt taskRuntime, n int, d, e, fl []float64, o *Options, st 
 			tmp[i] = d[indxq[i]]
 		}
 		copy(d[:n], tmp[:n])
+		lapack.SortAscending(n, d, nil, 0)
 		if orgnrm != 1 {
 			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
 		}
@@ -125,7 +127,7 @@ func submitTaskFlowVO(rt taskRuntime, n int, d, e, fl []float64, o *Options, st 
 // ReduceW joins and the LAED4 panels of the full path, with the eigenvector
 // panel classes replaced by the UpdateZ panels that emit the parent's 2-row
 // carrier. isRoot drops the carrier chain entirely (no consumer above).
-func submitMergeVO(rt taskRuntime, parent, left, right *node, lvl int, isRoot bool, d, e, fl []float64, indxq []int, o *Options, st *Stats) *mergeState {
+func submitMergeVO(rt *quark.Runtime, parent, left, right *node, lvl int, isRoot bool, d, e, fl []float64, indxq []int, o *Options, st *Stats) *mergeState {
 	prio := lvl * prioStride
 	start := parent.start
 	nm := parent.size

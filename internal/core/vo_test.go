@@ -137,49 +137,3 @@ func TestValuesOnlySequentialModes(t *testing.T) {
 		}
 	}
 }
-
-func TestValuesOnlyBatch(t *testing.T) {
-	rng := rand.New(rand.NewSource(3))
-	const members = 6
-	probs := make([]BatchProblem, members)
-	fullProbs := make([]BatchProblem, members)
-	for i := range probs {
-		n := 40 + 37*i
-		d, e := randTridiag(rng, n)
-		probs[i] = BatchProblem{N: n, D: append([]float64(nil), d...), E: append([]float64(nil), e...)}
-		fullProbs[i] = BatchProblem{N: n, D: append([]float64(nil), d...), E: append([]float64(nil), e...),
-			Q: make([]float64, n*n), LDQ: n}
-	}
-	// The full-path batch comparator: identical scaling and leaf
-	// trajectories, so the spectra agree to a few ulp.
-	fbr, err := SolveDCBatch(fullProbs, &Options{Workers: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	want := make([][]float64, members)
-	for i := range fullProbs {
-		if fbr.Items[i].Err != nil {
-			t.Fatalf("full member %d: %v", i, fbr.Items[i].Err)
-		}
-		want[i] = fullProbs[i].D
-	}
-	base := pool.InUseBytes()
-	br, err := SolveDCBatch(probs, &Options{Workers: 4, ValuesOnly: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got := pool.InUseBytes(); got != base {
-		t.Errorf("pool accountant moved: %d -> %d", base, got)
-	}
-	for i := range probs {
-		if br.Items[i].Err != nil {
-			t.Fatalf("member %d: %v", i, br.Items[i].Err)
-		}
-		tol := ulpTol(want[i], voUlps(probs[i].N, 0))
-		for j := range want[i] {
-			if math.Abs(probs[i].D[j]-want[i][j]) > tol {
-				t.Fatalf("member %d eigenvalue %d differs by %.3e", i, j, math.Abs(probs[i].D[j]-want[i][j]))
-			}
-		}
-	}
-}

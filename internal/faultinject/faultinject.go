@@ -108,7 +108,7 @@ type Probe struct {
 	// MaxFires, when positive, caps how many times this probe fires; after
 	// the cap it is inert. A P=1/MaxFires=1 probe is a deterministic
 	// single-shot fault: exactly one task of the class fails, the rest run
-	// clean — the shape batch failure-isolation tests need.
+	// clean.
 	MaxFires int64
 }
 

@@ -186,6 +186,7 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 
 	// Final sort into ascending order (the paper's SortEigenvectors task).
 	SortEigen(n, d, q, ldq, indxq)
+	SortAscending(n, d, q, ldq)
 	return nil
 }
 
@@ -235,5 +236,22 @@ func SortEigen(n int, d []float64, q []float64, ldq int, indxq []int) {
 		d[i] = dsave
 		copy(q[i*ldq:i*ldq+n], col)
 		indxq[i] = i
+	}
+}
+
+// SortAscending is LAPACK DSTEDC's closing sort: it restores exact ascending
+// order of d, swapping the matching columns of q (nil q sorts d alone). The
+// merge permutation leaves d ordered up to few-ulp inversions inside tight
+// clusters — secular roots of exactly repeated poles need not come out
+// monotone — so an in-place insertion pass costs O(n) comparisons plus one
+// column swap per inversion.
+func SortAscending(n int, d, q []float64, ldq int) {
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && d[j] < d[j-1]; j-- {
+			d[j], d[j-1] = d[j-1], d[j]
+			if q != nil {
+				blas.Dswap(n, q[j*ldq:], 1, q[(j-1)*ldq:], 1)
+			}
+		}
 	}
 }

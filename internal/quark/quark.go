@@ -121,7 +121,6 @@ type task struct {
 	hints    []*Handle // non-Gatherv handles in declared order, locality hints
 	writes   []*Handle // handles written (Out/InOut/Gatherv)
 	home     int       // deque the task was placed on (-1 before placement)
-	scope    *Scope    // failure-attribution scope (nil for runtime-level submits)
 }
 
 // TaskInfo describes one executed task in a captured graph.
@@ -386,64 +385,7 @@ func (rt *Runtime) Submit(class, label string, fn func(), accesses ...Access) {
 
 // SubmitPrio is Submit with an explicit priority.
 func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), accesses ...Access) {
-	rt.submitPrio(nil, class, label, priority, fn, accesses...)
-}
-
-// Scope groups a subset of a runtime's tasks for per-group failure
-// attribution: each scope records its own first error and skip count, so
-// several independent task subgraphs (e.g. the matrices of a batched solve)
-// can share one worker pool while one subgraph's failure cascade stays
-// invisible to its batch-mates. Scopes only attribute — dependency analysis
-// still runs over the whole runtime, so subgraphs must use disjoint handles
-// to stay independent. Like Submit, scope submissions must come from the
-// single submitting goroutine.
-type Scope struct {
-	rt       *Runtime
-	firstErr error // on rt.mu; first *TaskError of a task in this scope
-	skipped  int64 // on rt.mu; tasks in this scope skipped by a failure cascade
-}
-
-// NewScope creates a failure-attribution scope over this runtime.
-func (rt *Runtime) NewScope() *Scope { return &Scope{rt: rt} }
-
-// Handle creates a named data handle, as Runtime.Handle does. Handles are
-// runtime-wide; scoping a handle's creator does not partition dependency
-// analysis, it only attributes the submitting tasks.
-func (s *Scope) Handle(name string) *Handle { return s.rt.Handle(name) }
-
-// Workers returns the size of the underlying runtime's worker pool.
-func (s *Scope) Workers() int { return s.rt.Workers() }
-
-// Submit registers a task attributed to this scope.
-func (s *Scope) Submit(class, label string, fn func(), accesses ...Access) {
-	s.rt.submitPrio(s, class, label, 0, fn, accesses...)
-}
-
-// SubmitPrio is Submit with an explicit priority.
-func (s *Scope) SubmitPrio(class, label string, priority int, fn func(), accesses ...Access) {
-	s.rt.submitPrio(s, class, label, priority, fn, accesses...)
-}
-
-// Err returns the first error of a task in this scope, or nil. Call after
-// Runtime.Wait; a runtime-level context cancellation is not a scope error
-// (the caller sees it from Wait) — Err is specifically "did *this* subgraph
-// fail".
-func (s *Scope) Err() error {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
-	return s.firstErr
-}
-
-// Skipped returns how many of this scope's tasks were skipped because a
-// transitive predecessor failed or the runtime was cancelled.
-func (s *Scope) Skipped() int64 {
-	s.rt.mu.Lock()
-	defer s.rt.mu.Unlock()
-	return s.skipped
-}
-
-func (rt *Runtime) submitPrio(sc *Scope, class, label string, priority int, fn func(), accesses ...Access) {
-	t := &task{class: class, label: label, priority: priority, fn: fn, home: -1, scope: sc}
+	t := &task{class: class, label: label, priority: priority, fn: fn, home: -1}
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -729,9 +671,6 @@ func (rt *Runtime) run(id int, t *task) {
 		if rt.firstErr == nil {
 			rt.firstErr = &TaskError{Class: t.class, Label: t.label, Err: err}
 		}
-		if t.scope != nil && t.scope.firstErr == nil {
-			t.scope.firstErr = &TaskError{Class: t.class, Label: t.label, Err: err}
-		}
 	}
 	for _, h := range t.writes {
 		h.lastWorker = id
@@ -760,9 +699,6 @@ func (rt *Runtime) skipLocked(t *task) {
 	t.done = true
 	rt.completed++
 	rt.skipped++
-	if t.scope != nil {
-		t.scope.skipped++
-	}
 	if rt.capture {
 		rt.graph.Tasks[t.id].Canceled = true
 	}
@@ -795,9 +731,6 @@ func (rt *Runtime) finishLocked(t *task, worker int, failed bool) {
 					s.done = true
 					rt.completed++
 					rt.skipped++
-					if s.scope != nil {
-						s.scope.skipped++
-					}
 					if rt.capture {
 						rt.graph.Tasks[s.id].Canceled = true
 					}
