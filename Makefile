@@ -62,10 +62,11 @@ bench-audit:
 # Fault-injection suite: panic/error/delay probes in every task class across
 # randomized solves, repeated under the race detector; the tests themselves
 # assert zero goroutine leaks and that every fault ends in a verified result
-# (fallback on) or a clean root-cause error (fallback off).
+# (fallback on) or a clean root-cause error (fallback off). It also runs the
+# shared breaker/backoff/drain unit tests both serving tiers rely on.
 chaos:
 	$(GO) test -race -count=3 -run 'Chaos' ./eigen/
-	$(GO) test -race -count=3 ./internal/faultinject/
+	$(GO) test -race -count=3 ./internal/faultinject/ ./internal/resilience/
 	$(GO) test -race -count=3 -run 'Cancelled|Cancellation|Deadline|TaskFailure' ./internal/quark/
 
 # Silent-data-corruption gate: randomized bit flips injected into packed GEMM
@@ -86,16 +87,17 @@ chaos-sdc:
 # detector, a 64-client small-solve flood, plus the watchdog/cancellation
 # goroutine-leak regression tests. Asserts every job ends in a classified
 # disposition, reservations never exceed the budget, the pool accountant
-# returns to baseline, and no goroutines leak. The admission and drain tests
-# repeat 20 times so a timing-dependent regression shows up here.
+# returns to baseline, and no goroutines leak. The admission, drain and
+# cancelled-probe tests repeat 20 times so a timing-dependent regression
+# shows up here.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
-	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful)' ./eigen/
+	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
 # detector — 3 httptest workers behind a real coordinator serving 220 mixed
 # jobs while one worker is partitioned away mid-load and revived, plus the
-# all-workers-down degraded-local test. Asserts zero lost jobs, the full
+# all-workers-down local-tier test. Asserts zero lost jobs, the full
 # breaker open/half-open/close cycle, and no goroutine leaks.
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/

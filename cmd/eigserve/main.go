@@ -8,7 +8,8 @@
 //
 // Coordinator: routes solves across a set of workers with per-worker health
 // probes and circuit breakers, failover on timeout/connection-reset/5xx, and
-// a degraded-local tier that keeps answering when every worker is down:
+// an in-process local tier that keeps answering when every worker is down
+// (those jobs come back "degraded" with "worker": "local"):
 //
 //	eigserve -role coordinator -addr :8080 \
 //	    -worker http://host1:8081 -worker http://host2:8081
@@ -26,8 +27,9 @@
 //	GET  /readyz   readiness (503 while draining or backed up)
 //
 // SIGINT/SIGTERM starts a graceful drain: admission stops, in-flight jobs
-// finish (up to -drain), and the per-job dispositions are logged — grouped
-// per worker on coordinators.
+// finish (up to -drain), and each one is logged as "job ID (n=N) worker:
+// disposition", where worker is "local" for an in-process solve and a worker
+// URL for a job a coordinator routed.
 package main
 
 import (
@@ -76,7 +78,7 @@ func main() {
 
 	httpCfg := cluster.HTTPConfig{MaxBodyBytes: *maxBody << 20}
 	// Both roles run an eigen.Server: it is the whole service on a worker and
-	// the degraded-local tier on a coordinator.
+	// the local tier on a coordinator.
 	s := eigen.NewServer(eigen.ServerConfig{
 		MaxConcurrent: *concurrent,
 		MaxQueue:      *queue,
@@ -86,20 +88,12 @@ func main() {
 	})
 
 	var handler http.Handler
-	var drainFn func(ctx context.Context)
+	var shutdown func(context.Context) (*eigen.DrainReport, error)
 	var statsFn func()
 	switch *role {
 	case "worker":
 		handler = cluster.NewWorkerHandler(s, httpCfg)
-		drainFn = func(ctx context.Context) {
-			rep, err := s.Shutdown(ctx)
-			for _, j := range rep.Jobs {
-				log.Printf("  job %d (n=%d): %s", j.ID, j.N, j.Disposition)
-			}
-			if err != nil {
-				log.Printf("drain deadline hit, remaining jobs cancelled: %v", err)
-			}
-		}
+		shutdown = s.Shutdown
 		statsFn = func() {
 			st := s.Stats()
 			log.Printf("served: completed=%d retried=%d degraded=%d rejected=%d cancelled=%d failed=%d",
@@ -128,27 +122,11 @@ func main() {
 			log.Fatal(err)
 		}
 		handler = cluster.NewCoordinatorHandler(c, httpCfg)
-		drainFn = func(ctx context.Context) {
-			rep, err := c.Shutdown(ctx)
-			for _, wd := range rep.Workers {
-				log.Printf("  worker %s:", wd.Worker)
-				for _, j := range wd.Jobs {
-					log.Printf("    job %d (n=%d): %s", j.ID, j.N, j.Disposition)
-				}
-			}
-			if rep.Local != nil {
-				for _, j := range rep.Local.Jobs {
-					log.Printf("  local job %d (n=%d): %s", j.ID, j.N, j.Disposition)
-				}
-			}
-			if err != nil {
-				log.Printf("drain deadline hit, remaining jobs cancelled: %v", err)
-			}
-		}
+		shutdown = c.Shutdown
 		statsFn = func() {
 			st := c.Stats()
-			log.Printf("routed: completed=%d retried=%d failed-over=%d degraded-local=%d rejected=%d cancelled=%d failed=%d",
-				st.Completed, st.Retried, st.FailedOver, st.DegradedLocal, st.Rejected, st.Cancelled, st.Failed)
+			log.Printf("routed: completed=%d retried=%d failed-over=%d degraded=%d rejected=%d cancelled=%d failed=%d",
+				st.Completed, st.Retried, st.FailedOver, st.Degraded, st.Rejected, st.Cancelled, st.Failed)
 			if st.ChecksumMismatches > 0 || st.Local.CorruptionsDetected > 0 {
 				log.Printf("silent-error defense: wire checksum mismatches=%d local detected=%d healed=%d",
 					st.ChecksumMismatches, st.Local.CorruptionsDetected, st.Local.CorruptionsHealed)
@@ -175,7 +153,13 @@ func main() {
 		log.Printf("draining (deadline %v)...", *drain)
 		ctx, cancel := context.WithTimeout(context.Background(), *drain)
 		defer cancel()
-		drainFn(ctx)
+		rep, err := shutdown(ctx)
+		for _, j := range rep.Jobs {
+			log.Printf("  job %d (n=%d) %s: %s", j.ID, j.N, j.Worker, j.Disposition)
+		}
+		if err != nil {
+			log.Printf("drain deadline hit, remaining jobs cancelled: %v", err)
+		}
 		// The HTTP shutdown shares the drain deadline: a client that never
 		// reads its response must not hold the process open forever.
 		if err := hs.Shutdown(ctx); err != nil {

@@ -22,26 +22,6 @@ import (
 // same retry/degrade ladders as an ABFT checksum failure: the next tier (or
 // the server's retry policy) recomputes instead of shipping a wrong answer.
 
-// AuditOptions tunes the always-on result audit. The zero value enables the
-// audit with library defaults; set Disable to opt out (benchmark baselines,
-// callers running their own verification).
-type AuditOptions struct {
-	// Disable turns the result audit off. The audit is on by default: its
-	// cost is O(n·SpectrumSamples) Sturm counts for every solve plus an
-	// O(n²) residual/norm sweep for vector solves — a few percent of the
-	// solve at most, parallelized over the solve's worker budget.
-	Disable bool
-	// SpectrumSamples is how many eigenvalue indices the Sturm-count inertia
-	// check probes (<=0: 32, capped at n). Endpoints are always included.
-	SpectrumSamples int
-	// ResidualColumns bounds how many eigenvector columns the residual and
-	// unit-norm sweep checks for vector solves (<=0: every column — the
-	// default, since only a full sweep deterministically catches a single
-	// corrupted column). A positive budget checks that many columns, evenly
-	// spread with both endpoints included.
-	ResidualColumns int
-}
-
 // CorruptionError reports a failed result audit: the computed spectrum or an
 // eigenvector column disagrees with the input matrix beyond the validation
 // thresholds. Like a checksum or invariant violation it is classified as
@@ -75,20 +55,18 @@ func (e *CorruptionError) TaskClass() string { return "audit" }
 func IsCorruption(err error) bool { return faultinject.Corruption(err) }
 
 // auditResult verifies a served result against the matrix it was computed
-// from: the Sturm-count inertia check on the spectrum for every solve, plus
-// the residual and unit-norm sweep over the eigenvector columns for vector
-// solves. Returns the worst normalized column residual measured (0 for
-// values-only solves) and the first violation as a *CorruptionError.
+// from: the Sturm-count inertia check at spectrumSamples indices for every
+// solve, plus the residual and unit-norm sweep over every eigenvector column
+// for vector solves (only a full sweep deterministically catches a single
+// corrupted column). Its cost is a few percent of the solve at most. Returns
+// the worst normalized column residual measured (0 for values-only solves)
+// and the first violation as a *CorruptionError.
 func auditResult(t Tridiagonal, res *Result, o *Options) (worst float64, err error) {
 	n := t.N()
 	if n == 0 {
 		return 0, nil
 	}
-	samples := o.Audit.SpectrumSamples
-	if samples <= 0 {
-		samples = spectrumSamples
-	}
-	if verr := validateSpectrumN(t, res.Values, samples); verr != nil {
+	if verr := validateSpectrum(t, res.Values); verr != nil {
 		return 0, &CorruptionError{Check: "spectrum", Detail: verr.Error()}
 	}
 	if res.Vectors == nil {
@@ -97,7 +75,7 @@ func auditResult(t Tridiagonal, res *Result, o *Options) (worst float64, err err
 	return auditVectors(t, res, o)
 }
 
-// auditVectors sweeps the eigenvector columns: each audited column j must
+// auditVectors sweeps the eigenvector columns: each column j must
 // satisfy ‖T·v_j − λ_j·v_j‖ ≤ maxResidual·‖T‖·n (the degraded-tier residual
 // bar, per column) and |v_jᵀv_j − 1| ≤ maxOrthogonality·n (the diagonal of
 // the orthogonality metric, which catches scaling corruption the residual is
@@ -109,7 +87,6 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 	if nrm == 0 {
 		nrm = 1
 	}
-	cols := auditColumns(n, o.Audit.ResidualColumns)
 	rtol := maxResidual * float64(n) * nrm
 	rtol2 := rtol * rtol // the sweep compares squared norms to skip per-column sqrts
 	ntol := maxOrthogonality * float64(n)
@@ -121,11 +98,8 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 		// scheduler's parallelism only adds handoff cost.
 		workers = p
 	}
-	if small := 64 * 1024; len(cols)*n < small {
+	if small := 64 * 1024; n*n < small {
 		workers = 1 // below the point where goroutine fan-out pays for itself
-	}
-	if workers > len(cols) {
-		workers = len(cols)
 	}
 
 	var (
@@ -133,19 +107,19 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 		firstErr error
 	)
 	var wg sync.WaitGroup
-	chunk := (len(cols) + workers - 1) / workers
+	chunk := (n + workers - 1) / workers
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
-		hi := min(lo+chunk, len(cols))
+		hi := min(lo+chunk, n)
 		if lo >= hi {
 			break
 		}
 		wg.Add(1)
-		go func(cs []int) {
+		go func(lo, hi int) {
 			defer wg.Done()
 			localWorst := 0.0
 			var lerr error
-			for _, j := range cs {
+			for j := lo; j < hi; j++ {
 				v := res.Vector(j)
 				lam := res.Values[j]
 				rnrm2, vnrm := simd.TridiagResidual(t.D, t.E, v, lam)
@@ -171,31 +145,9 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 				firstErr = lerr
 			}
 			mu.Unlock()
-		}(cols[lo:hi])
+		}(lo, hi)
 	}
 	wg.Wait()
 	// worst accumulated as a squared 2-norm; normalize once on the way out.
 	return math.Sqrt(worst) * rscale, firstErr
-}
-
-// auditColumns selects the eigenvector columns the sweep checks: every column
-// when the budget is unset or covers them all, else an even spread over
-// [0, n-1] with both endpoints included.
-func auditColumns(n, budget int) []int {
-	if budget <= 0 || budget >= n {
-		cols := make([]int, n)
-		for i := range cols {
-			cols[i] = i
-		}
-		return cols
-	}
-	cols := make([]int, budget)
-	for s := 0; s < budget; s++ {
-		i := 0
-		if budget > 1 {
-			i = s * (n - 1) / (budget - 1)
-		}
-		cols[s] = i
-	}
-	return cols
 }

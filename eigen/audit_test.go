@@ -6,29 +6,6 @@ import (
 	"testing"
 )
 
-// TestAuditColumns: the sampling schedule must cover both endpoints, stay
-// strictly increasing and in range, and degenerate to the full sweep when
-// the budget covers every column.
-func TestAuditColumns(t *testing.T) {
-	for _, n := range []int{1, 2, 7, 100} {
-		for _, budget := range []int{0, -1, n, n + 5} {
-			cols := auditColumns(n, budget)
-			if len(cols) != n {
-				t.Fatalf("n=%d budget=%d: want full sweep, got %d columns", n, budget, len(cols))
-			}
-		}
-	}
-	cols := auditColumns(100, 5)
-	if len(cols) != 5 || cols[0] != 0 || cols[len(cols)-1] != 99 {
-		t.Fatalf("spread misses endpoints: %v", cols)
-	}
-	for i := 1; i < len(cols); i++ {
-		if cols[i] <= cols[i-1] {
-			t.Fatalf("columns not strictly increasing: %v", cols)
-		}
-	}
-}
-
 // TestAuditResultDetectsCorruption: the audit must flag a flipped bit in an
 // eigenvalue (spectrum check), a flipped bit in an eigenvector entry
 // (residual check) and a rescaled eigenvector (unit-norm check) — and pass
@@ -85,18 +62,18 @@ func TestAuditResultDetectsCorruption(t *testing.T) {
 	}
 }
 
-// TestAuditDisable: Options.Audit.Disable must skip the audit entirely — the
+// TestAuditDisable: Options.DisableAudit must skip the audit entirely — the
 // served result reports Audited false, and a corrupt result ships (that is
 // the caller's explicit choice).
 func TestAuditDisable(t *testing.T) {
 	rng := rand.New(rand.NewSource(56))
 	tri := randomTridiag(rng, 60)
-	res, err := Solve(tri, &Options{Audit: AuditOptions{Disable: true}})
+	res, err := Solve(tri, &Options{DisableAudit: true})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if res.Stats.Audited {
-		t.Error("audit ran despite Disable")
+		t.Error("audit ran despite DisableAudit")
 	}
 	on, err := Solve(tri, nil)
 	if err != nil {

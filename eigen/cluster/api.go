@@ -61,7 +61,7 @@ type SolveResponse struct {
 	Stalls      int       `json:"stalls"`
 	Tier        string    `json:"tier,omitempty"`
 	// Worker names the instance that served the job ("local" for the
-	// coordinator's degraded-local tier); set by coordinators only.
+	// coordinator's in-process local tier); set by coordinators only.
 	Worker string `json:"worker,omitempty"`
 	// Failovers counts the remote attempts that were abandoned before a
 	// different worker served the job; set by coordinators only.

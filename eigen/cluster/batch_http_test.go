@@ -256,8 +256,8 @@ func TestClusterBatchFailover(t *testing.T) {
 	var moved int
 	for _, res := range br.Results {
 		switch res.Disposition {
-		case DispositionCompleted.String():
-		case DispositionRetried.String(), DispositionFailedOver.String():
+		case eigen.DispositionCompleted.String():
+		case eigen.DispositionRetried.String(), eigen.DispositionFailedOver.String():
 			moved++
 		default:
 			t.Errorf("member served by %q with disposition %q", res.Worker, res.Disposition)
@@ -302,11 +302,11 @@ func TestClusterBatchDegradedLocal(t *testing.T) {
 	br := mustBatch(t, ts.URL, req)
 	checkBatchSpectra(t, req, br)
 	for i, res := range br.Results {
-		if res.Worker != "local" || res.Disposition != DispositionDegradedLocal.String() {
-			t.Errorf("job %d served by %q as %q, want local/degraded-local", i, res.Worker, res.Disposition)
+		if res.Worker != "local" || res.Disposition != eigen.DispositionDegraded.String() {
+			t.Errorf("job %d served by %q as %q, want local/degraded", i, res.Worker, res.Disposition)
 		}
 	}
-	if st := c.Stats(); st.DegradedLocal != int64(len(req.Jobs)) || st.LocalSolves != int64(len(req.Jobs)) {
-		t.Errorf("degraded-local=%d local-solves=%d, want %d each", st.DegradedLocal, st.LocalSolves, len(req.Jobs))
+	if st := c.Stats(); st.Degraded != int64(len(req.Jobs)) || st.LocalSolves != int64(len(req.Jobs)) {
+		t.Errorf("degraded=%d local-solves=%d, want %d each", st.Degraded, st.LocalSolves, len(req.Jobs))
 	}
 }

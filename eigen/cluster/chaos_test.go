@@ -43,7 +43,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 
 	const jobs = 220
 	const clients = 16
-	sizes := []int{16, 48, 120, 300} // 300 > SmallN exercises least-loaded routing
+	sizes := []int{16, 48, 120, 300} // 300 > smallN exercises least-loaded routing
 	rng := rand.New(rand.NewSource(99))
 	reqs := make([]*SolveRequest, jobs)
 	for i := range reqs {
@@ -69,7 +69,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 		}
 		workers[1].gate.down.Store(true)
 		killed.Store(true)
-		for victim.breakerState() != "open" {
+		for victim.breaker.State().String() != "open" {
 			time.Sleep(time.Millisecond)
 		}
 		for completed.Load() < 150 {
@@ -115,7 +115,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 			t.Fatalf("job %d (n=%d): lost to error %v", i, len(reqs[i].D), errs[i])
 		}
 		switch dispositions[i] {
-		case "completed", "retried-then-completed", "failed-over", "degraded-local":
+		case "completed", "retried-then-completed", "failed-over", "degraded":
 			served[dispositions[i]]++
 		default:
 			t.Fatalf("job %d: unclassified disposition %q", i, dispositions[i])
@@ -139,7 +139,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 
 	// The revived worker's breaker re-closes through the half-open probe...
 	waitFor(t, 5*time.Second, "victim breaker to re-close", func() bool {
-		return victim.breakerState() == "closed"
+		return victim.breaker.State().String() == "closed"
 	})
 	if st := c.Stats(); st.BreakerCloses < 1 {
 		t.Errorf("breaker never re-closed after revival (closes=%d)", st.BreakerCloses)
@@ -172,7 +172,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 }
 
 // TestClusterAllWorkersDown: with every worker partitioned away the
-// coordinator keeps serving through its degraded-local tier and stays
+// coordinator keeps serving through its local tier and stays
 // responsive over HTTP; reviving one worker restores remote serving.
 func TestClusterAllWorkersDown(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -197,7 +197,7 @@ func TestClusterAllWorkersDown(t *testing.T) {
 	}
 	waitFor(t, 5*time.Second, "all breakers to open", func() bool {
 		for _, w := range c.workers {
-			if w.breakerState() != "open" {
+			if w.breaker.State().String() != "open" {
 				return false
 			}
 		}
@@ -227,14 +227,14 @@ func TestClusterAllWorkersDown(t *testing.T) {
 			t.Fatalf("job %d with all workers down: %v", i, errs[i])
 		}
 		checkSpectrum(t, reqs[i], resps[i])
-		if resps[i].Disposition != "degraded-local" || resps[i].Worker != "local" {
-			t.Fatalf("job %d: disposition=%q worker=%q, want degraded-local/local",
+		if resps[i].Disposition != "degraded" || resps[i].Worker != "local" {
+			t.Fatalf("job %d: disposition=%q worker=%q, want degraded/local",
 				i, resps[i].Disposition, resps[i].Worker)
 		}
 	}
 	st := c.Stats()
-	if st.DegradedLocal < int64(len(reqs)) || st.LocalSolves < int64(len(reqs)) {
-		t.Errorf("degraded-local=%d localSolves=%d, want ≥ %d", st.DegradedLocal, st.LocalSolves, len(reqs))
+	if st.Degraded < int64(len(reqs)) || st.LocalSolves < int64(len(reqs)) {
+		t.Errorf("degraded=%d localSolves=%d, want ≥ %d", st.Degraded, st.LocalSolves, len(reqs))
 	}
 	if st.Failed != 0 {
 		t.Errorf("%d jobs failed with the local tier available", st.Failed)
@@ -270,7 +270,7 @@ func TestClusterAllWorkersDown(t *testing.T) {
 	// remote serving resumes.
 	workers[0].gate.down.Store(false)
 	waitFor(t, 5*time.Second, "revived breaker to close", func() bool {
-		return c.workers[0].breakerState() == "closed"
+		return c.workers[0].breaker.State().String() == "closed"
 	})
 	resp, err := c.Solve(context.Background(), randomRequest(rng, 300))
 	if err != nil {

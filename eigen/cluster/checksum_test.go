@@ -77,7 +77,7 @@ func (p *bitflipProxy) ServeHTTP(w http.ResponseWriter, r *http.Request) {
 // TestCoordinatorChecksumMismatchFailsOver: a worker whose responses are
 // corrupted in transit must never have its payload served — the coordinator
 // re-derives the seal after decoding, counts the mismatch, marks the worker
-// failing, and serves through the degraded-local tier instead, sealed like a
+// failing, and serves through the local tier instead, sealed like a
 // worker response.
 func TestCoordinatorChecksumMismatchFailsOver(t *testing.T) {
 	before := runtime.NumGoroutine()
@@ -110,7 +110,7 @@ func TestCoordinatorChecksumMismatchFailsOver(t *testing.T) {
 		t.Errorf("corrupted remote served the job: worker %q", resp.Worker)
 	}
 	if resp.Checksum == 0 || resp.Checksum != SpectrumChecksum(resp.Values) {
-		t.Errorf("degraded-local response seal %#x does not match its values (want %#x)", resp.Checksum, SpectrumChecksum(resp.Values))
+		t.Errorf("local-tier response seal %#x does not match its values (want %#x)", resp.Checksum, SpectrumChecksum(resp.Values))
 	}
 	for i := range want.Values {
 		if math.Abs(resp.Values[i]-want.Values[i]) > 1e-12 {
@@ -121,8 +121,8 @@ func TestCoordinatorChecksumMismatchFailsOver(t *testing.T) {
 	if st.ChecksumMismatches == 0 {
 		t.Error("checksum mismatch not counted")
 	}
-	if st.DegradedLocal == 0 {
-		t.Error("degraded-local disposition not counted")
+	if st.Degraded == 0 {
+		t.Error("degraded disposition not counted")
 	}
 }
 

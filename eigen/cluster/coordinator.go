@@ -22,16 +22,20 @@
 //   - Failover: a job whose attempt dies from a timeout, connection reset,
 //     truncated response or 5xx is retried with bounded exponential backoff
 //     on a surviving worker.
-//   - Degraded-local tier: when every worker is down or open-circuit (or a
-//     job exhausts its remote attempts on transient failures), the
-//     coordinator solves in-process through its own eigen.Server, so the
-//     cluster keeps answering with zero live workers.
-//   - Drain: Shutdown stops admission, lets in-flight remote jobs finish
-//     (cancelling them only at the drain deadline) and aggregates the final
-//     dispositions per worker, alongside the local tier's own DrainReport.
+//   - Local tier: when every worker is down or open-circuit (or a job
+//     exhausts its remote attempts on transient failures), the coordinator
+//     solves in-process through its own eigen.Server, so the cluster keeps
+//     answering with zero live workers. This is the coordinator's fallback
+//     tier, as the sequential chain is a server's: its jobs are degraded,
+//     with worker "local".
+//   - Drain: Shutdown stops admission, lets in-flight jobs finish
+//     (cancelling them only at the drain deadline) and reports each one's
+//     final disposition and the worker it last ran on.
 //
-// Every job ends in exactly one Disposition: completed, retried-then-
-// completed, failed-over, degraded-local, rejected, cancelled or failed.
+// Breakers, backoff and drain follow the resilience policy eigen.Server
+// uses (DESIGN.md §11), and every job ends in exactly one eigen.Disposition:
+// completed, retried-then-completed, failed-over, degraded, rejected,
+// cancelled or failed.
 package cluster
 
 import (
@@ -53,6 +57,18 @@ import (
 
 	"tridiag/eigen"
 	"tridiag/internal/faultinject"
+	"tridiag/internal/resilience"
+)
+
+// errDrained is the cause of a job cancelled by a drain deadline.
+var errDrained = fmt.Errorf("%w: drained mid-job", eigen.ErrServerClosed)
+
+// Routing constants: jobs with n ≤ smallN route by consistent hash of the
+// problem content, larger jobs go least-loaded; each worker owns
+// hashReplicas virtual nodes on the ring.
+const (
+	smallN       = 256
+	hashReplicas = 64
 )
 
 // Config tunes a Coordinator; zero values select the documented defaults.
@@ -60,9 +76,9 @@ type Config struct {
 	// Workers lists the base URLs of the worker eigserve instances
 	// ("http://host:port"). At least one is required.
 	Workers []string
-	// Local is the degraded-local solve tier. Nil: NewCoordinator creates
-	// one with default ServerConfig. Either way the coordinator owns it from
-	// then on — Shutdown drains it and includes its DrainReport.
+	// Local is the in-process fallback tier. Nil: NewCoordinator creates one
+	// with default ServerConfig. Either way the coordinator owns it from
+	// then on, and Shutdown drains it.
 	Local *eigen.Server
 	// Client is the HTTP client for all worker traffic (default: keep-alive
 	// transport with a 5s dial timeout).
@@ -75,28 +91,21 @@ type Config struct {
 	// transport-level failures (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open circuit rests before the half-open
-	// probe (default 2s).
+	// probe (default 2s). A failure while open restarts it.
 	BreakerCooldown time.Duration
 	// MaxAttempts bounds the remote attempts per job — the first try plus
 	// failovers/retries (default 3). A job that exhausts them on transient
 	// failures degrades to the local tier.
 	MaxAttempts int
-	// RetryBase is the first failover backoff delay; attempt k waits
-	// RetryBase·2^(k-1) with ±50% jitter, capped at 16×RetryBase
-	// (default 10ms).
+	// RetryBase is the first failover backoff delay; retry k waits
+	// RetryBase·2^(k-1), capped at 16×RetryBase and jittered down by up to
+	// half (default 10ms).
 	RetryBase time.Duration
 	// AttemptTimeout caps one remote attempt (default 60s) so a hung worker
 	// turns into a failover instead of a stuck job. It must exceed the
 	// worst-case solve the cluster is expected to serve; negative disables
 	// the cap (jobs then rely on their own deadlines).
 	AttemptTimeout time.Duration
-	// SmallN is the affinity threshold: jobs with n ≤ SmallN route by
-	// consistent hash of the problem content, larger jobs go least-loaded
-	// (default 256).
-	SmallN int
-	// HashReplicas is the virtual-node count per worker on the ring
-	// (default 64).
-	HashReplicas int
 	// MaxInflight bounds coordinator-admitted unfinished jobs (default 256);
 	// beyond it jobs are rejected with eigen.ErrOverloaded.
 	MaxInflight int
@@ -131,65 +140,10 @@ func (c Config) withDefaults() Config {
 	if c.AttemptTimeout == 0 {
 		c.AttemptTimeout = 60 * time.Second
 	}
-	if c.SmallN <= 0 {
-		c.SmallN = 256
-	}
-	if c.HashReplicas <= 0 {
-		c.HashReplicas = 64
-	}
 	if c.MaxInflight <= 0 {
 		c.MaxInflight = 256
 	}
 	return c
-}
-
-// Disposition classifies how the coordinator finished with a job. Every
-// Solve call ends in exactly one disposition.
-type Disposition int
-
-const (
-	// DispositionCompleted: served by the first worker tried, first attempt.
-	DispositionCompleted Disposition = iota
-	// DispositionRetried: served remotely after at least one retry on the
-	// same worker (the only one available at the time).
-	DispositionRetried
-	// DispositionFailedOver: served by a different worker than the first
-	// attempt after that attempt died (timeout, connection reset, 5xx).
-	DispositionFailedOver
-	// DispositionDegradedLocal: served in-process by the coordinator's local
-	// tier because no worker could.
-	DispositionDegradedLocal
-	// DispositionRejected: refused at admission (malformed input, overload,
-	// or closed coordinator).
-	DispositionRejected
-	// DispositionCancelled: the job's context was cancelled, its deadline
-	// expired, or the coordinator drain cancelled it.
-	DispositionCancelled
-	// DispositionFailed: a definitive non-retryable failure (e.g. a worker's
-	// solve failed on every tier), or the local tier failed too.
-	DispositionFailed
-
-	dispositionCount = int(DispositionFailed) + 1
-)
-
-func (d Disposition) String() string {
-	switch d {
-	case DispositionCompleted:
-		return "completed"
-	case DispositionRetried:
-		return "retried-then-completed"
-	case DispositionFailedOver:
-		return "failed-over"
-	case DispositionDegradedLocal:
-		return "degraded-local"
-	case DispositionRejected:
-		return "rejected"
-	case DispositionCancelled:
-		return "cancelled"
-	case DispositionFailed:
-		return "failed"
-	}
-	return fmt.Sprintf("Disposition(%d)", int(d))
 }
 
 // RemoteError is a failed remote attempt against one worker. Status is the
@@ -233,15 +187,12 @@ func (e *RemoteError) Transient() bool {
 // directly, but logs and error chains keep the class).
 func (e *RemoteError) TaskClass() string { return faultinject.NetClass(e.Worker) }
 
-// clusterJob tracks one admitted job for the drain report. worker and
-// disposition are written by the serving goroutine before close(done) and
-// read only after <-done.
+// clusterJob tracks one admitted job for the drain report. Its report's
+// Worker and Disposition are written by the serving goroutine before
+// close(done) and read only after it.
 type clusterJob struct {
-	id          uint64
-	n           int
-	done        chan struct{}
-	worker      string // last instance attempted ("local" for the local tier)
-	disposition Disposition
+	eigen.JobReport
+	done chan struct{}
 }
 
 // Coordinator routes solve jobs across worker eigserve instances. Create
@@ -265,7 +216,7 @@ type Coordinator struct {
 	stopProbe   chan struct{}
 	probeWG     sync.WaitGroup
 
-	counts           [dispositionCount]atomic.Int64
+	counts           [eigen.DispositionFailed + 1]atomic.Int64
 	admitted         atomic.Int64
 	retries          atomic.Int64
 	localSolves      atomic.Int64
@@ -298,14 +249,17 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:         cfg,
 		client:      cfg.Client,
 		local:       local,
-		ring:        newRing(names, cfg.HashReplicas),
+		ring:        newRing(names, hashReplicas),
 		jobs:        make(map[uint64]*clusterJob),
 		drainCtx:    drainCtx,
 		drainCancel: drainCancel,
 		stopProbe:   make(chan struct{}),
 	}
 	for _, name := range names {
-		c.workers = append(c.workers, &worker{name: name})
+		c.workers = append(c.workers, &worker{
+			name:    name,
+			breaker: resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		})
 	}
 	for _, w := range c.workers {
 		c.probeWG.Add(1)
@@ -315,25 +269,25 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 }
 
 // Solve runs one job through the cluster: admission, routing, the
-// failover/retry ladder, and — when no worker can serve — the degraded-local
-// tier. The returned response is non-nil even on error and always carries
-// the job's disposition.
+// failover/retry ladder, and — when no worker can serve — the local tier.
+// The returned response is non-nil even on error and always carries the
+// job's disposition.
 func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveResponse, error) {
 	n := len(req.D)
-	resp := &SolveResponse{N: n, Disposition: DispositionRejected.String()}
+	resp := &SolveResponse{N: n, Disposition: eigen.DispositionRejected.String()}
 
 	// Validation before admission: malformed requests are client errors, not
 	// jobs — they never reach a worker or the job table.
 	if _, err := ParseMethod(req.Method); err != nil {
-		c.counts[DispositionRejected].Add(1)
+		c.counts[eigen.DispositionRejected].Add(1)
 		return resp, fmt.Errorf("%w: %v", eigen.ErrBadInput, err)
 	}
 	if err := req.Tri().Validate(); err != nil {
-		c.counts[DispositionRejected].Add(1)
+		c.counts[eigen.DispositionRejected].Add(1)
 		return resp, err
 	}
 	if err := req.ValidateClass(); err != nil {
-		c.counts[DispositionRejected].Add(1)
+		c.counts[eigen.DispositionRejected].Add(1)
 		return resp, fmt.Errorf("%w: %v", eigen.ErrBadInput, err)
 	}
 
@@ -341,32 +295,32 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		c.counts[DispositionRejected].Add(1)
+		c.counts[eigen.DispositionRejected].Add(1)
 		return resp, eigen.ErrServerClosed
 	}
 	if c.inflight >= c.cfg.MaxInflight {
 		inflight := c.inflight
 		c.mu.Unlock()
-		c.counts[DispositionRejected].Add(1)
+		c.counts[eigen.DispositionRejected].Add(1)
 		return resp, fmt.Errorf("%w: %d jobs in flight", eigen.ErrOverloaded, inflight)
 	}
-	job := &clusterJob{id: c.nextID.Add(1), n: n, done: make(chan struct{})}
+	job := &clusterJob{JobReport: eigen.JobReport{ID: c.nextID.Add(1), N: n}, done: make(chan struct{})}
 	c.inflight++
-	c.jobs[job.id] = job
+	c.jobs[job.ID] = job
 	c.mu.Unlock()
 	c.admitted.Add(1)
 
-	disp := DispositionFailed // every exit path below overwrites this
+	disp := eigen.DispositionFailed // every exit path below overwrites this
 	defer func() {
 		c.mu.Lock()
 		c.inflight--
-		delete(c.jobs, job.id)
+		delete(c.jobs, job.ID)
 		c.mu.Unlock()
 		c.counts[disp].Add(1)
-		job.disposition = disp
+		job.Disposition = disp
 		close(job.done)
 	}()
-	fail := func(d Disposition, err error) (*SolveResponse, error) {
+	fail := func(d eigen.Disposition, err error) (*SolveResponse, error) {
 		disp = d
 		resp.Disposition = d.String()
 		resp.Error = err.Error()
@@ -378,19 +332,19 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 		ctx, cancel = context.WithTimeout(ctx, time.Duration(req.TimeoutMS)*time.Millisecond)
 		defer cancel()
 	}
-	// The drain deadline cancels in-flight work through the normal context
-	// path, exactly like eigen.Server attempts.
-	actx, acancel := context.WithCancel(ctx)
-	defer acancel()
-	stopDrain := context.AfterFunc(c.drainCtx, acancel)
+	// The drain deadline cancels in-flight work through the job context, as
+	// in eigen.Server; its cause tells a drain from the caller giving up.
+	actx, acancel := context.WithCancelCause(ctx)
+	defer acancel(nil)
+	stopDrain := context.AfterFunc(c.drainCtx, func() { acancel(errDrained) })
 	defer stopDrain()
 
 	body, err := json.Marshal(req)
 	if err != nil {
-		return fail(DispositionRejected, fmt.Errorf("%w: %v", eigen.ErrBadInput, err))
+		return fail(eigen.DispositionRejected, fmt.Errorf("%w: %v", eigen.ErrBadInput, err))
 	}
 	key := affinityKey(req.D, req.E)
-	rng := rand.New(rand.NewSource(int64(job.id)))
+	rng := rand.New(rand.NewSource(int64(job.ID)))
 
 	tried := make(map[string]bool)
 	var first string
@@ -406,21 +360,21 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 		if first == "" {
 			first = w.name
 		}
-		job.worker = w.name
+		job.Worker = w.name
 		sr, err := c.send(actx, w, body)
 		if err == nil {
-			if w.noteSuccess() {
+			if w.breaker.Success() {
 				c.breakerCloses.Add(1)
 			}
 			sr.Worker = w.name
 			sr.Attempts = attempts
 			switch {
 			case attempts == 1:
-				disp = DispositionCompleted
+				disp = eigen.DispositionCompleted
 			case w.name == first && len(tried) == 1:
-				disp = DispositionRetried
+				disp = eigen.DispositionRetried
 			default:
-				disp = DispositionFailedOver
+				disp = eigen.DispositionFailedOver
 				sr.Failovers = attempts - 1
 			}
 			sr.Disposition = disp.String()
@@ -428,31 +382,31 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 		}
 		lastErr = err
 		if actx.Err() != nil {
-			return fail(DispositionCancelled, c.cancelCause(ctx))
+			return fail(eigen.DispositionCancelled, context.Cause(actx))
 		}
 		if !faultinject.Transient(err) {
 			// The worker answered and the verdict is final (e.g. the solve
 			// failed on every tier): replaying it elsewhere reproduces it.
-			return fail(DispositionFailed,
+			return fail(eigen.DispositionFailed,
 				fmt.Errorf("cluster: job n=%d failed on worker %s: %w", n, w.name, err))
 		}
-		if w.noteFailure(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown) {
+		if w.breaker.Failure() {
 			c.breakerOpens.Add(1)
 		}
 		c.retries.Add(1)
-		if !c.backoff(actx, rng, attempts) {
-			return fail(DispositionCancelled, c.cancelCause(ctx))
+		if !resilience.Backoff(actx, c.cfg.RetryBase, rng, attempts) {
+			return fail(eigen.DispositionCancelled, context.Cause(actx))
 		}
 	}
 
-	// Degraded-local tier: the coordinator's own eigen.Server, with its full
+	// Local tier: the coordinator's own eigen.Server, with its full
 	// in-process ladder (watchdog, retries, sequential fallback tiers). The
 	// response is built and sealed exactly as a worker would.
 	c.localSolves.Add(1)
-	job.worker = "local"
+	job.Worker = "local"
 	out, err := serverSolve(actx, c.local, req)
 	if err == nil {
-		disp = DispositionDegradedLocal
+		disp = eigen.DispositionDegraded
 		out.Disposition = disp.String()
 		out.Attempts += attempts
 		out.Worker = "local"
@@ -464,11 +418,11 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	}
 	switch {
 	case errors.Is(err, eigen.ErrOverloaded), errors.Is(err, eigen.ErrServerClosed):
-		return fail(DispositionRejected, err)
+		return fail(eigen.DispositionRejected, err)
 	case actx.Err() != nil:
-		return fail(DispositionCancelled, c.cancelCause(ctx))
+		return fail(eigen.DispositionCancelled, context.Cause(actx))
 	}
-	return fail(DispositionFailed, fmt.Errorf("cluster: job n=%d failed on every tier: %w", n, err))
+	return fail(eigen.DispositionFailed, fmt.Errorf("cluster: job n=%d failed on every tier: %w", n, err))
 }
 
 // route picks the worker for the next attempt: breaker-closed workers not
@@ -479,11 +433,11 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 func (c *Coordinator) route(key uint64, n int, tried map[string]bool) *worker {
 	passes := []func(*worker) bool{
 		func(w *worker) bool { return !tried[w.name] && w.healthy() },
-		func(w *worker) bool { return !tried[w.name] && w.available() },
-		func(w *worker) bool { return w.available() },
+		func(w *worker) bool { return !tried[w.name] && w.routable() },
+		func(w *worker) bool { return w.routable() },
 	}
 	for _, ok := range passes {
-		if n <= c.cfg.SmallN {
+		if n <= smallN {
 			if i := c.ring.pick(key, func(i int) bool { return ok(c.workers[i]) }); i >= 0 {
 				return c.workers[i]
 			}
@@ -588,32 +542,6 @@ func (c *Coordinator) verifyChecksum(w *worker, sr *SolveResponse) error {
 	return nil
 }
 
-// backoff sleeps the exponential-with-jitter failover delay, drawing the
-// jitter from the job's own seeded stream (no process-global RNG contention,
-// reproducible per job); false means the job's context (or the drain) fired
-// first.
-func (c *Coordinator) backoff(ctx context.Context, rng *rand.Rand, attempt int) bool {
-	d := c.cfg.RetryBase << uint(min(attempt-1, 4)) // cap at 16×base
-	d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return true
-	case <-ctx.Done():
-		return false
-	}
-}
-
-// cancelCause picks the context error a cancelled job reports: the job's own
-// context if it fired, else the coordinator drain.
-func (c *Coordinator) cancelCause(ctx context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: drained mid-job", eigen.ErrServerClosed)
-}
-
 // probeLoop drives one worker's health probes until Shutdown.
 func (c *Coordinator) probeLoop(w *worker) {
 	defer c.probeWG.Done()
@@ -630,12 +558,12 @@ func (c *Coordinator) probeLoop(w *worker) {
 }
 
 // probe runs one /healthz round trip: it feeds the failure EWMA, drives the
-// breaker (probe failures count like job failures; a success after the
-// cooldown is the half-open probe that re-closes the circuit), and — when
-// healthy — refreshes the worker's /stats load snapshot for the
-// least-loaded router.
+// breaker (probe failures count like job failures; on an open circuit whose
+// cooldown has expired, the round trip is the half-open probe that closes
+// it or re-arms the cooldown), and — when healthy — refreshes the worker's
+// /stats load snapshot for the least-loaded router.
 func (c *Coordinator) probe(w *worker) {
-	if w.coolingDown() {
+	if !w.routable() && !w.breaker.Probe() {
 		return // open circuit: wait out the cooldown before the half-open probe
 	}
 	ctx, cancel := context.WithTimeout(context.Background(), c.cfg.ProbeTimeout)
@@ -643,12 +571,12 @@ func (c *Coordinator) probe(w *worker) {
 	err := c.get(ctx, w, "/healthz", nil)
 	w.noteProbe(err)
 	if err != nil {
-		if w.noteFailure(c.cfg.BreakerThreshold, c.cfg.BreakerCooldown) {
+		if w.breaker.Failure() {
 			c.breakerOpens.Add(1)
 		}
 		return
 	}
-	if w.noteSuccess() {
+	if w.breaker.Success() {
 		c.breakerCloses.Add(1)
 	}
 	var st eigen.ServerStats
@@ -716,12 +644,12 @@ type WorkerStatus struct {
 type Stats struct {
 	// Admitted counts jobs that passed admission control.
 	Admitted int64
-	// Per-disposition totals.
-	Completed, Retried, FailedOver, DegradedLocal, Rejected, Cancelled, Failed int64
+	// Per-disposition totals; Degraded counts jobs the local tier served.
+	Completed, Retried, FailedOver, Degraded, Rejected, Cancelled, Failed int64
 	// Retries counts abandoned remote attempts (failovers and same-worker
 	// retries).
 	Retries int64
-	// LocalSolves counts jobs that reached the degraded-local tier.
+	// LocalSolves counts jobs that reached the local tier, served or not.
 	LocalSolves int64
 	// BreakerOpens / BreakerCloses count circuit transitions.
 	BreakerOpens, BreakerCloses int64
@@ -732,7 +660,7 @@ type Stats struct {
 	// Inflight is the number of admitted, unfinished jobs.
 	Inflight int
 	Workers  []WorkerStatus
-	// Local is the degraded-local tier's full eigen.ServerStats snapshot —
+	// Local is the local tier's full eigen.ServerStats snapshot —
 	// most importantly its LeakedBytes ledger, pool gauges
 	// (PoolInUseBytes/PoolRetainedBytes) and corruption counters, which a
 	// fleet operator could not otherwise see through the coordinator's
@@ -744,13 +672,13 @@ type Stats struct {
 func (c *Coordinator) Stats() Stats {
 	st := Stats{
 		Admitted:           c.admitted.Load(),
-		Completed:          c.counts[DispositionCompleted].Load(),
-		Retried:            c.counts[DispositionRetried].Load(),
-		FailedOver:         c.counts[DispositionFailedOver].Load(),
-		DegradedLocal:      c.counts[DispositionDegradedLocal].Load(),
-		Rejected:           c.counts[DispositionRejected].Load(),
-		Cancelled:          c.counts[DispositionCancelled].Load(),
-		Failed:             c.counts[DispositionFailed].Load(),
+		Completed:          c.counts[eigen.DispositionCompleted].Load(),
+		Retried:            c.counts[eigen.DispositionRetried].Load(),
+		FailedOver:         c.counts[eigen.DispositionFailedOver].Load(),
+		Degraded:           c.counts[eigen.DispositionDegraded].Load(),
+		Rejected:           c.counts[eigen.DispositionRejected].Load(),
+		Cancelled:          c.counts[eigen.DispositionCancelled].Load(),
+		Failed:             c.counts[eigen.DispositionFailed].Load(),
 		Retries:            c.retries.Load(),
 		LocalSolves:        c.localSolves.Load(),
 		BreakerOpens:       c.breakerOpens.Load(),
@@ -764,7 +692,7 @@ func (c *Coordinator) Stats() Stats {
 	for _, w := range c.workers {
 		ws := WorkerStatus{
 			Name:     w.name,
-			Breaker:  w.breakerState(),
+			Breaker:  w.breaker.State().String(),
 			Healthy:  w.healthy(),
 			Inflight: w.inflight.Load(),
 			Sent:     w.sent.Load(),
@@ -780,39 +708,18 @@ func (c *Coordinator) Stats() Stats {
 	return st
 }
 
-// JobReport is one job's final disposition in a drain report.
-type JobReport struct {
-	ID          uint64
-	N           int
-	Disposition Disposition
-}
-
-// WorkerDrain groups the drain-time in-flight jobs of one instance
-// ("local" for the degraded-local tier, "" for jobs still unrouted).
-type WorkerDrain struct {
-	Worker string
-	Jobs   []JobReport
-}
-
-// DrainReport aggregates a coordinator drain: the final dispositions of the
-// jobs that were in flight when Shutdown was called, grouped per worker,
-// plus the local tier's own eigen drain report.
-type DrainReport struct {
-	Workers []WorkerDrain
-	Local   *eigen.DrainReport
-}
-
 // Shutdown drains the coordinator: admission stops immediately (new jobs get
 // eigen.ErrServerClosed), in-flight jobs run to completion, and jobs still
 // unfinished when ctx fires are cancelled through their attempt contexts.
 // The health probers stop and the local tier is drained under the same
-// deadline. Returns ctx.Err() when the deadline forced cancellations.
+// deadline. The report lists every job that was in flight, with the worker
+// it last ran on. Returns ctx.Err() when the deadline forced cancellations.
 // Shutdown is idempotent; later calls return an empty report.
-func (c *Coordinator) Shutdown(ctx context.Context) (*DrainReport, error) {
+func (c *Coordinator) Shutdown(ctx context.Context) (*eigen.DrainReport, error) {
 	c.mu.Lock()
 	if c.closed {
 		c.mu.Unlock()
-		return &DrainReport{}, nil
+		return &eigen.DrainReport{}, nil
 	}
 	c.closed = true
 	inflight := make([]*clusterJob, 0, len(c.jobs))
@@ -820,47 +727,28 @@ func (c *Coordinator) Shutdown(ctx context.Context) (*DrainReport, error) {
 		inflight = append(inflight, j)
 	}
 	c.mu.Unlock()
-	sort.Slice(inflight, func(i, j int) bool { return inflight[i].id < inflight[j].id })
+	sort.Slice(inflight, func(i, j int) bool { return inflight[i].ID < inflight[j].ID })
 
-	done := make(chan struct{})
-	go func() {
+	// Cancellation aborts every in-flight attempt (remote HTTP calls and
+	// local solves share the job context), so the wait after it is short.
+	ctxErr := resilience.Drain(ctx, func() {
 		for _, j := range inflight {
 			<-j.done
 		}
-		close(done)
-	}()
-	var ctxErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-		c.drainCancel()
-		// Cancellation aborts every in-flight attempt (remote HTTP calls and
-		// local solves share the drain context), so this second wait is short.
-		<-done
-	}
+	}, c.drainCancel)
 	c.drainCancel()
 	close(c.stopProbe)
 	c.probeWG.Wait()
 	c.client.CloseIdleConnections()
 
 	// The local tier drains under whatever remains of the same deadline; an
-	// already-expired ctx just cancels its leftovers immediately.
-	lrep, _ := c.local.Shutdown(ctx)
+	// already-expired ctx just cancels its leftovers immediately. Its jobs
+	// are coordinator jobs, already in the report under "local".
+	c.local.Shutdown(ctx)
 
-	byWorker := make(map[string][]JobReport)
-	var order []string
+	rep := &eigen.DrainReport{Jobs: make([]eigen.JobReport, 0, len(inflight))}
 	for _, j := range inflight {
-		if _, seen := byWorker[j.worker]; !seen {
-			order = append(order, j.worker)
-		}
-		byWorker[j.worker] = append(byWorker[j.worker],
-			JobReport{ID: j.id, N: j.n, Disposition: j.disposition})
-	}
-	sort.Strings(order)
-	rep := &DrainReport{Local: lrep}
-	for _, name := range order {
-		rep.Workers = append(rep.Workers, WorkerDrain{Worker: name, Jobs: byWorker[name]})
+		rep.Jobs = append(rep.Jobs, j.JobReport)
 	}
 	return rep, ctxErr
 }

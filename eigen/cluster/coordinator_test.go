@@ -15,6 +15,7 @@ import (
 
 	"tridiag/eigen"
 	"tridiag/internal/faultinject"
+	"tridiag/internal/resilience"
 )
 
 // manualProbeConfig disables the background prober (interval far beyond the
@@ -196,7 +197,7 @@ func TestCoordinatorFailoverAndBreaker(t *testing.T) {
 	defer c.Shutdown(context.Background())
 
 	rng := rand.New(rand.NewSource(21))
-	// n > SmallN routes least-loaded; with equal load the tie goes to the
+	// n > smallN routes least-loaded; with equal load the tie goes to the
 	// first configured worker, so every fresh job tries w0 first.
 	large := func() *SolveRequest { return randomRequest(rng, 300) }
 
@@ -208,7 +209,7 @@ func TestCoordinatorFailoverAndBreaker(t *testing.T) {
 				i, resp.Disposition, resp.Worker, resp.Failovers)
 		}
 	}
-	if got := c.workers[0].breakerState(); got != "open" {
+	if got := c.workers[0].breaker.State().String(); got != "open" {
 		t.Fatalf("w0 breaker %q after %d failures, want open", got, c.cfg.BreakerThreshold)
 	}
 
@@ -225,10 +226,10 @@ func TestCoordinatorFailoverAndBreaker(t *testing.T) {
 	// health probe re-closes it.
 	w0.gate.down.Store(false)
 	waitFor(t, 2*time.Second, "cooldown expiry", func() bool {
-		return c.workers[0].breakerState() == "half-open"
+		return c.workers[0].breaker.State().String() == "half-open"
 	})
 	c.probe(c.workers[0])
-	if got := c.workers[0].breakerState(); got != "closed" {
+	if got := c.workers[0].breaker.State().String(); got != "closed" {
 		t.Fatalf("w0 breaker %q after successful half-open probe, want closed", got)
 	}
 	if resp := mustClusterSolve(t, c, large()); resp.Disposition != "completed" || resp.Worker != w0.ts.URL {
@@ -262,7 +263,7 @@ func TestCoordinatorProbeEWMA(t *testing.T) {
 	w.gate.down.Store(true)
 	for i := 0; i < 4; i++ {
 		c.probe(wk)
-		if wk.breakerState() == "open" {
+		if wk.breaker.State().String() == "open" {
 			break // probes feed the breaker too; stop before cooling down
 		}
 	}
@@ -275,7 +276,7 @@ func TestCoordinatorProbeEWMA(t *testing.T) {
 	}
 
 	w.gate.down.Store(false)
-	waitFor(t, 2*time.Second, "cooldown expiry", func() bool { return !wk.coolingDown() })
+	waitFor(t, 2*time.Second, "cooldown expiry", func() bool { return wk.breaker.State() != resilience.Open })
 	for i := 0; i < 4 && !wk.healthy(); i++ {
 		c.probe(wk)
 	}
@@ -288,9 +289,9 @@ func TestCoordinatorProbeEWMA(t *testing.T) {
 	}
 }
 
-// TestCoordinatorShutdown: admission stops, later Shutdowns are no-ops, and
-// a job in flight at drain time is cancelled at the deadline and reported
-// under the worker it was trying.
+// TestCoordinatorShutdown: admission stops, later Shutdowns are no-ops, a
+// job in flight at drain time is cancelled at the deadline and reported with
+// the worker it was trying, and the local tier drains too.
 func TestCoordinatorShutdown(t *testing.T) {
 	before := runtime.NumGoroutine()
 	w := newTestWorker(workerServerConfig())
@@ -324,21 +325,18 @@ func TestCoordinatorShutdown(t *testing.T) {
 	if o.err == nil || o.resp.Disposition != "cancelled" {
 		t.Fatalf("drained job: err=%v disposition=%q, want cancelled", o.err, o.resp.Disposition)
 	}
-	if len(rep.Workers) != 1 || rep.Workers[0].Worker != w.ts.URL {
-		t.Fatalf("drain report %+v, want the job grouped under %s", rep.Workers, w.ts.URL)
+	if len(rep.Jobs) != 1 || rep.Jobs[0].Worker != w.ts.URL || rep.Jobs[0].Disposition != eigen.DispositionCancelled {
+		t.Fatalf("drain report %+v, want one cancelled job on %s", rep.Jobs, w.ts.URL)
 	}
-	if jobs := rep.Workers[0].Jobs; len(jobs) != 1 || jobs[0].Disposition != DispositionCancelled {
-		t.Fatalf("drain report jobs %+v, want one cancelled job", jobs)
-	}
-	if rep.Local == nil {
-		t.Fatal("drain report must include the local tier's report")
+	if !c.local.Draining() {
+		t.Fatal("the local tier was not drained")
 	}
 
 	// Admission is closed, and Shutdown is idempotent.
 	if _, err := c.Solve(context.Background(), randomRequest(rand.New(rand.NewSource(32)), 16)); !errors.Is(err, eigen.ErrServerClosed) {
 		t.Fatalf("post-drain solve err = %v, want ErrServerClosed", err)
 	}
-	if rep2, err := c.Shutdown(context.Background()); err != nil || len(rep2.Workers) != 0 {
+	if rep2, err := c.Shutdown(context.Background()); err != nil || len(rep2.Jobs) != 0 {
 		t.Fatalf("second Shutdown: rep=%+v err=%v, want empty/nil", rep2, err)
 	}
 	faultinject.Disable()

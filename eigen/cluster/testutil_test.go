@@ -86,7 +86,6 @@ func testCoordConfig(urls []string, client *http.Client) Config {
 		MaxAttempts:      4,
 		RetryBase:        time.Millisecond,
 		AttemptTimeout:   30 * time.Second,
-		SmallN:           256,
 		MaxInflight:      1024,
 	}
 }

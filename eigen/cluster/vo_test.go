@@ -94,7 +94,7 @@ func TestWorkerHTTPValuesOnlyBatch(t *testing.T) {
 
 // TestCoordinatorValuesOnly: the coordinator forwards the request class to
 // workers, rejects contradictory classes as ErrBadInput before routing, and
-// its degraded-local tier honors values_only when every worker is gone.
+// its local tier honors values_only when every worker is gone.
 func TestCoordinatorValuesOnly(t *testing.T) {
 	w := newTestWorker(workerServerConfig())
 	defer w.close()
@@ -116,18 +116,18 @@ func TestCoordinatorValuesOnly(t *testing.T) {
 		t.Fatalf("values_only+vectors through coordinator: err=%v, want ErrBadInput", err)
 	}
 
-	// Partition the only worker away: the degraded-local tier must still
+	// Partition the only worker away: the local tier must still
 	// serve the values_only class, vectors-free.
 	w.gate.down.Store(true)
 	req2 := randomRequest(rng, 160)
 	req2.ValuesOnly = true
 	resp2, err := c.Solve(context.Background(), req2)
 	if err != nil {
-		t.Fatalf("degraded-local values_only solve: %v", err)
+		t.Fatalf("local-tier values_only solve: %v", err)
 	}
 	checkSpectrum(t, req2, resp2)
 	if len(resp2.Vectors) != 0 {
-		t.Errorf("degraded-local values_only response carries vectors")
+		t.Errorf("local-tier values_only response carries vectors")
 	}
 	if resp2.Worker != "local" {
 		t.Errorf("worker %q, want local (the only worker is partitioned)", resp2.Worker)

@@ -3,7 +3,8 @@ package cluster
 import (
 	"sync"
 	"sync/atomic"
-	"time"
+
+	"tridiag/internal/resilience"
 )
 
 // worker is the coordinator's view of one remote eigserve instance: its
@@ -11,23 +12,18 @@ import (
 // by transport-level failures from both solve attempts and health probes, so
 // a worker that dies idle is discovered by the prober and a worker that dies
 // under load is discovered by the first failed-over job — whichever happens
-// first.
-//
-// Breaker states: closed (routing on), open (fails ≥ threshold, cooling
-// down, routing off), half-open (cooldown expired; the next health probe —
-// or a racing job success — decides between re-closing and another
-// cooldown).
+// first. Only a closed circuit is routed; once the cooldown has expired,
+// the next health probe is the half-open probe (or a racing job success
+// closes it first).
 type worker struct {
-	name string // base URL: the routing, breaker and report key
+	name    string // base URL: the routing, breaker and report key
+	breaker *resilience.Breaker
 
 	inflight atomic.Int64 // coordinator-side in-flight jobs
 	sent     atomic.Int64 // solve attempts sent
 	failures atomic.Int64 // solve attempts failed (transport-level)
 
 	mu           sync.Mutex
-	fails        int // consecutive transport-level failures while closed
-	open         bool
-	openUntil    time.Time
 	ewma         float64 // probe-failure EWMA in [0,1]; ≥0.5 reads unhealthy
 	lastProbeErr string
 	queued       int // worker-reported load, from its last /stats poll
@@ -39,19 +35,15 @@ type worker struct {
 // intervals rather than instantly on one lost packet.
 const ewmaAlpha = 0.4
 
-// available reports whether the breaker admits routing to this worker.
-func (w *worker) available() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return !w.open
-}
+// routable reports whether the breaker admits routing to this worker.
+func (w *worker) routable() bool { return w.breaker.State() == resilience.Closed }
 
-// healthy is available plus a clean probe record; routing prefers healthy
-// workers and falls back to merely-available ones.
+// healthy is routable plus a clean probe record; routing prefers healthy
+// workers and falls back to merely routable ones.
 func (w *worker) healthy() bool {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return !w.open && w.ewma < 0.5
+	return w.ewma < 0.5 && w.routable()
 }
 
 // load estimates the worker's queue pressure: the coordinator's own
@@ -63,58 +55,6 @@ func (w *worker) load() int64 {
 	q, r := w.queued, w.running
 	w.mu.Unlock()
 	return w.inflight.Load() + int64(q) + int64(r)
-}
-
-// coolingDown reports whether the breaker is open with its cooldown still
-// running — the window in which even health probes leave the worker alone.
-func (w *worker) coolingDown() bool {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	return w.open && time.Now().Before(w.openUntil)
-}
-
-// breakerState renders the state machine for stats and tests.
-func (w *worker) breakerState() string {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	switch {
-	case !w.open:
-		return "closed"
-	case time.Now().Before(w.openUntil):
-		return "open"
-	}
-	return "half-open"
-}
-
-// noteFailure records one transport-level failure against the breaker and
-// reports whether this one opened the circuit. A failure while already open
-// (a racing in-flight job, or a failed half-open probe) re-arms the cooldown
-// instead of recounting.
-func (w *worker) noteFailure(threshold int, cooldown time.Duration) (opened bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if w.open {
-		w.openUntil = time.Now().Add(cooldown)
-		return false
-	}
-	w.fails++
-	if w.fails >= threshold {
-		w.open = true
-		w.openUntil = time.Now().Add(cooldown)
-		return true
-	}
-	return false
-}
-
-// noteSuccess closes the breaker (a half-open probe succeeded, or a routed
-// job came back clean) and reports whether it was open.
-func (w *worker) noteSuccess() (closed bool) {
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	closed = w.open
-	w.open = false
-	w.fails = 0
-	return closed
 }
 
 // noteProbe folds one health-probe outcome into the failure EWMA.

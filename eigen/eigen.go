@@ -136,15 +136,16 @@ type Options struct {
 	// never taxes the clean path: validation runs only for results
 	// produced by a degraded tier.
 	Fallback bool
-	// Audit tunes the always-on result audit: every solve that is about to
-	// be returned — from any tier, including the clean first-choice path —
-	// is verified against the input matrix (sampled Sturm-count inertia
-	// check on the spectrum, plus a residual/unit-norm sweep over the
-	// eigenvector columns for vector solves). An audit failure is classified
-	// as transient corruption (CorruptionError) and the solve moves to the
-	// next tier instead of shipping a wrong answer. The zero value enables
-	// the audit with defaults; see AuditOptions.
-	Audit AuditOptions
+	// DisableAudit turns off the always-on result audit (for benchmark
+	// baselines, or callers running their own verification). The audit
+	// verifies every solve that is about to be returned — from any tier,
+	// including the clean first-choice path — against the input matrix
+	// (sampled Sturm-count inertia check on the spectrum, plus a
+	// residual/unit-norm sweep over the eigenvector columns for vector
+	// solves). An audit failure is classified as transient corruption
+	// (CorruptionError) and the solve moves to the next tier instead of
+	// shipping a wrong answer.
+	DisableAudit bool
 	// DisableABFT turns off the in-flight ABFT defenses of the task-flow
 	// tiers (packed-GEMM checksum verification, per-merge trace and
 	// interlacing invariants, task-granular recompute of failed checks).
@@ -185,7 +186,7 @@ type SolveStats struct {
 	Residual      float64
 	Orthogonality float64
 	// Audited reports whether the always-on result audit ran and passed for
-	// the served result (false when Options.Audit.Disable is set);
+	// the served result (false when Options.DisableAudit is set);
 	// AuditResidual is the worst normalized column residual the audit
 	// measured (0 for values-only solves — the spectrum check has no
 	// residual).
@@ -396,7 +397,7 @@ func SolveContext(ctx context.Context, t Tridiagonal, opts *Options) (*Result, e
 				}
 			}
 		}
-		if !o.Audit.Disable {
+		if !o.DisableAudit {
 			// The always-on audit: every serving tier — the clean first
 			// choice included — is verified against the input before the
 			// result ships. It runs in scaled units like the validation

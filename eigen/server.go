@@ -14,6 +14,7 @@ import (
 
 	"tridiag/internal/faultinject"
 	"tridiag/internal/pool"
+	"tridiag/internal/resilience"
 )
 
 // Server is a multi-tenant solve service: many goroutines call Solve
@@ -32,13 +33,16 @@ import (
 //   - Retries: transient failures (injected faults, stalls — classified by
 //     faultinject.Transient) are retried on the primary tier with exponential
 //     backoff and jitter; persistent numerical failures fall through to the
-//     PR 2 degradation tiers (sequential DSTEDC → QR with validation).
+//     degradation tiers (sequential DSTEDC → QR with validation).
 //   - Circuit breaker: a kernel class that keeps failing stops being retried;
 //     new jobs route straight to the fallback tier until a half-open probe
 //     succeeds.
 //   - Graceful drain: Shutdown stops admission, lets in-flight solves finish
 //     (or cancels them at the drain deadline) and reports every job's
 //     disposition.
+//
+// Breakers, backoff and drain follow the resilience policy cluster
+// coordinators share (DESIGN.md §11).
 type Server struct {
 	cfg ServerConfig
 
@@ -59,7 +63,10 @@ type Server struct {
 	drainCtx    context.Context
 	drainCancel context.CancelFunc
 
-	breakers breakerSet
+	bmu          sync.Mutex
+	breakers     map[string]*resilience.Breaker // per failure class, on bmu
+	breakerOpens atomic.Int64
+
 	counts   [dispositionCount]atomic.Int64
 	retries  atomic.Int64
 	stalls   atomic.Int64
@@ -93,25 +100,20 @@ type ServerConfig struct {
 	// per-task heartbeats.
 	StallWindow time.Duration
 	// MaxRetries is how many same-tier retries a transient failure earns
-	// before the job degrades to the fallback tier (default 2).
+	// before the job degrades to the fallback tier (default 2; negative
+	// means none).
 	MaxRetries int
-	// RetryBase is the first backoff delay; attempt k waits
-	// RetryBase·2^(k-1) with ±50% jitter, capped at 16×RetryBase
-	// (default 10ms).
+	// RetryBase is the first backoff delay; retry k waits
+	// RetryBase·2^(k-1), capped at 16×RetryBase and jittered down by up to
+	// half (default 10ms).
 	RetryBase time.Duration
 	// BreakerThreshold opens a failure class's circuit after this many
 	// consecutive failures (default 3).
 	BreakerThreshold int
 	// BreakerCooldown is how long an open circuit routes jobs straight to
 	// the fallback tier before one half-open probe may try the primary
-	// tier again (default 2s).
+	// tier again (default 2s). A failure while open restarts it.
 	BreakerCooldown time.Duration
-	// PoolRetainBytes, when positive, sets the scratch pool's retention
-	// cap (pool.SetRetainLimit) for the whole process: the ceiling on idle
-	// pooled workspace kept warm between solves. 0 leaves the pool's
-	// default in place. The pool is process-global, so the last server
-	// configured wins.
-	PoolRetainBytes int64
 	// PoolIdleTrimDelay is how long the server must be completely idle
 	// (no queued or running jobs) before it releases ALL idle pooled
 	// scratch back to the GC (default 2s; negative disables idle
@@ -161,6 +163,9 @@ var (
 	ErrServerClosed = errors.New("eigen: server closed")
 )
 
+// errDrained is the cause of a job cancelled by a drain deadline.
+var errDrained = fmt.Errorf("%w: drained", ErrServerClosed)
+
 // StallError is a watchdog abort: the solve made no task progress within
 // the stall window. It is transient — the stall may have been an injected
 // delay, a descheduled worker, or scheduler pathology — so the retry policy
@@ -180,25 +185,33 @@ func (e *StallError) Transient() bool { return true }
 // kernel identity, but repeated stalls should trip a circuit all the same.
 func (e *StallError) TaskClass() string { return "stall" }
 
-// Disposition classifies how the server finished with a job. Every Solve
-// call ends in exactly one disposition, reported in ServeResult and
-// aggregated in ServerStats.
+// Disposition classifies how a serving tier finished with a job: an
+// eigen.Server, or a cluster coordinator routing jobs across servers. Every
+// job ends in exactly one disposition, reported with its result and
+// aggregated in the tier's stats.
 type Disposition int
 
 const (
 	// DispositionCompleted: served by the primary tier on the first attempt.
 	DispositionCompleted Disposition = iota
 	// DispositionRetried: served by the primary tier after at least one
-	// transient-failure retry.
+	// transient-failure retry (on a coordinator: on the same worker).
 	DispositionRetried
-	// DispositionDegraded: served by a fallback tier (validated result).
+	// DispositionFailedOver: served by a different worker than the first
+	// attempt after that attempt died (coordinators only).
+	DispositionFailedOver
+	// DispositionDegraded: served by the fallback tier — the validated
+	// sequential chain on a server, the in-process local tier on a
+	// coordinator.
 	DispositionDegraded
-	// DispositionRejected: refused at admission (overload or closed server).
+	// DispositionRejected: refused at admission (malformed input, overload
+	// or a closed tier).
 	DispositionRejected
 	// DispositionCancelled: the job's context was cancelled, its deadline
-	// expired, or the server drain cancelled it.
+	// expired, or the drain cancelled it.
 	DispositionCancelled
-	// DispositionFailed: every tier failed persistently.
+	// DispositionFailed: every tier failed, or a definitive failure made
+	// another attempt pointless.
 	DispositionFailed
 
 	dispositionCount = int(DispositionFailed) + 1
@@ -210,6 +223,8 @@ func (d Disposition) String() string {
 		return "completed"
 	case DispositionRetried:
 		return "retried-then-completed"
+	case DispositionFailedOver:
+		return "failed-over"
 	case DispositionDegraded:
 		return "degraded"
 	case DispositionRejected:
@@ -294,44 +309,40 @@ type ServerStats struct {
 
 // JobReport is one job's final disposition in a drain report.
 type JobReport struct {
-	ID          uint64
-	N           int
+	ID uint64
+	N  int
+	// Worker is where the job last ran: "local" for a job a Server solved
+	// in-process (a coordinator's local tier included), a worker's base URL
+	// for a coordinator job routed there, "" for one not yet routed.
+	Worker      string
 	Disposition Disposition
 }
 
 // DrainReport lists the dispositions of the jobs that were in flight when
-// Shutdown was called.
+// Shutdown was called, in admission order.
 type DrainReport struct {
 	Jobs []JobReport
 }
 
+// serverJob tracks one admitted job; its report's Disposition is written
+// before close(done) and read only after it.
 type serverJob struct {
-	id          uint64
-	n           int
-	done        chan struct{}
-	disposition Disposition // written before close(done)
+	JobReport
+	done chan struct{}
 }
 
 // NewServer starts a solve service. Call Shutdown to drain it.
 func NewServer(cfg ServerConfig) *Server {
 	cfg = cfg.withDefaults()
-	if cfg.PoolRetainBytes > 0 {
-		pool.SetRetainLimit(cfg.PoolRetainBytes)
-	}
 	drainCtx, drainCancel := context.WithCancel(context.Background())
-	s := &Server{
+	return &Server{
 		cfg:         cfg,
 		jobs:        make(map[uint64]*serverJob),
 		slots:       make(chan struct{}, cfg.MaxConcurrent),
 		drainCtx:    drainCtx,
 		drainCancel: drainCancel,
-		breakers: breakerSet{
-			threshold: cfg.BreakerThreshold,
-			cooldown:  cfg.BreakerCooldown,
-			m:         make(map[string]*breaker),
-		},
+		breakers:    make(map[string]*resilience.Breaker),
 	}
-	return s
 }
 
 // EstimateSolveBytes is the admission-control estimate of the pooled
@@ -462,7 +473,7 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 				ErrOverloaded, time.Until(dl).Round(time.Millisecond), wait.Round(time.Millisecond))
 		}
 	}
-	job := &serverJob{id: s.nextID.Add(1), n: n, done: make(chan struct{})}
+	job := &serverJob{JobReport: JobReport{ID: s.nextID.Add(1), N: n, Worker: "local"}, done: make(chan struct{})}
 	s.queued++
 	// The server is no longer idle: a pending idle pool trim must not fire
 	// under this job's feet.
@@ -475,7 +486,7 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	if s.reserved > s.peakReserved {
 		s.peakReserved = s.reserved
 	}
-	s.jobs[job.id] = job
+	s.jobs[job.ID] = job
 	s.mu.Unlock()
 	s.admitted.Add(1)
 	if o.ValuesOnly {
@@ -487,7 +498,7 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	defer func() {
 		s.mu.Lock()
 		s.reserved -= est
-		delete(s.jobs, job.id)
+		delete(s.jobs, job.ID)
 		if ran {
 			// Per-class EWMA of service time feeds the deadline-aware
 			// admission check (values-only jobs are far faster; mixing the
@@ -509,37 +520,46 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 		if o.ValuesOnly && sr.Disposition <= DispositionDegraded {
 			s.voCompleted.Add(1)
 		}
-		job.disposition = sr.Disposition
+		job.Disposition = sr.Disposition
 		close(job.done)
 	}()
+
+	// The job's context is the caller's, cancelled too (with cause
+	// errDrained) when a drain hits its deadline: the queue wait, every
+	// attempt and every backoff watch it.
+	jctx, jcancel := context.WithCancelCause(ctx)
+	defer jcancel(nil)
+	stopDrain := context.AfterFunc(s.drainCtx, func() { jcancel(errDrained) })
+	defer stopDrain()
+	cancelled := func() (*ServeResult, error) {
+		sr.Disposition = DispositionCancelled
+		return sr, context.Cause(jctx)
+	}
 
 	// Every stochastic delay of this job draws from its own seeded stream:
 	// concurrent jobs sharing the process-global RNG would contend on its
 	// lock under load, and their backoff schedules would be irreproducible —
 	// with the job ID as seed, a replayed job jitters identically.
-	rng := rand.New(rand.NewSource(int64(job.id)))
+	rng := rand.New(rand.NewSource(int64(job.ID)))
 	// jobCorrupt counts this job's corruption-classified attempt failures;
 	// they are healed if a later attempt (or the fallback tier) serves.
 	var jobCorrupt int64
 
 	// Queue for a worker slot.
-	var slotErr error
+	var slot bool
 	select {
 	case s.slots <- struct{}{}:
-	case <-ctx.Done():
-		slotErr = ctx.Err()
-	case <-s.drainCtx.Done():
-		slotErr = fmt.Errorf("%w: drained while queued", ErrServerClosed)
+		slot = true
+	case <-jctx.Done():
 	}
 	s.mu.Lock()
 	s.queued--
-	if slotErr == nil {
+	if slot {
 		s.running++
 	}
 	s.mu.Unlock()
-	if slotErr != nil {
-		sr.Disposition = DispositionCancelled
-		return sr, slotErr
+	if !slot {
+		return cancelled()
 	}
 	defer func() {
 		s.mu.Lock()
@@ -553,16 +573,16 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	// Primary-tier attempts with transient retries.
 	var lastErr error
 	for {
-		probe, primary := s.breakers.route()
+		probe, primary := s.route()
 		if !primary {
 			break // every new job routes straight to the fallback tier
 		}
 		po := o
 		po.Fallback = false
 		sr.Attempts++
-		res, err := s.attempt(ctx, t, &po)
+		res, err := s.attempt(jctx, t, &po)
 		if err == nil {
-			s.breakers.success(probe)
+			s.primaryServed(probe)
 			s.absorb(res)
 			s.corrHealed.Add(jobCorrupt)
 			sr.Result = res
@@ -574,9 +594,11 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 			return sr, nil
 		}
 		lastErr = err
-		if ctx.Err() != nil || s.drainCtx.Err() != nil {
-			sr.Disposition = DispositionCancelled
-			return sr, cancelCause(ctx, s.drainCtx)
+		if jctx.Err() != nil {
+			if probe != nil {
+				probe.Release() // no verdict: let the next job probe
+			}
+			return cancelled()
 		}
 		var stall *StallError
 		if errors.As(err, &stall) {
@@ -587,24 +609,23 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 			s.corrDetected.Add(1)
 			jobCorrupt++
 		}
-		s.breakers.failure(faultinject.ClassOf(err), probe)
+		s.primaryFailed(faultinject.ClassOf(err), probe)
 		if !faultinject.Transient(err) || sr.Attempts > s.cfg.MaxRetries {
 			break // persistent, or retries exhausted: degrade
 		}
 		s.retries.Add(1)
-		if !s.backoff(ctx, rng, sr.Attempts) {
-			sr.Disposition = DispositionCancelled
-			return sr, cancelCause(ctx, s.drainCtx)
+		if !resilience.Backoff(jctx, s.cfg.RetryBase, rng, sr.Attempts) {
+			return cancelled()
 		}
 	}
 
-	// Fallback tier: the PR 2 degradation chain, injected-fault free
-	// (sequential tiers bypass the task runtime) and validated.
+	// Fallback tier: the degradation chain, injected-fault free (sequential
+	// tiers bypass the task runtime) and validated.
 	fo := o
 	fo.Method = fallbackMethod(o.Method)
 	fo.Fallback = true
 	sr.Attempts++
-	res, err := s.attempt(ctx, t, &fo)
+	res, err := s.attempt(jctx, t, &fo)
 	if err == nil {
 		s.absorb(res)
 		s.corrHealed.Add(jobCorrupt)
@@ -612,9 +633,8 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 		sr.Disposition = DispositionDegraded
 		return sr, nil
 	}
-	if ctx.Err() != nil || s.drainCtx.Err() != nil {
-		sr.Disposition = DispositionCancelled
-		return sr, cancelCause(ctx, s.drainCtx)
+	if jctx.Err() != nil {
+		return cancelled()
 	}
 	sr.Disposition = DispositionFailed
 	if lastErr != nil && !errors.Is(err, lastErr) {
@@ -664,14 +684,13 @@ func (s *Server) startWatchdog(actx context.Context, cancel context.CancelFunc) 
 		stalled
 }
 
-// attempt runs one watchdog-guarded SolveContext. A solve that emits no
-// progress heartbeat within the stall window is cancelled and the error
-// rewritten to *StallError (unless the caller's context was the cause).
+// attempt runs one watchdog-guarded SolveContext under the job context. A
+// solve that emits no progress heartbeat within the stall window is
+// cancelled and the error rewritten to *StallError (unless the job context
+// was the cause).
 func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options) (*Result, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
-	stopDrain := context.AfterFunc(s.drainCtx, cancel)
-	defer stopDrain()
 
 	heartbeat, stop, stalled := s.startWatchdog(actx, cancel)
 	defer stop()
@@ -681,7 +700,7 @@ func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options) (*Resul
 		o = &ao
 	}
 	res, err := SolveContext(actx, t, o)
-	if stalled.Load() && ctx.Err() == nil && s.drainCtx.Err() == nil {
+	if stalled.Load() && ctx.Err() == nil {
 		// The watchdog declared a stall and cancelled the attempt. The solve
 		// may still have raced to a clean finish (cancellation unblocks
 		// injected delays, and quark only aborts between tasks), but the
@@ -702,24 +721,6 @@ func (s *Server) absorb(res *Result) {
 	s.leakedBytes.Add(res.Stats.LeakedBytes)
 	s.corrDetected.Add(res.Stats.CorruptionsDetected)
 	s.corrHealed.Add(res.Stats.CorruptionsHealed)
-}
-
-// backoff sleeps the exponential-with-jitter retry delay for the given
-// attempt number, drawing the jitter from the job's own seeded stream; false
-// means the job's context (or the drain) fired first.
-func (s *Server) backoff(ctx context.Context, rng *rand.Rand, attempt int) bool {
-	d := s.cfg.RetryBase << uint(min(attempt-1, 4)) // cap at 16×base
-	d = d/2 + time.Duration(rng.Int63n(int64(d/2)+1))
-	tm := time.NewTimer(d)
-	defer tm.Stop()
-	select {
-	case <-tm.C:
-		return true
-	case <-ctx.Done():
-		return false
-	case <-s.drainCtx.Done():
-		return false
-	}
 }
 
 // expectedLatencyLocked estimates a new job's time-to-completion from its
@@ -747,15 +748,6 @@ func fallbackMethod(m Method) Method {
 	default:
 		return MethodQR
 	}
-}
-
-// cancelCause picks the context error a cancelled job reports: the job's own
-// context if it fired, else the server drain.
-func cancelCause(ctx, drain context.Context) error {
-	if err := ctx.Err(); err != nil {
-		return err
-	}
-	return fmt.Errorf("%w: drained mid-solve", ErrServerClosed)
 }
 
 // afterJob runs once per finished job, after its worker slot is released:
@@ -829,7 +821,15 @@ func (s *Server) Stats() ServerStats {
 	}
 	st.PoolInUseBytes = pool.InUseBytes()
 	st.PoolRetainedBytes = pool.RetainedBytes()
-	st.BreakerOpens, st.OpenBreakers = s.breakers.snapshot()
+	st.BreakerOpens = s.breakerOpens.Load()
+	s.bmu.Lock()
+	for class, b := range s.breakers {
+		if b.State() != resilience.Closed {
+			st.OpenBreakers = append(st.OpenBreakers, class)
+		}
+	}
+	s.bmu.Unlock()
+	sort.Strings(st.OpenBreakers)
 	st.ValuesOnlyAdmitted = s.voAdmitted.Load()
 	st.ValuesOnlyCompleted = s.voCompleted.Load()
 	st.LeakedBytes = s.leakedBytes.Load()
@@ -861,25 +861,15 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 		inflight = append(inflight, j)
 	}
 	s.mu.Unlock()
-	sort.Slice(inflight, func(i, j int) bool { return inflight[i].id < inflight[j].id })
+	sort.Slice(inflight, func(i, j int) bool { return inflight[i].ID < inflight[j].ID })
 
-	done := make(chan struct{})
-	go func() {
+	// Cancellation aborts each solve within one task granularity (and
+	// unblocks queued jobs immediately), so the wait after it is short.
+	ctxErr := resilience.Drain(ctx, func() {
 		for _, j := range inflight {
 			<-j.done
 		}
-		close(done)
-	}()
-	var ctxErr error
-	select {
-	case <-done:
-	case <-ctx.Done():
-		ctxErr = ctx.Err()
-		s.drainCancel()
-		// Cancellation aborts each solve within one task granularity (and
-		// unblocks queued jobs immediately), so this second wait is short.
-		<-done
-	}
+	}, s.drainCancel)
 	s.drainCancel()
 	// A drained server runs nothing again: release the warm scratch too.
 	s.mu.Lock()
@@ -893,101 +883,60 @@ func (s *Server) Shutdown(ctx context.Context) (*DrainReport, error) {
 
 	rep := &DrainReport{Jobs: make([]JobReport, 0, len(inflight))}
 	for _, j := range inflight {
-		rep.Jobs = append(rep.Jobs, JobReport{ID: j.id, N: j.n, Disposition: j.disposition})
+		rep.Jobs = append(rep.Jobs, j.JobReport)
 	}
 	return rep, ctxErr
 }
 
-// breaker tracks one failure class. States: closed (fails < threshold),
-// open (fails ≥ threshold, cooling down), half-open (cooldown expired, one
-// probe in flight).
-type breaker struct {
-	fails     int
-	openUntil time.Time
-	probing   bool
-}
-
-type breakerSet struct {
-	mu        sync.Mutex
-	threshold int
-	cooldown  time.Duration
-	m         map[string]*breaker
-	opens     int64
-}
-
-// route decides the tier for a new job: primary when every breaker is
-// closed, or when an open breaker's cooldown has expired and this job wins
-// its half-open probe (probe = the class being probed). Otherwise the job
-// goes straight to the fallback tier.
-func (bs *breakerSet) route() (probe string, primary bool) {
-	now := time.Now()
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	open := false
-	for class, b := range bs.m {
-		if b.fails < bs.threshold {
+// route picks the tier for a new attempt: primary while every class's
+// circuit is closed, or when this attempt wins the half-open probe of a
+// circuit whose cooldown has expired (probe is that circuit). Otherwise the
+// attempt goes straight to the fallback tier.
+func (s *Server) route() (probe *resilience.Breaker, primary bool) {
+	s.bmu.Lock()
+	defer s.bmu.Unlock()
+	primary = true
+	for _, b := range s.breakers {
+		if b.State() == resilience.Closed {
 			continue
 		}
-		open = true
-		if !b.probing && !now.Before(b.openUntil) {
-			b.probing = true
-			return class, true
+		if b.Probe() {
+			return b, true
 		}
+		primary = false
 	}
-	return "", !open
+	return nil, primary
 }
 
-// success closes the probed breaker (if any) and resets the consecutive-
-// failure counters of every still-closed class.
-func (bs *breakerSet) success(probe string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if probe != "" {
-		delete(bs.m, probe)
-	}
-	for class, b := range bs.m {
-		if b.fails < bs.threshold {
-			delete(bs.m, class)
+// primaryServed closes the probed circuit (if any) and restarts the
+// consecutive-failure count of every closed class.
+func (s *Server) primaryServed(probe *resilience.Breaker) {
+	s.bmu.Lock()
+	defer s.bmu.Unlock()
+	for _, b := range s.breakers {
+		if b == probe || b.State() == resilience.Closed {
+			b.Success()
 		}
 	}
 }
 
-// failure records a classified failure ("" → "unclassified"): the class's
-// consecutive-failure count grows and opens the circuit at the threshold. A
-// failed half-open probe re-opens its breaker for another cooldown.
-func (bs *breakerSet) failure(class, probe string) {
-	now := time.Now()
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	if probe != "" {
-		if b := bs.m[probe]; b != nil {
-			b.probing = false
-			b.openUntil = now.Add(bs.cooldown)
-		}
-	}
+// primaryFailed counts a primary-tier failure against its class ("" →
+// "unclassified"). A failed half-open probe re-arms its own circuit too.
+func (s *Server) primaryFailed(class string, probe *resilience.Breaker) {
 	if class == "" {
 		class = "unclassified"
 	}
-	b := bs.m[class]
+	s.bmu.Lock()
+	b := s.breakers[class]
 	if b == nil {
-		b = &breaker{}
-		bs.m[class] = b
+		b = resilience.NewBreaker(s.cfg.BreakerThreshold, s.cfg.BreakerCooldown)
+		s.breakers[class] = b
 	}
-	b.fails++
-	if b.fails == bs.threshold {
-		b.openUntil = now.Add(bs.cooldown)
-		bs.opens++
+	s.bmu.Unlock()
+	if probe != nil && probe != b {
+		probe.Failure()
 	}
-}
-
-func (bs *breakerSet) snapshot() (opens int64, open []string) {
-	bs.mu.Lock()
-	defer bs.mu.Unlock()
-	for class, b := range bs.m {
-		if b.fails >= bs.threshold {
-			open = append(open, class)
-		}
+	if b.Failure() {
+		s.breakerOpens.Add(1)
 	}
-	sort.Strings(open)
-	return bs.opens, open
 }

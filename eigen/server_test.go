@@ -281,6 +281,53 @@ func TestServerBreaker(t *testing.T) {
 	}
 }
 
+// TestServerBreakerCancelledProbe: a half-open probe whose job is cancelled
+// ends without a verdict and must free the probe. Otherwise the circuit stays
+// open for the life of the process and every later job is degraded.
+func TestServerBreakerCancelledProbe(t *testing.T) {
+	defer faultinject.Disable()
+	faultinject.Enable(11, faultinject.Probe{Class: "ComputeDeflation", Kind: faultinject.KindError, P: 1})
+	cfg := serverConfig()
+	cfg.MaxRetries = -1
+	cfg.BreakerThreshold = 1
+	cfg.BreakerCooldown = 30 * time.Millisecond
+	s := NewServer(cfg)
+	rng := rand.New(rand.NewSource(12))
+
+	if sr := mustSolve(t, s, randomTridiag(rng, 100), chaosOptions(false)); sr.Disposition != DispositionDegraded {
+		t.Fatalf("failing job: disposition %v, want degraded", sr.Disposition)
+	}
+	if st := s.Stats(); len(st.OpenBreakers) != 1 || st.OpenBreakers[0] != "ComputeDeflation" {
+		t.Fatalf("open breakers %v, want [ComputeDeflation]", st.OpenBreakers)
+	}
+
+	// After the cooldown the next job wins the half-open probe. A long delay
+	// holds it in flight until its caller gives up.
+	faultinject.Enable(12, faultinject.Probe{Class: "Scale", Kind: faultinject.KindDelay, P: 1, Delay: 5 * time.Second})
+	time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	time.AfterFunc(50*time.Millisecond, cancel)
+	sr, err := s.Solve(ctx, randomTridiag(rng, 100), chaosOptions(false))
+	if !errors.Is(err, context.Canceled) || sr.Disposition != DispositionCancelled || sr.Attempts != 1 {
+		t.Fatalf("probe job: disposition=%v attempts=%d err=%v, want cancelled after 1 attempt",
+			sr.Disposition, sr.Attempts, err)
+	}
+
+	// With the fault gone and the cooldown over, the next job probes again,
+	// completes on the primary tier and closes the circuit.
+	faultinject.Disable()
+	time.Sleep(cfg.BreakerCooldown + 10*time.Millisecond)
+	sr = mustSolve(t, s, randomTridiag(rng, 100), chaosOptions(false))
+	if sr.Disposition != DispositionCompleted || sr.Result.Stats.Tier != "task-flow" {
+		t.Fatalf("job after the cancelled probe: disposition=%v tier=%s, want completed on task-flow",
+			sr.Disposition, sr.Result.Stats.Tier)
+	}
+	if st := s.Stats(); len(st.OpenBreakers) != 0 {
+		t.Errorf("breakers still open after a successful probe: %v", st.OpenBreakers)
+	}
+}
+
 // TestServerRetriedDisposition makes the first attempts fail with a transient
 // injected error at low probability: some jobs should complete on a retry and
 // be classified retried-then-completed.

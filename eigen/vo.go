@@ -119,16 +119,10 @@ func sturmCountBelow4(d, e []float64, x [4]float64, pivmin float64) [4]int {
 const spectrumSamples = 32
 
 // validateSpectrum checks a computed ascending spectrum w against the matrix
-// t by Sturm counts at sampled indices (always including the first and last
-// eigenvalue). The tolerance is the values-only analogue of the maxResidual
-// bar: maxResidual · n · ‖T‖.
+// t by Sturm counts at spectrumSamples indices (always including the first
+// and last eigenvalue). The tolerance is the values-only analogue of the
+// maxResidual bar: maxResidual · n · ‖T‖.
 func validateSpectrum(t Tridiagonal, w []float64) error {
-	return validateSpectrumN(t, w, spectrumSamples)
-}
-
-// validateSpectrumN is validateSpectrum with a caller-chosen probe count —
-// the always-on audit's knob (AuditOptions.SpectrumSamples).
-func validateSpectrumN(t Tridiagonal, w []float64, samples int) error {
 	n := t.N()
 	if n == 0 {
 		return nil
@@ -158,12 +152,7 @@ func validateSpectrumN(t Tridiagonal, w []float64, samples int) error {
 	}
 	pivmin := math.Max(lapack.SafeMin, lapack.SafeMin*maxE2)
 
-	if samples <= 0 {
-		samples = spectrumSamples
-	}
-	if samples > n {
-		samples = n
-	}
+	samples := min(spectrumSamples, n)
 	// Gather every probe shift up front and run the counts four at a time:
 	// the LDLᵀ recurrences are independent, so interleaving four chains
 	// pipelines the per-pivot division latency that dominates a single

@@ -92,8 +92,8 @@ func Audit(cfg *Config) (*AuditRecord, error) {
 
 			t0 = time.Now()
 			if _, err := eigen.Solve(tri, &eigen.Options{
-				Workers: w,
-				Audit:   eigen.AuditOptions{Disable: true},
+				Workers:      w,
+				DisableAudit: true,
 			}); err != nil {
 				return nil, fmt.Errorf("audit bench n=%d w=%d (audit off): %w", n, w, err)
 			}
@@ -101,9 +101,9 @@ func Audit(cfg *Config) (*AuditRecord, error) {
 
 			t0 = time.Now()
 			if _, err := eigen.Solve(tri, &eigen.Options{
-				Workers:     w,
-				DisableABFT: true,
-				Audit:       eigen.AuditOptions{Disable: true},
+				Workers:      w,
+				DisableABFT:  true,
+				DisableAudit: true,
 			}); err != nil {
 				return nil, fmt.Errorf("audit bench n=%d w=%d (bare): %w", n, w, err)
 			}

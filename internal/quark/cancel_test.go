@@ -155,3 +155,29 @@ func TestCancelledRuntimeSubmitSkips(t *testing.T) {
 		t.Error("task submitted after cancellation ran")
 	}
 }
+
+// TestCancellationBeforeNextTask: a kernel that cancels the runtime's context
+// is the last kernel to run. The worker that finishes it must not start a
+// successor before the context watcher goroutine gets to run.
+func TestCancellationBeforeNextTask(t *testing.T) {
+	for _, workers := range []int{1, 2} {
+		for rep := 0; rep < 100; rep++ {
+			ctx, cancel := context.WithCancel(context.Background())
+			rt := New(workers, WithContext(ctx))
+			var later atomic.Int64
+			h := rt.Handle("h")
+			rt.Submit("Cancel", "cancel", cancel, ReadWrite(h))
+			for i := 0; i < 20; i++ {
+				rt.Submit("Chain", "link", func() { later.Add(1) }, ReadWrite(h))
+			}
+			err := rt.Wait()
+			rt.Shutdown()
+			if !errors.Is(err, context.Canceled) {
+				t.Fatalf("W=%d rep %d: Wait: %v, want context.Canceled", workers, rep, err)
+			}
+			if n := later.Load(); n != 0 {
+				t.Fatalf("W=%d rep %d: %d tasks ran after their predecessor cancelled the context", workers, rep, n)
+			}
+		}
+	}
+}

@@ -29,7 +29,8 @@
 // context is cancelled or its deadline expires. The kernel currently running
 // on each worker finishes (tasks are never interrupted mid-kernel), every
 // not-yet-started task is skipped and marked Canceled, and Wait returns
-// ctx.Err() promptly instead of draining the DAG first.
+// ctx.Err() promptly instead of draining the DAG first. Workers check the
+// context before every kernel, so no task starts after the cancellation.
 //
 // Fault injection: when the faultinject registry is armed (chaos tests
 // only), each task consults it before running its kernel; the disabled cost
@@ -233,6 +234,7 @@ type Runtime struct {
 	done      *sync.Cond // on mu; broadcast when completed == submitted
 
 	ctx     context.Context // nil unless WithContext
+	ctxDone <-chan struct{} // ctx.Done(); nil without a cancellable context
 	ctxErr  error           // on mu; set once when ctx is cancelled
 	aborted atomic.Bool     // fast-path mirror of ctxErr != nil
 	stop    chan struct{}   // closed by Shutdown; ends the context watcher
@@ -257,7 +259,7 @@ func WithGraphCapture() Option {
 // deadline expires), in-flight kernels finish, all remaining tasks are
 // skipped and marked Canceled, and Wait returns ctx.Err().
 func WithContext(ctx context.Context) Option {
-	return func(rt *Runtime) { rt.ctx = ctx }
+	return func(rt *Runtime) { rt.ctx, rt.ctxDone = ctx, ctx.Done() }
 }
 
 // WithTaskTimer registers an observer called once per executed task with the
@@ -619,6 +621,16 @@ func (rt *Runtime) worker(id int) {
 }
 
 func (rt *Runtime) run(id int, t *task) {
+	if rt.ctxDone != nil {
+		// Check the context itself, not only the watcher's abort flag: a
+		// worker that just finished a kernel must not start the next task
+		// before the watcher goroutine gets to run.
+		select {
+		case <-rt.ctxDone:
+			rt.abort(rt.ctx.Err())
+		default:
+		}
+	}
 	if rt.aborted.Load() {
 		// The context was cancelled after this task became ready: skip its
 		// kernel and cascade the cancellation to its successors.
