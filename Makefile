@@ -62,10 +62,12 @@ bench-audit:
 # Fault-injection suite: panic/error/delay probes in every task class across
 # randomized solves, repeated under the race detector; the tests themselves
 # assert zero goroutine leaks and that every fault ends in a verified result
-# (fallback on) or a clean root-cause error (fallback off). It also runs the
-# shared breaker/backoff/drain unit tests both serving tiers rely on.
+# (fallback on) or a clean root-cause error (fallback off), that a server job
+# forced off its primary tier records why, and the tier routes of every
+# method and lane. It also runs the shared breaker/backoff/drain unit tests
+# both serving tiers rely on.
 chaos:
-	$(GO) test -race -count=3 -run 'Chaos' ./eigen/
+	$(GO) test -race -count=3 -run 'Chaos|TestServerDegradedRecordsCause|TestTierRoutes' ./eigen/
 	$(GO) test -race -count=3 ./internal/faultinject/ ./internal/resilience/
 	$(GO) test -race -count=3 -run 'Cancelled|Cancellation|Deadline|TaskFailure' ./internal/quark/
 
@@ -74,9 +76,10 @@ chaos:
 # values-only, server) under the race detector. Asserts every injected
 # corruption is either detected-and-healed or surfaces as a classified error —
 # zero silent wrong-answer escapes — plus the ABFT checksum/invariant unit
-# tests and the pathological no-false-positive audit suite.
+# tests, the pathological no-false-positive audit suite, the checks verify
+# runs per tier, and the 4-wide Sturm kernel against its scalar reference.
 chaos-sdc:
-	$(GO) test -race -count=1 -timeout 10m -run 'TestChaosSDCGate|TestAuditPathologicalNoFalsePositives|TestAuditResultDetectsCorruption' ./eigen/
+	$(GO) test -race -count=1 -timeout 10m -run 'TestChaosSDCGate|TestAuditPathologicalNoFalsePositives|TestAuditResultDetectsCorruption|TestVerifyDegradedChecks|TestSturmCountBelow4MatchesScalar' ./eigen/
 	$(GO) test -race -count=1 -run 'TestPackAChecked|TestVerifyCatches' ./internal/blas/
 	$(GO) test -race -count=1 -run 'TestCheckInterlacing|TestCheckTrace|TestDlaed4Interlacing' ./internal/lapack/
 	$(GO) test -race -count=1 -run 'TestTridiagResidual|TestDotPairAbs|TestSum' ./internal/simd/

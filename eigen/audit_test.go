@@ -4,6 +4,8 @@ import (
 	"math"
 	"math/rand"
 	"testing"
+
+	"tridiag/internal/lapack"
 )
 
 // TestAuditResultDetectsCorruption: the audit must flag a flipped bit in an
@@ -84,5 +86,153 @@ func TestAuditDisable(t *testing.T) {
 	}
 	if on.Stats.AuditResidual < 0 {
 		t.Errorf("negative audit residual %g", on.Stats.AuditResidual)
+	}
+}
+
+// TestVerifyDegradedChecks pins what verify runs. A clean tier runs the
+// audit alone, and nothing under DisableAudit. A degraded tier always runs
+// the audit and adds pairwise orthogonality, which catches a duplicated
+// eigenvector the audit cannot see: on a matrix with a repeated eigenvalue
+// the copy still has a zero residual and unit norm.
+func TestVerifyDegradedChecks(t *testing.T) {
+	tri := Tridiagonal{D: []float64{1, 2, 1}, E: []float64{0, 0}}
+	fresh := func() *Result {
+		return &Result{N: 3, Values: []float64{1, 1, 2}, Vectors: []float64{1, 0, 0, 1, 0, 0, 0, 1, 0}, Stats: &SolveStats{}}
+	}
+	on, off := &Options{}, &Options{DisableAudit: true}
+	if err := verify(tri, fresh(), on, false); err != nil {
+		t.Errorf("clean tier ran more than the audit: %v", err)
+	}
+	res := fresh()
+	err := verify(tri, res, on, true)
+	if err == nil || IsCorruption(err) {
+		t.Errorf("degraded tier: duplicated eigenvector gave %v, want a plain orthogonality failure", err)
+	}
+	if !res.Stats.Validated || !res.Stats.Audited || res.Stats.Orthogonality != 1.0/3 {
+		t.Errorf("degraded tier stats %+v, want validated, audited, orthogonality 1/3", res.Stats)
+	}
+
+	// A wrong eigenvalue ships from a clean tier under DisableAudit, and is
+	// caught on a degraded one all the same.
+	res = fresh()
+	res.Vectors[3], res.Vectors[5] = 0, 1 // the right basis
+	res.Values[2] = 3
+	if err := verify(tri, res, off, false); err != nil {
+		t.Errorf("clean tier ran checks under DisableAudit: %v", err)
+	}
+	if err := verify(tri, res, off, true); !IsCorruption(err) {
+		t.Errorf("degraded tier under DisableAudit: wrong eigenvalue gave %v, want an audit failure", err)
+	}
+	if res.Stats.Audited {
+		t.Error("Audited set under DisableAudit")
+	}
+}
+
+// sturmCountBelow is the scalar reference of sturmCountBelow4: the number of
+// eigenvalues of the symmetric tridiagonal matrix (d, e) strictly below x,
+// counted as the negative pivots of the LDLᵀ recurrence
+// t_i = (d_i − x) − e_{i−1}²/t_{i−1}, with a pivot smaller than pivmin in
+// magnitude replaced by −pivmin. guarded counts those replacements.
+func sturmCountBelow(d, e []float64, x, pivmin float64) (count, guarded int) {
+	t := d[0] - x
+	for i := range d {
+		if i > 0 {
+			t = (d[i] - x) - e[i-1]*e[i-1]/t
+		}
+		if math.Abs(t) < pivmin {
+			t = -pivmin
+			guarded++
+		}
+		if t < 0 {
+			count++
+		}
+	}
+	return count, guarded
+}
+
+// TestSturmCountBelow4MatchesScalar: every lane of the 4-wide Sturm kernel
+// the audit runs must return exactly the scalar count. The matrices are the
+// audit's pathological kinds, seen as the audit sees them (pre-scaled); the
+// shifts are the ones it probes (computed eigenvalues and λ ± tol), the
+// neighbouring floats, and shifts that zero a pivot and trip the pivmin
+// guard (d_0 on every matrix, d_i with zero off-diagonals, 1 on 1-2-1).
+func TestSturmCountBelow4MatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	base := randomTridiag(rng, 60)
+	clustered := randomTridiag(rng, 64)
+	for i := range clustered.D {
+		clustered.D[i] = 1
+	}
+	for i := range clustered.E {
+		clustered.E[i] = 1e-13 * float64(i%5+1)
+	}
+	oneTwoOne := Tridiagonal{D: make([]float64, 50), E: make([]float64, 49)}
+	for i := range oneTwoOne.D {
+		oneTwoOne.D[i] = 2
+	}
+	for i := range oneTwoOne.E {
+		oneTwoOne.E[i] = 1
+	}
+	cases := map[string]Tridiagonal{
+		"random":            base,
+		"glued-wilkinson":   gluedWilkinson(4, 21, 1e-6),
+		"glued-tight":       gluedWilkinson(3, 21, 1e-12),
+		"clustered":         clustered,
+		"zero-offdiagonals": {D: base.D, E: make([]float64, len(base.E))},
+		"x1e300":            scaled(base, 1e300),
+		"x1e-300":           scaled(base, 1e-300),
+		"1-2-1":             oneTwoOne,
+	}
+	var interiorGuards int
+	for name, tri := range cases {
+		d, e, _ := preScale(tri)
+		n := len(d)
+		res, err := Solve(Tridiagonal{D: d, E: e}, &Options{ValuesOnly: true})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		nrm := lapack.Dlanst('M', n, d, e)
+		tol := maxResidual * float64(n) * nrm
+		var maxE2 float64
+		for _, v := range e {
+			maxE2 = math.Max(maxE2, v*v)
+		}
+		pivmin := math.Max(lapack.SafeMin, lapack.SafeMin*maxE2)
+
+		shifts := []float64{d[0], 1}
+		for i, w := range res.Values {
+			shifts = append(shifts, w, w+tol, w-tol, math.Nextafter(w, math.Inf(1)), math.Nextafter(w, math.Inf(-1)), d[i])
+		}
+		for len(shifts)%4 != 0 {
+			shifts = append(shifts, d[0])
+		}
+		rng.Shuffle(len(shifts), func(i, j int) { shifts[i], shifts[j] = shifts[j], shifts[i] })
+		var guards int
+		for s := 0; s < len(shifts); s += 4 {
+			// Rotate the four shifts through every lane.
+			for r := 0; r < 4; r++ {
+				var x [4]float64
+				for l := range x {
+					x[l] = shifts[s+(l+r)%4]
+				}
+				got := sturmCountBelow4(d, e, x, pivmin)
+				for l, xl := range x {
+					want, g := sturmCountBelow(d, e, xl, pivmin)
+					if got[l] != want {
+						t.Fatalf("%s: lane %d at x=%v: count %d, scalar %d", name, l, xl, got[l], want)
+					}
+					guards += g
+					if g > 0 && xl != d[0] {
+						interiorGuards++
+					}
+				}
+			}
+		}
+		if guards == 0 {
+			t.Errorf("%s: no shift tripped the pivmin guard", name)
+		}
+	}
+	if interiorGuards == 0 {
+		t.Error("no shift tripped the pivmin guard past the first pivot")
 	}
 }

@@ -124,17 +124,16 @@ type Options struct {
 	// O(n·depth) instead of O(n²). Result.Vectors is nil. MethodDC uses the
 	// task-flow lane with Dsterf as the fallback tier; every other method
 	// serves values-only requests with Dsterf directly (the root-free QR
-	// iteration is itself the classical values-only algorithm). Degraded
-	// tiers are validated by Sturm-count spectrum checks instead of the
-	// Residual/Orthogonality metrics (which need vectors).
+	// iteration is itself the classical values-only algorithm). Results are
+	// checked by Sturm counts alone: Residual and Orthogonality need vectors.
 	ValuesOnly bool
 	// Fallback enables tier-by-tier degradation: if the selected solver
-	// fails (or its result does not pass the Residual/Orthogonality
-	// validation), the solve is retried on the next, more conservative
-	// tier — task-flow D&C → sequential DSTEDC → QR iteration — and the
-	// tier that served the result is recorded in Result.Stats. Fallback
-	// never taxes the clean path: validation runs only for results
-	// produced by a degraded tier.
+	// fails (or its result fails verification), the solve is retried on the
+	// next, more conservative tier of the method's ladder — task-flow D&C →
+	// sequential DSTEDC → QR iteration — and the tier that served the result
+	// is recorded in Result.Stats. Fallback never taxes the clean path: the
+	// extra pairwise orthogonality check runs only for results produced by
+	// a degraded tier.
 	Fallback bool
 	// DisableAudit turns off the always-on result audit (for benchmark
 	// baselines, or callers running their own verification). The audit
@@ -170,18 +169,21 @@ type SolveStats struct {
 	// Method is the requested algorithm.
 	Method Method
 	// Tier names the execution tier that produced the result: "task-flow",
-	// "dstedc", "mrrr" or "qr".
+	// "dstedc", "mrrr", "qr" or "dsterf".
 	Tier string
 	// TierErrors holds one error per tier that failed (or failed
-	// validation) before the serving tier; empty on the clean path.
+	// verification) before the serving tier; empty on the clean path. A
+	// Server's fallback route starts it with the error that took the job
+	// off its primary tier.
 	TierErrors []error
 	// Fallbacks counts in-tier numerical rescues: secular roots recomputed
 	// by the guaranteed bisection safeguard and leaf QR solves retried via
 	// Dsterf + inverse iteration. Zero on the clean path.
 	Fallbacks int64
-	// Validated reports whether the result was verified against the
-	// Residual/Orthogonality checks (done whenever a degraded tier served
-	// the result); Residual and Orthogonality hold the measured values.
+	// Validated reports whether the result was verified as a degraded
+	// tier's (done whenever one served it, even with DisableAudit): the
+	// audit's checks plus pairwise orthogonality. Residual and
+	// Orthogonality hold the measured values (0 for values-only solves).
 	Validated     bool
 	Residual      float64
 	Orthogonality float64
@@ -233,51 +235,52 @@ func Solve(t Tridiagonal, opts *Options) (*Result, error) {
 	return SolveContext(context.Background(), t, opts)
 }
 
-// Validation thresholds for results produced by a degraded tier, the order
-// of the paper's Figure 9 accuracy metrics (both are normalized by n).
+// Verification thresholds, the order of the paper's Figure 9 accuracy
+// metrics (both are normalized by n).
 const (
 	maxResidual      = 1e-12
 	maxOrthogonality = 1e-12
 )
 
-// tiersFor returns the execution tiers tried for a method, most capable
-// first. Without Fallback only the first tier runs. Values-only solves have
-// their own ladder: the task-flow values-only lane for MethodDC with Dsterf
-// as the degraded tier, and Dsterf alone for every other method (root-free
-// QR iteration is the classical eigenvalue-only algorithm, so there is no
-// cheaper tier to fall to).
-func tiersFor(m Method, fallback, valuesOnly bool) []string {
-	var tiers []string
-	if valuesOnly {
-		switch m {
-		case MethodDC:
-			tiers = []string{"task-flow", "dsterf"}
-		case MethodDCSequential, MethodMRRR, MethodQR:
-			tiers = []string{"dsterf"}
-		default:
-			return nil
-		}
-		if !fallback {
-			return tiers[:1]
-		}
+// ladders is the one tier table: each method's tiers, most capable first,
+// for the full lane and the values-only lane. Every route runs a part of it
+// (directRoute, fallbackRoute).
+var ladders = map[Method][2][]string{
+	MethodDC:           {{"task-flow", "dstedc", "qr"}, {"task-flow", "dsterf"}},
+	MethodDCSequential: {{"dstedc", "qr"}, {"dsterf"}},
+	MethodMRRR:         {{"mrrr", "qr"}, {"dsterf"}},
+	MethodQR:           {{"qr"}, {"dsterf"}},
+}
+
+// ladder returns o's ladder for o's lane, nil for an unknown method.
+func ladder(o *Options) []string {
+	if o.ValuesOnly {
+		return ladders[o.Method][1]
+	}
+	return ladders[o.Method][0]
+}
+
+// directRoute returns the tiers SolveContext runs for o: the whole ladder
+// with Fallback, its first tier without (a Server's primary attempt).
+func directRoute(o *Options) []string {
+	tiers := ladder(o)
+	if o.Fallback {
 		return tiers
 	}
-	switch m {
-	case MethodDC:
-		tiers = []string{"task-flow", "dstedc", "qr"}
-	case MethodDCSequential:
-		tiers = []string{"dstedc", "qr"}
-	case MethodMRRR:
-		tiers = []string{"mrrr", "qr"}
-	case MethodQR:
-		tiers = []string{"qr"}
-	default:
-		return nil
+	return tiers[:min(len(tiers), 1)]
+}
+
+// fallbackRoute returns a Server's fallback route for o: the ladder's
+// sequential tiers, which run on the calling goroutine outside the task
+// runtime and MRRR's worker pool, where no injected task fault reaches them.
+func fallbackRoute(o *Options) []string {
+	var seq []string
+	for _, tier := range ladder(o) {
+		if tier != "task-flow" && tier != "mrrr" {
+			seq = append(seq, tier)
+		}
 	}
-	if !fallback {
-		return tiers[:1]
-	}
-	return tiers
+	return seq
 }
 
 // SolveContext is Solve bounded by a context: an already-cancelled context
@@ -293,6 +296,14 @@ func SolveContext(ctx context.Context, t Tridiagonal, opts *Options) (*Result, e
 	if opts != nil {
 		o = *opts
 	}
+	return solve(ctx, t, &o, directRoute(&o), nil)
+}
+
+// solve runs tiers in order until one serves a verified result. A non-nil
+// prior is why the caller already left the method's first tier (a Server's
+// failed primary attempt): it becomes TierErrors[0], and every tier run here
+// is verified as degraded.
+func solve(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior error) (*Result, error) {
 	n := t.N()
 	wrap := func(err error) error {
 		return fmt.Errorf("eigen: Solve(n=%d, method=%s): %w", n, o.Method, err)
@@ -306,13 +317,15 @@ func SolveContext(ctx context.Context, t Tridiagonal, opts *Options) (*Result, e
 	if err := ctx.Err(); err != nil {
 		return nil, err
 	}
-	tiers := tiersFor(o.Method, o.Fallback, o.ValuesOnly)
-	if tiers == nil {
+	if len(tiers) == 0 {
 		return nil, fmt.Errorf("eigen: unknown method %v", o.Method)
 	}
 	res := &Result{
 		N: n, Values: make([]float64, n),
 		Stats: &SolveStats{Method: o.Method, Tier: tiers[0]},
+	}
+	if prior != nil {
+		res.Stats.TierErrors = []error{prior}
 	}
 	if !o.ValuesOnly {
 		// The values-only lane never touches an n×n block; the allocation
@@ -349,7 +362,7 @@ func SolveContext(ctx context.Context, t Tridiagonal, opts *Options) (*Result, e
 				res.Vectors[i] = 0
 			}
 		}
-		ts, err := runTier(ctx, tier, n, &o, res.Values, ework, res.Vectors, e)
+		ts, err := runTier(ctx, tier, n, o, res.Values, ework, res.Vectors, e)
 		res.Stats.Fallbacks += ts.fallbacks
 		res.Stats.LeakedBytes += ts.leaked
 		res.Stats.CorruptionsDetected += ts.detected
@@ -368,58 +381,24 @@ func SolveContext(ctx context.Context, t Tridiagonal, opts *Options) (*Result, e
 				res.Stats.CorruptionsDetected++
 				unhealed++
 			}
+		} else if err = verify(Tridiagonal{D: d, E: e}, res, o, ti > 0 || prior != nil); err != nil {
+			// Verification runs in scaled units; every check is
+			// scale-invariant, so its verdict stands after the scale-back.
+			if faultinject.Corruption(err) {
+				res.Stats.CorruptionsDetected++
+				unhealed++
+			}
+		}
+		if err != nil {
 			lastErr = err
 			res.Stats.TierErrors = append(res.Stats.TierErrors, fmt.Errorf("tier %s: %w", tier, err))
 			continue
-		}
-		if ti > 0 {
-			// A degraded tier served the result: verify it before trusting
-			// it (the clean first-choice path skips this, so resilience
-			// does not tax the hot path). With vectors the check is the
-			// Residual/Orthogonality pair; values-only results are checked
-			// against sampled Sturm counts of the original matrix instead
-			// (Residual and Orthogonality stay 0 — they need vectors).
-			res.Stats.Validated = true
-			if o.ValuesOnly {
-				if verr := validateSpectrum(Tridiagonal{D: d, E: e}, res.Values); verr != nil {
-					lastErr = fmt.Errorf("validation failed: %w", verr)
-					res.Stats.TierErrors = append(res.Stats.TierErrors, fmt.Errorf("tier %s: %w", tier, lastErr))
-					continue
-				}
-			} else {
-				rres := Residual(Tridiagonal{D: d, E: e}, res)
-				orth := Orthogonality(res)
-				res.Stats.Residual, res.Stats.Orthogonality = rres, orth
-				if rres > maxResidual || orth > maxOrthogonality {
-					lastErr = fmt.Errorf("validation failed: residual=%.3e orthogonality=%.3e", rres, orth)
-					res.Stats.TierErrors = append(res.Stats.TierErrors, fmt.Errorf("tier %s: %w", tier, lastErr))
-					continue
-				}
-			}
-		}
-		if !o.DisableAudit {
-			// The always-on audit: every serving tier — the clean first
-			// choice included — is verified against the input before the
-			// result ships. It runs in scaled units like the validation
-			// above; every audit metric is scale-invariant.
-			worst, aerr := auditResult(Tridiagonal{D: d, E: e}, res, &o)
-			if aerr != nil {
-				res.Stats.CorruptionsDetected++
-				unhealed++
-				lastErr = aerr
-				res.Stats.TierErrors = append(res.Stats.TierErrors, fmt.Errorf("tier %s: %w", tier, aerr))
-				continue
-			}
-			res.Stats.Audited = true
-			res.Stats.AuditResidual = worst
 		}
 		// The result is served: every corruption detected along the way was
 		// contained by a recompute or a tier fallback.
 		res.Stats.CorruptionsHealed += unhealed
 		res.Stats.Tier = tier
 		if scale != 1 {
-			// Validation (if any) ran in scaled units; both metrics are
-			// scale-invariant, so they stand after the scale-back.
 			lapack.Dlascl(n, 1, 1, scale, res.Values, n)
 		}
 		return res, nil
@@ -538,7 +517,8 @@ func Values(t Tridiagonal) ([]float64, error) {
 // given in the lower triangle of the column-major n×n array a (leading
 // dimension lda ≥ n): Householder tridiagonalization, tridiagonal
 // eigensolve with the selected method, and back-transformation of the
-// eigenvectors. a is overwritten with reduction data.
+// eigenvectors (skipped for ValuesOnly, whose Vectors are nil). a is
+// overwritten with reduction data.
 func SymEigen(n int, a []float64, lda int, opts *Options) (*Result, error) {
 	if n < 0 || lda < n {
 		return nil, fmt.Errorf("eigen: bad dimensions n=%d lda=%d", n, lda)
@@ -558,7 +538,9 @@ func SymEigen(n int, a []float64, lda int, opts *Options) (*Result, error) {
 	if err != nil {
 		return nil, fmt.Errorf("eigen: SymEigen(n=%d): %w", n, err)
 	}
-	lapack.Dormtr(false, n, n, a, lda, tau, res.Vectors, n)
+	if res.Vectors != nil { // nil for ValuesOnly
+		lapack.Dormtr(false, n, n, a, lda, tau, res.Vectors, n)
+	}
 	return res, nil
 }
 
@@ -584,10 +566,12 @@ func SymEigen2Stage(n int, a []float64, lda, b int, opts *Options) (*Result, err
 	if err != nil {
 		return nil, fmt.Errorf("eigen: SymEigen2Stage(n=%d, b=%d): %w", n, b, err)
 	}
-	// V = Q · Z
-	v := make([]float64, n*n)
-	blas.Dgemm(false, false, n, n, n, 1, q, n, res.Vectors, n, 0, v, n)
-	res.Vectors = v
+	if res.Vectors != nil { // nil for ValuesOnly
+		// V = Q · Z
+		v := make([]float64, n*n)
+		blas.Dgemm(false, false, n, n, n, 1, q, n, res.Vectors, n, 0, v, n)
+		res.Vectors = v
+	}
 	return res, nil
 }
 
@@ -608,8 +592,10 @@ func SymGeneralized(n int, a []float64, lda int, b []float64, ldb int, opts *Opt
 	if err != nil {
 		return nil, fmt.Errorf("eigen: SymGeneralized(n=%d): %w", n, err)
 	}
-	// x_j = L⁻ᵀ y_j
-	blas.DtrsmLeftLowerTrans(n, n, b, ldb, res.Vectors, n)
+	if res.Vectors != nil { // nil for ValuesOnly: the values are already λ
+		// x_j = L⁻ᵀ y_j
+		blas.DtrsmLeftLowerTrans(n, n, b, ldb, res.Vectors, n)
+	}
 	return res, nil
 }
 

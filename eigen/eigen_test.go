@@ -3,6 +3,7 @@ package eigen
 import (
 	"math"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 )
@@ -311,5 +312,110 @@ func TestSymGeneralized(t *testing.T) {
 	bad[0], bad[3] = 1, -1
 	if _, err := SymGeneralized(2, make([]float64, 4), 2, bad, 2, nil); err == nil {
 		t.Error("indefinite B must error")
+	}
+}
+
+// TestDenseDriversValuesOnly: the dense drivers honour ValuesOnly. Solve
+// returns nil Vectors for it, so each driver must skip its
+// back-transformation and return the eigenvalues of its full solve (for
+// SymGeneralized, the generalized ones).
+func TestDenseDriversValuesOnly(t *testing.T) {
+	const n = 40
+	rng := rand.New(rand.NewSource(431))
+	sym := func() []float64 {
+		a := make([]float64, n*n)
+		for j := 0; j < n; j++ {
+			for i := j; i < n; i++ {
+				v := rng.NormFloat64()
+				a[i+j*n] = v
+				a[j+i*n] = v
+			}
+		}
+		return a
+	}
+	a0 := sym()
+	b0 := sym() // diagonally dominant, hence SPD
+	for i := 0; i < n; i++ {
+		b0[i+i*n] += 2 * n
+	}
+	clone := func(v []float64) []float64 { return append([]float64(nil), v...) }
+	drivers := []struct {
+		name string
+		run  func(o *Options) (*Result, error)
+	}{
+		{"SymEigen", func(o *Options) (*Result, error) { return SymEigen(n, clone(a0), n, o) }},
+		{"SymEigen2Stage", func(o *Options) (*Result, error) { return SymEigen2Stage(n, clone(a0), n, 0, o) }},
+		{"SymGeneralized", func(o *Options) (*Result, error) {
+			return SymGeneralized(n, clone(a0), n, clone(b0), n, o)
+		}},
+	}
+	for _, dr := range drivers {
+		full, err := dr.run(nil)
+		if err != nil {
+			t.Fatalf("%s: full solve: %v", dr.name, err)
+		}
+		vo, err := dr.run(&Options{ValuesOnly: true})
+		if err != nil {
+			t.Fatalf("%s: values-only solve: %v", dr.name, err)
+		}
+		if vo.Vectors != nil {
+			t.Errorf("%s: values-only result carries %d vector entries", dr.name, len(vo.Vectors))
+		}
+		tol := 1e-12 * n * spectrumScale(full.Values)
+		for i := range full.Values {
+			if d := math.Abs(vo.Values[i] - full.Values[i]); d > tol {
+				t.Errorf("%s: eigenvalue %d: values-only %v, full %v", dr.name, i, vo.Values[i], full.Values[i])
+			}
+		}
+	}
+}
+
+// TestTierRoutes pins the tiers every route runs, per method and lane: the
+// direct route with Fallback, the direct route without it (cut to its first
+// tier, which is also a Server's primary attempt) and a Server's fallback
+// route. A clean solve of each method and lane is served by the first tier.
+func TestTierRoutes(t *testing.T) {
+	cases := []struct {
+		m                            Method
+		direct, fallback             string
+		directValues, fallbackValues string
+	}{
+		{MethodDC, "task-flow→dstedc→qr", "dstedc→qr", "task-flow→dsterf", "dsterf"},
+		{MethodDCSequential, "dstedc→qr", "dstedc→qr", "dsterf", "dsterf"},
+		{MethodMRRR, "mrrr→qr", "qr", "dsterf", "dsterf"},
+		{MethodQR, "qr", "qr", "dsterf", "dsterf"},
+	}
+	join := func(tiers []string) string { return strings.Join(tiers, "→") }
+	tri := randomTridiag(rand.New(rand.NewSource(433)), 60)
+	for _, c := range cases {
+		for _, vo := range []bool{false, true} {
+			direct, fallback := c.direct, c.fallback
+			if vo {
+				direct, fallback = c.directValues, c.fallbackValues
+			}
+			o := &Options{Method: c.m, ValuesOnly: vo, Fallback: true}
+			if got := join(directRoute(o)); got != direct {
+				t.Errorf("%v values-only=%v: direct route %s, want %s", c.m, vo, got, direct)
+			}
+			first := strings.Split(direct, "→")[0]
+			o.Fallback = false
+			if got := join(directRoute(o)); got != first {
+				t.Errorf("%v values-only=%v: route without Fallback %s, want %s", c.m, vo, got, first)
+			}
+			if got := join(fallbackRoute(o)); got != fallback {
+				t.Errorf("%v values-only=%v: server fallback route %s, want %s", c.m, vo, got, fallback)
+			}
+			res, err := Solve(tri, o)
+			if err != nil {
+				t.Fatalf("%v values-only=%v: %v", c.m, vo, err)
+			}
+			if res.Stats.Tier != first || res.Stats.Degraded() || res.Stats.Validated {
+				t.Errorf("%v values-only=%v: clean solve served by %s (degraded=%v validated=%v), want %s",
+					c.m, vo, res.Stats.Tier, res.Stats.Degraded(), res.Stats.Validated, first)
+			}
+		}
+	}
+	if r := directRoute(&Options{Method: Method(99), Fallback: true}); r != nil {
+		t.Errorf("unknown method has route %v", r)
 	}
 }

@@ -33,9 +33,10 @@ import (
 //   - Retries: transient failures (injected faults, stalls — classified by
 //     faultinject.Transient) are retried on the primary tier with exponential
 //     backoff and jitter; persistent numerical failures fall through to the
-//     degradation tiers (sequential DSTEDC → QR with validation).
+//     fallback route, the sequential tiers of the method's ladder (DSTEDC →
+//     QR, or Dsterf for values-only jobs), verified as degraded tiers.
 //   - Circuit breaker: a kernel class that keeps failing stops being retried;
-//     new jobs route straight to the fallback tier until a half-open probe
+//     new jobs route straight to the fallback route until a half-open probe
 //     succeeds.
 //   - Graceful drain: Shutdown stops admission, lets in-flight solves finish
 //     (or cancels them at the drain deadline) and reports every job's
@@ -165,6 +166,10 @@ var (
 
 // errDrained is the cause of a job cancelled by a drain deadline.
 var errDrained = fmt.Errorf("%w: drained", ErrServerClosed)
+
+// errCircuitOpen is why a job the breakers routed straight to the fallback
+// route never ran on its primary tier.
+var errCircuitOpen = errors.New("eigen: server: primary tier skipped: circuit open")
 
 // StallError is a watchdog abort: the solve made no task progress within
 // the stall window. It is transient — the stall may have been an injected
@@ -425,12 +430,15 @@ func EstimateValuesOnlySolveBytes(n, workers int) int64 {
 //
 // opts follows SolveContext semantics except that Fallback and Progress are
 // owned by the server (the retry and degradation policy replaces them).
+// Every route runs tiers of the method's ladder: the first tier as the
+// primary attempt, the sequential tiers as the fallback route.
 func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*ServeResult, error) {
 	sr := &ServeResult{Disposition: DispositionRejected}
 	var o Options
 	if opts != nil {
 		o = *opts
 	}
+	o.Fallback = false // the primary attempt runs the ladder's first tier only
 	n := t.N()
 	workers := o.Workers
 	if workers <= 0 {
@@ -575,12 +583,13 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 	for {
 		probe, primary := s.route()
 		if !primary {
-			break // every new job routes straight to the fallback tier
+			if lastErr == nil {
+				lastErr = errCircuitOpen // every new job routes straight to the fallback tier
+			}
+			break
 		}
-		po := o
-		po.Fallback = false
 		sr.Attempts++
-		res, err := s.attempt(jctx, t, &po)
+		res, err := s.attempt(jctx, t, &o, directRoute(&o), nil)
 		if err == nil {
 			s.primaryServed(probe)
 			s.absorb(res)
@@ -619,13 +628,11 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 		}
 	}
 
-	// Fallback tier: the degradation chain, injected-fault free (sequential
-	// tiers bypass the task runtime) and validated.
-	fo := o
-	fo.Method = fallbackMethod(o.Method)
-	fo.Fallback = true
+	// Fallback route: the ladder's sequential tiers, injected-fault free
+	// (they bypass the task runtime) and verified as degraded, with the
+	// reason the job left the primary tier as their first tier error.
 	sr.Attempts++
-	res, err := s.attempt(jctx, t, &fo)
+	res, err := s.attempt(jctx, t, &o, fallbackRoute(&o), lastErr)
 	if err == nil {
 		s.absorb(res)
 		s.corrHealed.Add(jobCorrupt)
@@ -684,11 +691,11 @@ func (s *Server) startWatchdog(actx context.Context, cancel context.CancelFunc) 
 		stalled
 }
 
-// attempt runs one watchdog-guarded SolveContext under the job context. A
-// solve that emits no progress heartbeat within the stall window is
-// cancelled and the error rewritten to *StallError (unless the job context
-// was the cause).
-func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options) (*Result, error) {
+// attempt runs one watchdog-guarded solve of tiers under the job context
+// (prior as in solve). A solve that emits no progress heartbeat within the
+// stall window is cancelled and the error rewritten to *StallError (unless
+// the job context was the cause).
+func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior error) (*Result, error) {
 	actx, cancel := context.WithCancel(ctx)
 	defer cancel()
 
@@ -699,7 +706,7 @@ func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options) (*Resul
 		ao.Progress = heartbeat
 		o = &ao
 	}
-	res, err := SolveContext(actx, t, o)
+	res, err := solve(actx, t, o, tiers, prior)
 	if stalled.Load() && ctx.Err() == nil {
 		// The watchdog declared a stall and cancelled the attempt. The solve
 		// may still have raced to a clean finish (cancellation unblocks
@@ -737,17 +744,6 @@ func (s *Server) expectedLatencyLocked(valuesOnly bool) time.Duration {
 	}
 	waves := 1 + (s.queued+s.running)/s.cfg.MaxConcurrent
 	return time.Duration(avg * float64(waves))
-}
-
-// fallbackMethod maps a job's method to its degradation route: the most
-// capable injected-fault-free tier chain below it.
-func fallbackMethod(m Method) Method {
-	switch m {
-	case MethodDC, MethodDCSequential:
-		return MethodDCSequential // dstedc → qr chain under Fallback
-	default:
-		return MethodQR
-	}
 }
 
 // afterJob runs once per finished job, after its worker slot is released:

@@ -3,6 +3,7 @@ package eigen
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
 	"runtime"
 	"sync"
@@ -418,5 +419,55 @@ func waitFor(t *testing.T, cond func() bool) {
 			t.Fatal("condition not reached within 5s")
 		}
 		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestServerDegradedRecordsCause: a job forced off its primary tier must say
+// why it degraded, on both lanes. The primary attempt's error, still wrapping
+// the injected cause, is TierErrors[0]; the fallback route's first tier
+// (dstedc, or dsterf for values-only) serves a verified result. A job the
+// open breaker sends straight to the fallback route records the open circuit.
+func TestServerDegradedRecordsCause(t *testing.T) {
+	defer faultinject.Disable()
+	faultinject.Enable(13, faultinject.Probe{Class: "ComputeDeflation", Kind: faultinject.KindError, P: 1})
+	for _, vo := range []bool{false, true} {
+		cfg := serverConfig()
+		cfg.MaxRetries = -1
+		cfg.BreakerThreshold = 1
+		cfg.BreakerCooldown = time.Minute
+		s := NewServer(cfg)
+		rng := rand.New(rand.NewSource(14))
+		o := chaosOptions(false)
+		o.ValuesOnly = vo
+		wantTier := "dstedc"
+		if vo {
+			wantTier = "dsterf"
+		}
+		for job := 0; job < 2; job++ {
+			label := fmt.Sprintf("values-only=%v job %d", vo, job)
+			sr := mustSolve(t, s, randomTridiag(rng, 100), o)
+			st := sr.Stats
+			if sr.Disposition != DispositionDegraded || sr.Attempts != 2-job || st.Tier != wantTier {
+				t.Errorf("%s: disposition=%v attempts=%d tier=%s, want degraded/%d/%s",
+					label, sr.Disposition, sr.Attempts, st.Tier, 2-job, wantTier)
+			}
+			if !st.Degraded() || !st.Validated || !st.Audited {
+				t.Errorf("%s: degraded=%v validated=%v audited=%v, want all true", label, st.Degraded(), st.Validated, st.Audited)
+			}
+			if len(st.TierErrors) == 0 {
+				t.Errorf("%s: no tier error says why the job degraded", label)
+				continue
+			}
+			var inj *faultinject.ErrInjected
+			if job == 0 && !errors.As(st.TierErrors[0], &inj) {
+				t.Errorf("%s: TierErrors[0] lost the injected cause: %v", label, st.TierErrors[0])
+			}
+			if job == 1 && !errors.Is(st.TierErrors[0], errCircuitOpen) {
+				t.Errorf("%s: TierErrors[0] = %v, want the open circuit", label, st.TierErrors[0])
+			}
+		}
+		if _, err := s.Shutdown(context.Background()); err != nil {
+			t.Fatalf("shutdown: %v", err)
+		}
 	}
 }

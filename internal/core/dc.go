@@ -218,17 +218,17 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	}
 	rt := quark.New(o.Workers, rtOpts...)
 
-	var merges []*mergeState
+	f := &flow{rt: rt, n: n, d: d, e: e, o: &o, st: res.Stats}
 	var fl []float64
-	var err error
 	if o.ValuesOnly {
 		// The 2×n eigenvector-row carrier, the lane's only O(n) shared
 		// buffer; released once the runtime has stopped.
 		fl = pool.Get(2 * n)
-		err = submitTaskFlowVO(rt, n, d, e, fl, &o, res.Stats, &merges)
+		f.lane = &valuesLane{flow: f, fl: fl}
 	} else {
-		err = submitTaskFlow(rt, n, d, e, q, ldq, &o, res.Stats, &merges)
+		f.lane = &vectorLane{flow: f, q: q, ldq: ldq}
 	}
+	err := f.submit()
 	werr := rt.Wait()
 	res.Stats.setABFTRetries(rt.Retries())
 	if o.CaptureGraph {
@@ -240,7 +240,7 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	// accountant so budget accounting stays honest.
 	rt.Shutdown()
 	var leaked int64
-	for _, ms := range merges {
+	for _, ms := range f.merges {
 		leaked += ms.sweepLeaked()
 	}
 	res.Stats.addLeaked(leaked)
@@ -303,12 +303,51 @@ type node struct {
 	hV, hD      *quark.Handle
 }
 
-// submitTaskFlow submits the whole task graph in sequential program order.
-// Every merge's runtime state is appended to *merges so the caller can sweep
-// abandoned workspaces after the runtime stops. The level-synchronized modes
-// (ModeLevelSync, ModeScaLAPACK) barrier on rt.Wait between tree levels.
-func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq int, o *Options, st *Stats, merges *[]*mergeState) error {
-	sizes := lapack.PartitionSizes(n, o.MinPartition)
+// lane is the set of kernels that differ between the full eigenvector solve
+// (vectorLane) and the values-only solve (valuesLane, dc_vo.go). Both lanes
+// share one tree (flow.submit) and one set of merge joins (flow.submitMerge,
+// submitLAED4, submitReduceW); a lane adds only the panel tasks between a
+// merge's deflation and Dlamrg joins, and the kernels inside the shared
+// tasks.
+type lane interface {
+	// zero handles the zero matrix, which needs no tree.
+	zero()
+	// leaf solves the leaf block [st0, st0+sz) in place.
+	leaf(st0, sz int) (fellBack bool, err error)
+	// deflate forms merge ms's z-vector, runs the deflation scan and
+	// allocates the lane's merge workspace.
+	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
+	// panels submits the lane's panel tasks of merge ms.
+	panels(ms *mergeState)
+	// sortClass names the root sort task; sort moves the eigenvalues (and
+	// vectors) through the root permutation into ascending order and
+	// returns the operation count.
+	sortClass() string
+	sort() int64
+}
+
+// flow is one task-flow solve being submitted: the tree shared by both lanes
+// plus the lane that fills in its kernels.
+type flow struct {
+	rt    *quark.Runtime
+	n     int
+	d, e  []float64
+	indxq []int
+	lane  lane
+	o     *Options
+	st    *Stats
+	// merges collects every merge's runtime state so the caller can sweep
+	// abandoned workspaces after the runtime stops.
+	merges []*mergeState
+}
+
+// submit submits the whole task graph in sequential program order: Scale,
+// one STEDC task per leaf, the merge levels bottom-up and the root sort. The
+// level-synchronized modes (ModeLevelSync, ModeScaLAPACK) barrier on rt.Wait
+// between tree levels.
+func (f *flow) submit() error {
+	rt, n, d, e, st := f.rt, f.n, f.d, f.e, f.st
+	sizes := lapack.PartitionSizes(n, f.o.MinPartition)
 	starts := make([]int, len(sizes)+1)
 	for i, s := range sizes {
 		starts[i+1] = starts[i] + s
@@ -318,15 +357,7 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 	// front on the master (O(n)), the scaling itself is the Scale task.
 	orgnrm := lapack.Dlanst('M', n, d, e)
 	if orgnrm == 0 {
-		rt.Submit("LASET", "identity", func() {
-			for j := 0; j < n; j++ {
-				col := q[j*ldq : j*ldq+n]
-				for i := range col {
-					col[i] = 0
-				}
-				col[j] = 1
-			}
-		})
+		f.lane.zero()
 		return nil
 	}
 
@@ -346,7 +377,7 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 		corruptHook("Scale", d[:n])
 	}, quark.Write(hScale))
 
-	indxq := make([]int, n)
+	f.indxq = make([]int, n)
 
 	// Leaf solves (the paper's STEDC leaf tasks).
 	level := make([]*node, len(sizes))
@@ -357,23 +388,7 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 			hD: rt.Handle(fmt.Sprintf("d[%d:%d]", st0, st0+sz))}
 		level[i] = nd
 		rt.Submit("STEDC", fmt.Sprintf("leaf[%d:%d]", st0, st0+sz), func() {
-			// The merge kernels (deflation rotations, deflated-column copies)
-			// operate on full merge-window columns and rely on the
-			// structurally-zero off-block rows of q holding exact zeros —
-			// LAPACK's Z=I invariant. Establish it here so callers may pass q
-			// with arbitrary entry contents (e.g. a reused workspace): every
-			// merge rewrites its window densely, so leaf-time zeroing is
-			// enough by induction up the tree.
-			for j := st0; j < st0+sz; j++ {
-				col := q[j*ldq : j*ldq+n]
-				for i := range col[:st0] {
-					col[i] = 0
-				}
-				for i := st0 + sz; i < n; i++ {
-					col[i] = 0
-				}
-			}
-			fellBack, err := lapack.DsteqrRobust(sz, d[st0:st0+sz], e[st0:st0+max(sz-1, 0)], q[st0+st0*ldq:], ldq)
+			fellBack, err := f.lane.leaf(st0, sz)
 			if err != nil {
 				panic(err)
 			}
@@ -381,7 +396,7 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 				st.count("STEDCFallback", 1)
 			}
 			for j := 0; j < sz; j++ {
-				indxq[st0+j] = j
+				f.indxq[st0+j] = j
 			}
 			st.count("STEDC", int64(sz)*int64(sz)*int64(sz))
 			corruptHook("STEDC", d[st0:st0+sz])
@@ -398,14 +413,14 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 			parent := &node{start: left.start, size: left.size + right.size,
 				hV: rt.Handle(fmt.Sprintf("V[%d:%d]", left.start, left.start+left.size+right.size)),
 				hD: rt.Handle(fmt.Sprintf("d[%d:%d]", left.start, left.start+left.size+right.size))}
-			*merges = append(*merges, submitMerge(rt, parent, left, right, lvl, d, e, q, ldq, indxq, o, st))
+			f.submitMerge(parent, left, right, lvl)
 			next = append(next, parent)
 		}
 		if len(level)%2 == 1 {
 			next = append(next, level[len(level)-1])
 		}
 		level = next
-		if o.Mode == ModeLevelSync || o.Mode == ModeScaLAPACK {
+		if f.o.Mode == ModeLevelSync || f.o.Mode == ModeScaLAPACK {
 			// A real barrier between tree levels (the ScaLAPACK execution
 			// model). The no-op barrier task also materializes the barrier
 			// as graph edges so the replay simulator reproduces it.
@@ -421,14 +436,14 @@ func submitTaskFlow(rt *quark.Runtime, n int, d, e []float64, q []float64, ldq i
 	}
 
 	root := level[0]
-	rt.Submit("SortEigenvectors", "sort", func() {
-		lapack.SortEigen(n, d, q, ldq, indxq)
-		lapack.SortAscending(n, d, q, ldq)
+	class := f.lane.sortClass()
+	rt.Submit(class, "sort", func() {
+		ops := f.lane.sort()
 		if orgnrm != 1 {
 			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
 		}
-		st.count("SortEigenvectors", int64(n)*int64(n))
-		corruptHook("SortEigenvectors", d[:n])
+		st.count(class, ops)
+		corruptHook(class, d[:n])
 	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
 	return nil
 }
@@ -465,9 +480,23 @@ func secularPanelNB(k, npanels, workers int) int {
 	return max(nb, (k+npanels-1)/npanels)
 }
 
-// mergeState is the runtime-shared state of one merge: filled by the
-// Compute-deflation task, consumed by the panel tasks.
+// mergeState is one merge node: its geometry and handles, fixed at submit
+// time, and the runtime-shared state filled by the Compute-deflation task and
+// consumed by the panel tasks.
 type mergeState struct {
+	parent *node
+	// start, nm and n1 place the merge: columns [start, start+nm), the left
+	// child n1 wide. nb and npanels are the submit-time panel width and
+	// count; root marks the merge of width n.
+	start, nm, n1, nb, npanels int
+	root                       bool
+	prio                       int
+	span                       string // "[start:start+nm]", the merge's label suffix
+	dd                         []float64
+	ixq                        []int
+	hS                         *quark.Handle   // merge-wide workspace handle
+	hSec                       []*quark.Handle // secular panel handles
+
 	df    *lapack.Deflation
 	ws    *lapack.MergeWorkspace
 	what  []float64   // stabilized ẑ (ReduceW output)
@@ -500,6 +529,11 @@ type mergeState struct {
 	// the UpdateZ panels on the values-only path); when the last one
 	// finishes, the pooled workspace and packed operands are recycled.
 	pending atomic.Int32
+}
+
+// name labels panel p's task of the given kind.
+func (ms *mergeState) name(kind string, p int) string {
+	return fmt.Sprintf("%s%sp%d", kind, ms.span, p)
 }
 
 // done marks one workspace consumer finished; the last one returns the
@@ -567,69 +601,51 @@ const (
 	prioRedistrib = 1
 )
 
-// submitMerge submits the paper's Algorithm 1 for one merge node.
+// submitMerge submits the paper's Algorithm 1 for one merge node: the
+// Compute-deflation join, the lane's panel tasks, and the Dlamrg join.
 //
 // Access-declaration order matters for locality (not for correctness): the
 // quark scheduler hints a ready task onto the worker that last wrote the
 // task's last-declared non-Gatherv handle, so each task lists its panel
 // handle last (UpdateVect follows ComputeVect's hSec panel, CopyBackDeflated
 // follows PermuteV's hPerm panel, and so on).
-func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []float64, q []float64, ldq int, indxq []int, o *Options, st *Stats) *mergeState {
-	prio := lvl * prioStride
-	start := parent.start
-	nm := parent.size
-	n1 := left.size
+func (f *flow) submitMerge(parent, left, right *node, lvl int) {
+	rt, o, st := f.rt, f.o, f.st
+	start, nm := parent.start, parent.size
 	nb := o.PanelSize
 	if nb <= 0 {
 		nb = adaptivePanelNB(nm, rt.Workers())
 	}
 	npanels := (nm + nb - 1) / nb
-	ms := &mergeState{wlocs: make([][]float64, npanels), nbSec: nb}
-	// Workspace consumers: every UpdateVect and CopyBackDeflated panel plus
-	// the PackV task; the last to finish recycles the merge scratch.
-	ms.pending.Store(int32(2*npanels + 1))
-
-	dd := d[start : start+nm]
-	qq := q[start+start*ldq:]
-	ixq := indxq[start : start+nm]
-	rhoAddr := start + n1 - 1 // e index of the coupling element
-
-	hS := rt.Handle(fmt.Sprintf("ws[%d:%d]", start, start+nm))
-	hPack := rt.Handle(fmt.Sprintf("pack[%d:%d]", start, start+nm))
-	hPerm := make([]*quark.Handle, npanels)
-	hSec := make([]*quark.Handle, npanels)
-	for p := 0; p < npanels; p++ {
-		hPerm[p] = rt.Handle(fmt.Sprintf("perm[%d]@%d", p, start))
-		hSec[p] = rt.Handle(fmt.Sprintf("sec[%d]@%d", p, start))
+	ms := &mergeState{parent: parent, start: start, nm: nm, n1: left.size, nb: nb, npanels: npanels,
+		root: nm == f.n, prio: lvl * prioStride, span: fmt.Sprintf("[%d:%d]", start, start+nm),
+		dd: f.d[start : start+nm], ixq: f.indxq[start : start+nm],
+		hS: rt.Handle(fmt.Sprintf("ws[%d:%d]", start, start+nm)), hSec: make([]*quark.Handle, npanels),
+		wlocs: make([][]float64, npanels), nbSec: nb}
+	for p := range ms.hSec {
+		ms.hSec[p] = rt.Handle(fmt.Sprintf("sec[%d]@%d", p, start))
 	}
+	f.merges = append(f.merges, ms)
+	rhoAddr := start + left.size - 1 // e index of the coupling element
 
-	name := func(kind string, p int) string {
-		return fmt.Sprintf("%s[%d:%d]p%d", kind, start, start+nm, p)
-	}
-
-	// Compute deflation: the first join. Forms z, scans for deflation,
-	// applies pair rotations on V, allocates the merge workspace.
-	rt.SubmitPrio("ComputeDeflation", fmt.Sprintf("deflate[%d:%d]", start, start+nm), prio+prioJoin, func() {
-		rho := e[rhoAddr]
+	// Compute deflation: the first join. The lane forms z and scans for
+	// deflation; the join around it records the merge.
+	rt.SubmitPrio("ComputeDeflation", "deflate"+ms.span, ms.prio+prioJoin, func() {
 		// Trace invariant: capture Σd over the block at merge entry; the
 		// deflation rotations preserve it exactly and the rank-one update
 		// adds df.Rho, so the merged spectrum must sum to traceIn + Rho
 		// (checked by the Dlamrg join).
 		var traceIn, absIn, dmaxIn float64
 		if !o.DisableABFT {
-			traceIn, absIn, dmaxIn = kahanSum(dd)
+			traceIn, absIn, dmaxIn = kahanSum(ms.dd)
 		}
 		z := pool.Get(nm)
 		defer pool.Put(z)
-		blas.Dcopy(n1, qq[n1-1:], ldq, z, 1)
-		blas.Dcopy(nm-n1, qq[n1+n1*ldq:], ldq, z[n1:], 1)
-		df, err := lapack.Dlaed2Deflate(nm, n1, dd, qq, ldq, ixq, rho, z)
+		df, err := f.lane.deflate(ms, f.e[rhoAddr], z)
 		if err != nil {
 			panic(err)
 		}
 		ms.df = df
-		ms.ws = lapack.NewMergeWorkspace(df)
-		ms.what = pool.Get(df.K)
 		if o.PanelSize <= 0 {
 			ms.nbSec = secularPanelNB(df.K, npanels, rt.Workers())
 		}
@@ -640,14 +656,161 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 		st.count("ComputeDeflation", int64(nm))
 		ms.statIdx = st.recordMerge(lvl, nm, df.K, ms.nbSec)
 		// A corrupted pole propagates into every secular root of the merge
-		// and breaks the trace invariant; dd itself is fully overwritten by
-		// the LAED4 and CopyBackDeflated panels, so Dlamda is the join's
-		// output that actually ships.
+		// and breaks the trace invariant; Dlamda is the join's output that
+		// every later task reads.
 		corruptHook("ComputeDeflation", df.Dlamda)
 	}, quark.ReadWrite(parent.hV), quark.ReadWrite(parent.hD),
 		quark.Read(left.hV), quark.Read(right.hV),
 		quark.Read(left.hD), quark.Read(right.hD),
-		quark.Write(hS))
+		quark.Write(ms.hS))
+
+	f.lane.panels(ms)
+
+	// Dlamrg: build the sorting permutation for the merged spectrum. Its
+	// ReadWrite on the parent d-handle orders it after every eigenvalue
+	// writer of the merge, so this is where the trace invariant is checked.
+	rt.SubmitPrio("Dlamrg", "Dlamrg"+ms.span, ms.prio+prioDlamrg, func() {
+		k := ms.df.K
+		corruptHook("Dlamrg", ms.dd)
+		if ms.abft {
+			st.count("ABFTInvariant", 1)
+			defect, terr := lapack.CheckTrace(ms.dd, nm, ms.traceWant, ms.traceTol)
+			st.setMergeTraceDefect(ms.statIdx, defect)
+			if terr != nil {
+				st.count("ABFTInvariantFail", 1)
+				panic(terr)
+			}
+		}
+		if k == 0 {
+			for i := 0; i < nm; i++ {
+				ms.ixq[i] = i
+			}
+			return
+		}
+		lapack.Dlamrg(k, nm-k, ms.dd, 1, -1, ms.ixq)
+		st.count("Dlamrg", int64(nm))
+	}, quark.ReadWrite(parent.hD))
+}
+
+// submitLAED4 submits secular panel p of merge ms: the lane's secular kernel
+// over the panel's columns, then the interlacing invariant. The panel range
+// comes from ms.nbSec at run time, not from the submit-time nb: in adaptive
+// mode the deflation task re-derives the width from the post-deflation k. An
+// interlacing violation is panicked as a corruption error, which re-executes
+// the panel in place (both lanes' kernels fully overwrite their outputs).
+// extra are the lane's accesses between the merge-wide and panel handles.
+func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, error), extra ...quark.Access) {
+	st := f.st
+	acc := append([]quark.Access{quark.Gather(ms.hS), quark.Gather(ms.parent.hD)}, extra...)
+	f.rt.SubmitPrio("LAED4", ms.name("LAED4", p), ms.prio+prioSecular, func() {
+		k := ms.df.K
+		j0 := p * ms.nbSec
+		j1 := min(j0+ms.nbSec, k)
+		if j0 >= j1 {
+			return
+		}
+		nfb, err := kernel(j0, j1)
+		if err != nil {
+			panic(err)
+		}
+		if nfb > 0 {
+			st.count("LAED4Bisect", int64(nfb))
+		}
+		st.count("LAED4", int64(j1-j0)*int64(k))
+		corruptHook("LAED4", ms.dd[j0:j1])
+		if !f.o.DisableABFT {
+			st.count("ABFTInvariant", 1)
+			if ierr := ms.df.CheckInterlacing(ms.dd, j0, j1); ierr != nil {
+				st.count("ABFTInvariantFail", 1)
+				panic(ierr)
+			}
+		}
+	}, append(acc, quark.ReadWrite(ms.hSec[p]))...)
+}
+
+// submitReduceW submits the second join, combining the panel products into ẑ.
+func (f *flow) submitReduceW(ms *mergeState) {
+	f.rt.SubmitPrio("ReduceW", "ReduceW"+ms.span, ms.prio+prioJoin, func() {
+		ms.df.FinishW(ms.what, ms.wlocs...)
+		for p, wl := range ms.wlocs {
+			pool.Put(wl)
+			ms.wlocs[p] = nil
+		}
+		f.st.count("ReduceW", int64(ms.df.K))
+		corruptHook("ReduceW", ms.what)
+	}, quark.ReadWrite(ms.hS))
+}
+
+// vectorLane is the full eigenvector solve: each node's eigenvectors live in
+// its diagonal block of q, and every merge rebuilds its block with the
+// PermuteV, ComputeLocalW, CopyBackDeflated, ComputeVect, PackV and
+// UpdateVect panels around the shared joins.
+type vectorLane struct {
+	*flow
+	q   []float64
+	ldq int
+}
+
+func (l *vectorLane) zero() {
+	n, q, ldq := l.n, l.q, l.ldq
+	l.rt.Submit("LASET", "identity", func() {
+		for j := 0; j < n; j++ {
+			col := q[j*ldq : j*ldq+n]
+			for i := range col {
+				col[i] = 0
+			}
+			col[j] = 1
+		}
+	})
+}
+
+func (l *vectorLane) leaf(st0, sz int) (bool, error) {
+	// The merge kernels (deflation rotations, deflated-column copies)
+	// operate on full merge-window columns and rely on the
+	// structurally-zero off-block rows of q holding exact zeros — LAPACK's
+	// Z=I invariant. Establish it here so callers may pass q with arbitrary
+	// entry contents (e.g. a reused workspace): every merge rewrites its
+	// window densely, so leaf-time zeroing is enough by induction up the
+	// tree.
+	n, q, ldq := l.n, l.q, l.ldq
+	for j := st0; j < st0+sz; j++ {
+		col := q[j*ldq : j*ldq+n]
+		for i := range col[:st0] {
+			col[i] = 0
+		}
+		for i := st0 + sz; i < n; i++ {
+			col[i] = 0
+		}
+	}
+	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], q[st0+st0*ldq:], ldq)
+}
+
+func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
+	qq := l.q[ms.start+ms.start*l.ldq:]
+	blas.Dcopy(ms.n1, qq[ms.n1-1:], l.ldq, z, 1)
+	blas.Dcopy(ms.nm-ms.n1, qq[ms.n1+ms.n1*l.ldq:], l.ldq, z[ms.n1:], 1)
+	df, err := lapack.Dlaed2Deflate(ms.nm, ms.n1, ms.dd, qq, l.ldq, ms.ixq, rho, z)
+	if err != nil {
+		return nil, err
+	}
+	ms.ws = lapack.NewMergeWorkspace(df)
+	ms.what = pool.Get(df.K)
+	return df, nil
+}
+
+func (l *vectorLane) panels(ms *mergeState) {
+	rt, o, st := l.rt, l.o, l.st
+	ldq, nm, nb, npanels, prio, dd := l.ldq, ms.nm, ms.nb, ms.npanels, ms.prio, ms.dd
+	qq := l.q[ms.start+ms.start*ldq:]
+	hV := ms.parent.hV
+	// Workspace consumers: every UpdateVect and CopyBackDeflated panel plus
+	// the PackV task; the last to finish recycles the merge scratch.
+	ms.pending.Store(int32(2*npanels + 1))
+	hPack := rt.Handle("pack" + ms.span)
+	hPerm := make([]*quark.Handle, npanels)
+	for p := range hPerm {
+		hPerm[p] = rt.Handle(fmt.Sprintf("perm[%d]@%d", p, ms.start))
+	}
 
 	// Redistribution (ScaLAPACK model only): the distributed solver must
 	// gather the block-cyclic eigenvector data before the merge; the copies
@@ -658,74 +821,43 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 		redist = make([]float64, nm*nm)
 		for p := 0; p < npanels; p++ {
 			g0, g1 := p*nb, min((p+1)*nb, nm)
-			rt.SubmitPrio("Redistribute", name("RedistIn", p), prio+prioRedistrib, func() {
+			rt.SubmitPrio("Redistribute", ms.name("RedistIn", p), prio+prioRedistrib, func() {
 				for g := g0; g < g1; g++ {
 					copy(redist[g*nm:g*nm+nm], qq[g*ldq:g*ldq+nm])
 				}
 				st.count("Redistribute", int64(g1-g0)*int64(nm))
-			}, quark.Read(parent.hV), quark.ReadWrite(hPerm[p]))
+			}, quark.Read(hV), quark.ReadWrite(hPerm[p]))
 		}
 	}
 
 	// PermuteV: copy grouped columns into compressed workspace, per panel.
 	for p := 0; p < npanels; p++ {
-		p := p
 		g0, g1 := p*nb, min((p+1)*nb, nm)
-		rt.SubmitPrio("PermuteV", name("PermuteV", p), prio+prioPermute, func() {
+		rt.SubmitPrio("PermuteV", ms.name("PermuteV", p), prio+prioPermute, func() {
 			ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
 			st.count("PermuteV", int64(g1-g0)*int64(nm))
 			// Corrupt only the first column this panel wrote — the other
 			// panels' regions are being written concurrently.
 			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0))
-		}, quark.Read(parent.hV), quark.Gather(hS), quark.ReadWrite(hPerm[p]))
+		}, quark.Read(hV), quark.Gather(ms.hS), quark.ReadWrite(hPerm[p]))
 	}
 
-	// LAED4: solve the secular equation per panel of eigenvalues. The panel
-	// ranges of the secular tasks come from ms.nbSec at run time, not from
-	// the submit-time nb: in adaptive mode the deflation task re-derives the
-	// width from the post-deflation k.
+	// LAED4: solve the secular equation per panel of eigenvalues.
 	for p := 0; p < npanels; p++ {
-		p := p
-		acc := []quark.Access{quark.Gather(hS), quark.Gather(parent.hD)}
+		var extra []quark.Access
 		if !o.ExtraWorkspace {
 			// Without extra workspace the secular panel shares storage
 			// with the permutation buffer: serialize after PermuteV.
-			acc = append(acc, quark.Read(hPerm[p]))
+			extra = append(extra, quark.Read(hPerm[p]))
 		}
-		acc = append(acc, quark.ReadWrite(hSec[p]))
-		rt.SubmitPrio("LAED4", name("LAED4", p), prio+prioSecular, func() {
-			k := ms.df.K
-			j0 := p * ms.nbSec
-			j1 := min(j0+ms.nbSec, k)
-			if j0 >= j1 {
-				return
-			}
-			nfb, err := ms.df.SecularPanel(ms.ws, dd, j0, j1)
-			if err != nil {
-				panic(err)
-			}
-			if nfb > 0 {
-				st.count("LAED4Bisect", int64(nfb))
-			}
-			st.count("LAED4", int64(j1-j0)*int64(k))
-			corruptHook("LAED4", dd[j0:j1])
-			if !o.DisableABFT {
-				// Interlacing invariant; a violation is panicked as a
-				// corruption error, which re-executes this panel in place
-				// (SecularPanel fully overwrites its outputs).
-				st.count("ABFTInvariant", 1)
-				if ierr := ms.df.CheckInterlacing(dd, j0, j1); ierr != nil {
-					st.count("ABFTInvariantFail", 1)
-					panic(ierr)
-				}
-			}
-		}, acc...)
+		l.submitLAED4(ms, p, func(j0, j1 int) (int, error) {
+			return ms.df.SecularPanel(ms.ws, dd, j0, j1)
+		}, extra...)
 	}
 
 	// ComputeLocalW: panel-local factors of Gu's stabilization product.
 	for p := 0; p < npanels; p++ {
-		p := p
-		rt.SubmitPrio("ComputeLocalW", name("ComputeLocalW", p), prio+prioSecular, func() {
+		rt.SubmitPrio("ComputeLocalW", ms.name("ComputeLocalW", p), prio+prioSecular, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -742,28 +874,17 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 			ms.df.LocalWPanel(ms.ws, wl, j0, j1)
 			st.count("ComputeLocalW", int64(j1-j0)*int64(k))
 			corruptHook("ComputeLocalW", wl)
-		}, quark.Gather(hS), quark.ReadWrite(hSec[p]))
+		}, quark.Gather(ms.hS), quark.ReadWrite(ms.hSec[p]))
 	}
 
-	// ReduceW: the second join, combining the panel products into ẑ.
-	rt.SubmitPrio("ReduceW", fmt.Sprintf("ReduceW[%d:%d]", start, start+nm), prio+prioJoin, func() {
-		ms.df.FinishW(ms.what, ms.wlocs...)
-		for p, wl := range ms.wlocs {
-			pool.Put(wl)
-			ms.wlocs[p] = nil
-		}
-		st.count("ReduceW", int64(ms.df.K))
-		corruptHook("ReduceW", ms.what)
-	}, quark.ReadWrite(hS))
+	l.submitReduceW(ms)
 
 	// CopyBackDeflated: move deflated vectors to the tail of the parent V.
 	// Runs concurrently with ReduceW/ComputeLocalW (Figure 2), waiting only
 	// for the PermuteV group through the Gatherv-vs-readers rule on hV.
 	for p := 0; p < npanels; p++ {
-		p := p
 		c0 := p * nb
-		acc := []quark.Access{quark.Gather(parent.hV), quark.Gather(parent.hD), quark.ReadWrite(hPerm[p])}
-		rt.SubmitPrio("CopyBackDeflated", name("CopyBack", p), prio+prioCopy, func() {
+		rt.SubmitPrio("CopyBackDeflated", ms.name("CopyBack", p), prio+prioCopy, func() {
 			defer ms.done()
 			k := ms.df.K
 			j0, j1 := max(c0, k)-k, min(c0+nb, nm)-k
@@ -775,20 +896,19 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 			// Corrupt this panel's deflated eigenvalues: the trace check in
 			// Dlamrg catches any drift in the merged spectrum.
 			corruptHook("CopyBackDeflated", dd[k+j0:k+j1])
-		}, acc...)
+		}, quark.Gather(hV), quark.Gather(ms.parent.hD), quark.ReadWrite(hPerm[p]))
 	}
 
 	// ComputeVect: stabilize and form the updated eigenvectors X per panel.
 	for p := 0; p < npanels; p++ {
-		p := p
-		acc := []quark.Access{quark.Read(hS)}
+		acc := []quark.Access{quark.Read(ms.hS)}
 		if !o.ExtraWorkspace {
 			// Without extra workspace the deflated copy-back must vacate
 			// the buffer first: serialize after CopyBackDeflated.
 			acc = append(acc, quark.Read(hPerm[p]))
 		}
-		acc = append(acc, quark.ReadWrite(hSec[p]))
-		rt.SubmitPrio("ComputeVect", name("ComputeVect", p), prio+prioSecular, func() {
+		acc = append(acc, quark.ReadWrite(ms.hSec[p]))
+		rt.SubmitPrio("ComputeVect", ms.name("ComputeVect", p), prio+prioSecular, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -807,7 +927,7 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 	// Gatherv on the parent V orders it after every PermuteV reader (which
 	// fill Q2Top/Q2Bot) while leaving it concurrent with the UpdateVect
 	// gather group; the hPack write→read edge orders it before each use.
-	rt.SubmitPrio("PackV", fmt.Sprintf("PackV[%d:%d]", start, start+nm), prio+prioSecular, func() {
+	rt.SubmitPrio("PackV", "PackV"+ms.span, prio+prioSecular, func() {
 		defer ms.done()
 		k := ms.df.K
 		if k == 0 {
@@ -830,7 +950,7 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 				faultinject.Corrupt("PackV", ms.ws.PackBot.PackedData())
 			}
 		}
-	}, quark.Gather(parent.hV), quark.Write(hPack))
+	}, quark.Gather(hV), quark.Write(hPack))
 
 	// UpdateVect: V = Ṽ × X, two compressed GEMMs per panel (through the
 	// shared packed operands where PackV judged the shape worthwhile). The
@@ -839,9 +959,8 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 	// release the shared workspace its in-place re-execution is about to
 	// read, and the retry's own completion still releases it exactly once.
 	for p := 0; p < npanels; p++ {
-		p := p
 		var once sync.Once
-		rt.SubmitPrio("UpdateVect", name("UpdateVect", p), prio+prioUpdate, func() {
+		rt.SubmitPrio("UpdateVect", ms.name("UpdateVect", p), prio+prioUpdate, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -869,45 +988,27 @@ func submitMerge(rt *quark.Runtime, parent, left, right *node, lvl int, d, e []f
 				}
 			}
 			once.Do(ms.done)
-		}, quark.Gather(parent.hV), quark.Read(hPack), quark.Read(hSec[p]))
+		}, quark.Gather(hV), quark.Read(hPack), quark.Read(ms.hSec[p]))
 	}
 
 	// Redistribution back to block-cyclic layout (ScaLAPACK model only).
 	if o.Mode == ModeScaLAPACK {
 		for p := 0; p < npanels; p++ {
 			g0, g1 := p*nb, min((p+1)*nb, nm)
-			rt.SubmitPrio("Redistribute", name("RedistOut", p), prio+prioRedistrib, func() {
+			rt.SubmitPrio("Redistribute", ms.name("RedistOut", p), prio+prioRedistrib, func() {
 				for g := g0; g < g1; g++ {
 					copy(redist[g*nm:g*nm+nm], qq[g*ldq:g*ldq+nm])
 				}
 				st.count("Redistribute", int64(g1-g0)*int64(nm))
-			}, quark.Read(parent.hV), quark.ReadWrite(hPerm[p]), quark.Read(hSec[p]))
+			}, quark.Read(hV), quark.ReadWrite(hPerm[p]), quark.Read(ms.hSec[p]))
 		}
 	}
+}
 
-	// Dlamrg: build the sorting permutation for the merged spectrum. Its
-	// ReadWrite on the parent d-handle orders it after every eigenvalue
-	// writer of the merge, so this is where the trace invariant is checked.
-	rt.SubmitPrio("Dlamrg", fmt.Sprintf("Dlamrg[%d:%d]", start, start+nm), prio+prioDlamrg, func() {
-		k := ms.df.K
-		corruptHook("Dlamrg", dd)
-		if ms.abft {
-			st.count("ABFTInvariant", 1)
-			defect, terr := lapack.CheckTrace(dd, nm, ms.traceWant, ms.traceTol)
-			st.setMergeTraceDefect(ms.statIdx, defect)
-			if terr != nil {
-				st.count("ABFTInvariantFail", 1)
-				panic(terr)
-			}
-		}
-		if k == 0 {
-			for i := 0; i < nm; i++ {
-				ixq[i] = i
-			}
-			return
-		}
-		lapack.Dlamrg(k, nm-k, dd, 1, -1, ixq)
-		st.count("Dlamrg", int64(nm))
-	}, quark.ReadWrite(parent.hD))
-	return ms
+func (l *vectorLane) sortClass() string { return "SortEigenvectors" }
+
+func (l *vectorLane) sort() int64 {
+	lapack.SortEigen(l.n, l.d, l.q, l.ldq, l.indxq)
+	lapack.SortAscending(l.n, l.d, l.q, l.ldq)
+	return int64(l.n) * int64(l.n)
 }
