@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular bench-steady bench-values bench-audit chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -38,26 +38,12 @@ bench-secular:
 	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|RatioSumSq' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
 
-# Steady-state regression detector: N in-process solves per worker count
-# with a reused workspace (the pattern that once degraded 2.5×), medians of
-# the last half vs the first quarter plus GC stats, written to
-# BENCH_taskflow.json.
-bench-steady:
-	$(GO) run ./cmd/dcbench perf -steady 12 -json
-
-# Eigenvalue-only fast lane vs the full task-flow solve: wall-time medians
-# and peak pooled workspace per (n, workers), merged into BENCH_taskflow.json
-# under "values_only". The workspace ratio is the headline — carrier rows
-# replace the O(n²) eigenvector state.
-bench-values:
-	$(GO) run ./cmd/dcbench perf -values-only -quick -json
-
-# Silent-error defense overhead: the shipping default (ABFT + result audit)
-# vs the audit-disabled and fully bare builds on the n=2000 task-flow point,
-# medians of paired per-rep ratios, merged into BENCH_taskflow.json under
-# "audit". The acceptance bar is audit overhead ≤ 5% at every worker count.
-bench-audit:
-	$(GO) run ./cmd/dcbench audit -json
+# The repository's benchmark (perfbench/, run by BENCHMARK.json) is a nested
+# module, so `go build ./...` never compiles it even though it imports the
+# internal kernel, core, pool and scheduler packages: vet, build and test it
+# on its own so a change to those packages cannot break it unnoticed.
+perfbench-check:
+	cd perfbench && $(GO) vet . && $(GO) build -o /dev/null . && $(GO) test .
 
 # Fault-injection suite: panic/error/delay probes in every task class across
 # randomized solves, repeated under the race detector; the tests themselves
@@ -105,4 +91,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race bench-smoke bench-steady bench-values chaos chaos-sdc stress stress-cluster
+ci: vet build test test-pooldebug race bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster

@@ -12,20 +12,15 @@
 //	dcbench fig8              MRRR vs D&C timing (Figure 8)
 //	dcbench fig9              accuracy comparison (Figure 9 a+b)
 //	dcbench fig10             application matrix set (Figure 10)
-//	dcbench perf              performance snapshot (task-flow medians + GEMM)
-//	dcbench perf -steady N    + N in-process solves per worker count
-//	                            (steady-state medians and GC stats)
-//	dcbench perf -values-only eigenvalue-only lane vs full solve: wall time
-//	                            and peak pooled workspace per (n, workers)
 //	dcbench secular           secular-phase kernels, scalar vs SIMD
-//	dcbench audit             silent-error defense overhead: ABFT + result
-//	                            audit on (the default) vs both layers off
-//	dcbench all               everything above in sequence
+//	dcbench ablate            ablations: panel size, leaf size, extra workspace, Gatherv
+//	dcbench theory            orthogonality growth vs n (§V error model)
+//	dcbench all               every table and figure above in sequence
 //
 // Flags: -sizes 500,1000 -types 2,3,4 -workers 1,2,4,8,16 -seed 7 -quick -bw 4
-// With -json, the perf snapshot is additionally written to
-// BENCH_taskflow.json in the working directory (dcbench secular -json merges
-// its record into the same file under the "secular" key).
+//
+// The repository's performance benchmark is perfbench/ (see BENCHMARK.json),
+// not this command.
 package main
 
 import (
@@ -60,13 +55,9 @@ func main() {
 	workers := fs.String("workers", "", "comma-separated worker counts for simulation")
 	seed := fs.Int64("seed", 0, "random seed (0: fixed default)")
 	quick := fs.Bool("quick", false, "smaller sizes for a fast smoke run")
-	valuesOnly := fs.Bool("values-only", false,
-		"perf: compare the eigenvalue-only lane against the full solve")
-	steady := fs.Int("steady", 0, "perf: run N solves per worker count in one process and report steady-state medians + GC stats")
 	bw := fs.Float64("bw", 0, "bandwidth cap in concurrent streams (0: default 4)")
-	jsonOut := fs.Bool("json", false, "write the perf snapshot to BENCH_taskflow.json")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|perf|secular|audit|ablate|theory|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|secular|ablate|theory|all>\n")
 		fs.PrintDefaults()
 	}
 	if len(os.Args) < 2 {
@@ -81,7 +72,7 @@ func main() {
 		if strings.HasPrefix(args[i], "-") {
 			flagArgs = append(flagArgs, args[i])
 			if !strings.Contains(args[i], "=") && i+1 < len(args) && !strings.HasPrefix(args[i+1], "-") &&
-				args[i] != "-quick" && args[i] != "-json" && args[i] != "-values-only" {
+				args[i] != "-quick" {
 				flagArgs = append(flagArgs, args[i+1])
 				i++
 			}
@@ -105,7 +96,7 @@ func main() {
 	fail(err)
 	cfg := &bench.Config{
 		Sizes: sz, Types: ty, Workers: wk,
-		Seed: *seed, Quick: *quick, ValuesOnly: *valuesOnly, Steady: *steady, BandwidthStreams: *bw,
+		Seed: *seed, Quick: *quick, BandwidthStreams: *bw,
 		Out: os.Stdout,
 	}
 
@@ -132,44 +123,8 @@ func main() {
 			_, err = bench.Fig9(cfg)
 		case "fig10":
 			_, err = bench.Fig10(cfg)
-		case "perf":
-			if *valuesOnly {
-				var rec *bench.ValuesOnlyRecord
-				rec, err = bench.ValuesOnly(cfg)
-				if err == nil && *jsonOut {
-					err = rec.MergeJSON("BENCH_taskflow.json")
-					if err == nil {
-						fmt.Println("merged values-only record into BENCH_taskflow.json")
-					}
-				}
-				break
-			}
-			var rec *bench.PerfRecord
-			rec, err = bench.Perf(cfg)
-			if err == nil && *jsonOut {
-				err = rec.MergeJSON("BENCH_taskflow.json")
-				if err == nil {
-					fmt.Println("wrote BENCH_taskflow.json")
-				}
-			}
 		case "secular":
-			var rec *bench.SecularRecord
-			rec, err = bench.Secular(cfg)
-			if err == nil && *jsonOut {
-				err = rec.MergeJSON("BENCH_taskflow.json")
-				if err == nil {
-					fmt.Println("merged secular record into BENCH_taskflow.json")
-				}
-			}
-		case "audit":
-			var rec *bench.AuditRecord
-			rec, err = bench.Audit(cfg)
-			if err == nil && *jsonOut {
-				err = rec.MergeJSON("BENCH_taskflow.json")
-				if err == nil {
-					fmt.Println("merged audit record into BENCH_taskflow.json")
-				}
-			}
+			_, err = bench.Secular(cfg)
 		case "ablate":
 			err = bench.Ablate(cfg)
 		case "theory":

@@ -145,12 +145,6 @@ type Options struct {
 	// (CorruptionError) and the solve moves to the next tier instead of
 	// shipping a wrong answer.
 	DisableAudit bool
-	// DisableABFT turns off the in-flight ABFT defenses of the task-flow
-	// tiers (packed-GEMM checksum verification, per-merge trace and
-	// interlacing invariants, task-granular recompute of failed checks).
-	// They are on by default; the audit above is the independent last line
-	// and stays on separately.
-	DisableABFT bool
 	// Progress, when non-nil, is called after every executed task of a
 	// task-flow solve and at every tier transition: the heartbeat external
 	// watchdogs (eigen.Server) use to tell a stalled solve from a running
@@ -472,7 +466,6 @@ func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, e
 			MinPartition:   o.MinPartition,
 			ExtraWorkspace: o.ExtraWorkspace,
 			ValuesOnly:     o.ValuesOnly,
-			DisableABFT:    o.DisableABFT,
 			Progress:       o.Progress,
 		})
 		return coreTierStats(cres, err), err

@@ -33,8 +33,6 @@ type Config struct {
 	Workers          []int
 	Seed             int64
 	Quick            bool
-	ValuesOnly       bool    // perf: measure the eigenvalue-only lane against the full solve
-	Steady           int     // perf: solves per worker count in one process (0: fresh-style reps)
 	BandwidthStreams float64 // memory-bound concurrency cap for simulation
 	Out              io.Writer
 }
@@ -237,6 +235,18 @@ func alignDurations(dst, src *quark.Graph) {
 		}
 		// tasks with no counterpart (barriers, redistribution) keep their
 		// own measured duration
+	}
+}
+
+// opCosts replaces g's measured task durations with the tasks' operation
+// counts (core.Stats.TaskOps, one op per nanosecond of virtual time): the
+// paper's Table I cost model instead of the host's clock, so a replay over
+// them gives the same schedule on every host and run. Tasks that did no
+// counted work (empty panels, barriers) cost nothing.
+func opCosts(g *quark.Graph, st *core.Stats) {
+	for i := range g.Tasks {
+		ti := &g.Tasks[i]
+		ti.Start, ti.End = 0, time.Duration(st.TaskOps[ti.Label])
 	}
 }
 

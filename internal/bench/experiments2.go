@@ -25,6 +25,8 @@ type SpeedupRow struct {
 // (paper types 2 ≈100%, 3 ≈50%, 4 ≈20% deflation). Speedups come from the
 // replay simulator with the bandwidth cap on memory-bound kernels, which
 // produces the paper's plateau for the high-deflation (memory-bound) case.
+// The replayed task costs are the tasks' operation counts (opCosts), not
+// their measured times, so the curves do not move with host load.
 func Fig5(cfg *Config) ([]SpeedupRow, error) {
 	n := 1500
 	if s := cfg.sizes(nil); len(s) > 0 {
@@ -38,7 +40,7 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 	}
 	w := cfg.out()
 	var rows []SpeedupRow
-	fmt.Fprintf(w, "Figure 5: simulated speedup vs workers (n=%d, bandwidth cap %.0f streams)\n", n, cfg.bandwidth())
+	fmt.Fprintf(w, "Figure 5: simulated speedup vs workers (n=%d, op-count task costs, bandwidth cap %.0f streams)\n", n, cfg.bandwidth())
 	fmt.Fprintf(w, "%-6s %10s", "type", "deflation")
 	for _, p := range workers {
 		fmt.Fprintf(w, " %7s", fmt.Sprintf("P=%d", p))
@@ -53,6 +55,7 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 		if err != nil {
 			return nil, err
 		}
+		opCosts(g, st)
 		curve, err := sched.SpeedupCurve(g, workers, cfg.bandwidth())
 		if err != nil {
 			return nil, err

@@ -1,11 +1,9 @@
 package bench
 
 import (
-	"encoding/json"
 	"fmt"
 	"math"
 	"math/rand"
-	"os"
 	"sort"
 	"time"
 
@@ -16,23 +14,23 @@ import (
 // SecularPoint is one secular-phase kernel measurement at secular size k:
 // median times for the scalar (forced portable) and SIMD dispatch paths.
 type SecularPoint struct {
-	K              int     `json:"k"`
-	Dlaed4ScalarUS float64 `json:"dlaed4_scalar_us"`
-	Dlaed4SimdUS   float64 `json:"dlaed4_simd_us"`
-	Dlaed4Speedup  float64 `json:"dlaed4_speedup"`
-	LocalWScalarUS float64 `json:"localw_scalar_us"`
-	LocalWSimdUS   float64 `json:"localw_simd_us"`
-	VectScalarUS   float64 `json:"vect_scalar_us"`
-	VectSimdUS     float64 `json:"vect_simd_us"`
-	FinishScalarUS float64 `json:"finishw_scalar_us"`
-	FinishSimdUS   float64 `json:"finishw_simd_us"`
+	K              int
+	Dlaed4ScalarUS float64
+	Dlaed4SimdUS   float64
+	Dlaed4Speedup  float64
+	LocalWScalarUS float64
+	LocalWSimdUS   float64
+	VectScalarUS   float64
+	VectSimdUS     float64
+	FinishScalarUS float64
+	FinishSimdUS   float64
 }
 
-// SecularRecord is the machine-readable output of `dcbench secular`.
+// SecularRecord is the output of `dcbench secular`.
 type SecularRecord struct {
-	SIMDAvailable bool           `json:"simd_available"`
-	Reps          int            `json:"reps"`
-	Points        []SecularPoint `json:"points"`
+	SIMDAvailable bool
+	Reps          int
+	Points        []SecularPoint
 }
 
 // secularProblem builds a well-separated secular system of size k: ascending
@@ -164,22 +162,4 @@ func ratio(a, b float64) float64 {
 		return 0
 	}
 	return a / b
-}
-
-// MergeJSON merges the record into path under the "secular" key, preserving
-// any other keys already in the file (e.g. the perf snapshot written by
-// `dcbench perf -json`).
-func (r *SecularRecord) MergeJSON(path string) error {
-	doc := map[string]any{}
-	if data, err := os.ReadFile(path); err == nil {
-		if err := json.Unmarshal(data, &doc); err != nil {
-			return fmt.Errorf("existing %s is not a JSON object: %w", path, err)
-		}
-	}
-	doc["secular"] = r
-	data, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, data, 0o644)
 }

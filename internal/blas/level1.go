@@ -137,20 +137,6 @@ func Dnrm2(n int, x []float64, incx int) float64 {
 	return scale * math.Sqrt(ssq)
 }
 
-// Dasum returns the sum of absolute values of the n-element vector x.
-func Dasum(n int, x []float64, incx int) float64 {
-	if n <= 0 {
-		return 0
-	}
-	var s float64
-	ix := startIdx(n, incx)
-	for i := 0; i < n; i++ {
-		s += math.Abs(x[ix])
-		ix += incx
-	}
-	return s
-}
-
 // Idamax returns the index of the element of largest absolute value
 // (0-based), or -1 if n <= 0.
 func Idamax(n int, x []float64, incx int) int {

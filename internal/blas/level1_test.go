@@ -155,9 +155,3 @@ func TestDrotPreservesNorm(t *testing.T) {
 		t.Error(err)
 	}
 }
-
-func TestDasum(t *testing.T) {
-	if got := Dasum(3, []float64{-1, 2, -3}, 1); got != 6 {
-		t.Errorf("Dasum: %v", got)
-	}
-}

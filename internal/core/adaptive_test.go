@@ -87,3 +87,55 @@ func TestSolveDCTaskTimes(t *testing.T) {
 		}
 	}
 }
+
+// TestTaskOpsMatchGraph checks the per-task operation counts a captured
+// solve records for the replay simulator: every label is a task of the
+// captured graph, and per class the counts add up to Stats.Ops. Solves
+// without graph capture record none.
+func TestTaskOpsMatchGraph(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	n := 300
+	d0, e0 := randTridiag(rng, n)
+	for _, vo := range []bool{false, true} {
+		d := append([]float64(nil), d0...)
+		e := append([]float64(nil), e0...)
+		var q []float64
+		ldq := 0
+		if !vo {
+			q, ldq = make([]float64, n*n), n
+		}
+		res, err := SolveDC(n, d, e, q, ldq, &Options{Workers: 2, MinPartition: 32, CaptureGraph: true, ValuesOnly: vo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classOf := make(map[string]string, len(res.Graph.Tasks))
+		for _, ti := range res.Graph.Tasks {
+			classOf[ti.Label] = ti.Class
+		}
+		sum := map[string]int64{}
+		for label, ops := range res.Stats.TaskOps {
+			c, ok := classOf[label]
+			if !ok {
+				t.Errorf("values-only=%v: TaskOps label %q is not a task of the graph", vo, label)
+			}
+			sum[c] += ops
+		}
+		for _, c := range classOf {
+			if sum[c] != res.Stats.Ops[c] {
+				t.Errorf("values-only=%v: %s tasks sum to %d ops, Stats.Ops has %d", vo, c, sum[c], res.Stats.Ops[c])
+			}
+		}
+		if sum["LAED4"] == 0 {
+			t.Errorf("values-only=%v: no LAED4 task ops recorded", vo)
+		}
+	}
+	d := append([]float64(nil), d0...)
+	e := append([]float64(nil), e0...)
+	res, err := SolveDC(n, d, e, make([]float64, n*n), n, &Options{Workers: 2, MinPartition: 32})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res.Stats.TaskOps != nil {
+		t.Errorf("TaskOps recorded without graph capture: %d entries", len(res.Stats.TaskOps))
+	}
+}

@@ -107,15 +107,6 @@ type Options struct {
 	// ModeSequential and ModeForkJoin degrade to the root-free Dsterf
 	// reference, and the level-synchronized baselines are rejected.
 	ValuesOnly bool
-	// DisableABFT turns off the always-on silent-corruption defenses of the
-	// task-flow modes (DESIGN.md §18): ABFT checksum rows on the packed
-	// UpdateVect operands with per-panel verification, the per-merge trace
-	// and interlacing invariants, and the in-place re-execution of kernels
-	// whose output failed a check. The checks cost O(n) per merge plus
-	// O(m·n) per verified GEMM panel against the merge's O(m·n·k) work; they
-	// are on by default and this switch exists for overhead measurement, not
-	// production use.
-	DisableABFT bool
 }
 
 func (o *Options) withDefaults() Options {
@@ -206,15 +197,14 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		return res, err
 	}
 
-	rtOpts := []quark.Option{quark.WithContext(ctx), quark.WithTaskTimer(res.Stats.addTaskTime)}
+	rtOpts := []quark.Option{quark.WithContext(ctx), quark.WithTaskTimer(res.Stats.addTaskTime),
+		quark.WithTaskRetry(corruptionRetryPred)}
 	if o.CaptureGraph {
 		rtOpts = append(rtOpts, quark.WithGraphCapture())
+		res.Stats.TaskOps = make(map[string]int64)
 	}
 	if o.Progress != nil {
 		rtOpts = append(rtOpts, quark.WithProgress(o.Progress))
-	}
-	if !o.DisableABFT {
-		rtOpts = append(rtOpts, quark.WithTaskRetry(corruptionRetryPred))
 	}
 	rt := quark.New(o.Workers, rtOpts...)
 
@@ -373,7 +363,7 @@ func (f *flow) submit() error {
 			d[b-1] -= ae
 			d[b] -= ae
 		}
-		st.count("Scale", int64(n))
+		st.countTask("Scale", "scale+partition", int64(n))
 		corruptHook("Scale", d[:n])
 	}, quark.Write(hScale))
 
@@ -387,7 +377,8 @@ func (f *flow) submit() error {
 			hV: rt.Handle(fmt.Sprintf("V[%d:%d]", st0, st0+sz)),
 			hD: rt.Handle(fmt.Sprintf("d[%d:%d]", st0, st0+sz))}
 		level[i] = nd
-		rt.Submit("STEDC", fmt.Sprintf("leaf[%d:%d]", st0, st0+sz), func() {
+		label := fmt.Sprintf("leaf[%d:%d]", st0, st0+sz)
+		rt.Submit("STEDC", label, func() {
 			fellBack, err := f.lane.leaf(st0, sz)
 			if err != nil {
 				panic(err)
@@ -398,7 +389,7 @@ func (f *flow) submit() error {
 			for j := 0; j < sz; j++ {
 				f.indxq[st0+j] = j
 			}
-			st.count("STEDC", int64(sz)*int64(sz)*int64(sz))
+			st.countTask("STEDC", label, int64(sz)*int64(sz)*int64(sz))
 			corruptHook("STEDC", d[st0:st0+sz])
 		}, quark.Read(hScale), quark.Write(nd.hV), quark.Write(nd.hD))
 	}
@@ -442,7 +433,7 @@ func (f *flow) submit() error {
 		if orgnrm != 1 {
 			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
 		}
-		st.count(class, ops)
+		st.countTask(class, "sort", ops)
 		corruptHook(class, d[:n])
 	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
 	return nil
@@ -516,13 +507,12 @@ type mergeState struct {
 	// row nm-1 over the C23 bottom-block columns).
 	porg, ptau   []float64
 	vgtop, vgbot []float64
-	// ABFT trace invariant (DESIGN.md §18), filled by the deflation join when
-	// the defenses are on: the merged spectrum must sum to traceWant within
-	// traceTol (checked by the Dlamrg join, which is ordered after every
-	// eigenvalue writer of the merge). statIdx is the merge's MergeStat index
-	// so the measured defect lands in the stats.
+	// ABFT trace invariant (DESIGN.md §18), filled by the deflation join:
+	// the merged spectrum must sum to traceWant within traceTol (checked by
+	// the Dlamrg join, which is ordered after every eigenvalue writer of the
+	// merge). statIdx is the merge's MergeStat index so the measured defect
+	// lands in the stats.
 	traceWant, traceTol float64
-	abft                bool
 	statIdx             int
 	// pending counts the merge's not-yet-finished workspace consumers
 	// (UpdateVect and CopyBackDeflated panels plus PackV on the full path,
@@ -630,15 +620,13 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 
 	// Compute deflation: the first join. The lane forms z and scans for
 	// deflation; the join around it records the merge.
-	rt.SubmitPrio("ComputeDeflation", "deflate"+ms.span, ms.prio+prioJoin, func() {
+	deflLabel := "deflate" + ms.span
+	rt.SubmitPrio("ComputeDeflation", deflLabel, ms.prio+prioJoin, func() {
 		// Trace invariant: capture Σd over the block at merge entry; the
 		// deflation rotations preserve it exactly and the rank-one update
 		// adds df.Rho, so the merged spectrum must sum to traceIn + Rho
 		// (checked by the Dlamrg join).
-		var traceIn, absIn, dmaxIn float64
-		if !o.DisableABFT {
-			traceIn, absIn, dmaxIn = kahanSum(ms.dd)
-		}
+		traceIn, absIn, dmaxIn := kahanSum(ms.dd)
 		z := pool.Get(nm)
 		defer pool.Put(z)
 		df, err := f.lane.deflate(ms, f.e[rhoAddr], z)
@@ -649,11 +637,8 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 		if o.PanelSize <= 0 {
 			ms.nbSec = secularPanelNB(df.K, npanels, rt.Workers())
 		}
-		if !o.DisableABFT {
-			ms.traceWant, ms.traceTol = lapack.TraceBudget(traceIn, absIn, dmaxIn, df.Rho, nm)
-			ms.abft = true
-		}
-		st.count("ComputeDeflation", int64(nm))
+		ms.traceWant, ms.traceTol = lapack.TraceBudget(traceIn, absIn, dmaxIn, df.Rho, nm)
+		st.countTask("ComputeDeflation", deflLabel, int64(nm))
 		ms.statIdx = st.recordMerge(lvl, nm, df.K, ms.nbSec)
 		// A corrupted pole propagates into every secular root of the merge
 		// and breaks the trace invariant; Dlamda is the join's output that
@@ -669,17 +654,16 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 	// Dlamrg: build the sorting permutation for the merged spectrum. Its
 	// ReadWrite on the parent d-handle orders it after every eigenvalue
 	// writer of the merge, so this is where the trace invariant is checked.
-	rt.SubmitPrio("Dlamrg", "Dlamrg"+ms.span, ms.prio+prioDlamrg, func() {
+	mrgLabel := "Dlamrg" + ms.span
+	rt.SubmitPrio("Dlamrg", mrgLabel, ms.prio+prioDlamrg, func() {
 		k := ms.df.K
 		corruptHook("Dlamrg", ms.dd)
-		if ms.abft {
-			st.count("ABFTInvariant", 1)
-			defect, terr := lapack.CheckTrace(ms.dd, nm, ms.traceWant, ms.traceTol)
-			st.setMergeTraceDefect(ms.statIdx, defect)
-			if terr != nil {
-				st.count("ABFTInvariantFail", 1)
-				panic(terr)
-			}
+		st.count("ABFTInvariant", 1)
+		defect, terr := lapack.CheckTrace(ms.dd, nm, ms.traceWant, ms.traceTol)
+		st.setMergeTraceDefect(ms.statIdx, defect)
+		if terr != nil {
+			st.count("ABFTInvariantFail", 1)
+			panic(terr)
 		}
 		if k == 0 {
 			for i := 0; i < nm; i++ {
@@ -688,7 +672,7 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 			return
 		}
 		lapack.Dlamrg(k, nm-k, ms.dd, 1, -1, ms.ixq)
-		st.count("Dlamrg", int64(nm))
+		st.countTask("Dlamrg", mrgLabel, int64(nm))
 	}, quark.ReadWrite(parent.hD))
 }
 
@@ -702,7 +686,8 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, error), extra ...quark.Access) {
 	st := f.st
 	acc := append([]quark.Access{quark.Gather(ms.hS), quark.Gather(ms.parent.hD)}, extra...)
-	f.rt.SubmitPrio("LAED4", ms.name("LAED4", p), ms.prio+prioSecular, func() {
+	label := ms.name("LAED4", p)
+	f.rt.SubmitPrio("LAED4", label, ms.prio+prioSecular, func() {
 		k := ms.df.K
 		j0 := p * ms.nbSec
 		j1 := min(j0+ms.nbSec, k)
@@ -716,27 +701,26 @@ func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, 
 		if nfb > 0 {
 			st.count("LAED4Bisect", int64(nfb))
 		}
-		st.count("LAED4", int64(j1-j0)*int64(k))
+		st.countTask("LAED4", label, int64(j1-j0)*int64(k))
 		corruptHook("LAED4", ms.dd[j0:j1])
-		if !f.o.DisableABFT {
-			st.count("ABFTInvariant", 1)
-			if ierr := ms.df.CheckInterlacing(ms.dd, j0, j1); ierr != nil {
-				st.count("ABFTInvariantFail", 1)
-				panic(ierr)
-			}
+		st.count("ABFTInvariant", 1)
+		if ierr := ms.df.CheckInterlacing(ms.dd, j0, j1); ierr != nil {
+			st.count("ABFTInvariantFail", 1)
+			panic(ierr)
 		}
 	}, append(acc, quark.ReadWrite(ms.hSec[p]))...)
 }
 
 // submitReduceW submits the second join, combining the panel products into ẑ.
 func (f *flow) submitReduceW(ms *mergeState) {
-	f.rt.SubmitPrio("ReduceW", "ReduceW"+ms.span, ms.prio+prioJoin, func() {
+	label := "ReduceW" + ms.span
+	f.rt.SubmitPrio("ReduceW", label, ms.prio+prioJoin, func() {
 		ms.df.FinishW(ms.what, ms.wlocs...)
 		for p, wl := range ms.wlocs {
 			pool.Put(wl)
 			ms.wlocs[p] = nil
 		}
-		f.st.count("ReduceW", int64(ms.df.K))
+		f.st.countTask("ReduceW", label, int64(ms.df.K))
 		corruptHook("ReduceW", ms.what)
 	}, quark.ReadWrite(ms.hS))
 }
@@ -821,11 +805,12 @@ func (l *vectorLane) panels(ms *mergeState) {
 		redist = make([]float64, nm*nm)
 		for p := 0; p < npanels; p++ {
 			g0, g1 := p*nb, min((p+1)*nb, nm)
-			rt.SubmitPrio("Redistribute", ms.name("RedistIn", p), prio+prioRedistrib, func() {
+			label := ms.name("RedistIn", p)
+			rt.SubmitPrio("Redistribute", label, prio+prioRedistrib, func() {
 				for g := g0; g < g1; g++ {
 					copy(redist[g*nm:g*nm+nm], qq[g*ldq:g*ldq+nm])
 				}
-				st.count("Redistribute", int64(g1-g0)*int64(nm))
+				st.countTask("Redistribute", label, int64(g1-g0)*int64(nm))
 			}, quark.Read(hV), quark.ReadWrite(hPerm[p]))
 		}
 	}
@@ -833,9 +818,10 @@ func (l *vectorLane) panels(ms *mergeState) {
 	// PermuteV: copy grouped columns into compressed workspace, per panel.
 	for p := 0; p < npanels; p++ {
 		g0, g1 := p*nb, min((p+1)*nb, nm)
-		rt.SubmitPrio("PermuteV", ms.name("PermuteV", p), prio+prioPermute, func() {
+		label := ms.name("PermuteV", p)
+		rt.SubmitPrio("PermuteV", label, prio+prioPermute, func() {
 			ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
-			st.count("PermuteV", int64(g1-g0)*int64(nm))
+			st.countTask("PermuteV", label, int64(g1-g0)*int64(nm))
 			// Corrupt only the first column this panel wrote — the other
 			// panels' regions are being written concurrently.
 			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0))
@@ -857,7 +843,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 
 	// ComputeLocalW: panel-local factors of Gu's stabilization product.
 	for p := 0; p < npanels; p++ {
-		rt.SubmitPrio("ComputeLocalW", ms.name("ComputeLocalW", p), prio+prioSecular, func() {
+		label := ms.name("ComputeLocalW", p)
+		rt.SubmitPrio("ComputeLocalW", label, prio+prioSecular, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -872,7 +859,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 				wl[i] = 1
 			}
 			ms.df.LocalWPanel(ms.ws, wl, j0, j1)
-			st.count("ComputeLocalW", int64(j1-j0)*int64(k))
+			st.countTask("ComputeLocalW", label, int64(j1-j0)*int64(k))
 			corruptHook("ComputeLocalW", wl)
 		}, quark.Gather(ms.hS), quark.ReadWrite(ms.hSec[p]))
 	}
@@ -884,7 +871,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 	// for the PermuteV group through the Gatherv-vs-readers rule on hV.
 	for p := 0; p < npanels; p++ {
 		c0 := p * nb
-		rt.SubmitPrio("CopyBackDeflated", ms.name("CopyBack", p), prio+prioCopy, func() {
+		label := ms.name("CopyBack", p)
+		rt.SubmitPrio("CopyBackDeflated", label, prio+prioCopy, func() {
 			defer ms.done()
 			k := ms.df.K
 			j0, j1 := max(c0, k)-k, min(c0+nb, nm)-k
@@ -892,7 +880,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 				return
 			}
 			ms.df.CopyBackPanel(qq, ldq, dd, ms.ws, j0, j1)
-			st.count("CopyBackDeflated", int64(j1-j0)*int64(nm))
+			st.countTask("CopyBackDeflated", label, int64(j1-j0)*int64(nm))
 			// Corrupt this panel's deflated eigenvalues: the trace check in
 			// Dlamrg catches any drift in the merged spectrum.
 			corruptHook("CopyBackDeflated", dd[k+j0:k+j1])
@@ -908,7 +896,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 			acc = append(acc, quark.Read(hPerm[p]))
 		}
 		acc = append(acc, quark.ReadWrite(ms.hSec[p]))
-		rt.SubmitPrio("ComputeVect", ms.name("ComputeVect", p), prio+prioSecular, func() {
+		label := ms.name("ComputeVect", p)
+		rt.SubmitPrio("ComputeVect", label, prio+prioSecular, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -916,7 +905,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 				return
 			}
 			ms.df.VectorsPanel(ms.ws, ms.what, j0, j1)
-			st.count("ComputeVect", int64(j1-j0)*int64(k))
+			st.countTask("ComputeVect", label, int64(j1-j0)*int64(k))
 			corruptHook("ComputeVect", ms.ws.S[j0*k:j1*k])
 		}, acc...)
 	}
@@ -927,18 +916,15 @@ func (l *vectorLane) panels(ms *mergeState) {
 	// Gatherv on the parent V orders it after every PermuteV reader (which
 	// fill Q2Top/Q2Bot) while leaving it concurrent with the UpdateVect
 	// gather group; the hPack write→read edge orders it before each use.
-	rt.SubmitPrio("PackV", "PackV"+ms.span, prio+prioSecular, func() {
+	packLabel := "PackV" + ms.span
+	rt.SubmitPrio("PackV", packLabel, prio+prioSecular, func() {
 		defer ms.done()
 		k := ms.df.K
 		if k == 0 {
 			return
 		}
-		pack := ms.df.PackV
-		if !o.DisableABFT {
-			pack = ms.df.PackVChecked
-		}
-		if bytes := pack(ms.ws, min(ms.nbSec, k)); bytes > 0 {
-			st.count("PackV", int64(bytes))
+		if bytes := ms.df.PackV(ms.ws, min(ms.nbSec, k)); bytes > 0 {
+			st.countTask("PackV", packLabel, int64(bytes))
 		}
 		// Corrupt the packed operand itself, after its checksum rows were
 		// computed from the clean data: every UpdateVect GEMM through it must
@@ -960,7 +946,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 	// read, and the retry's own completion still releases it exactly once.
 	for p := 0; p < npanels; p++ {
 		var once sync.Once
-		rt.SubmitPrio("UpdateVect", ms.name("UpdateVect", p), prio+prioUpdate, func() {
+		label := ms.name("UpdateVect", p)
+		rt.SubmitPrio("UpdateVect", label, prio+prioUpdate, func() {
 			k := ms.df.K
 			j0 := p * ms.nbSec
 			j1 := min(j0+ms.nbSec, k)
@@ -975,17 +962,15 @@ func (l *vectorLane) panels(ms *mergeState) {
 			if misses > 0 {
 				st.count("UpdateVectPackMiss", int64(misses))
 			}
-			st.count("UpdateVect", 2*int64(j1-j0)*int64(nm)*int64(k))
+			st.countTask("UpdateVect", label, 2*int64(j1-j0)*int64(nm)*int64(k))
 			corruptHook("UpdateVect", qq[j0*ldq:j0*ldq+nm])
-			if !o.DisableABFT {
-				checked, cerr := ms.df.VerifyUpdatePanel(qq, ldq, ms.ws, j0, j1)
-				if checked > 0 {
-					st.count("ABFTChecksum", int64(checked))
-				}
-				if cerr != nil {
-					st.count("ABFTChecksumFail", 1)
-					panic(cerr)
-				}
+			checked, cerr := ms.df.VerifyUpdatePanel(qq, ldq, ms.ws, j0, j1)
+			if checked > 0 {
+				st.count("ABFTChecksum", int64(checked))
+			}
+			if cerr != nil {
+				st.count("ABFTChecksumFail", 1)
+				panic(cerr)
 			}
 			once.Do(ms.done)
 		}, quark.Gather(hV), quark.Read(hPack), quark.Read(ms.hSec[p]))
@@ -995,11 +980,12 @@ func (l *vectorLane) panels(ms *mergeState) {
 	if o.Mode == ModeScaLAPACK {
 		for p := 0; p < npanels; p++ {
 			g0, g1 := p*nb, min((p+1)*nb, nm)
-			rt.SubmitPrio("Redistribute", ms.name("RedistOut", p), prio+prioRedistrib, func() {
+			label := ms.name("RedistOut", p)
+			rt.SubmitPrio("Redistribute", label, prio+prioRedistrib, func() {
 				for g := g0; g < g1; g++ {
 					copy(redist[g*nm:g*nm+nm], qq[g*ldq:g*ldq+nm])
 				}
-				st.count("Redistribute", int64(g1-g0)*int64(nm))
+				st.countTask("Redistribute", label, int64(g1-g0)*int64(nm))
 			}, quark.Read(hV), quark.ReadWrite(hPerm[p]), quark.Read(ms.hSec[p]))
 		}
 	}

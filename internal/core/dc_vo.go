@@ -129,7 +129,8 @@ func (l *valuesLane) panels(ms *mergeState) {
 	// against the gathered outer carrier rows).
 	flm := l.fl[2*ms.start:]
 	for p := 0; p < ms.npanels; p++ {
-		l.rt.SubmitPrio("UpdateZ", ms.name("UpdateZ", p), ms.prio+prioUpdate, func() {
+		label := ms.name("UpdateZ", p)
+		l.rt.SubmitPrio("UpdateZ", label, ms.prio+prioUpdate, func() {
 			defer ms.done()
 			k := ms.df.K
 			j0 := p * ms.nbSec
@@ -138,7 +139,7 @@ func (l *valuesLane) panels(ms *mergeState) {
 				return
 			}
 			ms.df.UpdateZPanelVO(ms.what, ms.porg, ms.ptau, ms.vgtop, ms.vgbot, flm, j0, j1)
-			l.st.count("UpdateZ", int64(j1-j0)*int64(k))
+			l.st.countTask("UpdateZ", label, int64(j1-j0)*int64(k))
 			// Corrupt this panel's carrier columns; the parent merge's
 			// corrupted z makes the final spectrum inconsistent with the
 			// original matrix, which the solve-level inertia audit flags.

@@ -1,0 +1,88 @@
+package core
+
+import (
+	"math"
+	"math/rand"
+	"testing"
+
+	"tridiag/internal/lapack"
+	"tridiag/internal/testmat"
+)
+
+// TestWorkerCountReproducibility pins the reproducibility bound of
+// DESIGN.md §10 on Table III types 3 and 4 at n=1000, in both lanes. With a
+// fixed Options.PanelSize nothing in the solve depends on the worker count,
+// so λ (and V) are bitwise identical for every W. With the adaptive width
+// (the default) adaptivePanelNB and secularPanelNB size the panels from W,
+// which regroups the panel products of the merges: reruns at the same W stay
+// bitwise identical, and across W the eigenvalues agree within 4·ε·‖λ‖∞
+// (ε = 2⁻⁵²). These two types are where the adaptive widths do change bits.
+func TestWorkerCountReproducibility(t *testing.T) {
+	if raceEnabled {
+		// The n=1000 Lanczos matrix generation alone takes over a minute
+		// under the race detector; the plain run covers the property.
+		t.Skip("input generation too slow under the race detector")
+	}
+	for _, typ := range []int{3, 4} {
+		m, err := testmat.Type(typ, 1000, rand.New(rand.NewSource(int64(typ))))
+		if err != nil {
+			t.Fatal(err)
+		}
+		n := m.N()
+		for _, vo := range []bool{false, true} {
+			solve := func(w, nb int) (d, q []float64) {
+				d = append([]float64(nil), m.D...)
+				e := append([]float64(nil), m.E...)
+				ldq := 0
+				if !vo {
+					q, ldq = make([]float64, n*n), n
+				}
+				if _, err := SolveDC(n, d, e, q, ldq, &Options{Workers: w, PanelSize: nb, ValuesOnly: vo}); err != nil {
+					t.Fatalf("type %d values-only=%v W=%d nb=%d: %v", typ, vo, w, nb, err)
+				}
+				return d, q
+			}
+			lane := m.Name + " full"
+			if vo {
+				lane = m.Name + " values-only"
+			}
+
+			d1, q1 := solve(1, 64)
+			for _, w := range []int{2, 4} {
+				d, q := solve(w, 64)
+				if !sameBits(d, d1) || !sameBits(q, q1) {
+					t.Errorf("%s nb=64 W=%d: result bits differ from W=1", lane, w)
+				}
+			}
+
+			ref, _ := solve(1, 0)
+			tol := 4 * lapack.Ulp * math.Max(math.Abs(ref[0]), math.Abs(ref[n-1]))
+			for _, w := range []int{1, 2, 4} {
+				d, q := solve(w, 0)
+				d2, q2 := solve(w, 0)
+				if !sameBits(d, d2) || !sameBits(q, q2) {
+					t.Errorf("%s adaptive W=%d: rerun bits differ", lane, w)
+				}
+				for i := range d {
+					if diff := math.Abs(d[i] - ref[i]); diff > tol {
+						t.Errorf("%s adaptive W=%d: λ[%d] differs from W=1 by %.3g > %.3g", lane, w, i, diff, tol)
+						break
+					}
+				}
+			}
+		}
+	}
+}
+
+// sameBits reports whether a and b hold bitwise-identical values.
+func sameBits(a, b []float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if math.Float64bits(a[i]) != math.Float64bits(b[i]) {
+			return false
+		}
+	}
+	return true
+}

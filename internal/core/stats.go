@@ -26,6 +26,12 @@ type Stats struct {
 	Ops    map[string]int64 // approximate element operations per kernel class
 	Tasks  map[string]int64 // executed task count per kernel class
 	Merges []MergeStat
+	// TaskOps is each task's operation count keyed by task label (the same
+	// count Ops sums per class), recorded only on solves with
+	// Options.CaptureGraph: the clock-free task costs the replay simulator
+	// can use in place of measured durations. Tasks that found no work
+	// (empty panels) have no entry.
+	TaskOps map[string]int64
 
 	taskNanos   map[string]*atomic.Int64 // summed kernel wall time per class
 	otherNano   atomic.Int64             // classes not in taskClasses (defensive)
@@ -57,10 +63,19 @@ func newStats() *Stats {
 	return s
 }
 
-func (s *Stats) count(class string, ops int64) {
+// count tallies ops that are not one task's kernel work (check and rescue
+// counters such as ABFTInvariant or LAED4Bisect).
+func (s *Stats) count(class string, ops int64) { s.countTask(class, "", ops) }
+
+// countTask tallies the kernel work of the task labelled label: per class in
+// Ops, and per label in TaskOps when the graph is captured.
+func (s *Stats) countTask(class, label string, ops int64) {
 	s.mu.Lock()
 	s.Ops[class] += ops
 	s.Tasks[class]++
+	if s.TaskOps != nil && label != "" {
+		s.TaskOps[label] += ops
+	}
 	s.mu.Unlock()
 }
 
@@ -135,7 +150,7 @@ func (s *Stats) setABFTRetries(n int64) { s.abftRetries.Store(n) }
 // nonzero.
 type ABFTStats struct {
 	// Checksums is the number of packed-GEMM outputs verified against their
-	// operand checksum rows (UpdateVect panels through PackVChecked operands).
+	// operand checksum rows (UpdateVect panels through PackV operands).
 	Checksums int64
 	// Invariants is the number of merge-invariant checks that ran: one trace
 	// check per merge plus one interlacing sweep per secular panel.
@@ -152,8 +167,9 @@ type ABFTStats struct {
 	MaxTraceDefect float64
 }
 
-// ABFT returns the solve's silent-corruption defense counters. All zeros for
-// solves run with Options.DisableABFT or outside the task-flow modes.
+// ABFT returns the solve's silent-corruption defense counters. The defenses
+// are always on in the task-flow modes; the counters are all zeros for the
+// sequential and fork-join modes and for single-leaf solves.
 func (s *Stats) ABFT() ABFTStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

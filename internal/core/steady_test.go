@@ -77,10 +77,11 @@ func TestSolveDCReusedWorkspace(t *testing.T) {
 	}
 }
 
-// TestSolveDCSteadyState runs many sequential solves in one process — the
-// dcbench perf pattern that exposed the slowdown — and asserts steady
-// state: constant per-solve work, a bounded wall-time ratio between the
-// last half and the first quarter, and bounded heap growth.
+// TestSolveDCSteadyState runs many sequential solves in one process on a
+// reused workspace — the long-running-caller pattern that exposed the
+// slowdown — and asserts steady state: constant per-solve work, a bounded
+// wall-time ratio between the last half and the first quarter, and bounded
+// heap growth.
 func TestSolveDCSteadyState(t *testing.T) {
 	reps := 20
 	if testing.Short() {

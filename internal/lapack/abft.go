@@ -3,8 +3,6 @@ package lapack
 import (
 	"fmt"
 	"math"
-
-	"tridiag/internal/blas"
 )
 
 // Per-merge numerical invariants of the D&C merge kernels (DESIGN.md §18):
@@ -114,35 +112,12 @@ func CheckTrace(d []float64, n int, want, tol float64) (defect float64, err erro
 	return defect, nil
 }
 
-// PackVChecked is PackV with ABFT checksum rows on the packed operands:
-// every packed UpdateVect GEMM of the merge can then be verified against the
-// checksum identity at O(m·n) cost. The unpacked fallback operands carry no
-// checksums (their shapes are below the blocked-path threshold; the merge
-// invariants and the solve-level audit cover them).
-func (df *Deflation) PackVChecked(ws *MergeWorkspace, ncol int) (bytes int) {
-	if df.K == 0 || ncol <= 0 {
-		return 0
-	}
-	n1 := df.N1
-	n2 := df.N - n1
-	c12 := df.C12()
-	c23 := df.C23()
-	if c12 > 0 && blas.PackWorthwhile(n1, ncol, c12) {
-		ws.PackTop = blas.PackAChecked(false, n1, c12, ws.Q2Top, n1)
-		bytes += ws.PackTop.Bytes()
-	}
-	if c23 > 0 && blas.PackWorthwhile(n2, ncol, c23) {
-		ws.PackBot = blas.PackAChecked(false, n2, c23, ws.Q2Bot, n2)
-		bytes += ws.PackBot.Bytes()
-	}
-	return bytes
-}
-
 // VerifyUpdatePanel checks the ABFT checksum identity for the eigenvector
-// panel q(:, j0:j1) written by UpdatePanel, against the packed operands'
-// checksum rows. GEMMs that ran unpacked are not covered (no checksums were
-// built for them). Returns the number of verified GEMM outputs and the first
-// checksum violation, attributed to the UpdateVect class.
+// panel q(:, j0:j1) written by UpdatePanel, against the checksum rows PackV
+// built into the packed operands. GEMMs that ran unpacked are not covered
+// (no checksums were built for them). Returns the number of verified GEMM
+// outputs and the first checksum violation, attributed to the UpdateVect
+// class.
 func (df *Deflation) VerifyUpdatePanel(q []float64, ldq int, ws *MergeWorkspace, j0, j1 int) (checked int, err error) {
 	k := df.K
 	ncol := j1 - j0

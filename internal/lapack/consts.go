@@ -1,8 +1,9 @@
 // Package lapack implements the subset of LAPACK computational kernels that
 // the divide & conquer and MRRR tridiagonal eigensolvers are built from. All
-// matrices are column-major (see internal/matrix). Routine names and
-// semantics follow their LAPACK counterparts so the task decomposition in
-// internal/core can mirror the paper's Algorithm 1 directly.
+// matrices are column-major with an explicit leading dimension. Routine
+// names and semantics follow their LAPACK counterparts so the task
+// decomposition in internal/core can mirror the paper's Algorithm 1
+// directly.
 package lapack
 
 import "math"
@@ -33,17 +34,6 @@ func Dlapy2(x, y float64) float64 {
 	}
 	r := z / w
 	return w * math.Sqrt(1+r*r)
-}
-
-// Dlapy3 returns sqrt(x²+y²+z²) safely.
-func Dlapy3(x, y, z float64) float64 {
-	ax, ay, az := math.Abs(x), math.Abs(y), math.Abs(z)
-	w := math.Max(ax, math.Max(ay, az))
-	if w == 0 {
-		return 0
-	}
-	rx, ry, rz := ax/w, ay/w, az/w
-	return w * math.Sqrt(rx*rx+ry*ry+rz*rz)
 }
 
 // Sign transfers the sign of b onto |a| (Fortran SIGN intrinsic: b==0 counts

@@ -132,10 +132,13 @@ func (df *Deflation) VectorsPanel(ws *MergeWorkspace, what []float64, j0, j1 int
 // PackV repacks the compressed GEMM operands Q2Top/Q2Bot into blocked-GEMM
 // form (the PackV task): packed once per merge, every UpdateVect panel of
 // the merge then reuses the packed operands instead of re-streaming Q2 from
-// memory per panel. ncol is the typical panel width, used to judge whether
-// the blocked path would be taken for that shape at all; operands whose
-// shape the blocked kernel would decline stay unpacked (UpdatePanel falls
-// back to the plain GEMM for them). Returns the packed-buffer bytes for
+// memory per panel. Each packed operand carries ABFT checksum rows, so every
+// packed UpdateVect GEMM of the merge can be verified at O(m·n) cost
+// (VerifyUpdatePanel). ncol is the typical panel width, used to judge
+// whether the blocked path would be taken for that shape at all; operands
+// whose shape the blocked kernel would decline stay unpacked (UpdatePanel
+// falls back to the plain GEMM for them, unverified: the merge invariants
+// and the solve-level audit cover them). Returns the packed-buffer bytes for
 // traffic accounting (0 when nothing was packed).
 func (df *Deflation) PackV(ws *MergeWorkspace, ncol int) (bytes int) {
 	if df.K == 0 || ncol <= 0 {
@@ -146,11 +149,11 @@ func (df *Deflation) PackV(ws *MergeWorkspace, ncol int) (bytes int) {
 	c12 := df.C12()
 	c23 := df.C23()
 	if c12 > 0 && blas.PackWorthwhile(n1, ncol, c12) {
-		ws.PackTop = blas.PackA(false, n1, c12, ws.Q2Top, n1)
+		ws.PackTop = blas.PackAChecked(false, n1, c12, ws.Q2Top, n1)
 		bytes += ws.PackTop.Bytes()
 	}
 	if c23 > 0 && blas.PackWorthwhile(n2, ncol, c23) {
-		ws.PackBot = blas.PackA(false, n2, c23, ws.Q2Bot, n2)
+		ws.PackBot = blas.PackAChecked(false, n2, c23, ws.Q2Bot, n2)
 		bytes += ws.PackBot.Bytes()
 	}
 	return bytes

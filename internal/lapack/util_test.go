@@ -62,12 +62,6 @@ func TestDlapy(t *testing.T) {
 	if got := Dlapy2(1e308, 1e308); math.IsInf(got, 0) {
 		t.Errorf("Dlapy2 overflow: %v", got)
 	}
-	if got := Dlapy3(1, 2, 2); got != 3 {
-		t.Errorf("Dlapy3(1,2,2)=%v", got)
-	}
-	if got := Dlapy3(0, 0, 0); got != 0 {
-		t.Errorf("Dlapy3(0)=%v", got)
-	}
 }
 
 func TestDlanst(t *testing.T) {

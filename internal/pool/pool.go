@@ -59,9 +59,9 @@ const (
 	slotsPerClass = 4
 )
 
-// defaultRetainLimit is the default steady-state cap on idle pooled bytes
-// (see SetRetainLimit). Put stops retaining at twice this value; trim
-// points bring retention back under it.
+// defaultRetainLimit is the steady-state cap on idle pooled bytes. Put
+// stops retaining at twice this value; trim points bring retention back
+// under it.
 const defaultRetainLimit = 512 << 20
 
 type classList struct {
@@ -89,7 +89,8 @@ var retained atomic.Int64
 // retainLimit is the target ceiling for retained bytes. Put refuses to
 // retain beyond 2*retainLimit (transient mid-solve overshoot is allowed up
 // to that hard ceiling); TrimToCap — wired into task-runtime shutdown —
-// brings retention back to the limit, and idle servers trim to zero.
+// brings retention back to the limit, and idle servers trim to zero. It is
+// always defaultRetainLimit outside this package's tests, which lower it.
 var retainLimit atomic.Int64
 
 func init() { retainLimit.Store(defaultRetainLimit) }
@@ -249,16 +250,6 @@ func InUseBytes() int64 { return inUse.Load() }
 // waiting for reuse. InUseBytes + RetainedBytes is the pool's total claim
 // on the heap.
 func RetainedBytes() int64 { return retained.Load() }
-
-// SetRetainLimit sets the target ceiling for idle pooled bytes and returns
-// the previous value. Put stops retaining at twice the limit; TrimToCap
-// enforces the limit itself. A non-positive limit disables retention
-// growth entirely (everything Put is dropped once current retention
-// reaches zero).
-func SetRetainLimit(bytes int64) int64 { return retainLimit.Swap(bytes) }
-
-// RetainLimit returns the current retain limit.
-func RetainLimit() int64 { return retainLimit.Load() }
 
 // Trim drops idle buffers, largest classes first, until RetainedBytes is at
 // most target. It returns the bytes released. Checked-out buffers are

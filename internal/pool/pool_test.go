@@ -100,8 +100,8 @@ func TestRetainedBytesAndTrim(t *testing.T) {
 }
 
 func TestRetainLimitStopsRetention(t *testing.T) {
-	prev := SetRetainLimit(0)
-	defer SetRetainLimit(prev)
+	prev := retainLimit.Swap(0)
+	defer retainLimit.Store(prev)
 	TrimAll()
 	s := Get(1 << 10)
 	base := InUseBytes()
@@ -117,8 +117,8 @@ func TestRetainLimitStopsRetention(t *testing.T) {
 }
 
 func TestTrimToCap(t *testing.T) {
-	prev := SetRetainLimit(4 * 8 << 10) // four class-1024 buffers
-	defer SetRetainLimit(prev)
+	prev := retainLimit.Swap(4 * 8 << 10) // four class-1024 buffers
+	defer retainLimit.Store(prev)
 	TrimAll()
 	bufs := make([][]float64, 8)
 	for i := range bufs {
@@ -128,7 +128,7 @@ func TestTrimToCap(t *testing.T) {
 		Put(b)
 	}
 	TrimToCap()
-	if got, lim := RetainedBytes(), RetainLimit(); got > lim {
+	if got, lim := RetainedBytes(), retainLimit.Load(); got > lim {
 		t.Fatalf("TrimToCap left %d retained, limit %d", got, lim)
 	}
 	TrimAll()
