@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -21,6 +21,14 @@ test-pooldebug:
 race:
 	$(GO) test -race ./...
 
+# The non-amd64 builds: arm64 compiles the portable GEMM kernel instead of
+# the assembly ones, and 386 also catches int constants that overflow 32
+# bits. Vet type-checks every package and its tests for the target.
+cross:
+	GOARCH=arm64 $(GO) vet ./...
+	GOARCH=386 $(GO) vet ./...
+	cd perfbench && GOARCH=arm64 $(GO) vet .
+
 # A short benchmark pass that exercises the scheduler and the hot kernels
 # without running the full experiment suite.
 bench-smoke:
@@ -28,9 +36,12 @@ bench-smoke:
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/quark/
 
 # The GEMM kernel benchmarks: the square reference shape, the compressed
-# UpdateVect shapes, and the per-merge packed-operand reuse pattern.
+# UpdateVect shapes, and the per-merge packed-operand reuse pattern, then
+# each micro-kernel this host supports (generic, avx2, avx512) at 256³ and
+# the lib-lowdefl root merge shape, so the log shows which kernel ran.
 bench-gemm:
 	$(GO) test -run '^$$' -bench 'Gemm' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'GemmKernels' -benchtime 0.2s ./internal/blas/
 
 # The secular-phase kernel benchmarks: the SIMD dispatch micro-kernels plus
 # the scalar-vs-SIMD Dlaed4/LocalW/ComputeVect comparison of dcbench secular.
@@ -91,4 +102,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster
+ci: vet build test test-pooldebug race cross bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster

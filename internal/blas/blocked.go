@@ -1,17 +1,34 @@
 package blas
 
-import "tridiag/internal/pool"
+import (
+	"math"
+
+	"tridiag/internal/pool"
+)
+
+// gemmKernel names a micro-kernel of the 24×8 packed layout. All of them
+// compute every element of C with the same arithmetic (ukernelGeneric's),
+// so they agree bit for bit and the choice only changes the speed.
+type gemmKernel int
+
+const (
+	kernelGeneric gemmKernel = iota // portable math.FMA reference
+	kernelAVX2                      // four 12×4 ymm sub-tiles
+	kernelAVX512                    // 24 zmm accumulators
+)
 
 // blockedWorthwhile reports whether the cache-blocked packed path should
-// handle a GEMM of this shape. It needs the assembly micro-kernel (the
-// register-blocked kernels in level3.go already saturate scalar FP ports)
-// and enough work to amortize the two pack passes: a few micro-tiles in
-// each dimension and a flop count comfortably above the pack traffic.
+// handle a GEMM of this shape. It needs an assembly micro-kernel (the
+// register-tiled kernels in level3.go beat the portable one) and enough
+// work to amortize the two pack passes. The row cut-off is measured, not
+// derived from the tile: at the merge shapes of both lib workloads the
+// packed path overtakes gemmNN between 8 and 12 rows with either kernel
+// (DESIGN.md §9).
 func blockedWorthwhile(m, n, k int) bool {
-	if !haveAsmKernel {
+	if kernel == kernelGeneric {
 		return false
 	}
-	if m < 2*gemmMR || n < gemmNR || k < 8 {
+	if m < 12 || n < 4 || k < 8 {
 		return false
 	}
 	return int64(m)*int64(n)*int64(k) >= 1<<15
@@ -74,9 +91,7 @@ func packedGemm(pa *PackedA, transB bool, n int, alpha float64, b []float64, ldb
 
 // macroKernel multiplies one MC×KC block of packed A against one KC×NC
 // block of packed B, updating C(ic:ic+mb, jc:jc+ncb) micro-tile by
-// micro-tile. Full 8×4 tiles go through the assembly kernel; edge tiles
-// through the generic kernel (panels are zero padded, so both compute a
-// full tile and only the store is masked).
+// micro-tile.
 func macroKernel(pa *PackedA, pc, kb, ic, mb int, bbuf []float64, ncb int, alpha float64, c []float64, ldc int) {
 	for jr := 0; jr < ncb; jr += gemmNR {
 		nr := min(gemmNR, ncb-jr)
@@ -84,50 +99,62 @@ func macroKernel(pa *PackedA, pc, kb, ic, mb int, bbuf []float64, ncb int, alpha
 		for ir := 0; ir < mb; ir += gemmMR {
 			mr := min(gemmMR, mb-ir)
 			ap := pa.buf[((ic+ir)/gemmMR)*gemmMR*pa.k+pc*gemmMR:]
-			ct := c[ir+jr*ldc:]
-			if mr == gemmMR && nr == gemmNR && haveAsmKernel {
-				ukernel8x4avx(kb, ap, bp, ct, ldc, alpha)
-			} else {
-				ukernelGeneric(kb, ap, bp, ct, ldc, mr, nr, alpha)
-			}
+			microTile(kb, ap, bp, c[ir+jr*ldc:], ldc, mr, nr, alpha)
 		}
 	}
 }
 
-// ukernelGeneric is the portable micro-kernel: eight accumulator chains per
-// C column over the packed panels, stores masked to the valid mr×nr region.
-// Used for edge tiles and on platforms without the assembly kernel.
+// microTile updates the valid mr×nr corner of one micro-tile of C through
+// the selected kernel. An assembly kernel always computes a full 24×8 tile,
+// so an edge tile runs through it on a stack copy of its valid region: the
+// panels are zero padded, the padded lanes are discarded, and every element
+// of C keeps the one arithmetic of the full tiles.
+func microTile(kb int, ap, bp []float64, c []float64, ldc, mr, nr int, alpha float64) {
+	if kernel == kernelGeneric {
+		ukernelGeneric(kb, ap, bp, c, ldc, mr, nr, alpha)
+		return
+	}
+	if mr == gemmMR && nr == gemmNR {
+		ukernelAsm(kernel, kb, ap, bp, c, ldc, alpha)
+		return
+	}
+	var tile [gemmMR * gemmNR]float64
+	for j := 0; j < nr; j++ {
+		copy(tile[j*gemmMR:j*gemmMR+mr], c[j*ldc:j*ldc+mr])
+	}
+	ukernelAsm(kernel, kb, ap, bp, tile[:], gemmMR, alpha)
+	for j := 0; j < nr; j++ {
+		copy(c[j*ldc:j*ldc+mr], tile[j*gemmMR:j*gemmMR+mr])
+	}
+}
+
+// ukernelGeneric is the portable micro-kernel and the bitwise reference of
+// the assembly ones: each element of the mr×nr tile is one math.FMA chain
+// over the kb packed k steps in k order, starting from zero, folded into C
+// as c = fma(alpha, acc, c). It runs a row of the tile at a time, eight
+// independent column chains in registers (the padded columns of an edge
+// tile are computed on the zero padding and dropped). It is the kernel on
+// hosts without AVX2.
 func ukernelGeneric(kb int, ap, bp []float64, c []float64, ldc, mr, nr int, alpha float64) {
 	ap = ap[: kb*gemmMR : kb*gemmMR]
-	for j := 0; j < nr; j++ {
+	bp = bp[: kb*gemmNR : kb*gemmNR]
+	for r := 0; r < mr; r++ {
 		var s0, s1, s2, s3, s4, s5, s6, s7 float64
 		for l := 0; l < kb; l++ {
-			bv := bp[l*gemmNR+j]
-			o := l * gemmMR
-			s0 += ap[o] * bv
-			s1 += ap[o+1] * bv
-			s2 += ap[o+2] * bv
-			s3 += ap[o+3] * bv
-			s4 += ap[o+4] * bv
-			s5 += ap[o+5] * bv
-			s6 += ap[o+6] * bv
-			s7 += ap[o+7] * bv
+			av := ap[l*gemmMR+r]
+			b := bp[l*gemmNR : l*gemmNR+gemmNR : l*gemmNR+gemmNR]
+			s0 = math.FMA(av, b[0], s0)
+			s1 = math.FMA(av, b[1], s1)
+			s2 = math.FMA(av, b[2], s2)
+			s3 = math.FMA(av, b[3], s3)
+			s4 = math.FMA(av, b[4], s4)
+			s5 = math.FMA(av, b[5], s5)
+			s6 = math.FMA(av, b[6], s6)
+			s7 = math.FMA(av, b[7], s7)
 		}
-		col := c[j*ldc:]
-		if mr == gemmMR {
-			col[0] += alpha * s0
-			col[1] += alpha * s1
-			col[2] += alpha * s2
-			col[3] += alpha * s3
-			col[4] += alpha * s4
-			col[5] += alpha * s5
-			col[6] += alpha * s6
-			col[7] += alpha * s7
-		} else {
-			ss := [gemmMR]float64{s0, s1, s2, s3, s4, s5, s6, s7}
-			for r := 0; r < mr; r++ {
-				col[r] += alpha * ss[r]
-			}
+		acc := [gemmNR]float64{s0, s1, s2, s3, s4, s5, s6, s7}
+		for j, s := range acc[:nr] {
+			c[r+j*ldc] = math.FMA(alpha, s, c[r+j*ldc])
 		}
 	}
 }

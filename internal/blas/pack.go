@@ -4,13 +4,14 @@ import "tridiag/internal/pool"
 
 // Cache-blocking parameters of the BLIS-style GEMM (see DESIGN.md §9).
 // The micro-kernel computes an MR×NR tile of C; the macro loops tile the
-// operands so one packed A block (MC×KC, 256 KiB) stays L2-resident while a
+// operands so one packed A block (MC×KC, 288 KiB) stays L2-resident while a
 // packed B block (KC×NC, ≤1 MiB) streams from L3, and every inner-loop
-// access is contiguous.
+// access is contiguous. KC also fixes each element's summation order (one
+// FMA chain per KC block), so it is part of the bitwise contract.
 const (
-	gemmMR = 8   // micro-tile rows (one asm kernel call covers 8×4 of C)
-	gemmNR = 4   // micro-tile columns
-	gemmMC = 128 // rows per A block; multiple of gemmMR
+	gemmMR = 24  // micro-tile rows (one kernel call covers 24×8 of C)
+	gemmNR = 8   // micro-tile columns
+	gemmMC = 144 // rows per A block; multiple of gemmMR
 	gemmKC = 256 // depth per block
 	gemmNC = 512 // columns per B block; multiple of gemmNR
 )

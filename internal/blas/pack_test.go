@@ -5,27 +5,22 @@ import (
 	"testing"
 )
 
-// forceGeneric runs fn with the assembly micro-kernel disabled so the
-// portable kernel is exercised even on amd64.
-func forceGeneric(fn func()) {
-	saved := haveAsmKernel
-	haveAsmKernel = false
-	defer func() { haveAsmKernel = saved }()
-	fn()
-}
-
 // TestBlockedGemmMatchesNaive drives the cache-blocked path directly (below
-// and above the dispatch threshold) across all transpose combos, odd
-// m/n/k tails around the micro-tile and block boundaries, alpha/beta edge
-// cases, and lda > m shapes.
+// and above the dispatch threshold) across all transpose combos, odd m/n/k
+// tails around the 24×8 micro-tile and the MC/KC/NC block boundaries,
+// alpha/beta edge cases, and lda > m shapes: on the host's kernel
+// ("dispatch"), on the portable one ("generic"), and on each other assembly
+// kernel the host supports.
 func TestBlockedGemmMatchesNaive(t *testing.T) {
-	rng := rand.New(rand.NewSource(21))
 	dims := []struct{ m, n, k int }{
 		{1, 1, 1}, {8, 4, 16}, {7, 3, 5}, {9, 5, 17}, {16, 8, 32},
 		{65, 9, 31}, {129, 130, 40}, {33, 7, 257}, {140, 19, 300}, {8, 4, 1},
+		{23, 7, 255}, {24, 8, 256}, {25, 9, 257}, {47, 511, 40}, {48, 512, 17},
+		{143, 513, 12}, {144, 9, 255}, {145, 8, 256}, {24, 513, 257},
 	}
 	coefs := []struct{ alpha, beta float64 }{{1, 0}, {-0.5, 1}, {2, 0.25}, {0, 0.5}}
 	run := func(t *testing.T) {
+		rng := rand.New(rand.NewSource(21))
 		for _, ta := range []bool{false, true} {
 			for _, tb := range []bool{false, true} {
 				for _, d := range dims {
@@ -48,8 +43,8 @@ func TestBlockedGemmMatchesNaive(t *testing.T) {
 						for j := 0; j < d.n; j++ {
 							for i := 0; i < d.m; i++ {
 								if !almostEqual(c[i+j*ldc], want[i+j*ldc], 1e-12) {
-									t.Fatalf("blocked ta=%v tb=%v %v coef=%v at (%d,%d): got %v want %v",
-										ta, tb, d, coef, i, j, c[i+j*ldc], want[i+j*ldc])
+									t.Fatalf("blocked %v ta=%v tb=%v %v coef=%v at (%d,%d): got %v want %v",
+										kernel, ta, tb, d, coef, i, j, c[i+j*ldc], want[i+j*ldc])
 								}
 							}
 						}
@@ -59,7 +54,11 @@ func TestBlockedGemmMatchesNaive(t *testing.T) {
 		}
 	}
 	t.Run("dispatch", run)
-	t.Run("generic", func(t *testing.T) { forceGeneric(func() { run(t) }) })
+	for _, kern := range supportedKernels() {
+		if kern != hostKernel {
+			t.Run(kern.String(), func(t *testing.T) { withKernel(kern, func() { run(t) }) })
+		}
+	}
 }
 
 // TestPackedGemmMatchesDgemm packs A once and reuses it across several

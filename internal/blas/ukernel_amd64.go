@@ -6,39 +6,55 @@ package blas
 func cpuidProbe(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
 func xgetbvProbe() (eax, edx uint32)
 
-// ukernel8x4avx is the AVX2+FMA register micro-kernel (ukernel_amd64.s):
-// C(0:8, 0:4) += alpha * Ap·Bp over kc packed k steps. Only called when
-// haveAsmKernel is true and the tile is full (edges go through the generic
-// kernel on zero-padded panels).
+// ukernel24x8avx512 and ukernel24x8avx2 are the register micro-kernels
+// (ukernel_amd64.s): C(0:24, 0:8) += alpha * Ap·Bp over kc packed k steps,
+// with the per-element arithmetic of ukernelGeneric. Only called on full
+// tiles; microTile runs edge tiles through them on a stack copy.
 //
 //go:noescape
-func ukernel8x4avx(kc int, ap, bp []float64, c []float64, ldc int, alpha float64)
+func ukernel24x8avx512(kc int, ap, bp []float64, c []float64, ldc int, alpha float64)
 
-// haveAsmKernel reports whether the AVX2+FMA micro-kernel may be used. The
-// blocked GEMM path is only profitable with it; without it the
-// register-blocked kernels in level3.go already sit at the scalar FP-port
-// ceiling, so Dgemm keeps routing to them.
-var haveAsmKernel = detectAVX2FMA()
+//go:noescape
+func ukernel24x8avx2(kc int, ap, bp []float64, c []float64, ldc int, alpha float64)
 
-// detectAVX2FMA checks CPUID for AVX2 and FMA support and XGETBV for OS
-// ymm-state saving (the standard AVX usability test).
-func detectAVX2FMA() bool {
+// kernel is the micro-kernel the blocked GEMM runs, chosen once from
+// CPUID/XGETBV. Tests switch it through withKernel.
+var kernel = detectKernel()
+
+// ukernelAsm runs the full 24×8 tile at c through the assembly kernel kern.
+func ukernelAsm(kern gemmKernel, kc int, ap, bp []float64, c []float64, ldc int, alpha float64) {
+	if kern == kernelAVX512 {
+		ukernel24x8avx512(kc, ap, bp, c, ldc, alpha)
+	} else {
+		ukernel24x8avx2(kc, ap, bp, c, ldc, alpha)
+	}
+}
+
+// detectKernel picks the widest kernel the CPU and OS support. Both need
+// AVX2 and FMA in CPUID and the OS saving the ymm state (XCR0 bits 1 and
+// 2); AVX-512 also needs AVX512F and the OS saving the opmask and zmm state
+// (XCR0 bits 5, 6 and 7).
+func detectKernel() gemmKernel {
 	maxID, _, _, _ := cpuidProbe(0, 0)
 	if maxID < 7 {
-		return false
+		return kernelGeneric
 	}
 	_, _, ecx1, _ := cpuidProbe(1, 0)
-	const (
-		fma     = 1 << 12
-		osxsave = 1 << 27
-	)
-	if ecx1&osxsave == 0 || ecx1&fma == 0 {
-		return false
-	}
-	if xa, _ := xgetbvProbe(); xa&6 != 6 {
-		return false
-	}
 	_, ebx7, _, _ := cpuidProbe(7, 0)
-	const avx2 = 1 << 5
-	return ebx7&avx2 != 0
+	const (
+		fma     = 1 << 12 // CPUID.1:ECX
+		osxsave = 1 << 27 // CPUID.1:ECX
+		avx2    = 1 << 5  // CPUID.(7,0):EBX
+		avx512f = 1 << 16 // CPUID.(7,0):EBX
+	)
+	if ecx1&osxsave == 0 || ecx1&fma == 0 || ebx7&avx2 == 0 {
+		return kernelGeneric
+	}
+	switch xcr0, _ := xgetbvProbe(); {
+	case xcr0&0xE6 == 0xE6 && ebx7&avx512f != 0:
+		return kernelAVX512
+	case xcr0&6 == 6:
+		return kernelAVX2
+	}
+	return kernelGeneric
 }

@@ -2,11 +2,11 @@
 
 package blas
 
-// Non-amd64 platforms have no assembly micro-kernel; the blocked GEMM path
-// stays disabled (Dgemm keeps the register-blocked kernels) and the packed
-// entry points run the generic Go micro-kernel.
-var haveAsmKernel = false
+// Non-amd64 platforms have no assembly micro-kernel: the blocked GEMM path
+// stays disabled (Dgemm keeps the register-tiled kernels) and the packed
+// entry points run the portable ukernelGeneric.
+var kernel = kernelGeneric
 
-func ukernel8x4avx(kc int, ap, bp []float64, c []float64, ldc int, alpha float64) {
-	panic("blas: ukernel8x4avx called without assembly support")
+func ukernelAsm(kern gemmKernel, kc int, ap, bp []float64, c []float64, ldc int, alpha float64) {
+	panic("blas: assembly micro-kernel called without assembly support")
 }

@@ -59,7 +59,7 @@ func steinCluster(n int, d, e []float64, lams []float64, z []float64, ldz int, s
 		pert := lam + float64(gi)*2*sep
 		x := z[gi*ldz : gi*ldz+n]
 		// Deterministic pseudo-random start vector (LAPACK uses dlarnv).
-		seed := uint64(gi*2654435761 + 9176)
+		seed := uint64(gi)*2654435761 + 9176
 		reseed := func() {
 			for i := 0; i < n; i++ {
 				seed = seed*6364136223846793005 + 1442695040888963407

@@ -23,7 +23,7 @@ func steinGroup(n int, d, e []float64, lams []float64, cols [][]float64) {
 		pert := lam + float64(gi)*2*sep
 		x := cols[gi]
 		// Deterministic pseudo-random start vector (LAPACK uses dlarnv).
-		seed := uint64(gi*2654435761 + 12345)
+		seed := uint64(gi)*2654435761 + 12345
 		for i := 0; i < n; i++ {
 			seed = seed*6364136223846793005 + 1442695040888963407
 			x[i] = float64(int64(seed>>11))/float64(1<<52) - 1
