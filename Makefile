@@ -89,10 +89,14 @@ chaos-sdc:
 # disposition, reservations never exceed the budget, the pool accountant
 # returns to baseline, and no goroutines leak. The admission, drain and
 # cancelled-probe tests repeat 20 times so a timing-dependent regression
-# shows up here.
+# shows up here. The last line repeats the deflated-vector placement tests
+# and the merge tests whose panels read and write the same columns while
+# other panels run (the CopyBackDeflated → UpdateVect edge) under the race
+# detector.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
+	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestExtraWorkspaceEquivalence|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs' ./internal/lapack/ ./internal/core/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
 # detector — 3 httptest workers behind a real coordinator serving 220 mixed

@@ -473,6 +473,7 @@ func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, e
 		cres, err := core.SolveDCContext(ctx, n, d, ework, q, n, &core.Options{
 			Mode:         core.ModeSequential,
 			MinPartition: o.MinPartition,
+			Progress:     o.Progress,
 		})
 		return coreTierStats(cres, err), err
 	case "mrrr":

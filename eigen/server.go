@@ -97,8 +97,9 @@ type ServerConfig struct {
 	MemoryBudget int64
 	// StallWindow is the watchdog's no-progress abort threshold per attempt
 	// (default 10s; negative disables the watchdog). It must cover the
-	// longest sequential phase of a solve: only task-flow tiers emit
-	// per-task heartbeats.
+	// longest phase between two heartbeats: the task-flow tier beats after
+	// every task and the dstedc tier after every leaf and merge, while the
+	// other sequential tiers (mrrr, qr, dsterf) send none.
 	StallWindow time.Duration
 	// MaxRetries is how many same-tier retries a transient failure earns
 	// before the job degrades to the fallback tier (default 2; negative
@@ -353,9 +354,10 @@ func NewServer(cfg ServerConfig) *Server {
 // EstimateSolveBytes is the admission-control estimate of the pooled
 // workspace one task-flow solve of order n with the given worker count can
 // have checked out at once, in pool size-class bytes (pool.ClassBytes): the
-// root merge's secular matrix, compressed operands, deflated columns and
-// packed GEMM panels, doubled because the concurrently-live lower tree
-// levels sum to at most one more root merge, plus per-worker small scratch.
+// root merge's secular matrix, compressed operands and packed GEMM panels
+// (deflated vectors stay in the caller's eigenvector matrix and take no
+// workspace), doubled because the concurrently-live lower tree levels sum to
+// at most one more root merge, plus per-worker small scratch.
 // It deliberately over-reserves — the budget bounds the worst case, and the
 // pool accountant reports what solves actually use.
 func EstimateSolveBytes(n, workers int) int64 {
@@ -381,12 +383,11 @@ func poolClassBytes(f int64) int64 {
 }
 
 // estimateMergeBytes is the pooled footprint of one order-n root merge:
-// S (k×k ≤ n²) + Q2Top/Q2Bot (≤ n²/2 each) + Q2Defl (≤ n²) + packed panels
-// (≈ Q2 again). EstimateSolveBytes doubles it for the concurrently-live
-// lower tree levels.
+// S (k×k ≤ n²) + Q2Top/Q2Bot (≤ n²/2 each) + packed panels (≈ Q2 again).
+// EstimateSolveBytes doubles it for the concurrently-live lower tree levels.
 func estimateMergeBytes(n int) int64 {
 	nn := int64(n) * int64(n)
-	return poolClassBytes(nn) + 2*poolClassBytes(nn/2+1) + poolClassBytes(nn) + 2*poolClassBytes(nn/2+1)
+	return poolClassBytes(nn) + 4*poolClassBytes(nn/2+1)
 }
 
 // voLeafCutoff is the default D&C leaf size (core.Options.MinPartition's

@@ -4,13 +4,16 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"math"
 	"math/rand"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
 	"tridiag/internal/faultinject"
+	"tridiag/internal/pool"
 )
 
 // serverConfig is the suite's base configuration: small and fast, with the
@@ -170,6 +173,70 @@ func TestServerMemoryBudget(t *testing.T) {
 	st := s2.Stats()
 	if st.PeakReservedBytes != est || st.ReservedBytes != 0 {
 		t.Errorf("peak=%d reserved=%d, want peak=%d reserved=0", st.PeakReservedBytes, st.ReservedBytes, est)
+	}
+}
+
+// perturbedLegendre is the Legendre Jacobi matrix with a 1e-6 relative
+// perturbation of every entry, which breaks its mirror symmetry: almost
+// nothing deflates, the worst case for the merges' S and Q2 workspace.
+func perturbedLegendre(n int, rng *rand.Rand) Tridiagonal {
+	d := make([]float64, n)
+	e := make([]float64, n-1)
+	for i := 1; i < n; i++ {
+		fi := float64(i)
+		e[i-1] = fi / math.Sqrt((2*fi-1)*(2*fi+1)) * (1 + 1e-6*(2*rng.Float64()-1))
+	}
+	for i := range d {
+		d[i] = 0.5e-6 * (2*rng.Float64() - 1)
+	}
+	return Tridiagonal{D: d, E: e}
+}
+
+// TestFullSolveWorkspaceBound is TestValuesOnlyWorkspaceBound's full-lane
+// counterpart: the peak pooled workspace of real full solves at n=2000,
+// sampled from the pool accountant after every executed task via the
+// Progress heartbeat, must stay within the admission charge
+// EstimateSolveBytes — on a no-deflation matrix and on glued W21.
+func TestFullSolveWorkspaceBound(t *testing.T) {
+	const n = 2000
+	rng := rand.New(rand.NewSource(45))
+	mats := []struct {
+		name string
+		tri  Tridiagonal
+	}{
+		{"perturbed-legendre", perturbedLegendre(n, rng)},
+		{"glued-w21", exactGluedW21(n, 1e-10)},
+	}
+	for _, m := range mats {
+		for _, workers := range []int{2, 4} {
+			base := pool.InUseBytes()
+			var peak atomic.Int64
+			progress := func() {
+				v := pool.InUseBytes()
+				for {
+					cur := peak.Load()
+					if v <= cur || peak.CompareAndSwap(cur, v) {
+						return
+					}
+				}
+			}
+			res, err := SolveContext(context.Background(), m.tri, &Options{Workers: workers, Progress: progress})
+			if err != nil {
+				t.Fatalf("%s W=%d: %v", m.name, workers, err)
+			}
+			if r := Residual(m.tri, res); r > 1e-12 {
+				t.Fatalf("%s W=%d: residual %.3e", m.name, workers, r)
+			}
+			used := peak.Load() - base
+			est := EstimateSolveBytes(n, workers)
+			if used <= 0 {
+				t.Fatalf("%s W=%d: progress sampling observed no pooled workspace; the probe is broken", m.name, workers)
+			}
+			if used > est {
+				t.Errorf("%s W=%d: peak pooled workspace %d bytes exceeds the admission estimate %d", m.name, workers, used, est)
+			}
+			t.Logf("%s W=%d: peak pooled workspace %.2f MB of the %.1f MB estimate", m.name, workers, float64(used)/1e6, float64(est)/1e6)
+		}
 	}
 }
 

@@ -95,9 +95,10 @@ type Options struct {
 	// Mode selects the execution model (default ModeTaskFlow).
 	Mode Mode
 	// Progress, when non-nil, is called after every executed task of a
-	// task-flow solve (the quark WithProgress heartbeat). External watchdogs
-	// use it to detect stalled solves. It runs on worker goroutines, so it
-	// must be concurrency-safe and cheap.
+	// task-flow solve (the quark WithProgress heartbeat), and after every
+	// leaf and merge of a ModeSequential or ModeForkJoin solve. External
+	// watchdogs use it to detect stalled solves. It runs on worker
+	// goroutines, so it must be concurrency-safe and cheap.
 	Progress func()
 	// ValuesOnly computes eigenvalues only: q is never touched (it may be
 	// nil, and ldq is ignored) and the task flow submits none of the
@@ -177,14 +178,14 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 
 	switch o.Mode {
 	case ModeSequential:
-		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition})
+		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Progress: o.Progress})
 		return res, err
 	case ModeForkJoin:
 		workers := o.Workers
 		gemm := func(ta, tb bool, m, nn, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 			blas.DgemmParallel(workers, ta, tb, m, nn, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		}
-		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Gemm: gemm})
+		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Gemm: gemm, Progress: o.Progress})
 		return res, err
 	}
 
@@ -651,8 +652,9 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 
 	f.lane.panels(ms)
 
-	// Dlamrg: build the sorting permutation for the merged spectrum. Its
-	// ReadWrite on the parent d-handle orders it after every eigenvalue
+	// Dlamrg: build the sorting permutation for the merged spectrum, reading
+	// the deflated eigenvalues where the lane placed them (Deflation.Slot).
+	// Its ReadWrite on the parent d-handle orders it after every eigenvalue
 	// writer of the merge, so this is where the trace invariant is checked.
 	mrgLabel := "Dlamrg" + ms.span
 	rt.SubmitPrio("Dlamrg", mrgLabel, ms.prio+prioDlamrg, func() {
@@ -665,14 +667,10 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 			st.count("ABFTInvariantFail", 1)
 			panic(terr)
 		}
-		if k == 0 {
-			for i := 0; i < nm; i++ {
-				ms.ixq[i] = i
-			}
-			return
+		ms.df.MergeOrder(ms.dd, ms.ixq)
+		if k > 0 {
+			st.countTask("Dlamrg", mrgLabel, int64(nm))
 		}
-		lapack.Dlamrg(k, nm-k, ms.dd, 1, -1, ms.ixq)
-		st.countTask("Dlamrg", mrgLabel, int64(nm))
 	}, quark.ReadWrite(parent.hD))
 }
 
@@ -749,13 +747,14 @@ func (l *vectorLane) zero() {
 }
 
 func (l *vectorLane) leaf(st0, sz int) (bool, error) {
-	// The merge kernels (deflation rotations, deflated-column copies)
+	// The merge kernels (deflation rotations, deflated-vector moves)
 	// operate on full merge-window columns and rely on the
 	// structurally-zero off-block rows of q holding exact zeros — LAPACK's
 	// Z=I invariant. Establish it here so callers may pass q with arbitrary
-	// entry contents (e.g. a reused workspace): every merge rewrites its
-	// window densely, so leaf-time zeroing is enough by induction up the
-	// tree.
+	// entry contents (e.g. a reused workspace): a merge either rewrites a
+	// column over its whole window (UpdateVect, a rotation, a deflated
+	// vector's move) or leaves it untouched, so leaf-time zeroing is enough
+	// by induction up the tree.
 	n, q, ldq := l.n, l.q, l.ldq
 	for j := st0; j < st0+sz; j++ {
 		col := q[j*ldq : j*ldq+n]
@@ -815,13 +814,18 @@ func (l *vectorLane) panels(ms *mergeState) {
 		}
 	}
 
-	// PermuteV: copy grouped columns into compressed workspace, per panel.
+	// PermuteV: copy the non-deflated half-columns of grouped columns
+	// [p·nb, (p+1)·nb) into the compressed workspace; deflated columns stay
+	// in q.
 	for p := 0; p < npanels; p++ {
 		g0, g1 := p*nb, min((p+1)*nb, nm)
 		label := ms.name("PermuteV", p)
 		rt.SubmitPrio("PermuteV", label, prio+prioPermute, func() {
-			ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
-			st.countTask("PermuteV", label, int64(g1-g0)*int64(nm))
+			words := ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
+			if words == 0 {
+				return
+			}
+			st.countTask("PermuteV", label, int64(words))
 			// Corrupt only the first column this panel wrote — the other
 			// panels' regions are being written concurrently.
 			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0))
@@ -866,24 +870,35 @@ func (l *vectorLane) panels(ms *mergeState) {
 
 	l.submitReduceW(ms)
 
-	// CopyBackDeflated: move deflated vectors to the tail of the parent V.
-	// Runs concurrently with ReduceW/ComputeLocalW (Figure 2), waiting only
-	// for the PermuteV group through the Gatherv-vs-readers rule on hV.
+	// CopyBackDeflated: empty the columns UpdateVect panel p is about to
+	// write — the same runtime partition, [p·nbSec, (p+1)·nbSec) ∩ [0, K) —
+	// by moving each deflated vector there, with its eigenvalue, into a
+	// column >= K that a non-deflated vector vacated. Deflated vectors at or
+	// beyond K never move. Runs concurrently with ReduceW/ComputeLocalW
+	// (Figure 2): the Gatherv-vs-readers rule on hV orders it after every
+	// PermuteV read of the columns it fills, and UpdateVect p reads hPerm[p]
+	// to run after it.
 	for p := 0; p < npanels; p++ {
-		c0 := p * nb
 		label := ms.name("CopyBack", p)
 		rt.SubmitPrio("CopyBackDeflated", label, prio+prioCopy, func() {
 			defer ms.done()
-			k := ms.df.K
-			j0, j1 := max(c0, k)-k, min(c0+nb, nm)-k
-			if j0 >= j1 {
+			c0 := p * ms.nbSec
+			words := ms.df.CopyBackPanel(qq, ldq, dd, c0, c0+ms.nbSec)
+			if words == 0 {
 				return
 			}
-			ms.df.CopyBackPanel(qq, ldq, dd, ms.ws, j0, j1)
-			st.countTask("CopyBackDeflated", label, int64(j1-j0)*int64(nm))
-			// Corrupt this panel's deflated eigenvalues: the trace check in
-			// Dlamrg catches any drift in the merged spectrum.
-			corruptHook("CopyBackDeflated", dd[k+j0:k+j1])
+			st.countTask("CopyBackDeflated", label, int64(words))
+			if faultinject.Active() {
+				// Corrupt the first eigenvalue this panel moved: the trace
+				// check in Dlamrg catches any drift in the merged spectrum.
+				for c := c0; ; c++ {
+					if j := ms.df.Move[c]; j >= 0 {
+						s := ms.df.Slot[j]
+						corruptHook("CopyBackDeflated", dd[s:s+1])
+						break
+					}
+				}
+			}
 		}, quark.Gather(hV), quark.Gather(ms.parent.hD), quark.ReadWrite(hPerm[p]))
 	}
 
@@ -939,11 +954,13 @@ func (l *vectorLane) panels(ms *mergeState) {
 	}, quark.Gather(hV), quark.Write(hPack))
 
 	// UpdateVect: V = Ṽ × X, two compressed GEMMs per panel (through the
-	// shared packed operands where PackV judged the shape worthwhile). The
-	// merge-done bookkeeping runs through a sync.Once on the success path —
-	// not a defer — so a panel panicking on a failed ABFT checksum does not
-	// release the shared workspace its in-place re-execution is about to
-	// read, and the retry's own completion still releases it exactly once.
+	// shared packed operands where PackV judged the shape worthwhile), once
+	// CopyBackDeflated p has moved the deflated vectors out of the panel's
+	// columns (the hPerm[p] read). The merge-done bookkeeping runs through a
+	// sync.Once on the success path — not a defer — so a panel panicking on
+	// a failed ABFT checksum does not release the shared workspace its
+	// in-place re-execution is about to read, and the retry's own completion
+	// still releases it exactly once.
 	for p := 0; p < npanels; p++ {
 		var once sync.Once
 		label := ms.name("UpdateVect", p)
@@ -973,7 +990,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 				panic(cerr)
 			}
 			once.Do(ms.done)
-		}, quark.Gather(hV), quark.Read(hPack), quark.Read(ms.hSec[p]))
+		}, quark.Gather(hV), quark.Read(hPack), quark.Read(hPerm[p]), quark.Read(ms.hSec[p]))
 	}
 
 	// Redistribution back to block-cyclic layout (ScaLAPACK model only).

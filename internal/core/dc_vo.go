@@ -14,15 +14,15 @@ import (
 // and last rows of its notional eigenvector block in the 2×n carrier fl
 // (column-major, leading dimension 2 — see internal/lapack/laed_vo.go),
 // which is exactly what the parent merge needs to form its z-vector.
-// Deflation moves carrier columns by index permutation (CopyBackValuesVO)
-// instead of column movement, the secular panels fuse LAED4 with the LocalW
-// stabilization update, and the UpdateZ panels replace the UpdateVect GEMMs
-// with two dot products per secular column. Live pooled state is O(nm) per
-// in-flight merge — O(n·depth) across the solve — and eigenvalues are moved
-// once, by a final O(n) gather at the root, instead of per-merge column
-// sorts. The root merge's carrier has no consumer, so the whole
-// stabilization/UpdateZ chain is skipped there: the root costs one deflation
-// scan plus the secular solves.
+// Deflation places carrier columns by index (CopyBackValuesVO, through the
+// same Deflation.Slot as the full lane's deflated vectors), the secular
+// panels fuse LAED4 with the LocalW stabilization update, and the UpdateZ
+// panels replace the UpdateVect GEMMs with two dot products per secular
+// column. Live pooled state is O(nm) per in-flight merge — O(n·depth) across
+// the solve — and eigenvalues are moved once, by a final O(n) gather at the
+// root, instead of per-merge column sorts. The root merge's carrier has no
+// consumer, so the whole stabilization/UpdateZ chain is skipped there: the
+// root costs one deflation scan plus the secular solves.
 type valuesLane struct {
 	*flow
 	fl []float64
@@ -74,7 +74,7 @@ func (l *valuesLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.
 		return nil, err
 	}
 	if ms.root {
-		copy(ms.dd[df.K:], df.DeflD)
+		df.CopyBackValuesVO(ms.dd, nil, nil)
 		return df, nil
 	}
 	ms.what = pool.Get(df.K)

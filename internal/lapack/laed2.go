@@ -22,10 +22,19 @@ const (
 
 // Deflation holds the outcome of the deflation scan for one D&C merge: the
 // size K of the surviving secular problem, the normalized rank-one weight
-// Rho, the secular poles Dlamda and weights W (both ascending), and the
-// permutation that groups the eigenvector columns into the four type classes.
-// It contains no eigenvector data; column movement is done separately (and,
-// in the task-flow solver, per panel) via PermutePanel and friends.
+// Rho, the secular poles Dlamda and weights W (both ascending), the
+// permutation that groups the eigenvector columns into the four type
+// classes, and where each deflated vector ends up. It contains no
+// eigenvector data; column movement is done separately (and, in the
+// task-flow solver, per panel) via PermutePanel, CopyBackPanel and
+// UpdatePanel.
+//
+// Deflated vectors are placed by index, not by copying them to a packed
+// tail as LAPACK's DLAED2/DLAED3 do: the merge rewrites only columns [0, K)
+// (UpdatePanel), so a deflated vector whose column is at or beyond K stays
+// there, and one sitting below K moves once, to a column at or beyond K that
+// a non-deflated vector vacated. MergeOrder then sorts the block through
+// Slot, so the merged (λ, v) sequence is the one LAPACK's layout gives.
 type Deflation struct {
 	N, N1, K       int
 	Rho            float64
@@ -34,7 +43,18 @@ type Deflation struct {
 	Perm           []int     // len N: grouped position -> source column of Q
 	GroupToSecular []int     // len K: grouped position -> secular index
 	Ctot           [4]int    // column counts per type
-	DeflD          []float64 // len N-K: deflated eigenvalues in final order for d[K:]
+	// DeflD holds the deflated eigenvalues, descending (LAPACK's tail
+	// order; ascending when K == 0): DeflD[j] belongs to the vector in
+	// source column Perm[K+j].
+	DeflD []float64 // len N-K
+	// Slot is the column deflated vector j ends up in: its own column
+	// Perm[K+j] when that is at or beyond K, else a vacated column >= K.
+	// When K == 0 it is Perm itself and nothing moves.
+	Slot []int // len N-K
+	// Move names, for each column below K, the deflated vector j sitting
+	// there that must move out to Slot[j] before UpdatePanel overwrites the
+	// column, or -1 when the column holds a non-deflated vector.
+	Move []int // len K
 }
 
 // C12 returns the number of columns with a nonzero top block (types 1+2).
@@ -134,6 +154,7 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 		}
 		df.Ctot[colDeflated] = n
 		df.GroupToSecular = []int{}
+		df.Slot = df.Perm
 		return df, nil
 	}
 
@@ -232,14 +253,42 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 	for j := 0; j < n-k; j++ {
 		df.DeflD[j] = d[df.Perm[k+j]]
 	}
+
+	// Placement: a deflated vector stays in its own column unless that is
+	// below K; those take, in column order, the columns >= K that
+	// non-deflated vectors vacate (there are exactly as many of each).
+	// indxp is dead once Perm is built, so Slot and Move reuse it.
+	df.Slot, df.Move = indxp[:n-k], indxp[n-k:]
+	for c := range df.Move {
+		df.Move[c] = -1
+	}
+	for j := range df.Slot {
+		src := df.Perm[k+j]
+		df.Slot[j] = src
+		if src < k {
+			df.Move[src] = j
+		}
+	}
+	v := k
+	for _, j := range df.Move {
+		if j < 0 {
+			continue
+		}
+		for coltyp[v] == colDeflated {
+			v++
+		}
+		df.Slot[j] = v
+		v++
+	}
 	return df, nil
 }
 
 // MergeWorkspace holds the compressed eigenvector storage for one merge:
 // Q2Top packs the first n1 rows of the grouped type-1 and type-2 columns,
-// Q2Bot the last n2 rows of the type-2 and type-3 columns, Q2Defl the full
-// deflated columns, and S the k×k secular matrix (delta columns, later
-// overwritten by the updated eigenvectors, as in LAPACK).
+// Q2Bot the last n2 rows of the type-2 and type-3 columns, and S the k×k
+// secular matrix (delta columns, later overwritten by the updated
+// eigenvectors, as in LAPACK). Deflated vectors need no buffer: they stay
+// in q (see Deflation.Slot).
 //
 // PackTop/PackBot, when non-nil, hold Q2Top/Q2Bot repacked for the blocked
 // GEMM (see Deflation.PackV): packed once per merge, shared read-only by
@@ -247,7 +296,6 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 type MergeWorkspace struct {
 	Q2Top   []float64 // n1 × c12
 	Q2Bot   []float64 // n2 × c23
-	Q2Defl  []float64 // n × c4
 	S       []float64 // k × k
 	WLoc    []float64 // k, scratch for Gu's product (sequential path)
 	PackTop *blas.PackedA
@@ -262,11 +310,10 @@ func NewMergeWorkspace(df *Deflation) *MergeWorkspace {
 	n1, n2 := df.N1, df.N-df.N1
 	k := df.K
 	return &MergeWorkspace{
-		Q2Top:  pool.Get(n1 * df.C12()),
-		Q2Bot:  pool.Get(n2 * df.C23()),
-		Q2Defl: pool.Get(df.N * df.Ctot[colDeflated]),
-		S:      pool.Get(max(k*k, 1)),
-		WLoc:   pool.Get(k),
+		Q2Top: pool.Get(n1 * df.C12()),
+		Q2Bot: pool.Get(n2 * df.C23()),
+		S:     pool.Get(max(k*k, 1)),
+		WLoc:  pool.Get(k),
 	}
 }
 
@@ -283,10 +330,9 @@ func (ws *MergeWorkspace) Release() {
 	}
 	pool.Put(ws.Q2Top)
 	pool.Put(ws.Q2Bot)
-	pool.Put(ws.Q2Defl)
 	pool.Put(ws.S)
 	pool.Put(ws.WLoc)
-	ws.Q2Top, ws.Q2Bot, ws.Q2Defl, ws.S, ws.WLoc = nil, nil, nil, nil, nil
+	ws.Q2Top, ws.Q2Bot, ws.S, ws.WLoc = nil, nil, nil, nil
 }
 
 // PooledBytes returns the pool-accounted bytes the workspace currently
@@ -294,8 +340,7 @@ func (ws *MergeWorkspace) Release() {
 // it to size their pool.Forget.
 func (ws *MergeWorkspace) PooledBytes() int64 {
 	b := pool.AccountedBytes(ws.Q2Top) + pool.AccountedBytes(ws.Q2Bot) +
-		pool.AccountedBytes(ws.Q2Defl) + pool.AccountedBytes(ws.S) +
-		pool.AccountedBytes(ws.WLoc)
+		pool.AccountedBytes(ws.S) + pool.AccountedBytes(ws.WLoc)
 	if ws.PackTop != nil {
 		b += ws.PackTop.PooledBytes()
 	}
@@ -305,36 +350,36 @@ func (ws *MergeWorkspace) PooledBytes() int64 {
 	return b
 }
 
-// PermutePanel copies grouped columns [g0, g1) of q into the compressed
-// workspace (the paper's PermuteV task). Deflated columns land in Q2Defl.
-func (df *Deflation) PermutePanel(q []float64, ldq int, ws *MergeWorkspace, g0, g1 int) {
+// PermutePanel copies the non-deflated columns among grouped columns
+// [g0, g1) of q into the compressed workspace (the paper's PermuteV task):
+// the first n1 rows of type-1/2 columns into Q2Top, the last n2 rows of
+// type-2/3 columns into Q2Bot. Deflated columns (g >= K) are not copied;
+// they stay in q (see Slot). Returns the number of words copied.
+func (df *Deflation) PermutePanel(q []float64, ldq int, ws *MergeWorkspace, g0, g1 int) (words int) {
 	n1 := df.N1
 	n2 := df.N - n1
 	c1 := df.Ctot[colTop]
 	c12 := df.C12()
-	k := df.K
-	for g := g0; g < g1; g++ {
-		js := df.Perm[g]
-		src := q[js*ldq:]
-		switch {
-		case g < c1:
+	for g := g0; g < min(g1, df.K); g++ {
+		src := q[df.Perm[g]*ldq:]
+		if g < c12 {
 			copy(ws.Q2Top[g*n1:g*n1+n1], src[:n1])
-		case g < c12:
-			copy(ws.Q2Top[g*n1:g*n1+n1], src[:n1])
+			words += n1
+		}
+		if g >= c1 {
 			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
-		case g < k:
-			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
-		default:
-			copy(ws.Q2Defl[(g-k)*df.N:(g-k)*df.N+df.N], src[:df.N])
+			words += n2
 		}
 	}
+	return words
 }
 
 // PermutedColumn returns the compressed-workspace destination of grouped
-// column g — the region PermutePanel writes for it. Fault-injection hooks use
-// it to corrupt exactly the slice one PermuteV panel owns, without racing
-// against concurrent panels writing their own columns. For type-2 columns
-// (split across Q2Top and Q2Bot) the top half is returned.
+// column g — the region PermutePanel writes for it, nil for a deflated
+// column. Fault-injection hooks use it to corrupt exactly the slice one
+// PermuteV panel owns, without racing against concurrent panels writing
+// their own columns. For type-2 columns (split across Q2Top and Q2Bot) the
+// top half is returned.
 func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g int) []float64 {
 	n1 := df.N1
 	n2 := df.N - n1
@@ -344,18 +389,52 @@ func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g int) []float64 {
 		return ws.Q2Top[g*n1 : g*n1+n1]
 	case g < df.K:
 		return ws.Q2Bot[(g-c1)*n2 : (g-c1)*n2+n2]
-	default:
-		return ws.Q2Defl[(g-df.K)*df.N : (g-df.K)*df.N+df.N]
 	}
+	return nil
 }
 
-// CopyBackPanel writes deflated columns [j0, j1) (relative to the deflated
-// group) back into q at final positions K+j (the paper's CopyBackDeflated
-// task), together with their eigenvalues into d.
-func (df *Deflation) CopyBackPanel(q []float64, ldq int, d []float64, ws *MergeWorkspace, j0, j1 int) {
+// CopyBackPanel empties columns [c0, c1) ∩ [0, K) of q before UpdatePanel
+// overwrites them (the paper's CopyBackDeflated task): each deflated vector
+// sitting there moves, with its eigenvalue, to its Slot column. That column
+// held a non-deflated vector, so PermutePanel must have read it first.
+// Deflated vectors at or beyond K never move. Returns the number of words
+// copied.
+func (df *Deflation) CopyBackPanel(q []float64, ldq int, d []float64, c0, c1 int) (words int) {
 	n := df.N
-	for j := j0; j < j1; j++ {
-		copy(q[(df.K+j)*ldq:(df.K+j)*ldq+n], ws.Q2Defl[j*n:j*n+n])
-		d[df.K+j] = df.DeflD[j]
+	for c := c0; c < min(c1, df.K); c++ {
+		j := df.Move[c]
+		if j < 0 {
+			continue
+		}
+		s := df.Slot[j]
+		copy(q[s*ldq:s*ldq+n], q[c*ldq:c*ldq+n])
+		d[s] = df.DeflD[j]
+		words += n
+	}
+	return words
+}
+
+// MergeOrder builds indxq, the permutation sorting the merged block's
+// eigenvalues ascending (the Dlamrg join), once the K secular roots sit in
+// d[0:K] and each deflated eigenvalue in d[Slot[j]]. It merges the ascending
+// roots with the deflated values taken from j = N-K-1 down to 0, the order
+// Dlamrg(K, N-K, d, 1, -1) reads them in on LAPACK's layout, and keeps
+// Dlamrg's tie rule: a root goes before an equal deflated value. When
+// K == 0 the deflated values are already ascending and indxq is Slot.
+func (df *Deflation) MergeOrder(d []float64, indxq []int) {
+	k := df.K
+	if k == 0 {
+		copy(indxq, df.Slot)
+		return
+	}
+	i, j := 0, len(df.Slot)-1
+	for o := range indxq[:df.N] {
+		if j < 0 || (i < k && d[i] <= d[df.Slot[j]]) {
+			indxq[o] = i
+			i++
+		} else {
+			indxq[o] = df.Slot[j]
+			j--
+		}
 	}
 }

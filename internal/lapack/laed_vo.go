@@ -150,16 +150,19 @@ func (df *Deflation) GatherCarrierRows(g2, gtop, gbot []float64) {
 	}
 }
 
-// CopyBackValuesVO finalizes the deflated columns K..N-1 of the merge in
-// the values-only lane: deflated eigenvalues to d[K+j] and the rotated
-// carrier columns (an index permutation through Perm — no column movement)
-// to the parent carrier segment flp.
+// CopyBackValuesVO places the merge's deflated eigenvalues and rotated
+// carrier columns in the values-only lane, where the full lane places its
+// deflated vectors: deflated j goes to column Slot[j] of d and of the parent
+// carrier segment flp — index arithmetic only, no column movement. The root
+// merge, whose carrier has no consumer, passes nil g2 and flp.
 func (df *Deflation) CopyBackValuesVO(d, g2, flp []float64) {
-	for j := range df.DeflD {
-		src := df.Perm[df.K+j]
-		d[df.K+j] = df.DeflD[j]
-		flp[2*(df.K+j)] = g2[2*src]
-		flp[2*(df.K+j)+1] = g2[2*src+1]
+	for j, s := range df.Slot {
+		d[s] = df.DeflD[j]
+		if flp != nil {
+			src := df.Perm[df.K+j]
+			flp[2*s] = g2[2*src]
+			flp[2*s+1] = g2[2*src+1]
+		}
 	}
 }
 

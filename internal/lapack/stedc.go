@@ -13,9 +13,10 @@ import (
 // d[0:cutpnt]/d[cutpnt:n] with block-diagonal eigenvectors in q are combined
 // through the rank-one modification with weight rho.
 //
-// On exit d[0:k] holds the secular eigenvalues, d[k:n] the deflated ones, q
-// the corresponding eigenvectors, and indxq the permutation sorting d
-// ascending. gemm may be nil (serial) or a parallel substitute.
+// On exit d[0:k] and q's first k columns hold the secular eigenpairs, the
+// deflated pairs sit in the columns Deflation.Slot names, and indxq is the
+// permutation sorting d ascending. gemm may be nil (serial) or a parallel
+// substitute.
 func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho float64, gemm GemmFunc) error {
 	if cutpnt < 1 || cutpnt >= n {
 		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, n)
@@ -30,17 +31,13 @@ func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho f
 	if err != nil {
 		return err
 	}
-	ws := NewMergeWorkspace(df)
-	defer ws.Release()
-	df.PermutePanel(q, ldq, ws, 0, n)
-
 	if df.K == 0 {
-		df.CopyBackPanel(q, ldq, d, ws, 0, n)
-		for i := 0; i < n; i++ {
-			indxq[i] = i
-		}
+		df.MergeOrder(d, indxq)
 		return nil
 	}
+	ws := NewMergeWorkspace(df)
+	defer ws.Release()
+	df.PermutePanel(q, ldq, ws, 0, df.K)
 
 	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
 		return err
@@ -53,10 +50,9 @@ func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho f
 	defer pool.Put(what)
 	df.FinishW(what, ws.WLoc)
 	df.VectorsPanel(ws, what, 0, df.K)
-	df.CopyBackPanel(q, ldq, d, ws, 0, df.N-df.K)
+	df.CopyBackPanel(q, ldq, d, 0, df.K)
 	df.UpdatePanel(q, ldq, ws, 0, df.K, gemm)
-
-	Dlamrg(df.K, n-df.K, d, 1, -1, indxq)
+	df.MergeOrder(d, indxq)
 	return nil
 }
 
@@ -70,6 +66,9 @@ type DCConfig struct {
 	// multithreaded BLAS under a sequential algorithm) is modelled by
 	// passing a parallel GEMM here.
 	Gemm GemmFunc
+	// Progress, when non-nil, is called after every leaf solve and every
+	// merge: the heartbeat a no-progress watchdog listens for.
+	Progress func()
 }
 
 func (c *DCConfig) smallSize() int {
@@ -84,6 +83,12 @@ func (c *DCConfig) gemm() GemmFunc {
 		return nil
 	}
 	return c.Gemm
+}
+
+func (c *DCConfig) progress() {
+	if c != nil && c.Progress != nil {
+		c.Progress()
+	}
 }
 
 // Dstedc computes all eigenvalues and eigenvectors of a symmetric
@@ -138,9 +143,11 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	// Solve the leaf subproblems; a QR non-convergence on a leaf retries
 	// via Dsterf + inverse iteration instead of failing the whole solve.
 	// Each leaf also zeroes the off-block rows of its columns: the merge
-	// kernels rotate and copy full merge-window columns and rely on the
+	// kernels rotate and move full merge-window columns and rely on the
 	// structurally-zero region holding exact zeros (LAPACK's Z=I invariant),
-	// so q's entry contents must not survive into the merges.
+	// so q's entry contents must not survive into the merges. A merge either
+	// rewrites a column over its whole window or leaves it untouched, so the
+	// zeros outside each window last up the tree.
 	indxq := make([]int, n)
 	for i, st := range starts[:len(starts)-1] {
 		sz := sizes[i]
@@ -159,6 +166,7 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 		for j := 0; j < sz; j++ {
 			indxq[st+j] = j
 		}
+		cfg.progress()
 	}
 
 	// Merge pairwise, bottom-up.
@@ -173,6 +181,7 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 			if err := Dlaed1(msz, cut, d[st:st+msz], q[st+st*ldq:], ldq, indxq[st:st+msz], rho, cfg.gemm()); err != nil {
 				return fmt.Errorf("merge [%d,%d): %w", st, st+msz, err)
 			}
+			cfg.progress()
 			nsizes = append(nsizes, msz)
 			nstarts = append(nstarts, st)
 		}
