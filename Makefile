@@ -32,7 +32,7 @@ cross:
 # A short benchmark pass that exercises the scheduler and the hot kernels
 # without running the full experiment suite.
 bench-smoke:
-	$(GO) test -run '^$$' -bench 'SolveDCTaskFlow2000|SortEigen|Steqr400' -benchtime 1x .
+	$(GO) test -run '^$$' -bench 'SolveDCTaskFlow2000|Steqr400' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/quark/
 
 # The GEMM kernel benchmarks: the square reference shape, the compressed
@@ -89,14 +89,16 @@ chaos-sdc:
 # disposition, reservations never exceed the budget, the pool accountant
 # returns to baseline, and no goroutines leak. The admission, drain and
 # cancelled-probe tests repeat 20 times so a timing-dependent regression
-# shows up here. The last line repeats the deflated-vector placement tests
-# and the merge tests whose panels read and write the same columns while
-# other panels run (the CopyBackDeflated → UpdateVect edge) under the race
-# detector.
+# shows up here. The placement line repeats the deflated-vector placement
+# tests and the merge tests whose panels read and write the same columns
+# while other panels run (the CopyBackDeflated → UpdateVect edge) under the
+# race detector; the last line repeats the task runtime's own tests (ready
+# heap, wakeups, cancellation) the same way.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
 	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestExtraWorkspaceEquivalence|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs' ./internal/lapack/ ./internal/core/
+	$(GO) test -race -count=20 ./internal/quark/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
 # detector — 3 httptest workers behind a real coordinator serving 220 mixed

@@ -146,12 +146,13 @@ type Options struct {
 	// shipping a wrong answer.
 	DisableAudit bool
 	// Progress, when non-nil, is called after every executed task of a
-	// task-flow solve and at every tier transition: the heartbeat external
-	// watchdogs (eigen.Server) use to tell a stalled solve from a running
-	// one. It runs on worker goroutines, so it must be concurrency-safe and
-	// cheap — storing a timestamp into an atomic is the intended shape.
-	// Sequential tiers emit no per-task heartbeats; watchdog stall windows
-	// must cover the longest expected sequential phase.
+	// task-flow solve, after every leaf and merge of the sequential dstedc
+	// tier, and at every tier transition: the heartbeat external watchdogs
+	// (eigen.Server) use to tell a stalled solve from a running one. It runs
+	// on worker goroutines, so it must be concurrency-safe and cheap —
+	// storing a timestamp into an atomic is the intended shape. The mrrr, qr
+	// and dsterf tiers send no heartbeats; watchdog stall windows must cover
+	// the longest of those runs.
 	Progress func()
 }
 

@@ -442,7 +442,7 @@ func (f *flow) submit() error {
 
 // adaptivePanelNB picks the submit-time panel width for a merge of width nm:
 // the DAG is matrix independent (submitted before deflation is known), so the
-// panel count is sized to give each worker a few stealable panels while
+// panel count is sized to give each worker a few panels to run while
 // keeping panels wide enough to amortize per-task overhead. The clamp is
 // deliberately tight (96–128): the submit-time width only fixes the panel
 // COUNT, and too few panels would force the runtime secular width above its
@@ -594,12 +594,6 @@ const (
 
 // submitMerge submits the paper's Algorithm 1 for one merge node: the
 // Compute-deflation join, the lane's panel tasks, and the Dlamrg join.
-//
-// Access-declaration order matters for locality (not for correctness): the
-// quark scheduler hints a ready task onto the worker that last wrote the
-// task's last-declared non-Gatherv handle, so each task lists its panel
-// handle last (UpdateVect follows ComputeVect's hSec panel, CopyBackDeflated
-// follows PermuteV's hPerm panel, and so on).
 func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 	rt, o, st := f.rt, f.o, f.st
 	start, nm := parent.start, parent.size

@@ -29,35 +29,46 @@ func Dstein(n int, d, e []float64, w []float64, z []float64, ldz int) error {
 		z[0] = 1
 		return nil
 	}
-	nrmT := Dlanst('M', n, d, e)
-	if nrmT == 0 {
-		nrmT = 1
-	}
 	// Cluster tolerance: LAPACK DSTEIN reorthogonalizes eigenvectors whose
 	// eigenvalues lie within 1e-3·‖T‖ of each other.
-	ortol := 1e-3 * nrmT
-	sep := Eps * nrmT
-
+	ortol := 1e-3 * steinNorm(n, d, e)
+	var cols [][]float64
 	for g0 := 0; g0 < n; {
 		g1 := g0 + 1
 		for g1 < n && w[g1]-w[g1-1] <= ortol {
 			g1++
 		}
-		steinCluster(n, d, e, w[g0:g1], z[g0*ldz:], ldz, sep)
+		cols = cols[:0]
+		for j := g0; j < g1; j++ {
+			cols = append(cols, z[j*ldz:j*ldz+n])
+		}
+		SteinCluster(n, d, e, w[g0:g1], cols)
 		g0 = g1
 	}
 	return nil
 }
 
-// steinCluster runs inverse iteration for one cluster of close eigenvalues,
-// orthogonalizing each new vector against the ones already computed for the
-// cluster. Perturbed shifts keep the factorizations of repeated eigenvalues
-// distinct.
-func steinCluster(n int, d, e []float64, lams []float64, z []float64, ldz int, sep float64) {
+// steinNorm is ‖T‖ by largest absolute entry, or 1 for the zero matrix.
+func steinNorm(n int, d, e []float64) float64 {
+	if nrm := Dlanst('M', n, d, e); nrm != 0 {
+		return nrm
+	}
+	return 1
+}
+
+// SteinCluster runs inverse iteration on the tridiagonal (d, e) for one
+// cluster of close eigenvalues lams, writing the eigenvector of lams[i] into
+// cols[i][:n] and orthogonalizing it against the cluster's earlier vectors.
+// Shifts perturbed in steps of 2·Eps·‖T‖ keep the factorizations of
+// repeated eigenvalues distinct. The columns are slices so that Dstein's
+// contiguous block and MRRR's fallback, which picks columns by index, both
+// fit.
+func SteinCluster(n int, d, e []float64, lams []float64, cols [][]float64) {
 	eps := Eps
+	sep := eps * steinNorm(n, d, e)
 	for gi, lam := range lams {
 		pert := lam + float64(gi)*2*sep
-		x := z[gi*ldz : gi*ldz+n]
+		x := cols[gi][:n]
 		// Deterministic pseudo-random start vector (LAPACK uses dlarnv).
 		seed := uint64(gi)*2654435761 + 9176
 		reseed := func() {
@@ -70,8 +81,7 @@ func steinCluster(n int, d, e []float64, lams []float64, z []float64, ldz int, s
 		for iter := 0; iter < 8; iter++ {
 			steinSolveShifted(n, d, e, pert, x)
 			// Orthogonalize against the cluster's previous vectors.
-			for p := 0; p < gi; p++ {
-				prev := z[p*ldz : p*ldz+n]
+			for _, prev := range cols[:gi] {
 				dot := blas.Ddot(n, prev, 1, x, 1)
 				blas.Daxpy(n, -dot, prev, 1, x, 1)
 			}

@@ -432,12 +432,13 @@ func processNode(n int, d, e []float64, rep *repNode, idx []int, lam []float64,
 
 // steinFallback computes a pathological cluster's eigenpairs outside the
 // representation tree. Small clusters use inverse iteration with
-// reorthogonalization (DSTEIN's approach); large numerically-degenerate
-// clusters — where inverse iteration cannot produce an orthogonal basis —
-// fall back to QR iteration on the whole block and extract the cluster's
-// columns. This is the robustness gap of MRRR that the paper points out
-// ("MRRR ... can fail to provide an accurate solution in some cases");
-// the fallback trades the O(n³) QR cost for a correct basis.
+// reorthogonalization (lapack.SteinCluster, DSTEIN's kernel); large
+// numerically-degenerate clusters — where inverse iteration cannot produce
+// an orthogonal basis — fall back to QR iteration on the whole block and
+// extract the cluster's columns. This is the robustness gap of MRRR that
+// the paper points out ("MRRR ... can fail to provide an accurate solution
+// in some cases"); the fallback trades the O(n³) QR cost for a correct
+// basis.
 func steinFallback(n int, d, e []float64, sigma float64, lams []float64, ids []int,
 	w []float64, z []float64, ldz int, fb *qrFallback) {
 	stein := func() {
@@ -448,7 +449,7 @@ func steinFallback(n int, d, e []float64, sigma float64, lams []float64, ids []i
 			cols[i] = z[ids[i]*ldz : ids[i]*ldz+n]
 			w[ids[i]] = abs[i]
 		}
-		steinGroup(n, d, e, abs, cols)
+		lapack.SteinCluster(n, d, e, abs, cols)
 	}
 	if len(ids) <= 8 {
 		stein()

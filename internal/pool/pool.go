@@ -22,11 +22,13 @@
 //
 // The pool carries an atomic byte accountant: Get charges the size-class
 // capacity of the returned slice and Put credits it back, so InUseBytes
-// reports the pooled workspace currently checked out process-wide. The
-// solve service (eigen.Server) budgets admission against this accountant.
-// Callers that deliberately leak a pooled slice to the GC (e.g. the
-// workspace of a failed merge, which may alias live data) must report it
-// via Forget so the accountant matches reality.
+// reports the pooled workspace currently checked out process-wide. It is a
+// gauge, not an admission input: the solve service (eigen.Server) admits
+// against its own EstimateSolveBytes reservations and reports InUseBytes in
+// its stats, and the leak tests use it as ground truth that every solve
+// returned its workspace. Callers that deliberately leak a pooled slice to
+// the GC (e.g. the workspace of a failed merge, which may alias live data)
+// must report it via Forget so the accountant matches reality.
 //
 // The accounting assumes the package contract: only slices obtained from
 // Get are handed to Put, exactly once. Violations are defended in depth:
@@ -78,8 +80,7 @@ type shard struct {
 var shards [numShards]shard
 
 // inUse is the accountant: bytes of size-class capacity checked out by Get
-// and not yet returned by Put or written off by Forget. It is the single
-// atomic the admission budget reads.
+// and not yet returned by Put or written off by Forget (InUseBytes).
 var inUse atomic.Int64
 
 // retained is the idle bytes currently parked in the freelists (exact:

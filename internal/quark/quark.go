@@ -12,14 +12,13 @@
 // This keeps the number of declared dependencies per task constant instead
 // of Θ(n/nb).
 //
-// Scheduling policy (see DESIGN.md §"Scheduler"): every worker owns a ready
-// deque ordered by (priority descending, submission order ascending). A ready
-// task is placed on the deque of the worker that last wrote one of the
-// handles it touches (locality: panel tasks land where their panel data is
-// cache-warm), falling back to the worker that completed its last dependency,
-// falling back to round-robin. Idle workers steal the highest-priority task
-// from a randomly chosen victim. Enqueues wake at most one sleeping worker
-// (targeted wakeup) instead of broadcasting to the whole pool.
+// Scheduling policy (see DESIGN.md §7): every ready task waits in one binary
+// heap ordered by (priority descending, submission order ascending), held
+// under the runtime mutex that every Submit and every completion already
+// takes. A worker that finds the heap empty sleeps on a condition variable
+// on that mutex, signalled once per enqueued task. The replay simulator
+// (internal/sched) schedules from the same heap type, so a replayed schedule
+// follows the runtime's order.
 //
 // Failure-aware cancellation: when a task panics, every transitive successor
 // is skipped instead of executed (their kernels would run against
@@ -40,7 +39,6 @@ package quark
 import (
 	"context"
 	"fmt"
-	"math/rand"
 	"runtime"
 	"sync"
 	"sync/atomic"
@@ -74,7 +72,6 @@ type Handle struct {
 	lastWriter *task
 	readers    []*task
 	gatherers  []*task
-	lastWorker int // worker that last completed a writing task on this handle
 }
 
 // TaskError is the failure of one task: the kernel class and label of the
@@ -118,10 +115,7 @@ type task struct {
 	pending  int
 	succs    []*task
 	done     bool
-	canceled bool      // a transitive predecessor failed; skip fn
-	hints    []*Handle // non-Gatherv handles in declared order, locality hints
-	writes   []*Handle // handles written (Out/InOut/Gatherv)
-	home     int       // deque the task was placed on (-1 before placement)
+	canceled bool // a transitive predecessor failed; skip fn
 }
 
 // TaskInfo describes one executed task in a captured graph.
@@ -131,8 +125,6 @@ type TaskInfo struct {
 	Label    string
 	Priority int
 	Worker   int           // worker that executed the task (-1 if never executed)
-	Home     int           // deque the task was placed on when it became ready
-	Stolen   bool          // executed by a worker other than its home deque's owner
 	Canceled bool          // skipped because a transitive predecessor failed
 	Start    time.Duration // relative to runtime creation
 	End      time.Duration
@@ -149,81 +141,82 @@ type Graph struct {
 	Edges [][2]int // (from, to) task IDs; from must complete before to starts
 }
 
-// taskHeap is a binary max-heap ordered by (priority desc, id asc): the pop
-// order is numeric priority first, submission order within a priority level.
-type taskHeap []*task
+// ReadyHeap is the ready-task queue: a binary heap that pops by priority
+// (higher first), then by submission id (lower first), so the tasks of one
+// priority level keep their sequential task-flow order. The runtime and the
+// replay simulator (internal/sched) both schedule from it, so a replayed
+// schedule follows the runtime's order. The zero value is an empty heap.
+type ReadyHeap[T any] struct{ items []readyItem[T] }
 
-func heapLess(a, b *task) bool {
+type readyItem[T any] struct {
+	priority, id int
+	v            T
+}
+
+// before is the heap order: priority descending, submission id ascending.
+func (a readyItem[T]) before(b readyItem[T]) bool {
 	if a.priority != b.priority {
 		return a.priority > b.priority
 	}
 	return a.id < b.id
 }
 
-func (h *taskHeap) push(t *task) {
-	*h = append(*h, t)
-	i := len(*h) - 1
-	for i > 0 {
+// Len returns the number of queued items.
+func (h *ReadyHeap[T]) Len() int { return len(h.items) }
+
+// Push queues v under its priority and submission id.
+func (h *ReadyHeap[T]) Push(priority, id int, v T) {
+	h.items = append(h.items, readyItem[T]{priority, id, v})
+	it := h.items
+	for i := len(it) - 1; i > 0; {
 		p := (i - 1) / 2
-		if !heapLess((*h)[i], (*h)[p]) {
+		if !it[i].before(it[p]) {
 			break
 		}
-		(*h)[i], (*h)[p] = (*h)[p], (*h)[i]
+		it[i], it[p] = it[p], it[i]
 		i = p
 	}
 }
 
-func (h *taskHeap) pop() *task {
-	old := *h
-	n := len(old)
-	if n == 0 {
-		return nil
+// Pop removes and returns the first item in heap order; ok is false when
+// the heap is empty.
+func (h *ReadyHeap[T]) Pop() (v T, ok bool) {
+	it := h.items
+	n := len(it) - 1
+	if n < 0 {
+		return v, false
 	}
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*h = old[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && heapLess(old[l], old[best]) {
+	v = it[0].v
+	it[0] = it[n]
+	it[n] = readyItem[T]{}
+	it = it[:n]
+	h.items = it
+	for i := 0; ; {
+		best, l, r := i, 2*i+1, 2*i+2
+		if l < n && it[l].before(it[best]) {
 			best = l
 		}
-		if r < n && heapLess(old[r], old[best]) {
+		if r < n && it[r].before(it[best]) {
 			best = r
 		}
 		if best == i {
 			break
 		}
-		old[i], old[best] = old[best], old[i]
+		it[i], it[best] = it[best], it[i]
 		i = best
 	}
-	return top
-}
-
-// workerState is one worker's ready deque plus its wakeup channel. The deque
-// mutex is only held for push/pop, never across task execution, so victims
-// remain stealable while their owner runs a kernel.
-type workerState struct {
-	mu   sync.Mutex
-	heap taskHeap
-	wake chan struct{} // buffered(1): a pending token survives races with sleep
-	rng  *rand.Rand    // victim selection; owned by the worker goroutine
+	return v, true
 }
 
 // Runtime schedules tasks over a fixed pool of worker goroutines.
 type Runtime struct {
-	mu        sync.Mutex // dependency graph, counters, capture, error state
+	mu        sync.Mutex // dependency graph, ready heap, counters, capture, error state
+	ready     ReadyHeap[*task]
+	work      *sync.Cond // on mu; signalled once per enqueue, broadcast on abort and Shutdown
+	done      *sync.Cond // on mu; broadcast when completed == submitted
 	workers   int
-	ws        []*workerState
-	idleMu    sync.Mutex // idle registry (leaf lock: taken with mu or ws.mu held)
-	idle      []bool
-	rr        int // round-robin placement cursor for hint-less tasks
 	submitted int
 	completed int
-	steals    int64
 	skipped   int64
 	firstErr  error
 	closed    bool
@@ -231,12 +224,10 @@ type Runtime struct {
 	graph     *Graph
 	start     time.Time
 	wg        sync.WaitGroup
-	done      *sync.Cond // on mu; broadcast when completed == submitted
 
 	ctx     context.Context // nil unless WithContext
 	ctxDone <-chan struct{} // ctx.Done(); nil without a cancellable context
 	ctxErr  error           // on mu; set once when ctx is cancelled
-	aborted atomic.Bool     // fast-path mirror of ctxErr != nil
 	stop    chan struct{}   // closed by Shutdown; ends the context watcher
 
 	taskTimer func(class string, d time.Duration) // WithTaskTimer observer, may be nil
@@ -301,11 +292,8 @@ func New(workers int, opts ...Option) *Runtime {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	rt := &Runtime{
-		workers: workers,
-		idle:    make([]bool, workers),
-		start:   time.Now(),
-	}
+	rt := &Runtime{workers: workers, start: time.Now()}
+	rt.work = sync.NewCond(&rt.mu)
 	rt.done = sync.NewCond(&rt.mu)
 	for _, o := range opts {
 		o(rt)
@@ -313,28 +301,20 @@ func New(workers int, opts ...Option) *Runtime {
 	if rt.capture {
 		rt.graph = &Graph{}
 	}
-	rt.ws = make([]*workerState, workers)
-	for w := range rt.ws {
-		rt.ws[w] = &workerState{
-			wake: make(chan struct{}, 1),
-			rng:  rand.New(rand.NewSource(int64(w)*2654435769 + 1)),
-		}
-	}
-	rt.wg.Add(workers)
-	for w := 0; w < workers; w++ {
-		go rt.worker(w)
-	}
 	if rt.ctx != nil {
 		if err := rt.ctx.Err(); err != nil {
 			// Already cancelled: guarantee synchronously that no task will
 			// ever run, rather than racing the watcher against Submit.
 			rt.ctxErr = err
-			rt.aborted.Store(true)
 		} else {
 			rt.stop = make(chan struct{})
 			rt.wg.Add(1)
 			go rt.watchContext()
 		}
+	}
+	rt.wg.Add(workers)
+	for w := 0; w < workers; w++ {
+		go rt.worker(w)
 	}
 	return rt
 }
@@ -345,26 +325,31 @@ func (rt *Runtime) watchContext() {
 	defer rt.wg.Done()
 	select {
 	case <-rt.ctx.Done():
-		rt.abort(rt.ctx.Err())
+		rt.mu.Lock()
+		rt.abortLocked(rt.ctx.Err())
+		rt.mu.Unlock()
 	case <-rt.stop:
 	}
 }
 
-// abort records the cancellation cause, wakes Wait, and wakes every worker
-// so queued tasks drain (each is skipped, not run).
-func (rt *Runtime) abort(cause error) {
-	rt.mu.Lock()
+// abortLocked records the cancellation cause, wakes Wait, and wakes every
+// worker so queued tasks drain (each is skipped, not run).
+func (rt *Runtime) abortLocked(cause error) {
 	if rt.ctxErr == nil {
 		rt.ctxErr = cause
-		rt.aborted.Store(true)
 		rt.done.Broadcast()
+		rt.work.Broadcast()
 	}
-	rt.mu.Unlock()
-	for _, ws := range rt.ws {
-		select {
-		case ws.wake <- struct{}{}:
-		default:
-		}
+}
+
+// cancelled reports whether the runtime's context is done, without waiting
+// for the watcher goroutine to notice.
+func (rt *Runtime) cancelled() bool {
+	select {
+	case <-rt.ctxDone:
+		return true
+	default:
+		return false
 	}
 }
 
@@ -373,7 +358,7 @@ func (rt *Runtime) Workers() int { return rt.workers }
 
 // Handle creates a named data handle for dependency tracking.
 func (rt *Runtime) Handle(name string) *Handle {
-	return &Handle{name: name, lastWorker: -1}
+	return &Handle{name: name}
 }
 
 // Submit registers a task in sequential program order. class groups tasks of
@@ -387,7 +372,7 @@ func (rt *Runtime) Submit(class, label string, fn func(), accesses ...Access) {
 
 // SubmitPrio is Submit with an explicit priority.
 func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), accesses ...Access) {
-	t := &task{class: class, label: label, priority: priority, fn: fn, home: -1}
+	t := &task{class: class, label: label, priority: priority, fn: fn}
 
 	rt.mu.Lock()
 	defer rt.mu.Unlock()
@@ -420,16 +405,12 @@ func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), acce
 				addDep(g)
 			}
 			h.readers = append(h.readers, t)
-			t.hints = append(t.hints, h)
 		case Gatherv:
 			addDep(h.lastWriter)
 			for _, r := range h.readers {
 				addDep(r)
 			}
 			h.gatherers = append(h.gatherers, t)
-			t.writes = append(t.writes, h)
-			// Gatherv handles are merge-wide shared objects; they carry no
-			// panel locality, so they are excluded from the hint scan.
 		case Out, InOut:
 			addDep(h.lastWriter)
 			for _, r := range h.readers {
@@ -441,8 +422,6 @@ func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), acce
 			h.lastWriter = t
 			h.readers = h.readers[:0:0]
 			h.gatherers = h.gatherers[:0:0]
-			t.hints = append(t.hints, h)
-			t.writes = append(t.writes, h)
 		default:
 			panic(fmt.Sprintf("quark: unknown access mode %d", ac.Mode))
 		}
@@ -469,7 +448,7 @@ func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), acce
 	if rt.capture {
 		rt.graph.Tasks = append(rt.graph.Tasks, TaskInfo{
 			ID: t.id, Class: class, Label: label, Priority: priority,
-			Worker: -1, Home: -1,
+			Worker: -1,
 		})
 		for d := range allDeps {
 			rt.graph.Edges = append(rt.graph.Edges, [2]int{d.id, t.id})
@@ -480,165 +459,50 @@ func (rt *Runtime) SubmitPrio(class, label string, priority int, fn func(), acce
 		if t.canceled {
 			rt.skipLocked(t)
 		} else {
-			rt.enqueueLocked(t, -1)
+			rt.enqueueLocked(t)
 		}
 	}
 }
 
-// placeLocked picks a deque for a ready task: the most recent writer-worker
-// among the task's declared handles (scanned from the last declared access
-// backwards, skipping Gatherv accesses — the paper's panel handles come last
-// in core's access lists, so UpdateVect lands where ComputeVect warmed the
-// cache), else fallback (the worker that completed the last dependency), else
-// round-robin.
-func (rt *Runtime) placeLocked(t *task, fallback int) int {
-	for i := len(t.hints) - 1; i >= 0; i-- {
-		if w := t.hints[i].lastWorker; w >= 0 {
-			return w
-		}
-	}
-	if fallback >= 0 {
-		return fallback
-	}
-	w := rt.rr % rt.workers
-	rt.rr++
-	return w
+// enqueueLocked queues a ready task and wakes one sleeping worker.
+func (rt *Runtime) enqueueLocked(t *task) {
+	rt.ready.Push(t.priority, t.id, t)
+	rt.work.Signal()
 }
 
-// enqueueLocked places a ready task on a worker deque and wakes a sleeper.
-func (rt *Runtime) enqueueLocked(t *task, fallback int) {
-	w := rt.placeLocked(t, fallback)
-	t.home = w
-	t.hints = nil
-	if rt.capture {
-		rt.graph.Tasks[t.id].Home = w
-	}
-	ws := rt.ws[w]
-	ws.mu.Lock()
-	ws.heap.push(t)
-	ws.mu.Unlock()
-	rt.wakeFor(w)
-}
-
-// wakeFor wakes the owner of deque w if it sleeps, else any one sleeping
-// worker (which will steal). At most one worker is woken per enqueue; busy
-// workers pull further tasks themselves when they finish their current one.
-func (rt *Runtime) wakeFor(w int) {
-	target := -1
-	rt.idleMu.Lock()
-	if rt.idle[w] {
-		target = w
-	} else {
-		for i, id := range rt.idle {
-			if id {
-				target = i
-				break
-			}
-		}
-	}
-	if target >= 0 {
-		rt.idle[target] = false
-	}
-	rt.idleMu.Unlock()
-	if target >= 0 {
-		select {
-		case rt.ws[target].wake <- struct{}{}:
-		default:
-		}
-	}
-}
-
-func (rt *Runtime) setIdle(id int, v bool) {
-	rt.idleMu.Lock()
-	rt.idle[id] = v
-	rt.idleMu.Unlock()
-}
-
-func (rt *Runtime) isClosed() bool {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.closed
-}
-
-// findWork pops the worker's own deque, then steals the highest-priority
-// task from the other deques, scanned once in a randomized rotation.
-func (rt *Runtime) findWork(id int) *task {
-	me := rt.ws[id]
-	me.mu.Lock()
-	t := me.heap.pop()
-	me.mu.Unlock()
-	if t != nil || rt.workers == 1 {
-		return t
-	}
-	off := me.rng.Intn(rt.workers)
-	for i := 0; i < rt.workers; i++ {
-		v := (id + off + i) % rt.workers
-		if v == id {
-			continue
-		}
-		vs := rt.ws[v]
-		vs.mu.Lock()
-		t = vs.heap.pop()
-		vs.mu.Unlock()
-		if t != nil {
-			return t
-		}
-	}
-	return nil
-}
-
+// worker runs ready tasks in heap order, sleeping while the heap is empty,
+// until Shutdown finds the heap empty.
 func (rt *Runtime) worker(id int) {
 	defer rt.wg.Done()
-	me := rt.ws[id]
+	rt.mu.Lock()
+	defer rt.mu.Unlock()
 	for {
-		t := rt.findWork(id)
-		if t == nil {
-			// Register idle before the re-scan: an enqueuer either sees the
-			// idle flag (and sends a wake token) or enqueued before the flag
-			// was set (and the re-scan finds the task). Either way no task is
-			// stranded with this worker asleep.
-			rt.setIdle(id, true)
-			if t = rt.findWork(id); t == nil {
-				if rt.isClosed() {
-					// Final scan after observing closed: Submits by the
-					// master happen-before Shutdown, so anything enqueued
-					// before close is visible now. Later successor enqueues
-					// are handled by the enqueuing (still-running) worker.
-					if t = rt.findWork(id); t == nil {
-						rt.setIdle(id, false)
-						return
-					}
-				} else {
-					<-me.wake
-					rt.setIdle(id, false)
-					continue
-				}
-			}
-			rt.setIdle(id, false)
+		if t, ok := rt.ready.Pop(); ok {
+			rt.run(id, t)
+		} else if rt.closed {
+			return
+		} else {
+			rt.work.Wait()
 		}
-		rt.run(id, t)
 	}
 }
 
+// run executes t on worker id. mu is held on entry and on return; the kernel
+// runs without it.
 func (rt *Runtime) run(id int, t *task) {
-	if rt.ctxDone != nil {
-		// Check the context itself, not only the watcher's abort flag: a
-		// worker that just finished a kernel must not start the next task
-		// before the watcher goroutine gets to run.
-		select {
-		case <-rt.ctxDone:
-			rt.abort(rt.ctx.Err())
-		default:
-		}
+	if rt.ctxErr == nil && rt.cancelled() {
+		// Check the context itself, not only the watcher's abort: a worker
+		// that just finished a kernel must not start the next task before
+		// the watcher goroutine gets to run.
+		rt.abortLocked(rt.ctx.Err())
 	}
-	if rt.aborted.Load() {
+	if rt.ctxErr != nil {
 		// The context was cancelled after this task became ready: skip its
 		// kernel and cascade the cancellation to its successors.
-		rt.mu.Lock()
 		rt.skipLocked(t)
-		rt.mu.Unlock()
 		return
 	}
+	rt.mu.Unlock()
 	start := time.Since(rt.start)
 	runKernel := func() error {
 		if faultinject.Active() {
@@ -658,7 +522,7 @@ func (rt *Runtime) run(id int, t *task) {
 		return safeCall(t.fn)
 	}
 	err := runKernel()
-	if err != nil && rt.retryPred != nil && !rt.aborted.Load() && rt.retryPred(t.class, err) {
+	if err != nil && rt.retryPred != nil && !rt.cancelled() && rt.retryPred(t.class, err) {
 		// Task-granular self-healing: re-execute the kernel once in place.
 		// The predicate gates this to idempotent classes failing with
 		// detected-corruption errors, so the recompute overwrites the
@@ -684,25 +548,12 @@ func (rt *Runtime) run(id int, t *task) {
 			rt.firstErr = &TaskError{Class: t.class, Label: t.label, Err: err}
 		}
 	}
-	for _, h := range t.writes {
-		h.lastWorker = id
-	}
-	if t.home != id {
-		rt.steals++
-	}
 	if rt.capture {
 		ti := &rt.graph.Tasks[t.id]
-		ti.Worker = id
-		ti.Stolen = t.home != id
-		ti.Start = start
-		ti.End = end
+		ti.Worker, ti.Start, ti.End = id, start, end
 	}
 	rt.completed++
-	rt.finishLocked(t, id, err != nil)
-	if rt.completed == rt.submitted {
-		rt.done.Broadcast()
-	}
-	rt.mu.Unlock()
+	rt.finishLocked(t, err != nil)
 }
 
 // skipLocked completes a canceled task without running it and cascades the
@@ -714,17 +565,15 @@ func (rt *Runtime) skipLocked(t *task) {
 	if rt.capture {
 		rt.graph.Tasks[t.id].Canceled = true
 	}
-	rt.finishLocked(t, -1, true)
-	if rt.completed == rt.submitted {
-		rt.done.Broadcast()
-	}
+	rt.finishLocked(t, true)
 }
 
 // finishLocked propagates a completion to the task's successors: failed (or
 // skipped) tasks mark their successors canceled; successors whose last
 // dependency resolved are either enqueued or skipped in turn. Skipping is
-// iterative so a long canceled chain cannot overflow the stack.
-func (rt *Runtime) finishLocked(t *task, worker int, failed bool) {
+// iterative so a long canceled chain cannot overflow the stack. Wait wakes
+// once every submitted task is complete.
+func (rt *Runtime) finishLocked(t *task, failed bool) {
 	type item struct {
 		t      *task
 		failed bool
@@ -748,12 +597,14 @@ func (rt *Runtime) finishLocked(t *task, worker int, failed bool) {
 					}
 					stack = append(stack, item{s, true})
 				} else {
-					rt.enqueueLocked(s, worker)
+					rt.enqueueLocked(s)
 				}
 			}
 		}
 		it.t.succs = nil
-		it.t.writes = nil
+	}
+	if rt.completed == rt.submitted {
+		rt.done.Broadcast()
 	}
 }
 
@@ -792,14 +643,6 @@ func (rt *Runtime) Wait() error {
 	return rt.ctxErr
 }
 
-// Steals returns how many tasks were executed by a worker other than the one
-// whose deque they were placed on.
-func (rt *Runtime) Steals() int64 {
-	rt.mu.Lock()
-	defer rt.mu.Unlock()
-	return rt.steals
-}
-
 // Skipped returns how many tasks were skipped because a transitive
 // predecessor failed.
 func (rt *Runtime) Skipped() int64 {
@@ -828,15 +671,10 @@ func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	already := rt.closed
 	rt.closed = true
+	rt.work.Broadcast()
 	rt.mu.Unlock()
 	if !already && rt.stop != nil {
 		close(rt.stop)
-	}
-	for _, ws := range rt.ws {
-		select {
-		case ws.wake <- struct{}{}:
-		default:
-		}
 	}
 	rt.wg.Wait()
 	if !already {

@@ -282,6 +282,7 @@ func TestPriorityOrderAndFIFOTieBreak(t *testing.T) {
 	rt := New(1)
 	defer rt.Shutdown()
 	block := make(chan struct{})
+	started := make(chan struct{})
 	var mu sync.Mutex
 	var order []string
 	add := func(s string) func() {
@@ -291,7 +292,10 @@ func TestPriorityOrderAndFIFOTieBreak(t *testing.T) {
 			mu.Unlock()
 		}
 	}
-	rt.Submit("B", "block", func() { <-block })
+	// The blocker must hold the worker before the others become ready, or
+	// p1-a (priority 1) is rightly popped ahead of it.
+	rt.Submit("B", "block", func() { close(started); <-block })
+	<-started
 	rt.SubmitPrio("T", "p1-a", 1, add("p1-a"))
 	rt.SubmitPrio("T", "p5-a", 5, add("p5-a"))
 	rt.Submit("T", "p0-a", add("p0-a"))
@@ -310,6 +314,48 @@ func TestPriorityOrderAndFIFOTieBreak(t *testing.T) {
 		if order[i] != want[i] {
 			t.Fatalf("execution order %v, want %v", order, want)
 		}
+	}
+}
+
+func TestGlobalPriorityAcrossWorkers(t *testing.T) {
+	// Priorities are global: a worker that frees up runs the best ready task
+	// in the whole runtime. Both workers are held while six tasks become
+	// ready; the worker released first must run all six in priority order,
+	// submission order within a level. Per-worker queues failed this: the
+	// freed worker drained its own queue first ([p5-a p1-a p0-a p5-b ...]).
+	rt := New(2)
+	defer rt.Shutdown()
+	var started sync.WaitGroup
+	started.Add(2)
+	release := []chan struct{}{make(chan struct{}), make(chan struct{})}
+	for i, ch := range release {
+		rt.Submit("B", fmt.Sprintf("block%d", i), func() { started.Done(); <-ch })
+	}
+	started.Wait()
+	var mu sync.Mutex
+	var order []string
+	var ran sync.WaitGroup
+	for _, s := range []struct {
+		label string
+		prio  int
+	}{{"p0-a", 0}, {"p0-b", 0}, {"p5-a", 5}, {"p5-b", 5}, {"p1-a", 1}, {"p1-b", 1}} {
+		ran.Add(1)
+		rt.SubmitPrio("T", s.label, s.prio, func() {
+			mu.Lock()
+			order = append(order, s.label)
+			mu.Unlock()
+			ran.Done()
+		})
+	}
+	close(release[0])
+	ran.Wait()
+	close(release[1])
+	if err := rt.Wait(); err != nil {
+		t.Fatal(err)
+	}
+	want := []string{"p5-a", "p5-b", "p1-a", "p1-b", "p0-a", "p0-b"}
+	if fmt.Sprint(order) != fmt.Sprint(want) {
+		t.Fatalf("execution order %v, want %v", order, want)
 	}
 }
 
@@ -380,15 +426,6 @@ func TestRandomDAGStressAcrossWorkers(t *testing.T) {
 				if ti.Worker < 0 || ti.Worker >= workers {
 					t.Fatalf("task %d ran on bogus worker %d", ti.ID, ti.Worker)
 				}
-				if ti.Home < 0 || ti.Home >= workers {
-					t.Fatalf("task %d placed on bogus deque %d", ti.ID, ti.Home)
-				}
-				if ti.Stolen != (ti.Worker != ti.Home) {
-					t.Fatalf("task %d steal flag inconsistent: worker %d home %d stolen %v", ti.ID, ti.Worker, ti.Home, ti.Stolen)
-				}
-			}
-			if workers == 1 && rt.Steals() != 0 {
-				t.Errorf("single worker cannot steal, got %d", rt.Steals())
 			}
 		})
 	}
@@ -572,7 +609,7 @@ func TestManyTasksStress(t *testing.T) {
 
 // BenchmarkTaskThroughput measures pure scheduling overhead: chains of no-op
 // tasks over a handful of handles, so the cost is submission, dependency
-// tracking, deque operations and wakeups rather than kernel work.
+// tracking, heap operations and wakeups rather than kernel work.
 func BenchmarkTaskThroughput(b *testing.B) {
 	for _, workers := range []int{1, 4} {
 		b.Run(fmt.Sprintf("W%d", workers), func(b *testing.B) {

@@ -1,24 +1,18 @@
 // Package sched replays a captured task graph on P virtual workers. It is
 // the substitution for the paper's 16-core testbed on single-core hosts (see
 // DESIGN.md §2): every task keeps its real measured duration, the real
-// dependency structure is honoured, and a greedy list scheduler matching the
-// quark runtime's policy assigns tasks to virtual workers: per-worker ready
-// queues ordered by (priority descending, submission order ascending), newly
-// ready successors placed on the queue of the worker that completed their
-// last dependency (the runtime's locality fallback — the captured graph does
-// not carry handle identities, so the handle-affinity hint is approximated by
-// this completer placement), and idle workers stealing the highest-priority
-// task from the other queues. The simulator scans victims in a deterministic
-// rotation where the runtime randomizes; both are work-conserving, so
-// makespans agree up to tie-breaks. An optional bandwidth model stretches
-// memory-bound tasks when several run concurrently, reproducing the
-// saturation plateau of the paper's Figure 5.
+// dependency structure is honoured, and a greedy list scheduler with the
+// quark runtime's policy assigns tasks to virtual workers: one ready heap
+// (quark.ReadyHeap, the runtime's own type and order: priority descending,
+// submission order ascending) from which every free worker takes the next
+// task. An optional bandwidth model stretches memory-bound tasks when
+// several run concurrently, reproducing the saturation plateau of the
+// paper's Figure 5.
 package sched
 
 import (
 	"fmt"
 	"math"
-	"sort"
 
 	"tridiag/internal/quark"
 )
@@ -107,60 +101,6 @@ type simTask struct {
 	start     float64
 }
 
-// simQueue is one virtual worker's ready queue: a max-heap ordered by
-// (priority desc, id asc), mirroring the runtime's deque order.
-type simQueue []*simTask
-
-func simLess(a, b *simTask) bool {
-	if a.priority != b.priority {
-		return a.priority > b.priority
-	}
-	return a.id < b.id
-}
-
-func (q *simQueue) push(t *simTask) {
-	*q = append(*q, t)
-	i := len(*q) - 1
-	for i > 0 {
-		p := (i - 1) / 2
-		if !simLess((*q)[i], (*q)[p]) {
-			break
-		}
-		(*q)[i], (*q)[p] = (*q)[p], (*q)[i]
-		i = p
-	}
-}
-
-func (q *simQueue) pop() *simTask {
-	old := *q
-	n := len(old)
-	if n == 0 {
-		return nil
-	}
-	top := old[0]
-	old[0] = old[n-1]
-	old[n-1] = nil
-	*q = old[:n-1]
-	n--
-	i := 0
-	for {
-		l, r := 2*i+1, 2*i+2
-		best := i
-		if l < n && simLess(old[l], old[best]) {
-			best = l
-		}
-		if r < n && simLess(old[r], old[best]) {
-			best = r
-		}
-		if best == i {
-			break
-		}
-		old[i], old[best] = old[best], old[i]
-		i = best
-	}
-	return top
-}
-
 // Simulate list-schedules the graph on cfg.Workers virtual workers and
 // returns the resulting schedule. Task durations are taken from the captured
 // timings; the graph must come from a run with graph capture enabled.
@@ -188,34 +128,11 @@ func Simulate(g *quark.Graph, cfg Config) (*Result, error) {
 		tasks[e[1]].pending++
 	}
 
-	// Initially ready tasks are placed round-robin in submission order,
-	// matching the runtime's hint-less placement of the leaf tasks.
-	queues := make([]simQueue, cfg.Workers)
-	{
-		ready := make([]int, 0, n)
-		for i := range tasks {
-			if tasks[i].pending == 0 {
-				ready = append(ready, i)
-			}
+	var ready quark.ReadyHeap[*simTask]
+	for i := range tasks {
+		if tasks[i].pending == 0 {
+			ready.Push(tasks[i].priority, i, &tasks[i])
 		}
-		sort.Ints(ready)
-		for i, t := range ready {
-			queues[i%cfg.Workers].push(&tasks[t])
-		}
-	}
-
-	// obtain pops w's own queue, else steals the best task from another
-	// queue (deterministic rotation where the runtime randomizes).
-	obtain := func(w int) *simTask {
-		if t := queues[w].pop(); t != nil {
-			return t
-		}
-		for i := 1; i < cfg.Workers; i++ {
-			if t := queues[(w+i)%cfg.Workers].pop(); t != nil {
-				return t
-			}
-		}
-		return nil
 	}
 
 	free := make([]bool, cfg.Workers)
@@ -231,24 +148,17 @@ func Simulate(g *quark.Graph, cfg Config) (*Result, error) {
 	const eps = 1e-15
 
 	for completed < n {
-		// Keep assigning until no free worker can obtain a task (own queue
-		// or steal): the scheduler is work-conserving, like the runtime.
-		for assigned := true; assigned; {
-			assigned = false
-			for w := 0; w < cfg.Workers; w++ {
-				if !free[w] {
-					continue
-				}
-				t := obtain(w)
-				if t == nil {
-					continue
-				}
-				free[w] = false
-				t.worker = w
-				t.start = now
-				running = append(running, t.id)
-				assigned = true
+		// Every free worker takes the next ready task: the scheduler is
+		// work-conserving, like the runtime.
+		for w := 0; w < cfg.Workers && ready.Len() > 0; w++ {
+			if !free[w] {
+				continue
 			}
+			t, _ := ready.Pop()
+			free[w] = false
+			t.worker = w
+			t.start = now
+			running = append(running, t.id)
 		}
 		if len(running) == 0 {
 			return nil, fmt.Errorf("sched: deadlock at t=%v with %d/%d tasks done (cyclic graph?)", now, completed, n)
@@ -285,12 +195,10 @@ func Simulate(g *quark.Graph, cfg Config) (*Result, error) {
 				classTime[tasks[t].class] += now - tasks[t].start
 				free[tasks[t].worker] = true
 				completed++
-				// Newly ready successors land on the completer's queue,
-				// like the runtime's locality fallback.
 				for _, s := range tasks[t].succs {
 					tasks[s].pending--
 					if tasks[s].pending == 0 {
-						queues[tasks[t].worker].push(&tasks[s])
+						ready.Push(tasks[s].priority, s, &tasks[s])
 					}
 				}
 			} else {

@@ -237,10 +237,10 @@ func TestSimulatePriorityShortensCriticalPath(t *testing.T) {
 	}
 }
 
-func TestSimulateStealingBalancesQueues(t *testing.T) {
-	// One root fans out to 8 equal children; all land on the completer's
-	// queue, so without stealing one worker would serialize them (makespan
-	// 9). With stealing across 4 workers the children spread out: 1 + 2 = 3.
+func TestSimulateWorkConserving(t *testing.T) {
+	// One root fans out to 8 equal children. A scheduler that let a free
+	// worker idle while tasks were ready would serialize some of them; on 4
+	// workers the children must spread out: 1 + 2 = 3.
 	durs := []float64{1, 1, 1, 1, 1, 1, 1, 1, 1}
 	var edges [][2]int
 	for c := 1; c < 9; c++ {
@@ -252,7 +252,7 @@ func TestSimulateStealingBalancesQueues(t *testing.T) {
 		t.Fatal(err)
 	}
 	if math.Abs(r.Makespan-3) > 1e-9 {
-		t.Errorf("fan-out makespan %v, want 3 (stealing broken?)", r.Makespan)
+		t.Errorf("fan-out makespan %v, want 3 (a free worker idled?)", r.Makespan)
 	}
 	workers := map[int]bool{}
 	for _, s := range r.Spans {
@@ -262,6 +262,34 @@ func TestSimulateStealingBalancesQueues(t *testing.T) {
 	}
 	if len(workers) != 4 {
 		t.Errorf("children ran on %d workers, want all 4", len(workers))
+	}
+}
+
+func TestSimulateGlobalPriorityAcrossWorkers(t *testing.T) {
+	// Two workers finish t0 and t1 together at t=1. Task a (priority 0)
+	// follows t0; b (8) and the chain head c (5) follow t1; d (5) follows c.
+	// From one heap the free workers take b and c, so the chain finishes at
+	// 4. Queuing successors on their completer's worker would run a there
+	// ahead of c, which waits behind b until t=2: makespan 5.
+	durs := []float64{1, 1, 1, 2, 1, 2}
+	const a, b, c, d = 2, 3, 4, 5
+	g := buildGraph(durs, [][2]int{{0, a}, {1, b}, {1, c}, {c, d}})
+	for id, p := range map[int]int{0: 9, 1: 9, b: 8, c: 5, d: 5} {
+		g.Tasks[id].Priority = p
+	}
+	r, err := Simulate(g, Config{Workers: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	start := map[int]float64{}
+	for _, s := range r.Spans {
+		start[s.Task] = s.Start
+	}
+	if start[c] != 1 || start[d] != 2 || start[a] != 3 {
+		t.Errorf("starts a=%v c=%v d=%v, want 3, 1, 2", start[a], start[c], start[d])
+	}
+	if math.Abs(r.Makespan-4) > 1e-9 {
+		t.Errorf("makespan %v, want 4", r.Makespan)
 	}
 }
 

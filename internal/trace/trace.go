@@ -19,7 +19,6 @@ type Event struct {
 	Class    string
 	Label    string
 	Worker   int
-	Stolen   bool    // ran on a different worker than it was placed on
 	Canceled bool    // skipped: a predecessor failed or the solve was cancelled
 	Start    float64 // seconds
 	End      float64
@@ -38,8 +37,7 @@ func FromGraph(g *quark.Graph) *Timeline {
 	for _, t := range g.Tasks {
 		ev := Event{
 			Task: t.ID, Class: t.Class, Label: t.Label, Worker: t.Worker,
-			Stolen: t.Stolen, Canceled: t.Canceled,
-			Start: t.Start.Seconds(), End: t.End.Seconds(),
+			Canceled: t.Canceled, Start: t.Start.Seconds(), End: t.End.Seconds(),
 		}
 		tl.Events = append(tl.Events, ev)
 		if t.Worker+1 > tl.Workers {
@@ -193,9 +191,6 @@ func (tl *Timeline) BreakdownReport() string {
 	}
 	fmt.Fprintf(&b, "%-20s %10.4f\n", "total work", tot)
 	fmt.Fprintf(&b, "%-20s %10.4f (idle %.1f%%)\n", "makespan", tl.Makespan, 100*tl.IdleFraction())
-	if s := tl.StealCount(); s > 0 {
-		fmt.Fprintf(&b, "%-20s %10d of %d tasks\n", "stolen", s, len(tl.Events))
-	}
 	if c := tl.CanceledCount(); c > 0 {
 		fmt.Fprintf(&b, "%-20s %10d of %d tasks\n", "canceled", c, len(tl.Events))
 	}
@@ -214,18 +209,6 @@ func (tl *Timeline) CanceledCount() int {
 	return n
 }
 
-// StealCount returns how many tasks ran on a worker other than the one they
-// were placed on (work-stealing migrations).
-func (tl *Timeline) StealCount() int {
-	n := 0
-	for _, ev := range tl.Events {
-		if ev.Stolen {
-			n++
-		}
-	}
-	return n
-}
-
 // IdleFraction returns the fraction of worker-seconds spent idle.
 func (tl *Timeline) IdleFraction() float64 {
 	if tl.Makespan == 0 || tl.Workers == 0 {
@@ -238,22 +221,19 @@ func (tl *Timeline) IdleFraction() float64 {
 	return 1 - busy/(tl.Makespan*float64(tl.Workers))
 }
 
-// CSV exports the timeline as
-// task,class,label,worker,stolen,canceled,start,end rows.
+// CSV exports the timeline as task,class,label,worker,canceled,start,end
+// rows.
 func (tl *Timeline) CSV() string {
 	var b strings.Builder
-	b.WriteString("task,class,label,worker,stolen,canceled,start,end\n")
+	b.WriteString("task,class,label,worker,canceled,start,end\n")
 	evs := append([]Event(nil), tl.Events...)
 	sort.Slice(evs, func(i, j int) bool { return evs[i].Start < evs[j].Start })
 	for _, ev := range evs {
-		stolen, canceled := 0, 0
-		if ev.Stolen {
-			stolen = 1
-		}
+		canceled := 0
 		if ev.Canceled {
 			canceled = 1
 		}
-		fmt.Fprintf(&b, "%d,%s,%q,%d,%d,%d,%.9f,%.9f\n", ev.Task, ev.Class, ev.Label, ev.Worker, stolen, canceled, ev.Start, ev.End)
+		fmt.Fprintf(&b, "%d,%s,%q,%d,%d,%.9f,%.9f\n", ev.Task, ev.Class, ev.Label, ev.Worker, canceled, ev.Start, ev.End)
 	}
 	return b.String()
 }

@@ -23,7 +23,7 @@ func sampleGraph() *quark.Graph {
 	add(1, "STEDC", 1, 0, 1)
 	add(2, "ComputeDeflation", 0, 1, 1.2)
 	add(3, "UpdateVect", 1, 1.2, 2.2)
-	g.Tasks[3].Stolen = true
+	g.Tasks[3].Canceled = true
 	g.Edges = [][2]int{{0, 2}, {1, 2}, {2, 3}}
 	return g
 }
@@ -83,28 +83,28 @@ func TestCSV(t *testing.T) {
 	if len(lines) != 5 {
 		t.Fatalf("csv lines: %d", len(lines))
 	}
-	if lines[0] != "task,class,label,worker,stolen,canceled,start,end" {
+	if lines[0] != "task,class,label,worker,canceled,start,end" {
 		t.Errorf("header %q", lines[0])
 	}
-	stolen := 0
+	canceled := 0
 	for _, l := range lines[1:] {
 		if strings.Contains(l, ",1,") && strings.Contains(l, "UpdateVect") {
-			stolen++
+			canceled++
 		}
 	}
-	if stolen != 1 {
-		t.Errorf("expected exactly the stolen UpdateVect row flagged, got %d:\n%s", stolen, csv)
+	if canceled != 1 {
+		t.Errorf("expected exactly the canceled UpdateVect row flagged, got %d:\n%s", canceled, csv)
 	}
 }
 
-func TestStealCountAndReport(t *testing.T) {
+func TestCanceledCountAndReport(t *testing.T) {
 	tl := FromGraph(sampleGraph())
-	if tl.StealCount() != 1 {
-		t.Errorf("steal count %d, want 1", tl.StealCount())
+	if tl.CanceledCount() != 1 {
+		t.Errorf("canceled count %d, want 1", tl.CanceledCount())
 	}
 	rep := tl.BreakdownReport()
-	if !strings.Contains(rep, "stolen") {
-		t.Errorf("report missing steal line:\n%s", rep)
+	if !strings.Contains(rep, "canceled") || !strings.Contains(rep, " 1 of 4 tasks") {
+		t.Errorf("report missing canceled line:\n%s", rep)
 	}
 }
 
