@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular fuzz perfbench-check chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -43,11 +43,22 @@ bench-gemm:
 	$(GO) test -run '^$$' -bench 'Gemm' -benchtime 1x .
 	$(GO) test -run '^$$' -bench 'GemmKernels' -benchtime 0.2s ./internal/blas/
 
-# The secular-phase kernel benchmarks: the SIMD dispatch micro-kernels plus
-# the scalar-vs-SIMD Dlaed4/LocalW/ComputeVect comparison of dcbench secular.
+# The secular-phase kernel benchmarks: the SIMD dispatch micro-kernels (the
+# secular sums, Dlaed4's delta shift and the leaf rotation) plus the
+# scalar-vs-SIMD Dlaed4/LocalW/ComputeVect comparison of dcbench secular.
 bench-secular:
-	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|RatioSumSq' -benchtime 10x ./internal/simd/
+	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|RatioSumSq|ShiftInto|Rot' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
+
+# Time-boxed search of the two bit contracts: every GEMM micro-kernel
+# against its math.FMA reference, and every simd kernel with the assembly
+# off and on. `go test -fuzz` takes one target per run. New coverage inputs
+# are minimized for at most 5 s each so the budget goes to the search. A
+# failing input is written under the package's testdata/fuzz, where plain
+# `go test` replays it: commit it as a corpus file.
+fuzz:
+	$(GO) test -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/blas/
+	$(GO) test -run '^$$' -fuzz '^FuzzSIMDKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/simd/
 
 # The repository's benchmark (perfbench/, run by BENCHMARK.json) is a nested
 # module, so `go build ./...` never compiles it even though it imports the
@@ -108,4 +119,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race cross bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster
+ci: vet build test test-pooldebug race cross bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster fuzz

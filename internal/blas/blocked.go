@@ -4,6 +4,7 @@ import (
 	"math"
 
 	"tridiag/internal/pool"
+	"tridiag/internal/simd"
 )
 
 // gemmKernel names a micro-kernel of the 24×8 packed layout. All of them
@@ -16,6 +17,22 @@ const (
 	kernelAVX2                      // four 12×4 ymm sub-tiles
 	kernelAVX512                    // 24 zmm accumulators
 )
+
+// kernel is the micro-kernel the blocked GEMM runs, chosen once from the
+// CPU level internal/simd detected (simd.SetSIMD does not change it). Tests
+// switch it through withKernel.
+var kernel = detectKernel()
+
+// detectKernel picks the widest kernel the CPU and OS support.
+func detectKernel() gemmKernel {
+	switch simd.CPULevel() {
+	case simd.LevelAVX512:
+		return kernelAVX512
+	case simd.LevelAVX2:
+		return kernelAVX2
+	}
+	return kernelGeneric
+}
 
 // blockedWorthwhile reports whether the cache-blocked packed path should
 // handle a GEMM of this shape. It needs an assembly micro-kernel (the

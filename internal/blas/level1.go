@@ -5,7 +5,11 @@
 // increments where required) so code translated from LAPACK maps directly.
 package blas
 
-import "math"
+import (
+	"math"
+
+	"tridiag/internal/simd"
+)
 
 // Ddot returns the dot product of the n-element vectors x and y.
 func Ddot(n int, x []float64, incx int, y []float64, incy int) float64 {
@@ -155,19 +159,14 @@ func Idamax(n int, x []float64, incx int) int {
 }
 
 // Drot applies the plane rotation (c, s) to the n-element vectors x and y:
-// x_i, y_i = c*x_i + s*y_i, c*y_i - s*x_i.
+// x_i, y_i = c*x_i + s*y_i, c*y_i - s*x_i. The unit-stride case runs
+// simd.Rot, which rounds exactly as the strided loop below.
 func Drot(n int, x []float64, incx int, y []float64, incy int, c, s float64) {
 	if n <= 0 {
 		return
 	}
 	if incx == 1 && incy == 1 {
-		x = x[:n]
-		y = y[:n]
-		for i := range x {
-			xi, yi := x[i], y[i]
-			x[i] = c*xi + s*yi
-			y[i] = c*yi - s*xi
-		}
+		simd.Rot(x[:n], y[:n], c, s)
 		return
 	}
 	ix, iy := startIdx(n, incx), startIdx(n, incy)

@@ -5,6 +5,8 @@ import (
 	"math/rand"
 	"testing"
 	"testing/quick"
+
+	"tridiag/internal/simd"
 )
 
 const tol = 1e-13
@@ -153,5 +155,49 @@ func TestDrotPreservesNorm(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
+	}
+}
+
+// TestDrotUnitStrideMatchesStrided checks that the unit-stride path
+// (simd.Rot) rounds exactly as the strided scalar loop, for every length
+// 0…33 (each tail shape around the 4-wide kernel), with the assembly kernel
+// on and off, on ordinary values and on signed zeros, infinities, NaN and
+// subnormals.
+func TestDrotUnitStrideMatchesStrided(t *testing.T) {
+	defer simd.SetSIMD(simd.Available())
+	rng := rand.New(rand.NewSource(33))
+	specials := []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(), 5e-324, -0x1p-1040}
+	val := func(special bool) float64 {
+		if special && rng.Intn(2) == 0 {
+			return specials[rng.Intn(len(specials))]
+		}
+		return rng.NormFloat64()
+	}
+	same := func(a, b float64) bool {
+		return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
+	}
+	for _, on := range []bool{false, true} {
+		simd.SetSIMD(on)
+		for n := 0; n <= 33; n++ {
+			for _, special := range []bool{false, true} {
+				x := make([]float64, n)
+				y := make([]float64, n)
+				xs := make([]float64, 2*n)
+				ys := make([]float64, 3*n)
+				for i := range x {
+					x[i], y[i] = val(special), val(special)
+					xs[2*i], ys[3*i] = x[i], y[i]
+				}
+				c, s := math.Cos(float64(n)), math.Sin(float64(n))
+				Drot(n, x, 1, y, 1, c, s)
+				Drot(n, xs, 2, ys, 3, c, s)
+				for i := 0; i < n; i++ {
+					if !same(x[i], xs[2*i]) || !same(y[i], ys[3*i]) {
+						t.Fatalf("simd=%v n=%d i=%d: unit stride (%g, %g), strided (%g, %g)",
+							simd.Active(), n, i, x[i], y[i], xs[2*i], ys[3*i])
+					}
+				}
+			}
+		}
 	}
 }

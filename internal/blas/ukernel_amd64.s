@@ -1,24 +1,5 @@
 #include "textflag.h"
 
-// func cpuidProbe(eaxArg, ecxArg uint32) (eax, ebx, ecx, edx uint32)
-TEXT ·cpuidProbe(SB), NOSPLIT, $0-24
-	MOVL eaxArg+0(FP), AX
-	MOVL ecxArg+4(FP), CX
-	CPUID
-	MOVL AX, eax+8(FP)
-	MOVL BX, ebx+12(FP)
-	MOVL CX, ecx+16(FP)
-	MOVL DX, edx+20(FP)
-	RET
-
-// func xgetbvProbe() (eax, edx uint32)
-TEXT ·xgetbvProbe(SB), NOSPLIT, $0-8
-	XORL CX, CX
-	XGETBV
-	MOVL AX, eax+0(FP)
-	MOVL DX, edx+4(FP)
-	RET
-
 // Both kernels below compute the same thing on the same packed layout:
 // C(0:24, 0:8) += alpha * Ap·Bp over kc packed k steps, where the A
 // micro-panel holds 24 values per k step and the B micro-panel 8, both

@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"tridiag/internal/lapack"
+	"tridiag/internal/simd"
 	"tridiag/internal/testmat"
 )
 
@@ -68,6 +69,78 @@ func TestWorkerCountReproducibility(t *testing.T) {
 						t.Errorf("%s adaptive W=%d: λ[%d] differs from W=1 by %.3g > %.3g", lane, w, i, diff, tol)
 						break
 					}
+				}
+			}
+		}
+	}
+}
+
+// TestSIMDDispatchKeepsBits checks the internal/simd promise at the level of
+// a whole solve: λ and V are byte-identical whether the assembly kernels run
+// or the portable loops do. The inputs are the two lib benchmark families at
+// n≈600 — perturbed Legendre (almost no deflation, so every merge runs the
+// secular kernels on large k) and jittered glued Wilkinson W21 (mostly
+// deflation rotations and leaf QR rotations) — in both lanes at W ∈ {1, 2}.
+// SetSIMD is not safe to toggle while a kernel runs, so the solves are
+// serial and the test is not parallel.
+func TestSIMDDispatchKeepsBits(t *testing.T) {
+	if !simd.Available() {
+		t.Skip("no assembly kernels on this platform: both runs would take the portable path")
+	}
+	defer simd.SetSIMD(simd.Available())
+	rng := rand.New(rand.NewSource(21))
+	const n = 601
+	legendre := func() (d, e []float64) {
+		d, e = make([]float64, n), make([]float64, n-1)
+		for i := 1; i < n; i++ {
+			fi := float64(i)
+			e[i-1] = fi / math.Sqrt((2*fi-1)*(2*fi+1)) * (1 + 1e-6*(2*rng.Float64()-1))
+		}
+		for i := range d {
+			d[i] = 0.5e-6 * (2*rng.Float64() - 1)
+		}
+		return d, e
+	}
+	gluedW21 := func() (d, e []float64) {
+		d, e = make([]float64, n), make([]float64, n-1)
+		for s := 0; s < n; s += 21 {
+			bs := min(21, n-s)
+			for i := 0; i < bs; i++ {
+				d[s+i] = math.Abs(float64(i-bs/2)) + 1e-5*(2*rng.Float64()-1)
+				if i < bs-1 {
+					e[s+i] = 1
+				}
+			}
+			if s+bs < n {
+				e[s+bs-1] = 1e-10 * (0.5 + rng.Float64())
+			}
+		}
+		return d, e
+	}
+	for _, m := range []struct {
+		name string
+		gen  func() (d, e []float64)
+	}{{"perturbed Legendre", legendre}, {"glued W21", gluedW21}} {
+		d0, e0 := m.gen()
+		for _, vo := range []bool{false, true} {
+			for _, w := range []int{1, 2} {
+				solve := func(on bool) (d, q []float64) {
+					simd.SetSIMD(on)
+					d = append([]float64(nil), d0...)
+					e := append([]float64(nil), e0...)
+					ldq := 0
+					if !vo {
+						q, ldq = make([]float64, n*n), n
+					}
+					if _, err := SolveDC(n, d, e, q, ldq, &Options{Workers: w, ValuesOnly: vo}); err != nil {
+						t.Fatalf("%s values-only=%v W=%d simd=%v: %v", m.name, vo, w, on, err)
+					}
+					return d, q
+				}
+				dOff, qOff := solve(false)
+				dOn, qOn := solve(true)
+				if !sameBits(dOn, dOff) || !sameBits(qOn, qOff) {
+					t.Errorf("%s values-only=%v W=%d: result bits differ between the assembly and portable kernels", m.name, vo, w)
 				}
 			}
 		}

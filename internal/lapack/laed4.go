@@ -57,9 +57,7 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 
 		// Initial guess: evaluate at the midpoint d[n-1] + rho/2.
 		midpt := rho / 2
-		for j := 0; j < n; j++ {
-			delta[j] = (d[j] - d[n-1]) - midpt
-		}
+		simd.ShiftInto(delta[:n], d, d[n-1], midpt)
 		psi := simd.SumRatios(z[:n-2], delta[:n-2])
 		c := rhoinv + psi
 		w := c + z[ii]*z[ii]/delta[n-2] + z[n-1]*z[n-1]/delta[n-1]
@@ -92,17 +90,13 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 			}
 			dltlb, dltub = 0, midpt
 		}
-		for j := 0; j < n; j++ {
-			delta[j] = (d[j] - d[n-1]) - tau
-		}
+		simd.ShiftInto(delta[:n], d, d[n-1], tau)
 
 		// Final delta is recomputed from (org, tau) rather than left in its
 		// incrementally-updated form, so the same expression replayed later
 		// reproduces it exactly (see Dlaed4OrgTau).
 		ret := func(ferr error) (float64, float64, float64, error) {
-			for j := 0; j < n; j++ {
-				delta[j] = (d[j] - d[n-1]) - tau
-			}
+			simd.ShiftInto(delta[:n], d, d[n-1], tau)
 			return d[n-1] + tau, d[n-1], tau, ferr
 		}
 
@@ -162,9 +156,7 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 					eta = (dltlb - tau) / 2
 				}
 			}
-			for j := 0; j < n; j++ {
-				delta[j] -= eta
-			}
+			simd.ShiftInto(delta[:n], delta, 0, eta) // delta[j] -= eta
 			tau += eta
 
 			w, dpsi, dphi, erretm = evaluate()
@@ -184,9 +176,7 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 	ip1 := i + 1
 	del := d[ip1] - d[i]
 	midpt := del / 2
-	for j := 0; j < k; j++ {
-		delta[j] = (d[j] - d[i]) - midpt
-	}
+	simd.ShiftInto(delta[:k], d, d[i], midpt)
 
 	psi0 := simd.SumRatios(z[:i], delta[:i])
 	phi0 := simd.SumRatios(z[i+2:k], delta[i+2:k])
@@ -225,14 +215,10 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 		org = d[ip1]
 		ii = ip1
 	}
-	for j := 0; j < k; j++ {
-		delta[j] = (d[j] - org) - tau
-	}
+	simd.ShiftInto(delta[:k], d, org, tau)
 
 	ret := func(ferr error) (float64, float64, float64, error) {
-		for j := 0; j < k; j++ {
-			delta[j] = (d[j] - org) - tau
-		}
+		simd.ShiftInto(delta[:k], d, org, tau)
 		return org + tau, org, tau, ferr
 	}
 
@@ -318,9 +304,7 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 				eta = (dltlb - tau) / 2
 			}
 		}
-		for j := 0; j < k; j++ {
-			delta[j] -= eta
-		}
+		simd.ShiftInto(delta[:k], delta, 0, eta) // delta[j] -= eta
 		tau += eta
 
 		w, dw, dpsi, dphi, erretm = evaluate()
@@ -409,9 +393,7 @@ func Dlaed4BisectOrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org,
 		}
 		tau = mid
 	}
-	for j := 0; j < k; j++ {
-		delta[j] = (d[j] - org) - tau
-	}
+	simd.ShiftInto(delta[:k], d, org, tau)
 	return org + tau, org, tau, nil
 }
 

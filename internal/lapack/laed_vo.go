@@ -109,9 +109,7 @@ func (df *Deflation) UpdateZPanelVO(what, porg, ptau, gtop, gbot, flp []float64,
 			u[0] = tmp[df.GroupToSecular[0]]
 			u[1] = tmp[df.GroupToSecular[1]]
 		default:
-			for i := 0; i < k; i++ {
-				col[i] = (df.Dlamda[i] - porg[j]) - ptau[j]
-			}
+			simd.ShiftInto(col[:k], df.Dlamda, porg[j], ptau[j])
 			sumsq := simd.RatioSumSq(s[:k], what[:k], col[:k])
 			var inv float64
 			if sumsq > 1e-280 && sumsq < 1e280 {

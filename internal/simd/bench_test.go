@@ -1,6 +1,8 @@
 package simd
 
 import (
+	"fmt"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -70,13 +72,31 @@ func BenchmarkRatioSumSq(b *testing.B) {
 	}
 }
 
-func sizeName(k int) string {
-	switch k {
-	case 64:
-		return "k=64"
-	case 256:
-		return "k=256"
-	default:
-		return "k=1024"
+// BenchmarkShiftInto measures Dlaed4's delta maintenance: one origin shift
+// of a k-term column (the per-iteration update is the same kernel with
+// org = 0).
+func BenchmarkShiftInto(b *testing.B) {
+	for _, k := range []int{64, 256, 1024} {
+		b.Run(sizeName(k), func(b *testing.B) {
+			benchBoth(b, k, func(z, den []float64) {
+				ShiftInto(z, den, 0.1, 1e-8)
+			})
+		})
 	}
 }
+
+// BenchmarkRot measures blas.Drot's unit-stride body at the column heights
+// of the Dsteqr leaves (about 31 rows on glued W21, up to the 48-row
+// MinPartition) and of a wider rotation.
+func BenchmarkRot(b *testing.B) {
+	c, s := math.Cos(0.3), math.Sin(0.3)
+	for _, n := range []int{31, 48, 256} {
+		b.Run(fmt.Sprintf("n=%d", n), func(b *testing.B) {
+			benchBoth(b, n, func(x, y []float64) {
+				Rot(x, y, c, s)
+			})
+		})
+	}
+}
+
+func sizeName(k int) string { return fmt.Sprintf("k=%d", k) }

@@ -3,9 +3,12 @@
 // derivative (Dlaed4's inner loops), the fused reciprocal-difference products
 // of Gu's stabilization (ComputeLocalW), the form-and-normalize ratios of the
 // secular eigenvectors (ComputeVect), and the cross-panel product reduction
-// (ReduceW). On amd64 with AVX2+FMA the kernels dispatch to hand-written
-// assembly (simd_amd64.s), gated by the same CPUID/XGETBV usability test as
-// the blocked-GEMM micro-kernel; everywhere else they run portable Go.
+// (ReduceW), plus two elementwise kernels: the pole shift that maintains
+// Dlaed4's delta column (ShiftInto) and the plane rotation of blas.Drot's
+// unit-stride path (Rot). On amd64 with AVX2+FMA the kernels dispatch to
+// hand-written assembly (simd_amd64.s); everywhere else they run portable
+// Go. The package owns the module's one CPUID/XGETBV probe: CPULevel reports
+// what it found, and internal/blas picks its GEMM micro-kernel from it.
 //
 // Kernel semantics are fixed independently of dispatch: the assembly and the
 // portable fallbacks process elements in the same order — four interleaved
@@ -15,10 +18,34 @@
 // roots are correctly rounded on both paths). A solve therefore computes
 // bitwise-identical results whether the assembly kernels are active or not.
 // The loops are division-bound, so skipping FMA in the surrounding adds
-// costs nothing.
+// costs nothing. The contract holds per GOARCH: on arm64 the compiler
+// contracts a + x*y into FMADD, so the portable loops round differently
+// there than on amd64.
 package simd
 
 import "math"
+
+// Level is how much of the x86 vector instruction set both the CPU and the
+// OS support, as far as this module's assembly kernels care.
+type Level int
+
+const (
+	// LevelNone: portable Go only (no usable AVX2+FMA, or not amd64).
+	LevelNone Level = iota
+	// LevelAVX2: AVX2 and FMA, with the OS saving the ymm state.
+	LevelAVX2
+	// LevelAVX512: LevelAVX2 plus AVX-512F, with the OS also saving the
+	// opmask and zmm state.
+	LevelAVX512
+)
+
+// CPULevel returns the level detected once at start-up. The kernels of this
+// package need LevelAVX2; internal/blas picks its GEMM micro-kernel from
+// it. SetSIMD does not change it.
+func CPULevel() Level { return cpuLevel }
+
+// haveSIMD reports whether this package's assembly kernels may be used.
+var haveSIMD = cpuLevel >= LevelAVX2
 
 // active gates dispatch to the assembly kernels. Flipped only by SetSIMD
 // (benchmarks and property tests); not safe to toggle concurrently with
@@ -137,6 +164,47 @@ func shiftedSumGo(d, z []float64, org, tau float64) float64 {
 		s3 += z[j+3] * z[j+3] / ((d[j+3] - org) - tau)
 	}
 	return (s0 + s2) + (s1 + s3)
+}
+
+// ShiftInto sets dst[j] = (d[j]-org)-tau elementwise — Dlaed4's delta
+// column measured from the origin pole org, without cancellation. With
+// org = 0 it is the per-iteration update delta[j] -= tau, bit for bit:
+// x - 0 == x for every x, -0 and NaN included. dst may be d itself; d must
+// be at least as long as dst. Elementwise, so both dispatch paths round
+// exactly as the scalar loop.
+func ShiftInto(dst, d []float64, org, tau float64) {
+	n := len(dst)
+	d = d[:n]
+	n4 := n &^ 3
+	if n4 > 0 && active {
+		shiftIntoAVX(dst[:n4], d[:n4], org, tau)
+	} else {
+		n4 = 0
+	}
+	for j := n4; j < n; j++ {
+		dst[j] = (d[j] - org) - tau
+	}
+}
+
+// Rot applies the plane rotation (c, s) elementwise:
+// x[i], y[i] = c·x[i] + s·y[i], c·y[i] − s·x[i] — blas.Drot's unit-stride
+// path, which carries the Dsteqr leaf rotations and Dlaed2's deflation
+// rotations. Each product is rounded before the add or subtract, on both
+// dispatch paths (never FMA). y must be at least as long as x.
+func Rot(x, y []float64, c, s float64) {
+	n := len(x)
+	y = y[:n]
+	n4 := n &^ 3
+	if n4 > 0 && active {
+		rotAVX(x[:n4], y[:n4], c, s)
+	} else {
+		n4 = 0
+	}
+	for i := n4; i < n; i++ {
+		xi, yi := x[i], y[i]
+		x[i] = c*xi + s*yi
+		y[i] = c*yi - s*xi
+	}
 }
 
 // MulRatioDiff performs w[i] *= num[i] / (den[i] - dj) elementwise — one

@@ -117,6 +117,75 @@ loop:
 	VZEROUPPER
 	RET
 
+// func shiftIntoAVX(dst, d []float64, org, tau float64)
+//
+// dst = (d-org)-tau elementwise over len(dst) (a multiple of 4) — Dlaed4's
+// delta column and, with org = 0, its per-iteration update. Two quads per
+// trip, then one more when len(dst)/4 is odd. Purely lane-local; dst may be
+// d itself.
+TEXT ·shiftIntoAVX(SB), NOSPLIT, $0-64
+	MOVQ dst_base+0(FP), DI
+	MOVQ dst_len+8(FP), CX
+	MOVQ d_base+24(FP), SI
+	VBROADCASTSD org+48(FP), Y12
+	VBROADCASTSD tau+56(FP), Y13
+	MOVQ CX, DX
+	SHRQ $3, DX
+	JZ   quad
+oct:
+	VMOVUPD (SI), Y8
+	VMOVUPD 32(SI), Y9
+	VSUBPD Y12, Y8, Y8           // d - org
+	VSUBPD Y12, Y9, Y9
+	VSUBPD Y13, Y8, Y8           // (d-org) - tau
+	VSUBPD Y13, Y9, Y9
+	VMOVUPD Y8, (DI)
+	VMOVUPD Y9, 32(DI)
+	ADDQ $64, SI
+	ADDQ $64, DI
+	DECQ DX
+	JNZ  oct
+quad:
+	TESTQ $4, CX
+	JZ   done
+	VMOVUPD (SI), Y8
+	VSUBPD Y12, Y8, Y8
+	VSUBPD Y13, Y8, Y8
+	VMOVUPD Y8, (DI)
+done:
+	VZEROUPPER
+	RET
+
+// func rotAVX(x, y []float64, c, s float64)
+//
+// x, y = c*x + s*y, c*y - s*x elementwise over len(x) (a multiple of 4) —
+// blas.Drot's unit-stride path. Every product is rounded by its own VMULPD
+// before the VADDPD/VSUBPD, as in the Go loop (no FMA).
+TEXT ·rotAVX(SB), NOSPLIT, $0-64
+	MOVQ x_base+0(FP), SI
+	MOVQ x_len+8(FP), CX
+	SHRQ $2, CX
+	MOVQ y_base+24(FP), DI
+	VBROADCASTSD c+48(FP), Y12
+	VBROADCASTSD s+56(FP), Y13
+loop:
+	VMOVUPD (SI), Y8             // x quad
+	VMOVUPD (DI), Y9             // y quad
+	VMULPD Y12, Y8, Y10          // c*x
+	VMULPD Y13, Y9, Y11          // s*y
+	VADDPD Y11, Y10, Y10         // c*x + s*y
+	VMULPD Y12, Y9, Y9           // c*y
+	VMULPD Y13, Y8, Y8           // s*x
+	VSUBPD Y8, Y9, Y9            // c*y - s*x
+	VMOVUPD Y10, (SI)
+	VMOVUPD Y9, (DI)
+	ADDQ $32, SI
+	ADDQ $32, DI
+	DECQ CX
+	JNZ  loop
+	VZEROUPPER
+	RET
+
 // func mulRatioDiffAVX(w, num, den []float64, dj float64)
 //
 // w *= num/(den-dj) elementwise over len(w) (a multiple of 4) — the

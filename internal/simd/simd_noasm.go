@@ -4,7 +4,15 @@ package simd
 
 // Non-amd64 platforms have no assembly kernels: every entry point runs the
 // portable lane-ordered fallback, which computes bitwise-identical results.
-var haveSIMD = false
+var cpuLevel = LevelNone
+
+func shiftIntoAVX(dst, d []float64, org, tau float64) {
+	panic("simd: shiftIntoAVX called without assembly support")
+}
+
+func rotAVX(x, y []float64, c, s float64) {
+	panic("simd: rotAVX called without assembly support")
+}
 
 func secularSumsAVX(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
 	panic("simd: secularSumsAVX called without assembly support")

@@ -6,18 +6,24 @@ import (
 	"testing"
 )
 
-// testLengths exercises every tail shape (0–3 leftover lanes), the pure-tail
-// lengths 1–3, and larger panels.
-var testLengths = []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64, 257, 1024}
+// testLengths exercises every tail shape (0–3 leftover lanes), the empty and
+// pure-tail lengths 0–3, and larger panels.
+var testLengths = []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13, 14, 15, 16, 17, 31, 64, 257, 1024}
 
 type inputCase struct {
 	name string
 	gen  func(rng *rand.Rand, n int) (z, den []float64)
 }
 
+// specials are the IEEE edge values every kernel must treat the same on both
+// dispatch paths: signed zeros, infinities, NaN and subnormals.
+var specials = []float64{0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1), math.NaN(),
+	5e-324, -5e-324, 0x1p-1030, -0x1.8p-1060, math.MaxFloat64, -math.SmallestNonzeroFloat64 * 3}
+
 // inputCases covers the regimes the secular phase actually sees: generic
 // spectra, near-pole clustered denominators with gaps near eps, denormal
-// z-components after deflation scaling, and extreme ±1e±300 magnitudes.
+// z-components after deflation scaling, and extreme ±1e±300 magnitudes —
+// plus IEEE special values mixed into ordinary ones.
 var inputCases = []inputCase{
 	{"random", func(rng *rand.Rand, n int) ([]float64, []float64) {
 		z := make([]float64, n)
@@ -65,6 +71,20 @@ var inputCases = []inputCase{
 		}
 		return z, den
 	}},
+	{"ieee-specials", func(rng *rand.Rand, n int) ([]float64, []float64) {
+		z := make([]float64, n)
+		den := make([]float64, n)
+		pick := func() float64 {
+			if rng.Intn(3) == 0 {
+				return (0.5 + rng.Float64()) * sign1(rng)
+			}
+			return specials[rng.Intn(len(specials))]
+		}
+		for i := range z {
+			z[i], den[i] = pick(), pick()
+		}
+		return z, den
+	}},
 }
 
 func sign1(rng *rand.Rand) float64 {
@@ -74,40 +94,16 @@ func sign1(rng *rand.Rand) float64 {
 	return 1
 }
 
-// ulpDiff returns the distance in representable float64s between a and b,
-// with NaN==NaN treated as 0 and differing infinities as maximal.
-func ulpDiff(a, b float64) uint64 {
-	if math.IsNaN(a) && math.IsNaN(b) {
-		return 0
-	}
-	ia, ib := int64(math.Float64bits(a)), int64(math.Float64bits(b))
-	// Map to a monotone integer line so negatives compare correctly.
-	if ia < 0 {
-		ia = math.MinInt64 - ia
-	}
-	if ib < 0 {
-		ib = math.MinInt64 - ib
-	}
-	d := ia - ib
-	if d < 0 {
-		d = -d
-	}
-	return uint64(d)
+// sameBits reports whether a and b are the same float64 bit for bit, with
+// every NaN equal to every other (the kernels promise the same operations,
+// not the same NaN payloads).
+func sameBits(a, b float64) bool {
+	return math.Float64bits(a) == math.Float64bits(b) || (math.IsNaN(a) && math.IsNaN(b))
 }
 
-const maxULP = 4 // acceptance bound; the design target is bitwise (0 ulp)
-
-func checkULP(t *testing.T, what string, got, want float64) {
-	t.Helper()
-	if d := ulpDiff(got, want); d > maxULP {
-		t.Errorf("%s: SIMD=%g (%#x) scalar=%g (%#x): %d ulp apart",
-			what, got, math.Float64bits(got), want, math.Float64bits(want), d)
-	}
-}
-
-// forEachCase runs f for every input family and length, once with the
-// assembly kernels forced off and once forced on, handing both results to
-// the comparison callback.
+// compareDispatch runs f for every input family and length, once with the
+// assembly kernels forced off and once forced on, and requires the two
+// results to be identical bit for bit.
 func compareDispatch(t *testing.T, f func(z, den []float64) []float64) {
 	if !Available() {
 		t.Skip("no AVX2+FMA assembly kernels on this platform")
@@ -123,8 +119,9 @@ func compareDispatch(t *testing.T, f func(z, den []float64) []float64) {
 				SetSIMD(true)
 				got := f(append([]float64(nil), z...), append([]float64(nil), den...))
 				for i := range want {
-					if d := ulpDiff(got[i], want[i]); d > maxULP {
-						t.Errorf("n=%d out[%d]: SIMD=%g scalar=%g (%d ulp)", n, i, got[i], want[i], d)
+					if !sameBits(got[i], want[i]) {
+						t.Errorf("n=%d out[%d]: SIMD=%g (%#x) scalar=%g (%#x)",
+							n, i, got[i], math.Float64bits(got[i]), want[i], math.Float64bits(want[i]))
 					}
 				}
 			}
@@ -153,6 +150,59 @@ func TestShiftedSumRatiosMatchesScalar(t *testing.T) {
 			ShiftedSumRatios(den, z, org, tau),
 			SumRatios(z, den),
 		}
+	})
+}
+
+func TestShiftIntoMatchesScalar(t *testing.T) {
+	compareDispatch(t, func(z, den []float64) []float64 {
+		var org, tau float64
+		if len(z) > 0 {
+			org, tau = den[0], z[len(z)-1]*0x1p-20
+		}
+		dst := make([]float64, len(den))
+		ShiftInto(dst, den, org, tau)
+		// Dlaed4's per-iteration update: in place, origin 0.
+		ShiftInto(z, z, 0, tau)
+		return append(dst, z...)
+	})
+}
+
+// TestShiftIntoZeroOriginIsSubtraction pins the identity Dlaed4's update
+// relies on: ShiftInto(x, x, 0, eta) is x[j] - eta bit for bit on both
+// dispatch paths, because x - 0 == x for every x, -0 included.
+func TestShiftIntoZeroOriginIsSubtraction(t *testing.T) {
+	defer SetSIMD(Available())
+	rng := rand.New(rand.NewSource(3))
+	x := append([]float64(nil), specials...)
+	for len(x) < 37 {
+		x = append(x, rng.NormFloat64()*math.Ldexp(1, rng.Intn(80)-40))
+	}
+	etas := append([]float64{0.5, -3, 1e-300, 0x1p-52}, specials...)
+	for _, on := range []bool{false, true} {
+		SetSIMD(on)
+		for _, eta := range etas {
+			got := append([]float64(nil), x...)
+			ShiftInto(got, got, 0, eta)
+			for j := range x {
+				if want := x[j] - eta; !sameBits(got[j], want) {
+					t.Errorf("simd=%v eta=%g: x=%g gave %g (%#x), x-eta=%g (%#x)",
+						Active(), eta, x[j], got[j], math.Float64bits(got[j]), want, math.Float64bits(want))
+				}
+			}
+		}
+	}
+}
+
+func TestRotMatchesScalar(t *testing.T) {
+	compareDispatch(t, func(z, den []float64) []float64 {
+		var out []float64
+		for _, cs := range [][2]float64{{math.Cos(0.3), math.Sin(0.3)}, {0, 1}, {1, 0}, {-0.6, 0.8}, {math.Copysign(0, -1), -1}} {
+			x := append([]float64(nil), z...)
+			y := append([]float64(nil), den...)
+			Rot(x, y, cs[0], cs[1])
+			out = append(append(out, x...), y...)
+		}
+		return out
 	})
 }
 
