@@ -50,15 +50,17 @@ bench-secular:
 	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|RatioSumSq|ShiftInto|Rot' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
 
-# Time-boxed search of the two bit contracts: every GEMM micro-kernel
-# against its math.FMA reference, and every simd kernel with the assembly
-# off and on. `go test -fuzz` takes one target per run. New coverage inputs
+# Time-boxed search of the two bit contracts, every GEMM micro-kernel
+# against its math.FMA reference and every simd kernel with the assembly
+# off and on, and of the closing sort's column permutation against the
+# explicit gather. `go test -fuzz` takes one target per run. New coverage inputs
 # are minimized for at most 5 s each so the budget goes to the search. A
 # failing input is written under the package's testdata/fuzz, where plain
 # `go test` replays it: commit it as a corpus file.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/blas/
 	$(GO) test -run '^$$' -fuzz '^FuzzSIMDKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/simd/
+	$(GO) test -run '^$$' -fuzz '^FuzzFinalPermutation$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/lapack/
 
 # The repository's benchmark (perfbench/, run by BENCHMARK.json) is a nested
 # module, so `go build ./...` never compiles it even though it imports the
@@ -102,13 +104,15 @@ chaos-sdc:
 # cancelled-probe tests repeat 20 times so a timing-dependent regression
 # shows up here. The placement line repeats the deflated-vector placement
 # tests and the merge tests whose panels read and write the same columns
-# while other panels run (the CopyBackDeflated → UpdateVect edge) under the
-# race detector; the last line repeats the task runtime's own tests (ready
-# heap, wakeups, cancellation) the same way.
+# while other panels run (the CopyBackDeflated → UpdateVect edge), the
+# closing sort's segments that write one V concurrently, and the solves
+# into a NaN-poisoned workspace in every mode, under the race detector; the
+# last line repeats the task runtime's own tests (ready heap, wakeups,
+# cancellation) the same way.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
-	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestExtraWorkspaceEquivalence|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs' ./internal/lapack/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestExtraWorkspaceEquivalence|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestSolveDCReusedWorkspace' ./internal/lapack/ ./internal/core/
 	$(GO) test -race -count=20 ./internal/quark/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race

@@ -205,8 +205,10 @@ func validateSpectrum(t Tridiagonal, w []float64) error {
 	if len(w) != n {
 		return fmt.Errorf("spectrum has %d values, want %d", len(w), n)
 	}
+	// Every comparison below is written to fail on NaN: a single bit flip
+	// can turn a value in [1, 2) into NaN, and NaN compares false.
 	for i := 1; i < n; i++ {
-		if w[i] < w[i-1] {
+		if !(w[i] >= w[i-1]) {
 			return fmt.Errorf("eigenvalues not ascending at index %d", i)
 		}
 	}
@@ -323,12 +325,12 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 				if rnrm2 > localWorst {
 					localWorst = rnrm2
 				}
-				if rnrm2 > rtol2 {
+				if !(rnrm2 <= rtol2) { // NaN fails too
 					lerr = &CorruptionError{Check: "residual", Detail: fmt.Sprintf(
 						"column %d: ‖T·v−λ·v‖/(‖T‖·n) = %.3e exceeds %.1e", j, math.Sqrt(rnrm2)*rscale, maxResidual)}
 					break
 				}
-				if d := math.Abs(vnrm - 1); d > ntol {
+				if d := math.Abs(vnrm - 1); !(d <= ntol) {
 					lerr = &CorruptionError{Check: "norm", Detail: fmt.Sprintf(
 						"column %d: |vᵀv − 1| = %.3e exceeds %.3e", j, d, ntol)}
 					break

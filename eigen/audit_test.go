@@ -62,6 +62,34 @@ func TestAuditResultDetectsCorruption(t *testing.T) {
 	}); err == nil {
 		t.Error("rescaled eigenvector escaped the unit-norm audit")
 	}
+
+	// NaN compares false, so a bound written as x > bound lets it through.
+	// A single flip of bit 62 turns a value in [1, 2) into NaN. Index 7 of
+	// an n=300 spectrum is not among the Sturm samples, so only the
+	// ascending check can see a NaN there.
+	gw := exactGluedW21(300, 1e-10)
+	gres, err := Solve(gw, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, bad := range []float64{math.NaN(), math.Inf(1)} {
+		for _, c := range []struct {
+			what   string
+			mutate func(r *Result)
+		}{
+			{"eigenvalue 7", func(r *Result) { r.Values[7] = bad }},
+			{"eigenvector entry", func(r *Result) { r.Vectors[40*r.N+40] = bad }},
+		} {
+			cp := &Result{N: gres.N, Values: append([]float64(nil), gres.Values...),
+				Vectors: append([]float64(nil), gres.Vectors...), Stats: &SolveStats{}}
+			c.mutate(cp)
+			if _, aerr := auditResult(gw, cp, o); aerr == nil {
+				t.Errorf("glued W21 n=300: %s set to %v escaped the audit", c.what, bad)
+			} else if !IsCorruption(aerr) {
+				t.Errorf("glued W21 n=300: %s set to %v: failure not classified as corruption: %v", c.what, bad, aerr)
+			}
+		}
+	}
 }
 
 // TestAuditDisable: Options.DisableAudit must skip the audit entirely — the

@@ -348,15 +348,11 @@ func solve(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior
 			// over must not be mistaken for a stall.
 			o.Progress()
 		}
-		// Fresh inputs per attempt; a failed tier leaves partial data in
-		// the outputs, and the leaf solvers require a zeroed q.
+		// Fresh inputs per attempt. A failed tier leaves partial data in
+		// res.Vectors; every vector tier ignores it and writes every entry
+		// (TestTiersIgnoreDirtyVectors).
 		copy(res.Values, d)
 		copy(ework, e)
-		if ti > 0 && res.Vectors != nil {
-			for i := range res.Vectors {
-				res.Vectors[i] = 0
-			}
-		}
 		ts, err := runTier(ctx, tier, n, o, res.Values, ework, res.Vectors, e)
 		res.Stats.Fallbacks += ts.fallbacks
 		res.Stats.LeakedBytes += ts.leaked

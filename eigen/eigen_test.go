@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
@@ -417,5 +418,45 @@ func TestTierRoutes(t *testing.T) {
 	}
 	if r := directRoute(&Options{Method: Method(99), Fallback: true}); r != nil {
 		t.Errorf("unknown method has route %v", r)
+	}
+}
+
+// TestTiersIgnoreDirtyVectors checks what lets the fallback ladder hand a
+// retry the vectors a failed tier left behind: every vector tier writes
+// every entry of q (task-flow and dstedc through their closing sort, qr
+// from Dsteqr's identity start, mrrr by zeroing its output), so a run on a
+// NaN-filled q gives the same bytes as one on a zeroed q.
+func TestTiersIgnoreDirtyVectors(t *testing.T) {
+	rng := rand.New(rand.NewSource(57))
+	o := &Options{Workers: 2}
+	for _, tri := range []Tridiagonal{randomTridiag(rng, 200), exactGluedW21(210, 1e-10)} {
+		n := tri.N()
+		for _, tier := range []string{"task-flow", "dstedc", "qr", "mrrr"} {
+			run := func(fill float64) (d, q []float64) {
+				d = append([]float64(nil), tri.D...)
+				ework := append([]float64(nil), tri.E...)
+				eorig := append([]float64(nil), tri.E...)
+				q = make([]float64, n*n)
+				for i := range q {
+					q[i] = fill
+				}
+				if _, err := runTier(context.Background(), tier, n, o, d, ework, q, eorig); err != nil {
+					t.Fatalf("n=%d tier %s: %v", n, tier, err)
+				}
+				return d, q
+			}
+			dz, qz := run(0)
+			dn, qn := run(math.NaN())
+			for i := range dz {
+				if math.Float64bits(dz[i]) != math.Float64bits(dn[i]) {
+					t.Fatalf("n=%d tier %s: eigenvalue %d differs on a NaN-filled q: %v vs %v", n, tier, i, dn[i], dz[i])
+				}
+			}
+			for i := range qz {
+				if math.Float64bits(qz[i]) != math.Float64bits(qn[i]) {
+					t.Fatalf("n=%d tier %s: q[%d] differs on a NaN-filled q: %v vs %v", n, tier, i, qn[i], qz[i])
+				}
+			}
+		}
 	}
 }

@@ -26,7 +26,7 @@ func captureWith(m testmat.Matrix, panel, minpart int, extraWS bool) (*quark.Gra
 	n := m.N()
 	d := append([]float64(nil), m.D...)
 	e := append([]float64(nil), m.E...)
-	q := make([]float64, n*n)
+	q := mappedMatrix(n)
 	t0 := time.Now()
 	res, err := core.SolveDC(n, d, e, q, n, &core.Options{
 		Workers: 1, PanelSize: panel, MinPartition: minpart,

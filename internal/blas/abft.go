@@ -116,7 +116,7 @@ func (pa *PackedA) Verify(n int, alpha float64, b []float64, ldb int, c []float6
 		mass *= math.Abs(alpha)
 		got := simd.Sum(c[j*ldc : j*ldc+m])
 		bound := abftTolFactor * float64(k+m) * machEps * mass
-		if diff := math.Abs(got - want); diff > bound {
+		if diff := math.Abs(got - want); !(diff <= bound) { // NaN fails too
 			return &ChecksumError{Col: j, Got: got, Want: want, Bound: bound, Kernel: kernel}
 		}
 	}

@@ -63,6 +63,12 @@ func TestVerifyCatchesOutputFlip(t *testing.T) {
 			t.Errorf("trial %d: taxonomy wrong: corruption=%v transient=%v class=%q",
 				trial, ce.Corruption(), ce.Transient(), ce.TaskClass())
 		}
+		// A NaN output entry makes the checksum difference NaN, which must
+		// fail the bound rather than compare false against it.
+		c[idx] = math.NaN()
+		if err := pa.Verify(n, 1, b, k, c, m, "UpdateVect"); err == nil {
+			t.Fatalf("trial %d: NaN in C[%d] escaped verification", trial, idx)
+		}
 		pa.Release()
 	}
 }

@@ -135,8 +135,9 @@ type Result struct {
 // (d, e): on exit d holds the ascending eigenvalues and q (n×n, column
 // leading dimension ldq) the corresponding orthonormal eigenvectors; e is
 // destroyed. The entry contents of q are ignored — callers may hand the
-// solver a dirty, reused workspace; the leaf tasks establish the zero
-// structure the merge kernels depend on.
+// solver a dirty, reused workspace: the solve tracks each column's valid
+// row span (lapack.Span), no kernel reads a row outside it, and the closing
+// sort writes every entry of q.
 func SolveDC(n int, d, e []float64, q []float64, ldq int, opts *Options) (*Result, error) {
 	return SolveDCContext(context.Background(), n, d, e, q, ldq, opts)
 }
@@ -210,14 +211,12 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	rt := quark.New(o.Workers, rtOpts...)
 
 	f := &flow{rt: rt, n: n, d: d, e: e, o: &o, st: res.Stats}
-	var fl []float64
 	if o.ValuesOnly {
 		// The 2×n eigenvector-row carrier, the lane's only O(n) shared
 		// buffer; released once the runtime has stopped.
-		fl = pool.Get(2 * n)
-		f.lane = &valuesLane{flow: f, fl: fl}
+		f.lane = &valuesLane{flow: f, fl: pool.Get(2 * n)}
 	} else {
-		f.lane = &vectorLane{flow: f, q: q, ldq: ldq}
+		f.lane = &vectorLane{flow: f, q: q, ldq: ldq, sp: make([]lapack.Span, n)}
 	}
 	err := f.submit()
 	werr := rt.Wait()
@@ -235,7 +234,7 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		leaked += ms.sweepLeaked()
 	}
 	res.Stats.addLeaked(leaked)
-	pool.Put(fl)
+	f.lane.release()
 	if err != nil {
 		return res, err
 	}
@@ -310,11 +309,13 @@ type lane interface {
 	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
 	// panels submits the lane's panel tasks of merge ms.
 	panels(ms *mergeState)
-	// sortClass names the root sort task; sort moves the eigenvalues (and
-	// vectors) through the root permutation into ascending order and
-	// returns the operation count.
-	sortClass() string
-	sort() int64
+	// sort submits the root sort: it moves the eigenvalues (and vectors)
+	// through the root permutation into ascending order and scales the
+	// eigenvalues back by orgnrm.
+	sort(root *node, orgnrm float64)
+	// release returns the lane's pooled solve-wide scratch; it runs after
+	// the runtime has stopped, whether the solve succeeded or not.
+	release()
 }
 
 // flow is one task-flow solve being submitted: the tree shared by both lanes
@@ -427,16 +428,7 @@ func (f *flow) submit() error {
 		}
 	}
 
-	root := level[0]
-	class := f.lane.sortClass()
-	rt.Submit(class, "sort", func() {
-		ops := f.lane.sort()
-		if orgnrm != 1 {
-			lapack.Dlascl(n, 1, 1, orgnrm, d, n)
-		}
-		st.countTask(class, "sort", ops)
-		corruptHook(class, d[:n])
-	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
+	f.lane.sort(level[0], orgnrm)
 	return nil
 }
 
@@ -720,11 +712,20 @@ func (f *flow) submitReduceW(ms *mergeState) {
 // vectorLane is the full eigenvector solve: each node's eigenvectors live in
 // its diagonal block of q, and every merge rebuilds its block with the
 // PermuteV, ComputeLocalW, CopyBackDeflated, ComputeVect, PackV and
-// UpdateVect panels around the shared joins.
+// UpdateVect panels around the shared joins. Column j of q is valid on rows
+// sp[j] only (DESIGN.md §12): the leaves set the spans, the merge kernels
+// keep them, and the root sort writes every entry of q.
 type vectorLane struct {
 	*flow
 	q   []float64
 	ldq int
+	sp  []lapack.Span
+	fs  *lapack.FinalSort // the root sort's plan, set by its plan task
+}
+
+// window returns merge ms's block of q.
+func (l *vectorLane) window(ms *mergeState) lapack.Window {
+	return lapack.NewWindow(l.q, l.ldq, l.sp, ms.start, ms.nm)
 }
 
 func (l *vectorLane) zero() {
@@ -740,33 +741,19 @@ func (l *vectorLane) zero() {
 	})
 }
 
+// leaf solves the block and marks its columns valid on the block's rows:
+// the rest of each column is a structural zero, never written here.
 func (l *vectorLane) leaf(st0, sz int) (bool, error) {
-	// The merge kernels (deflation rotations, deflated-vector moves)
-	// operate on full merge-window columns and rely on the
-	// structurally-zero off-block rows of q holding exact zeros — LAPACK's
-	// Z=I invariant. Establish it here so callers may pass q with arbitrary
-	// entry contents (e.g. a reused workspace): a merge either rewrites a
-	// column over its whole window (UpdateVect, a rotation, a deflated
-	// vector's move) or leaves it untouched, so leaf-time zeroing is enough
-	// by induction up the tree.
-	n, q, ldq := l.n, l.q, l.ldq
 	for j := st0; j < st0+sz; j++ {
-		col := q[j*ldq : j*ldq+n]
-		for i := range col[:st0] {
-			col[i] = 0
-		}
-		for i := st0 + sz; i < n; i++ {
-			col[i] = 0
-		}
+		l.sp[j] = lapack.Span{Lo: st0, Hi: st0 + sz}
 	}
-	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], q[st0+st0*ldq:], ldq)
+	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.q[st0+st0*l.ldq:], l.ldq)
 }
 
 func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
-	qq := l.q[ms.start+ms.start*l.ldq:]
-	blas.Dcopy(ms.n1, qq[ms.n1-1:], l.ldq, z, 1)
-	blas.Dcopy(ms.nm-ms.n1, qq[ms.n1+ms.n1*l.ldq:], l.ldq, z[ms.n1:], 1)
-	df, err := lapack.Dlaed2Deflate(ms.nm, ms.n1, ms.dd, qq, l.ldq, ms.ixq, rho, z)
+	w := l.window(ms)
+	w.FormZ(ms.n1, z)
+	df, err := lapack.Dlaed2Deflate(w, ms.n1, ms.dd, ms.ixq, rho, z)
 	if err != nil {
 		return nil, err
 	}
@@ -778,7 +765,8 @@ func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.
 func (l *vectorLane) panels(ms *mergeState) {
 	rt, o, st := l.rt, l.o, l.st
 	ldq, nm, nb, npanels, prio, dd := l.ldq, ms.nm, ms.nb, ms.npanels, ms.prio, ms.dd
-	qq := l.q[ms.start+ms.start*ldq:]
+	w := l.window(ms)
+	qq := w.Q
 	hV := ms.parent.hV
 	// Workspace consumers: every UpdateVect and CopyBackDeflated panel plus
 	// the PackV task; the last to finish recycles the merge scratch.
@@ -815,7 +803,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 		g0, g1 := p*nb, min((p+1)*nb, nm)
 		label := ms.name("PermuteV", p)
 		rt.SubmitPrio("PermuteV", label, prio+prioPermute, func() {
-			words := ms.df.PermutePanel(qq, ldq, ms.ws, g0, g1)
+			words := ms.df.PermutePanel(w, ms.ws, g0, g1)
 			if words == 0 {
 				return
 			}
@@ -877,7 +865,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 		rt.SubmitPrio("CopyBackDeflated", label, prio+prioCopy, func() {
 			defer ms.done()
 			c0 := p * ms.nbSec
-			words := ms.df.CopyBackPanel(qq, ldq, dd, c0, c0+ms.nbSec)
+			words := ms.df.CopyBackPanel(w, dd, c0, c0+ms.nbSec)
 			if words == 0 {
 				return
 			}
@@ -966,7 +954,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 				once.Do(ms.done)
 				return
 			}
-			hits, misses := ms.df.UpdatePanel(qq, ldq, ms.ws, j0, j1, nil)
+			hits, misses := ms.df.UpdatePanel(w, ms.ws, j0, j1, nil)
 			if hits > 0 {
 				st.count("UpdateVectPackHit", int64(hits))
 			}
@@ -1002,10 +990,35 @@ func (l *vectorLane) panels(ms *mergeState) {
 	}
 }
 
-func (l *vectorLane) sortClass() string { return "SortEigenvectors" }
+// sort submits the root sort as one plan task and 2W panel tasks, all of
+// class SortEigenvectors. The plan orders d (lapack.SortOrder), scales it
+// back and splits the column permutation's cycles into the panels'
+// segments (lapack.NewFinalSort); each panel then writes its destination
+// columns, so every entry of q is written by the end, by every worker.
+func (l *vectorLane) sort(root *node, orgnrm float64) {
+	const class = "SortEigenvectors"
+	rt, n, st := l.rt, l.n, l.st
+	segs := 2 * rt.Workers()
+	rt.Submit(class, "sort", func() {
+		lapack.SortOrder(n, l.d, l.indxq, orgnrm)
+		l.fs = lapack.NewFinalSort(n, l.indxq, l.q, l.ldq, l.sp, segs)
+		st.countTask(class, "sort", int64(n))
+		corruptHook(class, l.d[:n])
+	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
+	for s := range segs {
+		label := fmt.Sprintf("sort[%d]", s)
+		rt.Submit(class, label, func() {
+			if words := l.fs.Segment(s); words > 0 {
+				st.countTask(class, label, words)
+			}
+		}, quark.Gather(root.hV))
+	}
+}
 
-func (l *vectorLane) sort() int64 {
-	lapack.SortEigen(l.n, l.d, l.q, l.ldq, l.indxq)
-	lapack.SortAscending(l.n, l.d, l.q, l.ldq)
-	return int64(l.n) * int64(l.n)
+// release returns the root sort's saved vectors to the pool; the plan may
+// have run while a failed or cancelled solve skipped its panels.
+func (l *vectorLane) release() {
+	if l.fs != nil {
+		l.fs.Release()
+	}
 }

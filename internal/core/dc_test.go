@@ -20,6 +20,41 @@ func randTridiag(rng *rand.Rand, n int) (d, e []float64) {
 	return
 }
 
+// perturbedLegendre is the Jacobi matrix of the Legendre polynomials with a
+// 1e-6 relative perturbation of every off-diagonal and a diagonal of the
+// same size (perfbench's lib-lowdefl family): almost nothing deflates.
+func perturbedLegendre(rng *rand.Rand, n int) (d, e []float64) {
+	d, e = make([]float64, n), make([]float64, n-1)
+	for i := 1; i < n; i++ {
+		fi := float64(i)
+		e[i-1] = fi / math.Sqrt((2*fi-1)*(2*fi+1)) * (1 + 1e-6*(2*rng.Float64()-1))
+	}
+	for i := range d {
+		d[i] = 0.5e-6 * (2*rng.Float64() - 1)
+	}
+	return d, e
+}
+
+// gluedW21 chains jittered Wilkinson W21⁺ blocks with glue couplings of
+// about 1e-10 (perfbench's lib-highdefl family): most of every merge
+// deflates, much of it through close-pair rotations.
+func gluedW21(rng *rand.Rand, n int) (d, e []float64) {
+	d, e = make([]float64, n), make([]float64, n-1)
+	for s := 0; s < n; s += 21 {
+		bs := min(21, n-s)
+		for i := 0; i < bs; i++ {
+			d[s+i] = math.Abs(float64(i-bs/2)) + 1e-5*(2*rng.Float64()-1)
+			if i < bs-1 {
+				e[s+i] = 1
+			}
+		}
+		if s+bs < n {
+			e[s+bs-1] = 1e-10 * (0.5 + rng.Float64())
+		}
+	}
+	return d, e
+}
+
 func residualAndOrth(n int, d0, e0, lam, z []float64, ldz int) (res, orth float64) {
 	y := make([]float64, n)
 	for j := 0; j < n; j++ {

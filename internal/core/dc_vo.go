@@ -148,18 +148,17 @@ func (l *valuesLane) panels(ms *mergeState) {
 	}
 }
 
-func (l *valuesLane) sortClass() string { return "SortEigenvalues" }
-
-// sort is the values-only analogue of SortEigenvectors: one O(n) gather
-// through the root's merge permutation, then the closing insertion sort.
-func (l *valuesLane) sort() int64 {
-	n, d := l.n, l.d
-	tmp := pool.Get(n)
-	defer pool.Put(tmp)
-	for i := 0; i < n; i++ {
-		tmp[i] = d[l.indxq[i]]
-	}
-	copy(d[:n], tmp[:n])
-	lapack.SortAscending(n, d, nil, 0)
-	return int64(n)
+// sort is the values-only analogue of SortEigenvectors: the same
+// lapack.SortOrder on d alone, one O(n) gather through the root's merge
+// permutation plus the closing insertion pass.
+func (l *valuesLane) sort(root *node, orgnrm float64) {
+	const class = "SortEigenvalues"
+	n := l.n
+	l.rt.Submit(class, "sort", func() {
+		lapack.SortOrder(n, l.d, l.indxq, orgnrm)
+		l.st.countTask(class, "sort", int64(n))
+		corruptHook(class, l.d[:n])
+	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
 }
+
+func (l *valuesLane) release() { pool.Put(l.fl) }

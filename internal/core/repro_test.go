@@ -90,37 +90,12 @@ func TestSIMDDispatchKeepsBits(t *testing.T) {
 	defer simd.SetSIMD(simd.Available())
 	rng := rand.New(rand.NewSource(21))
 	const n = 601
-	legendre := func() (d, e []float64) {
-		d, e = make([]float64, n), make([]float64, n-1)
-		for i := 1; i < n; i++ {
-			fi := float64(i)
-			e[i-1] = fi / math.Sqrt((2*fi-1)*(2*fi+1)) * (1 + 1e-6*(2*rng.Float64()-1))
-		}
-		for i := range d {
-			d[i] = 0.5e-6 * (2*rng.Float64() - 1)
-		}
-		return d, e
-	}
-	gluedW21 := func() (d, e []float64) {
-		d, e = make([]float64, n), make([]float64, n-1)
-		for s := 0; s < n; s += 21 {
-			bs := min(21, n-s)
-			for i := 0; i < bs; i++ {
-				d[s+i] = math.Abs(float64(i-bs/2)) + 1e-5*(2*rng.Float64()-1)
-				if i < bs-1 {
-					e[s+i] = 1
-				}
-			}
-			if s+bs < n {
-				e[s+bs-1] = 1e-10 * (0.5 + rng.Float64())
-			}
-		}
-		return d, e
-	}
+	legendre := func() (d, e []float64) { return perturbedLegendre(rng, n) }
+	glued := func() (d, e []float64) { return gluedW21(rng, n) }
 	for _, m := range []struct {
 		name string
 		gen  func() (d, e []float64)
-	}{{"perturbed Legendre", legendre}, {"glued W21", gluedW21}} {
+	}{{"perturbed Legendre", legendre}, {"glued W21", glued}} {
 		d0, e0 := m.gen()
 		for _, vo := range []bool{false, true} {
 			for _, w := range []int{1, 2} {

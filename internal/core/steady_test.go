@@ -12,66 +12,88 @@ import (
 )
 
 // TestSolveDCReusedWorkspace is the regression test for the in-process
-// slowdown bug: the merge kernels (full-column deflation rotations and
-// deflated-column copies) require the structurally-zero off-block regions
-// of q to hold exact zeros. A fresh Go allocation provided them for free;
-// a reused workspace carried the previous solve's eigenvectors there,
-// silently corrupting results AND collapsing deflation (the ~2.5× "GC
-// pressure" slowdown). The leaf tasks now establish the zeros, so a solve
-// into a dirty q — here poisoned with NaN, which propagates loudly through
-// any stale read — must produce bit-identical results to a fresh one.
+// slowdown bug, where a reused workspace carried the previous solve's
+// eigenvectors into the structurally-zero rows the merge kernels read,
+// silently corrupting results AND collapsing deflation. The kernels now
+// read only each column's valid row span (lapack.Span) and the closing
+// sort writes every entry, so a solve into a dirty q — here poisoned with
+// NaN, which propagates loudly through any stale read — must give λ, V and
+// operation counts bit-identical to a solve into a zeroed q. The matrices
+// cover the paths that move spans: glued W21 (close-pair rotations and
+// about 80% deflation), perturbed Legendre (almost none) and a random one,
+// in every execution mode.
 func TestSolveDCReusedWorkspace(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	n := 300
-	d0, e0 := randTridiag(rng, n)
+	type matrix struct {
+		name string
+		d, e []float64
+	}
+	var mats []matrix
+	for _, m := range []struct {
+		name string
+		gen  func(*rand.Rand, int) ([]float64, []float64)
+	}{{"random", randTridiag}, {"glued-w21", gluedW21}, {"legendre", perturbedLegendre}} {
+		d, e := m.gen(rng, 300)
+		mats = append(mats, matrix{m.name, d, e})
+	}
 	for _, tc := range []struct {
 		name string
-		opts *Options
+		opts Options
 	}{
-		{"taskflow-w4", &Options{Workers: 4}},
-		{"sequential", &Options{Mode: ModeSequential}},
+		{"taskflow-w1", Options{Workers: 1}},
+		{"taskflow-w2", Options{Workers: 2}},
+		{"taskflow-w4", Options{Workers: 4}},
+		{"levelsync", Options{Workers: 2, Mode: ModeLevelSync}},
+		{"scalapack", Options{Workers: 2, Mode: ModeScaLAPACK}},
+		{"forkjoin", Options{Workers: 2, Mode: ModeForkJoin}},
+		{"sequential", Options{Mode: ModeSequential}},
+		{"extra-workspace", Options{Workers: 2, ExtraWorkspace: true}},
+		{"panel-37", Options{Workers: 2, PanelSize: 37}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			solve := func(q []float64) ([]float64, int64) {
-				d := append([]float64(nil), d0...)
-				e := append([]float64(nil), e0...)
-				res, err := SolveDC(n, d, e, q, n, tc.opts)
-				if err != nil {
-					t.Fatal(err)
+			for _, m := range mats {
+				n := len(m.d)
+				solve := func(q []float64) ([]float64, map[string]int64) {
+					d := append([]float64(nil), m.d...)
+					e := append([]float64(nil), m.e...)
+					opts := tc.opts
+					res, err := SolveDC(n, d, e, q, n, &opts)
+					if err != nil {
+						t.Fatalf("%s: %v", m.name, err)
+					}
+					return d, res.Stats.Ops
 				}
-				var ops int64
-				if res.Stats != nil {
-					ops = res.Stats.Ops["UpdateVect"]
-				}
-				return d, ops
-			}
 
-			qFresh := make([]float64, n*n)
-			dFresh, opsFresh := solve(qFresh)
+				qFresh := make([]float64, n*n)
+				dFresh, opsFresh := solve(qFresh)
 
-			qDirty := make([]float64, n*n)
-			for i := range qDirty {
-				qDirty[i] = math.NaN()
-			}
-			dDirty, opsDirty := solve(qDirty)
+				qDirty := make([]float64, n*n)
+				for i := range qDirty {
+					qDirty[i] = math.NaN()
+				}
+				dDirty, opsDirty := solve(qDirty)
 
-			for i := range dFresh {
-				if dFresh[i] != dDirty[i] {
-					t.Fatalf("eigenvalue %d differs with reused q: %v vs %v", i, dFresh[i], dDirty[i])
+				if !sameBits(dFresh, dDirty) {
+					t.Fatalf("%s: eigenvalues differ with reused q", m.name)
 				}
-			}
-			for i := range qFresh {
-				if qFresh[i] != qDirty[i] {
-					t.Fatalf("eigenvector entry %d differs with reused q: %v vs %v (stale contents leaked)", i, qFresh[i], qDirty[i])
+				for i := range qFresh {
+					if math.Float64bits(qFresh[i]) != math.Float64bits(qDirty[i]) {
+						t.Fatalf("%s: eigenvector entry %d differs with reused q: %v vs %v (stale contents leaked)", m.name, i, qFresh[i], qDirty[i])
+					}
 				}
-			}
-			if opsFresh != opsDirty {
-				t.Fatalf("UpdateVect ops differ with reused q: %d vs %d (deflation collapsed)", opsFresh, opsDirty)
-			}
-			nrm := lapack.Dlanst('M', n, d0, e0)
-			res, _ := residualAndOrth(n, d0, e0, dDirty, qDirty, n)
-			if res/(nrm*float64(n)) > 200*lapack.Eps {
-				t.Fatalf("residual with reused q: %.3e", res/(nrm*float64(n)))
+				if len(opsFresh) != len(opsDirty) {
+					t.Fatalf("%s: op classes differ with reused q: %v vs %v", m.name, opsFresh, opsDirty)
+				}
+				for c, v := range opsFresh {
+					if opsDirty[c] != v {
+						t.Fatalf("%s: %s ops differ with reused q: %d vs %d (deflation collapsed)", m.name, c, v, opsDirty[c])
+					}
+				}
+				nrm := lapack.Dlanst('M', n, m.d, m.e)
+				res, _ := residualAndOrth(n, m.d, m.e, dDirty, qDirty, n)
+				if res/(nrm*float64(n)) > 200*lapack.Eps {
+					t.Fatalf("%s: residual with reused q: %.3e", m.name, res/(nrm*float64(n)))
+				}
 			}
 		})
 	}

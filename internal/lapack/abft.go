@@ -60,7 +60,7 @@ func (df *Deflation) CheckInterlacing(d []float64, j0, j1 int) error {
 		// the stored sum can round to the pole itself but never cross it by
 		// more than the bracket's rounding noise.
 		slack := 16 * Eps * (math.Abs(lo) + math.Abs(hi) + df.Rho)
-		if v := d[j]; v < lo-slack || v > hi+slack {
+		if v := d[j]; !(v >= lo-slack && v <= hi+slack) { // NaN fails too
 			return &InvariantError{
 				Kernel: "LAED4",
 				Detail: fmt.Sprintf("secular root %d = %.17g outside interlacing bracket [%.17g, %.17g]", j, v, lo, hi),
@@ -103,7 +103,7 @@ func CheckTrace(d []float64, n int, want, tol float64) (defect float64, err erro
 		sum = t
 	}
 	defect = math.Abs(sum - want)
-	if defect > tol {
+	if !(defect <= tol) { // NaN fails too
 		return defect, &InvariantError{
 			Kernel: "Dlamrg",
 			Detail: fmt.Sprintf("merged spectrum trace %.17g drifted from diagonal trace %.17g by %.3g (tolerance %.3g)", sum, want, defect, tol),

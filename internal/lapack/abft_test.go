@@ -42,6 +42,11 @@ func TestCheckInterlacing(t *testing.T) {
 	if !ie.Corruption() || !ie.Transient() || ie.TaskClass() != "LAED4" {
 		t.Errorf("taxonomy wrong: corruption=%v transient=%v class=%q", ie.Corruption(), ie.Transient(), ie.TaskClass())
 	}
+	// A NaN root compares false against both ends of its bracket.
+	d[3] = math.NaN()
+	if err := df.CheckInterlacing(d, 0, k); err == nil {
+		t.Fatal("NaN secular root passed interlacing")
+	}
 }
 
 // TestCheckTraceBudget: the merged spectrum's trace must match the
@@ -98,6 +103,12 @@ func TestCheckTraceBudget(t *testing.T) {
 	}
 	if ie.TaskClass() != "Dlamrg" || !ie.Corruption() {
 		t.Errorf("taxonomy wrong: class=%q corruption=%v", ie.TaskClass(), ie.Corruption())
+	}
+
+	// A NaN eigenvalue makes the defect NaN, which must fail, not pass.
+	merged[7] = math.NaN()
+	if defect, err := CheckTrace(merged, n, want, tol); err == nil {
+		t.Fatalf("NaN eigenvalue passed the trace check (defect %v)", defect)
 	}
 }
 

@@ -65,17 +65,17 @@ func (df *Deflation) C23() int { return df.Ctot[colDense] + df.Ctot[colBottom] }
 
 // Dlaed2Deflate performs the deflation phase of a D&C merge (LAPACK DLAED2
 // without the eigenvector copies). On entry d[0:n1] and d[n1:n] hold the two
-// children's eigenvalues, q is the n×n block-diagonal eigenvector matrix,
+// children's eigenvalues, w is the merge's n×n block of the eigenvector
+// matrix (block diagonal: every column's span lies in its child's rows),
 // indxq sorts each child's eigenvalues ascending (second half holds indices
 // local to the second child), rho is the off-diagonal coupling β, and z is
-// the concatenation of the last row of Q1 and the first row of Q2.
+// the concatenation of the last row of Q1 and the first row of Q2
+// (Window.FormZ).
 //
-// Givens rotations between deflatable close pairs are applied to q in place;
-// z and d are used as scratch and destroyed.
-func Dlaed2Deflate(n, n1 int, d []float64, q []float64, ldq int, indxq []int, rho float64, z []float64) (*Deflation, error) {
-	return Dlaed2DeflateRot(n, n1, d, indxq, rho, z, func(pj, nj int, c, s float64) {
-		blas.Drot(n, q[pj*ldq:], 1, q[nj*ldq:], 1, c, s)
-	})
+// Givens rotations between deflatable close pairs are applied to w in place
+// (Window.rot); z and d are used as scratch and destroyed.
+func Dlaed2Deflate(w Window, n1 int, d []float64, indxq []int, rho float64, z []float64) (*Deflation, error) {
+	return Dlaed2DeflateRot(w.N, n1, d, indxq, rho, z, w.rot)
 }
 
 // Dlaed2DeflateRot is Dlaed2Deflate with the eigenvector side effect
@@ -351,23 +351,26 @@ func (ws *MergeWorkspace) PooledBytes() int64 {
 }
 
 // PermutePanel copies the non-deflated columns among grouped columns
-// [g0, g1) of q into the compressed workspace (the paper's PermuteV task):
+// [g0, g1) of w into the compressed workspace (the paper's PermuteV task):
 // the first n1 rows of type-1/2 columns into Q2Top, the last n2 rows of
-// type-2/3 columns into Q2Bot. Deflated columns (g >= K) are not copied;
-// they stay in q (see Slot). Returns the number of words copied.
-func (df *Deflation) PermutePanel(q []float64, ldq int, ws *MergeWorkspace, g0, g1 int) (words int) {
+// type-2/3 columns into Q2Bot. Only a column's span rows are read; the rest
+// of its workspace slot gets +0. Deflated columns (g >= K) are not copied;
+// they stay in w (see Slot). Returns the number of words written.
+func (df *Deflation) PermutePanel(w Window, ws *MergeWorkspace, g0, g1 int) (words int) {
 	n1 := df.N1
 	n2 := df.N - n1
 	c1 := df.Ctot[colTop]
 	c12 := df.C12()
 	for g := g0; g < min(g1, df.K); g++ {
-		src := q[df.Perm[g]*ldq:]
+		c := df.Perm[g]
+		src := w.col(c)
+		lo, hi := w.rows(c)
 		if g < c12 {
-			copy(ws.Q2Top[g*n1:g*n1+n1], src[:n1])
+			spanCopy(ws.Q2Top[g*n1:g*n1+n1], src, lo, hi)
 			words += n1
 		}
 		if g >= c1 {
-			copy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:n1+n2])
+			spanCopy(ws.Q2Bot[(g-c1)*n2:(g-c1)*n2+n2], src[n1:], lo-n1, hi-n1)
 			words += n2
 		}
 	}
@@ -393,23 +396,25 @@ func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g int) []float64 {
 	return nil
 }
 
-// CopyBackPanel empties columns [c0, c1) ∩ [0, K) of q before UpdatePanel
+// CopyBackPanel empties columns [c0, c1) ∩ [0, K) of w before UpdatePanel
 // overwrites them (the paper's CopyBackDeflated task): each deflated vector
-// sitting there moves, with its eigenvalue, to its Slot column. That column
-// held a non-deflated vector, so PermutePanel must have read it first.
-// Deflated vectors at or beyond K never move. Returns the number of words
-// copied.
-func (df *Deflation) CopyBackPanel(q []float64, ldq int, d []float64, c0, c1 int) (words int) {
-	n := df.N
+// sitting there moves, with its eigenvalue and its span, to its Slot
+// column. Only the span rows are copied; the Slot column's other rows
+// become structural zeros. That column held a non-deflated vector, so
+// PermutePanel must have read it first. Deflated vectors at or beyond K
+// never move. Returns the number of words copied.
+func (df *Deflation) CopyBackPanel(w Window, d []float64, c0, c1 int) (words int) {
 	for c := c0; c < min(c1, df.K); c++ {
 		j := df.Move[c]
 		if j < 0 {
 			continue
 		}
 		s := df.Slot[j]
-		copy(q[s*ldq:s*ldq+n], q[c*ldq:c*ldq+n])
+		lo, hi := w.rows(c)
+		copy(w.col(s)[lo:hi], w.col(c)[lo:hi])
+		w.Sp[s] = w.Sp[c]
 		d[s] = df.DeflD[j]
-		words += n
+		words += hi - lo
 	}
 	return words
 }

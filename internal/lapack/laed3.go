@@ -160,12 +160,13 @@ func (df *Deflation) PackV(ws *MergeWorkspace, ncol int) (bytes int) {
 }
 
 // UpdatePanel computes the final eigenvectors V(:, j0:j1) = Q2 * S(:, j0:j1)
-// as two compressed GEMMs (the paper's UpdateVect task), writing into q.
-// gemm allows the caller to substitute a multithreaded kernel (the fork/join
-// baseline) — pass nil for the serial kernel. Operands pre-packed by PackV
-// go through the blocked packed kernel instead; the returned counts say how
-// many of the panel's GEMMs hit the packed fast path versus fell back.
-func (df *Deflation) UpdatePanel(q []float64, ldq int, ws *MergeWorkspace, j0, j1 int, gemm GemmFunc) (packed, unpacked int) {
+// as two compressed GEMMs (the paper's UpdateVect task), writing into w
+// over the whole window and widening the columns' spans to it. gemm allows
+// the caller to substitute a multithreaded kernel (the fork/join baseline)
+// — pass nil for the serial kernel. Operands pre-packed by PackV go through
+// the blocked packed kernel instead; the returned counts say how many of
+// the panel's GEMMs hit the packed fast path versus fell back.
+func (df *Deflation) UpdatePanel(w Window, ws *MergeWorkspace, j0, j1 int, gemm GemmFunc) (packed, unpacked int) {
 	if gemm == nil {
 		gemm = blas.Dgemm
 	}
@@ -179,6 +180,7 @@ func (df *Deflation) UpdatePanel(q []float64, ldq int, ws *MergeWorkspace, j0, j
 	if ncol <= 0 || k == 0 {
 		return 0, 0
 	}
+	q, ldq := w.Q, w.LDQ
 	// Top block: rows 0..n1-1 from type-1/2 columns (S rows 0..c12-1).
 	if c12 != 0 {
 		if ws.PackTop != nil {
@@ -190,10 +192,7 @@ func (df *Deflation) UpdatePanel(q []float64, ldq int, ws *MergeWorkspace, j0, j
 		}
 	} else {
 		for j := j0; j < j1; j++ {
-			col := q[j*ldq : j*ldq+n1]
-			for i := range col {
-				col[i] = 0
-			}
+			clear(w.col(j)[:n1])
 		}
 	}
 	// Bottom block: rows n1..n-1 from type-2/3 columns (S rows c1..c1+c23-1).
@@ -207,11 +206,11 @@ func (df *Deflation) UpdatePanel(q []float64, ldq int, ws *MergeWorkspace, j0, j
 		}
 	} else {
 		for j := j0; j < j1; j++ {
-			col := q[j*ldq+n1 : j*ldq+n1+n2]
-			for i := range col {
-				col[i] = 0
-			}
+			clear(w.col(j)[n1:])
 		}
+	}
+	for j := j0; j < j1; j++ {
+		w.widen(j)
 	}
 	return packed, unpacked
 }

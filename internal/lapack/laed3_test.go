@@ -9,7 +9,7 @@ import (
 // buildMerge runs one D&C merge up to (but not including) UpdateVect: solve
 // both halves, deflate, permute into the compressed workspace, solve the
 // secular equation, and form the updated eigenvector coefficients in ws.S.
-func buildMerge(t *testing.T, n, cut int, d0, e0 []float64) (*Deflation, *MergeWorkspace, []float64) {
+func buildMerge(t *testing.T, n, cut int, d0, e0 []float64) (*Deflation, *MergeWorkspace, []float64, []Span) {
 	t.Helper()
 	d := append([]float64(nil), d0...)
 	e := append([]float64(nil), e0...)
@@ -38,14 +38,16 @@ func buildMerge(t *testing.T, n, cut int, d0, e0 []float64) (*Deflation, *MergeW
 	for j := cut; j < n; j++ {
 		z[j] = q[cut+j*n]
 	}
-	df, err := Dlaed2Deflate(n, cut, d, q, n, indxq, rho, z)
+	sp := childSpans(n, cut)
+	w := NewWindow(q, n, sp, 0, n)
+	df, err := Dlaed2Deflate(w, cut, d, indxq, rho, z)
 	if err != nil {
 		t.Fatal(err)
 	}
 	ws := NewMergeWorkspace(df)
-	df.PermutePanel(q, n, ws, 0, n)
+	df.PermutePanel(w, ws, 0, n)
 	if df.K == 0 {
-		return df, ws, q
+		return df, ws, q, sp
 	}
 	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
 		t.Fatal(err)
@@ -57,7 +59,7 @@ func buildMerge(t *testing.T, n, cut int, d0, e0 []float64) (*Deflation, *MergeW
 	what := make([]float64, df.K)
 	df.FinishW(what, ws.WLoc)
 	df.VectorsPanel(ws, what, 0, df.K)
-	return df, ws, q
+	return df, ws, q, sp
 }
 
 // TestUpdatePanelPackedMatchesUnpacked checks the per-merge pack-reuse path
@@ -94,7 +96,7 @@ func TestUpdatePanelPackedMatchesUnpacked(t *testing.T) {
 	for _, sc := range scenarios {
 		t.Run(sc.name, func(t *testing.T) {
 			d0, e0 := sc.make(sc.n)
-			df, ws, q := buildMerge(t, sc.n, sc.cut, d0, e0)
+			df, ws, q, sp := buildMerge(t, sc.n, sc.cut, d0, e0)
 			defer ws.Release()
 			if df.K == 0 {
 				return // nothing for UpdateVect to do
@@ -103,11 +105,13 @@ func TestUpdatePanelPackedMatchesUnpacked(t *testing.T) {
 			nb := 32
 			qUnpacked := append([]float64(nil), q...)
 			qPacked := append([]float64(nil), q...)
+			wUnpacked := NewWindow(qUnpacked, n, append([]Span(nil), sp...), 0, n)
+			wPacked := NewWindow(qPacked, n, append([]Span(nil), sp...), 0, n)
 
 			var unpackedOnly int
 			for j0 := 0; j0 < df.K; j0 += nb {
 				j1 := min(j0+nb, df.K)
-				hits, misses := df.UpdatePanel(qUnpacked, n, ws, j0, j1, nil)
+				hits, misses := df.UpdatePanel(wUnpacked, ws, j0, j1, nil)
 				if hits != 0 {
 					t.Fatalf("panel [%d,%d): packed hits before PackV", j0, j1)
 				}
@@ -118,7 +122,7 @@ func TestUpdatePanelPackedMatchesUnpacked(t *testing.T) {
 			var hits, misses int
 			for j0 := 0; j0 < df.K; j0 += nb {
 				j1 := min(j0+nb, df.K)
-				h, m := df.UpdatePanel(qPacked, n, ws, j0, j1, nil)
+				h, m := df.UpdatePanel(wPacked, ws, j0, j1, nil)
 				hits += h
 				misses += m
 			}
@@ -150,7 +154,7 @@ func TestUpdatePanelPackedMatchesUnpacked(t *testing.T) {
 func TestMergeWorkspaceReleaseClearsPacks(t *testing.T) {
 	rng := rand.New(rand.NewSource(103))
 	d0, e0 := randTridiag(rng, 96)
-	df, ws, _ := buildMerge(t, 96, 48, d0, e0)
+	df, ws, _, _ := buildMerge(t, 96, 48, d0, e0)
 	df.PackV(ws, 32)
 	ws.Release()
 	if ws.PackTop != nil || ws.PackBot != nil || ws.Q2Top != nil || ws.S != nil {

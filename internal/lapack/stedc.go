@@ -4,30 +4,28 @@ import (
 	"fmt"
 	"math"
 
-	"tridiag/internal/blas"
 	"tridiag/internal/pool"
 )
 
 // Dlaed1 performs one merge step of the divide & conquer algorithm
 // (LAPACK DLAED1, tridiagonal eigenvector case): the two solved subproblems
-// d[0:cutpnt]/d[cutpnt:n] with block-diagonal eigenvectors in q are combined
-// through the rank-one modification with weight rho.
+// d[0:cutpnt]/d[cutpnt:n] with block-diagonal eigenvectors in w (n = w.N)
+// are combined through the rank-one modification with weight rho.
 //
-// On exit d[0:k] and q's first k columns hold the secular eigenpairs, the
-// deflated pairs sit in the columns Deflation.Slot names, and indxq is the
-// permutation sorting d ascending. gemm may be nil (serial) or a parallel
-// substitute.
-func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho float64, gemm GemmFunc) error {
+// On exit d[0:k] and w's first k columns hold the secular eigenpairs, the
+// deflated pairs sit in the columns Deflation.Slot names, w's spans
+// describe the new columns, and indxq is the permutation sorting d
+// ascending. gemm may be nil (serial) or a parallel substitute.
+func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm GemmFunc) error {
+	n := w.N
 	if cutpnt < 1 || cutpnt >= n {
 		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, n)
 	}
-	// Form the z vector: last row of Q1, first row of Q2.
 	z := pool.Get(n)
 	defer pool.Put(z)
-	blas.Dcopy(cutpnt, q[cutpnt-1:], ldq, z, 1)
-	blas.Dcopy(n-cutpnt, q[cutpnt+cutpnt*ldq:], ldq, z[cutpnt:], 1)
+	w.FormZ(cutpnt, z)
 
-	df, err := Dlaed2Deflate(n, cutpnt, d, q, ldq, indxq, rho, z)
+	df, err := Dlaed2Deflate(w, cutpnt, d, indxq, rho, z)
 	if err != nil {
 		return err
 	}
@@ -37,7 +35,7 @@ func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho f
 	}
 	ws := NewMergeWorkspace(df)
 	defer ws.Release()
-	df.PermutePanel(q, ldq, ws, 0, df.K)
+	df.PermutePanel(w, ws, 0, df.K)
 
 	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
 		return err
@@ -50,8 +48,8 @@ func Dlaed1(n, cutpnt int, d []float64, q []float64, ldq int, indxq []int, rho f
 	defer pool.Put(what)
 	df.FinishW(what, ws.WLoc)
 	df.VectorsPanel(ws, what, 0, df.K)
-	df.CopyBackPanel(q, ldq, d, 0, df.K)
-	df.UpdatePanel(q, ldq, ws, 0, df.K, gemm)
+	df.CopyBackPanel(w, d, 0, df.K)
+	df.UpdatePanel(w, ws, 0, df.K, gemm)
 	df.MergeOrder(d, indxq)
 	return nil
 }
@@ -95,7 +93,9 @@ func (c *DCConfig) progress() {
 // tridiagonal matrix using the divide & conquer method (LAPACK
 // DSTEDC/DLAED0, sequential task order). On exit d holds the ascending
 // eigenvalues, q (n×n) the eigenvectors; e is destroyed. The entry
-// contents of q are ignored: callers may reuse a dirty workspace.
+// contents of q are ignored: callers may reuse a dirty workspace, and
+// every entry of q is written. On a non-nil error the contents of d and q
+// are unspecified.
 func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	if n < 0 {
 		return fmt.Errorf("lapack: Dstedc: negative n")
@@ -126,7 +126,6 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	}
 	Dlascl(n, 1, orgnrm, 1, d, n)
 	Dlascl(n-1, 1, orgnrm, 1, e, n-1)
-	defer Dlascl(n, 1, 1, orgnrm, d, n)
 
 	sizes := PartitionSizes(n, smlsiz)
 	// Subtract the rank-one coupling at each internal boundary.
@@ -141,24 +140,16 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	}
 
 	// Solve the leaf subproblems; a QR non-convergence on a leaf retries
-	// via Dsterf + inverse iteration instead of failing the whole solve.
-	// Each leaf also zeroes the off-block rows of its columns: the merge
-	// kernels rotate and move full merge-window columns and rely on the
-	// structurally-zero region holding exact zeros (LAPACK's Z=I invariant),
-	// so q's entry contents must not survive into the merges. A merge either
-	// rewrites a column over its whole window or leaves it untouched, so the
-	// zeros outside each window last up the tree.
+	// via Dsterf + inverse iteration instead of failing the whole solve. A
+	// leaf's columns are valid on its block's rows only (sp): the rest of
+	// q is never zeroed, the merge kernels read 0 there, and the final sort
+	// writes +0 there.
 	indxq := make([]int, n)
+	sp := make([]Span, n)
 	for i, st := range starts[:len(starts)-1] {
 		sz := sizes[i]
 		for j := st; j < st+sz; j++ {
-			col := q[j*ldq : j*ldq+n]
-			for r := range col[:st] {
-				col[r] = 0
-			}
-			for r := st + sz; r < n; r++ {
-				col[r] = 0
-			}
+			sp[j] = Span{st, st + sz}
 		}
 		if _, err := DsteqrRobust(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], q[st+st*ldq:], ldq); err != nil {
 			return fmt.Errorf("leaf [%d,%d): %w", st, st+sz, err)
@@ -178,7 +169,7 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 			cut := sizes[i]
 			msz := sizes[i] + sizes[i+1]
 			rho := e[st+cut-1]
-			if err := Dlaed1(msz, cut, d[st:st+msz], q[st+st*ldq:], ldq, indxq[st:st+msz], rho, cfg.gemm()); err != nil {
+			if err := Dlaed1(NewWindow(q, ldq, sp, st, msz), cut, d[st:st+msz], indxq[st:st+msz], rho, cfg.gemm()); err != nil {
 				return fmt.Errorf("merge [%d,%d): %w", st, st+msz, err)
 			}
 			cfg.progress()
@@ -193,9 +184,12 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 		starts = append(nstarts, n)
 	}
 
-	// Final sort into ascending order (the paper's SortEigenvectors task).
-	SortEigen(n, d, q, ldq, indxq)
-	SortAscending(n, d, q, ldq)
+	// Final sort into ascending order (the paper's SortEigenvectors task),
+	// one segment.
+	SortOrder(n, d, indxq, orgnrm)
+	fs := NewFinalSort(n, indxq, q, ldq, sp, 1)
+	defer fs.Release()
+	fs.Segment(0)
 	return nil
 }
 
@@ -214,53 +208,4 @@ func PartitionSizes(n, smlsiz int) []int {
 		// checks the largest, which is the last (ceil halves go second).
 	}
 	return sizes
-}
-
-// SortEigen permutes d and the columns of q into ascending eigenvalue order
-// given indxq, the merge's sorting permutation (new position i receives old
-// position indxq[i]). The permutation is applied in place by following its
-// cycles with a single n-element column buffer — O(n) scratch instead of the
-// former n×n shadow copy, which dominated peak memory for large matrices.
-// indxq is consumed: it holds the identity permutation on return.
-func SortEigen(n int, d []float64, q []float64, ldq int, indxq []int) {
-	col := make([]float64, n)
-	for start := 0; start < n; start++ {
-		j := indxq[start]
-		if j == start {
-			continue
-		}
-		// Save the cycle head, then shift each member one step back along
-		// the cycle; indxq[i] = i marks position i as finalized so the
-		// outer scan skips the rest of this cycle.
-		dsave := d[start]
-		copy(col, q[start*ldq:start*ldq+n])
-		i := start
-		for j != start {
-			d[i] = d[j]
-			copy(q[i*ldq:i*ldq+n], q[j*ldq:j*ldq+n])
-			indxq[i] = i
-			i = j
-			j = indxq[j]
-		}
-		d[i] = dsave
-		copy(q[i*ldq:i*ldq+n], col)
-		indxq[i] = i
-	}
-}
-
-// SortAscending is LAPACK DSTEDC's closing sort: it restores exact ascending
-// order of d, swapping the matching columns of q (nil q sorts d alone). The
-// merge permutation leaves d ordered up to few-ulp inversions inside tight
-// clusters — secular roots of exactly repeated poles need not come out
-// monotone — so an in-place insertion pass costs O(n) comparisons plus one
-// column swap per inversion.
-func SortAscending(n int, d, q []float64, ldq int) {
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && d[j] < d[j-1]; j-- {
-			d[j], d[j-1] = d[j-1], d[j]
-			if q != nil {
-				blas.Dswap(n, q[j*ldq:], 1, q[(j-1)*ldq:], 1)
-			}
-		}
-	}
 }

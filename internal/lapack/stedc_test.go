@@ -7,7 +7,8 @@ import (
 )
 
 // solveHalvesAndMerge reproduces one D&C merge by hand: adjust the boundary,
-// solve both halves with Dsteqr, then Dlaed1.
+// solve both halves with Dsteqr, then Dlaed1 and the closing sort. q holds
+// NaN outside the children's blocks, which no kernel may read.
 func solveHalvesAndMerge(t *testing.T, n, cut int, d0, e0 []float64) (d, q []float64) {
 	t.Helper()
 	d = append([]float64(nil), d0...)
@@ -30,10 +31,15 @@ func solveHalvesAndMerge(t *testing.T, n, cut int, d0, e0 []float64) (d, q []flo
 	for i := cut; i < n; i++ {
 		indxq[i] = i - cut
 	}
-	if err := Dlaed1(n, cut, d, q, n, indxq, rho, nil); err != nil {
+	sp := childSpans(n, cut)
+	poisonOutside(q, n, sp)
+	if err := Dlaed1(NewWindow(q, n, sp, 0, n), cut, d, indxq, rho, nil); err != nil {
 		t.Fatal(err)
 	}
-	SortEigen(n, d, q, n, indxq)
+	SortOrder(n, d, indxq, 1)
+	fs := NewFinalSort(n, indxq, q, n, sp, 1)
+	fs.Segment(0)
+	fs.Release()
 	return d, q
 }
 
@@ -118,7 +124,7 @@ func TestDlaed2DeflateInvariants(t *testing.T) {
 		for j := cut; j < n; j++ {
 			z[j] = q[cut+j*n]
 		}
-		df, err := Dlaed2Deflate(n, cut, d, q, n, indxq, rho, z)
+		df, err := Dlaed2Deflate(NewWindow(q, n, childSpans(n, cut), 0, n), cut, d, indxq, rho, z)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -179,7 +185,7 @@ func TestDlaed2DeflateAllDeflated(t *testing.T) {
 	z := make([]float64, n)
 	z[cut-1] = 1
 	z[cut] = 1
-	df, err := Dlaed2Deflate(n, cut, d, q, n, indxq, 1e-30, z)
+	df, err := Dlaed2Deflate(denseWindow(q, n), cut, d, indxq, 1e-30, z)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -329,74 +335,6 @@ func TestPartitionSizes(t *testing.T) {
 	sizes := PartitionSizes(1000, 300)
 	if len(sizes) != 4 || sizes[0] != 250 {
 		t.Errorf("paper example: %v", sizes)
-	}
-}
-
-func TestSortEigenMatchesGather(t *testing.T) {
-	rng := rand.New(rand.NewSource(89))
-	for _, n := range []int{1, 2, 3, 7, 40, 129} {
-		for trial := 0; trial < 5; trial++ {
-			ldq := n + trial%3 // exercise ldq > n
-			d := make([]float64, n)
-			q := make([]float64, n*ldq)
-			for i := range d {
-				d[i] = rng.NormFloat64()
-			}
-			for i := range q {
-				q[i] = rng.NormFloat64()
-			}
-			indxq := rng.Perm(n)
-
-			// Reference: explicit gather into fresh arrays.
-			wantD := make([]float64, n)
-			wantQ := make([]float64, n*ldq)
-			copy(wantQ, q)
-			for i := 0; i < n; i++ {
-				j := indxq[i]
-				wantD[i] = d[j]
-				copy(wantQ[i*ldq:i*ldq+n], q[j*ldq:j*ldq+n])
-			}
-
-			SortEigen(n, d, q, ldq, indxq)
-			for i := 0; i < n; i++ {
-				if d[i] != wantD[i] {
-					t.Fatalf("n=%d trial=%d: d[%d]=%v want %v", n, trial, i, d[i], wantD[i])
-				}
-				if indxq[i] != i {
-					t.Fatalf("n=%d trial=%d: indxq[%d]=%d, want identity on return", n, trial, i, indxq[i])
-				}
-				for r := 0; r < n; r++ {
-					if q[r+i*ldq] != wantQ[r+i*ldq] {
-						t.Fatalf("n=%d trial=%d: q[%d,%d] mismatch", n, trial, r, i)
-					}
-				}
-			}
-		}
-	}
-}
-
-func TestSortEigenScratchIsLinear(t *testing.T) {
-	// The sort must use an O(n) column buffer, not the former n×n shadow
-	// matrix: for n=512 the old implementation allocated ~2 MB per call,
-	// the cycle-following one ~4 KB.
-	const n = 512
-	rng := rand.New(rand.NewSource(97))
-	d := make([]float64, n)
-	q := make([]float64, n*n)
-	for i := range q {
-		q[i] = rng.NormFloat64()
-	}
-	perm := rng.Perm(n)
-	indxq := make([]int, n)
-	res := testing.Benchmark(func(b *testing.B) {
-		b.ReportAllocs()
-		for i := 0; i < b.N; i++ {
-			copy(indxq, perm)
-			SortEigen(n, d, q, n, indxq)
-		}
-	})
-	if got, limit := res.AllocedBytesPerOp(), int64(200<<10); got > limit {
-		t.Errorf("SortEigen allocates %d B/op for n=%d, want O(n) scratch (< %d B)", got, n, limit)
 	}
 }
 

@@ -84,3 +84,49 @@ func checkEigenDecomp(t *testing.T, name string, n int, d, e, lam, z []float64, 
 		}
 	}
 }
+
+// childSpans returns the spans of a merge's two solved children: columns
+// [0, cut) valid on rows [0, cut), the others on rows [cut, n).
+func childSpans(n, cut int) []Span {
+	sp := make([]Span, n)
+	for j := range sp {
+		if j < cut {
+			sp[j] = Span{0, cut}
+		} else {
+			sp[j] = Span{cut, n}
+		}
+	}
+	return sp
+}
+
+// denseWindow returns the n×n matrix q (ldq = n) as one window whose
+// columns are valid on every row.
+func denseWindow(q []float64, n int) Window {
+	sp := make([]Span, n)
+	for j := range sp {
+		sp[j] = Span{0, n}
+	}
+	return NewWindow(q, n, sp, 0, n)
+}
+
+// poisonOutside writes NaN over q's rows [0, n) outside each column's span,
+// so a kernel that reads a structural zero from storage shows it.
+func poisonOutside(q []float64, ldq int, sp []Span) {
+	for j, s := range sp {
+		col := q[j*ldq : j*ldq+len(sp)]
+		for r := range col {
+			if r < s.Lo || r >= s.Hi {
+				col[r] = math.NaN()
+			}
+		}
+	}
+}
+
+// spanned returns q's entry at row r of column c as the spans define it: 0
+// outside the column's span.
+func spanned(q []float64, ldq int, sp []Span, r, c int) float64 {
+	if r < sp[c].Lo || r >= sp[c].Hi {
+		return 0
+	}
+	return q[r+c*ldq]
+}
