@@ -14,9 +14,11 @@ test:
 	$(GO) test ./...
 
 # The scratch pool's ownership-map build: foreign or double Put panics at
-# the violation site instead of being clamp-and-counted.
+# the violation site instead of being clamp-and-counted. It runs the whole
+# suite, so the workspace every failed, cancelled and chaos-tested solve
+# returns after its runtime shuts down goes through the map too.
 test-pooldebug:
-	$(GO) test -tags pooldebug ./internal/pool/
+	$(GO) test -tags pooldebug ./...
 
 race:
 	$(GO) test -race ./...

@@ -117,7 +117,6 @@ func main() {
 		hits, misses, bytes, rate := res.Stats.PackReuse()
 		statsLines += fmt.Sprintf("UpdateVect pack: hits=%d misses=%d packed_bytes=%d reuse_rate=%.3f\n", hits, misses, bytes, rate)
 	}
-	statsLines += fmt.Sprintf("workspace leaked to GC: %d bytes\n", res.Stats.LeakedBytes())
 	statsLines += abftReport(res.Stats)
 
 	var tl *trace.Timeline

@@ -104,9 +104,9 @@ func main() {
 					time.Duration(st.ValuesOnlyAvgServiceNanos).Round(time.Microsecond),
 					time.Duration(st.AvgServiceNanos).Round(time.Microsecond))
 			}
-			if st.CorruptionsDetected > 0 || st.LeakedBytes > 0 {
-				log.Printf("silent-error defense: corruptions detected=%d healed=%d workspace-leaked=%d bytes",
-					st.CorruptionsDetected, st.CorruptionsHealed, st.LeakedBytes)
+			if st.CorruptionsDetected > 0 {
+				log.Printf("silent-error defense: corruptions detected=%d healed=%d",
+					st.CorruptionsDetected, st.CorruptionsHealed)
 			}
 		}
 	case "coordinator":

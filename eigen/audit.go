@@ -82,7 +82,7 @@ func verify(t Tridiagonal, res *Result, o *Options, degraded bool) error {
 	if res.Vectors != nil {
 		// The column sweep measured the Residual metric at its bar; the
 		// off-diagonal of VᵀV is the one check it does not cover.
-		st.Residual, st.Orthogonality = worst, Orthogonality(res)
+		st.Residual, st.Orthogonality = worst, orthogonality(res, o.Progress)
 		if st.Orthogonality > maxOrthogonality {
 			return fmt.Errorf("validation failed: orthogonality %.3e exceeds %.0e", st.Orthogonality, maxOrthogonality)
 		}
@@ -279,7 +279,8 @@ func validateSpectrum(t Tridiagonal, w []float64) error {
 // bar, per column) and |v_jᵀv_j − 1| ≤ maxOrthogonality·n (the diagonal of
 // the orthogonality metric, which catches scaling corruption the residual is
 // blind to on near-diagonal matrices). The sweep is O(n) per column — T is
-// tridiagonal — and parallelized over the solve's worker budget.
+// tridiagonal — and parallelized over the solve's worker budget. Each
+// column beats Options.Progress, so a watchdog sees the sweep progress.
 func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err error) {
 	n := t.N()
 	nrm := lapack.Dlanst('M', n, t.D, t.E)
@@ -319,6 +320,9 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 			localWorst := 0.0
 			var lerr error
 			for j := lo; j < hi; j++ {
+				if o.Progress != nil {
+					o.Progress()
+				}
 				v := res.Vector(j)
 				lam := res.Values[j]
 				rnrm2, vnrm := simd.TridiagResidual(t.D, t.E, v, lam)

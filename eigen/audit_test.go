@@ -127,17 +127,24 @@ func TestVerifyDegradedChecks(t *testing.T) {
 	fresh := func() *Result {
 		return &Result{N: 3, Values: []float64{1, 1, 2}, Vectors: []float64{1, 0, 0, 1, 0, 0, 0, 1, 0}, Stats: &SolveStats{}}
 	}
-	on, off := &Options{}, &Options{DisableAudit: true}
+	beats := 0
+	on, off := &Options{Progress: func() { beats++ }}, &Options{DisableAudit: true}
 	if err := verify(tri, fresh(), on, false); err != nil {
 		t.Errorf("clean tier ran more than the audit: %v", err)
 	}
 	res := fresh()
+	beats = 0
 	err := verify(tri, res, on, true)
 	if err == nil || IsCorruption(err) {
 		t.Errorf("degraded tier: duplicated eigenvector gave %v, want a plain orthogonality failure", err)
 	}
 	if !res.Stats.Validated || !res.Stats.Audited || res.Stats.Orthogonality != 1.0/3 {
 		t.Errorf("degraded tier stats %+v, want validated, audited, orthogonality 1/3", res.Stats)
+	}
+	// A watchdog must see verification progress: one beat per column of the
+	// audit's sweep and one per column of the orthogonality check.
+	if beats != 2*3 {
+		t.Errorf("degraded tier: verify beat Progress %d times, want 6", beats)
 	}
 
 	// A wrong eigenvalue ships from a clean tier under DisableAudit, and is

@@ -47,9 +47,9 @@ func checkGoroutines(t *testing.T, before int) {
 }
 
 // checkAccountant asserts the pool accountant returned to its pre-solve
-// baseline: an injected failure abandons merge workspaces mid-flight, and
-// the leak sweep must write every one of them off (pool.Forget) so the
-// server's admission budget is not silently consumed by failed solves.
+// baseline: an injected failure strands merge workspaces mid-flight, and
+// the solve must return every one of them to the pool once its runtime has
+// shut down.
 func checkAccountant(t *testing.T, label string, baseline int64) {
 	t.Helper()
 	if got := pool.InUseBytes(); got != baseline {

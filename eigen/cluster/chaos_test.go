@@ -43,7 +43,7 @@ func TestClusterPartitionChaos(t *testing.T) {
 
 	const jobs = 220
 	const clients = 16
-	sizes := []int{16, 48, 120, 300} // 300 > smallN exercises least-loaded routing
+	sizes := []int{16, 48, 120, 300}
 	rng := rand.New(rand.NewSource(99))
 	reqs := make([]*SolveRequest, jobs)
 	for i := range reqs {
@@ -144,8 +144,9 @@ func TestClusterPartitionChaos(t *testing.T) {
 	if st := c.Stats(); st.BreakerCloses < 1 {
 		t.Errorf("breaker never re-closed after revival (closes=%d)", st.BreakerCloses)
 	}
-	// ...and it serves jobs again: small-problem affinity spreads over all
-	// three workers, so a handful of fresh problems must hit the victim.
+	// ...and it serves jobs again: it was sent no attempts while its circuit
+	// was open, so least-loaded routing hands it the next job whose load
+	// ties, and a handful of fresh problems must hit it.
 	post := rand.New(rand.NewSource(777))
 	backOnline := false
 	for i := 0; i < 50 && !backOnline; i++ {

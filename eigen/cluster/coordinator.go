@@ -7,10 +7,9 @@
 // in-process resilience ladder of eigen.Server (retry → degrade → classify,
 // with every job ending in exactly one disposition) to the cluster level:
 //
-//   - Routing: small solves go through a consistent-hash ring keyed on the
-//     problem content (cache/affinity for repeated systems); large solves go
-//     to the least-loaded worker, estimated from the coordinator's own
-//     in-flight counts plus each worker's polled /stats.
+//   - Routing: every solve goes to the least-loaded worker, estimated from
+//     the coordinator's own in-flight counts plus each worker's polled
+//     /stats; ties go to the worker sent the fewest attempts.
 //   - Health: a per-worker prober hits /healthz on an interval and keeps a
 //     failure EWMA; routing prefers healthy workers.
 //   - Circuit breakers: per-worker, fed by transport-level failures from
@@ -62,14 +61,6 @@ import (
 
 // errDrained is the cause of a job cancelled by a drain deadline.
 var errDrained = fmt.Errorf("%w: drained mid-job", eigen.ErrServerClosed)
-
-// Routing constants: jobs with n ≤ smallN route by consistent hash of the
-// problem content, larger jobs go least-loaded; each worker owns
-// hashReplicas virtual nodes on the ring.
-const (
-	smallN       = 256
-	hashReplicas = 64
-)
 
 // Config tunes a Coordinator; zero values select the documented defaults.
 type Config struct {
@@ -203,7 +194,6 @@ type Coordinator struct {
 	client  *http.Client
 	local   *eigen.Server
 	workers []*worker
-	ring    hashRing
 
 	mu       sync.Mutex
 	closed   bool
@@ -232,13 +222,16 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 	if len(cfg.Workers) == 0 {
 		return nil, errors.New("cluster: no workers configured")
 	}
-	names := make([]string, len(cfg.Workers))
+	workers := make([]*worker, len(cfg.Workers))
 	for i, raw := range cfg.Workers {
 		u, err := url.Parse(strings.TrimRight(raw, "/"))
 		if err != nil || u.Scheme == "" || u.Host == "" {
 			return nil, fmt.Errorf("cluster: worker %q is not a base URL", raw)
 		}
-		names[i] = u.String()
+		workers[i] = &worker{
+			name:    u.String(),
+			breaker: resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
+		}
 	}
 	local := cfg.Local
 	if local == nil {
@@ -249,17 +242,11 @@ func NewCoordinator(cfg Config) (*Coordinator, error) {
 		cfg:         cfg,
 		client:      cfg.Client,
 		local:       local,
-		ring:        newRing(names, hashReplicas),
+		workers:     workers,
 		jobs:        make(map[uint64]*clusterJob),
 		drainCtx:    drainCtx,
 		drainCancel: drainCancel,
 		stopProbe:   make(chan struct{}),
-	}
-	for _, name := range names {
-		c.workers = append(c.workers, &worker{
-			name:    name,
-			breaker: resilience.NewBreaker(cfg.BreakerThreshold, cfg.BreakerCooldown),
-		})
 	}
 	for _, w := range c.workers {
 		c.probeWG.Add(1)
@@ -343,7 +330,6 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	if err != nil {
 		return fail(eigen.DispositionRejected, fmt.Errorf("%w: %v", eigen.ErrBadInput, err))
 	}
-	key := affinityKey(req.D, req.E)
 	rng := rand.New(rand.NewSource(int64(job.ID)))
 
 	tried := make(map[string]bool)
@@ -351,7 +337,7 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	attempts := 0
 	var lastErr error
 	for attempts < c.cfg.MaxAttempts {
-		w := c.route(key, n, tried)
+		w := c.route(tried)
 		if w == nil {
 			break // all workers down or open-circuit: degrade locally
 		}
@@ -425,32 +411,29 @@ func (c *Coordinator) Solve(ctx context.Context, req *SolveRequest) (*SolveRespo
 	return fail(eigen.DispositionFailed, fmt.Errorf("cluster: job n=%d failed on every tier: %w", n, err))
 }
 
-// route picks the worker for the next attempt: breaker-closed workers not
-// yet tried, by content-hash affinity for small jobs and least load for
-// large ones, preferring probe-healthy workers. When every available worker
-// has been tried, a same-worker retry is allowed. Open-circuit workers are
-// never routed — their revival goes through the prober's half-open probe.
-func (c *Coordinator) route(key uint64, n int, tried map[string]bool) *worker {
+// route picks the worker for the next attempt: the least-loaded worker of
+// the first eligibility pass that has one — breaker-closed workers not yet
+// tried, probe-healthy ones first. Ties go to the worker sent the fewest
+// attempts, so sequential jobs spread over idle workers and a revived worker
+// gets traffic again. When every available worker has been tried, a
+// same-worker retry is allowed. Open-circuit workers are never routed —
+// their revival goes through the prober's half-open probe.
+func (c *Coordinator) route(tried map[string]bool) *worker {
 	passes := []func(*worker) bool{
 		func(w *worker) bool { return !tried[w.name] && w.healthy() },
 		func(w *worker) bool { return !tried[w.name] && w.routable() },
 		func(w *worker) bool { return w.routable() },
 	}
 	for _, ok := range passes {
-		if n <= smallN {
-			if i := c.ring.pick(key, func(i int) bool { return ok(c.workers[i]) }); i >= 0 {
-				return c.workers[i]
-			}
-			continue
-		}
 		var best *worker
-		var bestLoad int64
+		var bestLoad, bestSent int64
 		for _, w := range c.workers {
 			if !ok(w) {
 				continue
 			}
-			if l := w.load(); best == nil || l < bestLoad {
-				best, bestLoad = w, l
+			l, sent := w.load(), w.sent.Load()
+			if best == nil || l < bestLoad || l == bestLoad && sent < bestSent {
+				best, bestLoad, bestSent = w, l, sent
 			}
 		}
 		if best != nil {
@@ -661,10 +644,9 @@ type Stats struct {
 	Inflight int
 	Workers  []WorkerStatus
 	// Local is the local tier's full eigen.ServerStats snapshot —
-	// most importantly its LeakedBytes ledger, pool gauges
-	// (PoolInUseBytes/PoolRetainedBytes) and corruption counters, which a
-	// fleet operator could not otherwise see through the coordinator's
-	// /stats endpoint.
+	// most importantly its pool gauges (PoolInUseBytes/PoolRetainedBytes)
+	// and corruption counters, which a fleet operator could not otherwise
+	// see through the coordinator's /stats endpoint.
 	Local eigen.ServerStats
 }
 

@@ -46,50 +46,6 @@ func mustClusterSolve(t *testing.T, c *Coordinator, req *SolveRequest) *SolveRes
 	return resp
 }
 
-func TestRingDeterministicAndComplete(t *testing.T) {
-	names := []string{"http://a:1", "http://b:1", "http://c:1"}
-	rg := newRing(names, 64)
-	all := func(int) bool { return true }
-	counts := make([]int, len(names))
-	for i := 0; i < 1000; i++ {
-		key := affinityKey([]float64{float64(i), 2}, []float64{0.5})
-		w := rg.pick(key, all)
-		if w < 0 || w >= len(names) {
-			t.Fatalf("pick(%d) = %d out of range", key, w)
-		}
-		if again := rg.pick(key, all); again != w {
-			t.Fatalf("pick(%d) unstable: %d then %d", key, w, again)
-		}
-		counts[w]++
-		// Losing the owner moves the key to another worker, deterministically.
-		failedOver := rg.pick(key, func(i int) bool { return i != w })
-		if failedOver == w || failedOver < 0 {
-			t.Fatalf("pick(%d) without %d = %d", key, w, failedOver)
-		}
-		if rg.pick(key, func(int) bool { return false }) != -1 {
-			t.Fatal("pick with no eligible worker must return -1")
-		}
-	}
-	for i, got := range counts {
-		if got < 100 { // 1000 keys over 3 workers: each owns a real share
-			t.Errorf("worker %d owns only %d/1000 keys; ring is unbalanced", i, got)
-		}
-	}
-}
-
-func TestAffinityKeyContentBased(t *testing.T) {
-	d := []float64{1, 2, 3}
-	e := []float64{0.5, 0.25}
-	k1 := affinityKey(d, e)
-	k2 := affinityKey(append([]float64(nil), d...), append([]float64(nil), e...))
-	if k1 != k2 {
-		t.Error("same content must hash to the same key regardless of identity")
-	}
-	if affinityKey([]float64{1, 2, 3.0000001}, e) == k1 {
-		t.Error("different content hashed to the same key")
-	}
-}
-
 // TestRemoteErrorClassification: the duck-typed Transient()/TaskClass()
 // convention that feeds the breakers and the failover policy.
 func TestRemoteErrorClassification(t *testing.T) {
@@ -158,28 +114,70 @@ func TestCoordinatorRejectsBadInput(t *testing.T) {
 	}
 }
 
-// TestCoordinatorSmallJobAffinity: resubmitting the same small system lands
-// on the same worker every time.
-func TestCoordinatorSmallJobAffinity(t *testing.T) {
-	var workers []*testWorker
+// TestCoordinatorRoute: every job goes to the least-loaded eligible worker.
+// Idle workers take sequential jobs in turn (ties go to the fewest attempts
+// sent), a worker with load is skipped, and a revived worker, sent fewer
+// attempts while its circuit was open, is picked next.
+func TestCoordinatorRoute(t *testing.T) {
+	c := &Coordinator{}
+	for _, name := range []string{"http://a:1", "http://b:1", "http://c:1"} {
+		c.workers = append(c.workers, &worker{name: name, breaker: resilience.NewBreaker(1, time.Hour)})
+	}
+	wa, wb, wc := c.workers[0], c.workers[1], c.workers[2]
+	pick := func() *worker {
+		w := c.route(map[string]bool{})
+		w.sent.Add(1) // as send counts the attempt
+		return w
+	}
+	for i := 0; i < 6; i++ {
+		if w, want := pick(), c.workers[i%3]; w != want {
+			t.Fatalf("idle job %d went to %s, want %s", i, w.name, want.name)
+		}
+	}
+
+	// Load outranks the attempt count: with a job in flight on a and a
+	// reported queue on b, c takes every job.
+	wa.inflight.Add(1)
+	wb.noteStats(1, 0)
+	for i := 0; i < 3; i++ {
+		if w := pick(); w != wc {
+			t.Fatalf("loaded job %d went to %s, want the idle %s", i, w.name, wc.name)
+		}
+	}
+	wa.inflight.Add(-1)
+	wb.noteStats(0, 0)
+
+	// An open circuit gets no jobs, so once it re-closes its worker has
+	// been sent the fewest attempts and takes the next one.
+	wa.breaker.Failure()
+	for i := 0; i < 4; i++ {
+		if w := pick(); w == wa {
+			t.Fatalf("open-circuit worker routed job %d", i)
+		}
+	}
+	wa.breaker.Success()
+	if w := pick(); w != wa {
+		t.Fatalf("post-revival job went to %s, want the revived %s", w.name, wa.name)
+	}
+}
+
+// TestCoordinatorSpreadsRepeatedJobs: resubmitting the same small system
+// spreads over idle workers instead of sticking to one.
+func TestCoordinatorSpreadsRepeatedJobs(t *testing.T) {
 	var urls []string
 	for i := 0; i < 3; i++ {
 		w := newTestWorker(workerServerConfig())
 		defer w.close()
-		workers = append(workers, w)
 		urls = append(urls, w.ts.URL)
 	}
 	c := newCoord(t, manualProbeConfig(urls, nil))
 	defer c.Shutdown(context.Background())
 
 	req := randomRequest(rand.New(rand.NewSource(11)), 32)
-	first := mustClusterSolve(t, c, req)
-	if first.Disposition != "completed" || first.Worker == "" {
-		t.Fatalf("disposition=%q worker=%q", first.Disposition, first.Worker)
-	}
-	for i := 0; i < 3; i++ {
-		if resp := mustClusterSolve(t, c, req); resp.Worker != first.Worker {
-			t.Fatalf("resubmission %d went to %s, want affinity to %s", i, resp.Worker, first.Worker)
+	for i, url := range urls {
+		resp := mustClusterSolve(t, c, req)
+		if resp.Disposition != "completed" || resp.Worker != url {
+			t.Fatalf("resubmission %d: disposition=%q worker=%q, want completed on %s", i, resp.Disposition, resp.Worker, url)
 		}
 	}
 }
@@ -197,8 +195,10 @@ func TestCoordinatorFailoverAndBreaker(t *testing.T) {
 	defer c.Shutdown(context.Background())
 
 	rng := rand.New(rand.NewSource(21))
-	// n > smallN routes least-loaded; with equal load the tie goes to the
-	// first configured worker, so every fresh job tries w0 first.
+	// With equal load the tie goes to the worker sent the fewest attempts.
+	// Each job's failed attempt on w0 is matched by its failover to w1, so
+	// the two stay level and every fresh job tries w0, the first
+	// configured, first.
 	large := func() *SolveRequest { return randomRequest(rng, 300) }
 
 	w0.gate.down.Store(true)

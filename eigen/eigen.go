@@ -147,12 +147,14 @@ type Options struct {
 	DisableAudit bool
 	// Progress, when non-nil, is called after every executed task of a
 	// task-flow solve, after every leaf and merge of the sequential dstedc
-	// tier, and at every tier transition: the heartbeat external watchdogs
-	// (eigen.Server) use to tell a stalled solve from a running one. It runs
-	// on worker goroutines, so it must be concurrency-safe and cheap —
-	// storing a timestamp into an atomic is the intended shape. The mrrr, qr
-	// and dsterf tiers send no heartbeats; watchdog stall windows must cover
-	// the longest of those runs.
+	// tier, at every tier transition, and once per column of the result
+	// verification (the audit's column sweep and a degraded tier's pairwise
+	// orthogonality check): the heartbeat external watchdogs (eigen.Server)
+	// use to tell a stalled solve from a running one. It runs on worker
+	// goroutines, so it must be concurrency-safe and cheap — storing a
+	// timestamp into an atomic is the intended shape. The mrrr, qr and
+	// dsterf tiers send no heartbeats; watchdog stall windows must cover the
+	// longest of those runs.
 	Progress func()
 }
 
@@ -196,10 +198,6 @@ type SolveStats struct {
 	// result. On a successful solve the two are equal: every detection was
 	// contained.
 	CorruptionsDetected, CorruptionsHealed int64
-	// LeakedBytes is the pooled workspace the solve's failed or cancelled
-	// merges abandoned to the GC (the pool accountant's per-solve ledger);
-	// zero on every clean solve.
-	LeakedBytes int64
 }
 
 // Degraded reports whether the result came from a lower tier or needed
@@ -355,7 +353,6 @@ func solve(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior
 		copy(ework, e)
 		ts, err := runTier(ctx, tier, n, o, res.Values, ework, res.Vectors, e)
 		res.Stats.Fallbacks += ts.fallbacks
-		res.Stats.LeakedBytes += ts.leaked
 		res.Stats.CorruptionsDetected += ts.detected
 		res.Stats.CorruptionsHealed += ts.healed
 		unhealed += ts.detected - ts.healed
@@ -420,11 +417,10 @@ func preScale(t Tridiagonal) (d, e []float64, scale float64) {
 }
 
 // tierStats is what one tier attempt reports up into SolveStats beyond its
-// error: in-tier numerical rescues, the pool accountant's leak ledger, and
-// the ABFT corruption detections/heals of the task-flow modes.
+// error: in-tier numerical rescues and the ABFT corruption detections/heals
+// of the task-flow modes.
 type tierStats struct {
 	fallbacks int64
-	leaked    int64
 	detected  int64
 	healed    int64
 }
@@ -438,7 +434,6 @@ func coreTierStats(cres *core.Result, err error) tierStats {
 		return ts
 	}
 	ts.fallbacks = cres.Stats.Fallbacks()
-	ts.leaked = cres.Stats.LeakedBytes()
 	ab := cres.Stats.ABFT()
 	ts.detected = ab.ChecksumFailures + ab.InvariantFailures
 	if err == nil {
@@ -623,10 +618,18 @@ func Residual(t Tridiagonal, r *Result) float64 {
 }
 
 // Orthogonality returns ‖I - VᵀV‖_max / n: the paper's Figure 9(a) metric.
-func Orthogonality(r *Result) float64 {
+func Orthogonality(r *Result) float64 { return orthogonality(r, nil) }
+
+// orthogonality is Orthogonality calling beat, when non-nil, once per column
+// of its O(n³) pairwise sweep: verify passes Options.Progress, so a watchdog
+// sees a degraded tier's check progress.
+func orthogonality(r *Result, beat func()) float64 {
 	n := r.N
 	worst := 0.0
 	for j := 0; j < n; j++ {
+		if beat != nil {
+			beat()
+		}
 		for i := j; i < n; i++ {
 			s := blas.Ddot(n, r.Vector(i), 1, r.Vector(j), 1)
 			if i == j {

@@ -8,17 +8,19 @@ import (
 	"time"
 
 	"tridiag/internal/faultinject"
+	"tridiag/internal/pool"
 )
 
 // TestCancellationLeaksNoGoroutines cancels solves mid-flight across every
 // solve mode — with delay probes armed so cancellation regularly lands while
-// an injected delay is pending — and asserts the goroutine count returns to
-// its baseline. This is the regression gate for the context-bounded
-// faultinject delays and the runtime's abort path: before delays were
-// context-bounded, a cancelled solve left its workers parked in time.Sleep
-// long after the caller had moved on.
+// an injected delay is pending — and asserts the goroutine count and the
+// pool accountant return to their baselines. This is the regression gate
+// for the context-bounded faultinject delays and the runtime's abort path:
+// before delays were context-bounded, a cancelled solve left its workers
+// parked in time.Sleep long after the caller had moved on.
 func TestCancellationLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	baseline := pool.InUseBytes()
 	defer faultinject.Disable()
 	rng := rand.New(rand.NewSource(77))
 	methods := []Method{MethodDC, MethodDCSequential, MethodMRRR, MethodQR}
@@ -50,15 +52,18 @@ func TestCancellationLeaksNoGoroutines(t *testing.T) {
 		}
 		faultinject.Disable()
 		checkGoroutines(t, before)
+		checkAccountant(t, m.String(), baseline)
 	}
 }
 
 // TestWatchdogAbortLeaksNoGoroutines hammers the server's watchdog abort
 // path: every attempt stalls on an injected delay and is cancelled by the
 // watchdog, retried, then degraded. After shutdown the process must be back
-// to its goroutine baseline — no watchdogs, workers or timers left behind.
+// to its goroutine baseline — no watchdogs, workers or timers left behind —
+// and the pool accountant to its own: aborted solves return their workspace.
 func TestWatchdogAbortLeaksNoGoroutines(t *testing.T) {
 	before := runtime.NumGoroutine()
+	baseline := pool.InUseBytes()
 	defer faultinject.Disable()
 	faultinject.Enable(88, faultinject.Probe{Class: "*", Kind: faultinject.KindDelay, P: 0.3, Delay: 10 * time.Second})
 	cfg := ServerConfig{
@@ -87,4 +92,5 @@ func TestWatchdogAbortLeaksNoGoroutines(t *testing.T) {
 	}
 	faultinject.Disable()
 	checkGoroutines(t, before)
+	checkAccountant(t, "watchdog", baseline)
 }

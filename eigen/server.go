@@ -12,6 +12,7 @@ import (
 	"sync/atomic"
 	"time"
 
+	"tridiag/internal/core"
 	"tridiag/internal/faultinject"
 	"tridiag/internal/pool"
 	"tridiag/internal/resilience"
@@ -73,7 +74,6 @@ type Server struct {
 	stalls   atomic.Int64
 	admitted atomic.Int64
 
-	leakedBytes  atomic.Int64 // pooled bytes served jobs leaked to the GC
 	corrDetected atomic.Int64 // silent-corruption detections across served jobs
 	corrHealed   atomic.Int64 // detections healed by recompute, retry or fallback
 
@@ -98,8 +98,9 @@ type ServerConfig struct {
 	// StallWindow is the watchdog's no-progress abort threshold per attempt
 	// (default 10s; negative disables the watchdog). It must cover the
 	// longest phase between two heartbeats: the task-flow tier beats after
-	// every task and the dstedc tier after every leaf and merge, while the
-	// other sequential tiers (mrrr, qr, dsterf) send none.
+	// every task, the dstedc tier after every leaf and merge, and the
+	// result verification after every column it checks, while the other
+	// sequential tiers (mrrr, qr, dsterf) send none.
 	StallWindow time.Duration
 	// MaxRetries is how many same-tier retries a transient failure earns
 	// before the job degrades to the fallback tier (default 2; negative
@@ -293,12 +294,6 @@ type ServerStats struct {
 	// these counters are what capacity planning needs to see the two classes
 	// separately.
 	ValuesOnlyAdmitted, ValuesOnlyCompleted int64
-	// LeakedBytes totals the pooled workspace served jobs leaked to the GC
-	// through failed or cancelled merges (the per-solve
-	// SolveStats.LeakedBytes ledgers, summed). Steady growth means retries
-	// or corruption heals are abandoning workspace — expected under fault
-	// injection, a red flag in production.
-	LeakedBytes int64
 	// CorruptionsDetected counts silent-corruption detections across all
 	// jobs: ABFT checksum mismatches, violated merge invariants, failed
 	// result audits, and corruption-classified attempt failures.
@@ -390,11 +385,6 @@ func estimateMergeBytes(n int) int64 {
 	return poolClassBytes(nn) + 4*poolClassBytes(nn/2+1)
 }
 
-// voLeafCutoff is the default D&C leaf size (core.Options.MinPartition's
-// default): values-only leaves solve on a pooled m×m scratch with m bounded
-// by it, the only super-linear term of the lane's footprint.
-const voLeafCutoff = 48
-
 // EstimateValuesOnlySolveBytes is the admission-control estimate for one
 // values-only task-flow solve of order n: the 2×n carrier rows plus O(n)
 // merge slices (g2, weights, secular roots, gathered carrier rows, sort
@@ -411,11 +401,14 @@ func EstimateValuesOnlySolveBytes(n, workers int) int64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	leaf := int64(voLeafCutoff * voLeafCutoff)
+	// Values-only leaves solve on a pooled m×m scratch with m bounded by the
+	// default leaf cutoff, the only super-linear term of the lane's footprint.
+	const cutoff = core.DefaultMinPartition
+	leaf := int64(cutoff * cutoff)
 	if nn := int64(n) * int64(n); nn < leaf {
 		leaf = nn
 	}
-	depth := bits.Len(uint((n + voLeafCutoff - 1) / voLeafCutoff))
+	depth := bits.Len(uint((n + cutoff - 1) / cutoff))
 	est := poolClassBytes(int64(2*n)) + int64(depth+1)*poolClassBytes(int64(8*n)+1) +
 		int64(workers+1)*(poolClassBytes(leaf)+poolClassBytes(int64(4*n)+1))
 	if full := EstimateSolveBytes(n, workers); est > full {
@@ -496,11 +489,13 @@ func (s *Server) Solve(ctx context.Context, t Tridiagonal, opts *Options) (*Serv
 		s.peakReserved = s.reserved
 	}
 	s.jobs[job.ID] = job
-	s.mu.Unlock()
+	// Counted before the unlock: once Stats has seen the job queued, it
+	// counts it admitted too.
 	s.admitted.Add(1)
 	if o.ValuesOnly {
 		s.voAdmitted.Add(1)
 	}
+	s.mu.Unlock()
 
 	start := time.Now()
 	ran := false
@@ -720,13 +715,12 @@ func (s *Server) attempt(ctx context.Context, t Tridiagonal, o *Options, tiers [
 	return res, err
 }
 
-// absorb folds one served result's per-solve ledgers (leaked workspace,
-// corruption detections and heals) into the service counters.
+// absorb folds one served result's corruption detections and heals into the
+// service counters.
 func (s *Server) absorb(res *Result) {
 	if res == nil || res.Stats == nil {
 		return
 	}
-	s.leakedBytes.Add(res.Stats.LeakedBytes)
 	s.corrDetected.Add(res.Stats.CorruptionsDetected)
 	s.corrHealed.Add(res.Stats.CorruptionsHealed)
 }
@@ -829,7 +823,6 @@ func (s *Server) Stats() ServerStats {
 	sort.Strings(st.OpenBreakers)
 	st.ValuesOnlyAdmitted = s.voAdmitted.Load()
 	st.ValuesOnlyCompleted = s.voCompleted.Load()
-	st.LeakedBytes = s.leakedBytes.Load()
 	st.CorruptionsDetected = s.corrDetected.Load()
 	st.CorruptionsHealed = s.corrHealed.Load()
 	s.mu.Lock()

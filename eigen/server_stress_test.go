@@ -151,7 +151,7 @@ func TestServerStress(t *testing.T) {
 	}
 	faultinject.Disable()
 	// The pool accountant must return to its baseline: every pooled byte was
-	// either recycled or written off by the leak sweep of an aborted solve.
+	// returned, by its merge or by an aborted solve after shutdown.
 	deadline := time.Now().Add(3 * time.Second)
 	for pool.InUseBytes() != baseInUse {
 		if time.Now().After(deadline) {

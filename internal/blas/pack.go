@@ -75,12 +75,6 @@ func (pa *PackedA) Dims() (m, k int) { return pa.m, pa.k }
 // Bytes returns the size of the packed buffer, for traffic accounting.
 func (pa *PackedA) Bytes() int { return 8 * len(pa.buf) }
 
-// PooledBytes returns the pool-accounted bytes of the pack buffer (its
-// size-class capacity), for leak accounting of abandoned merges.
-func (pa *PackedA) PooledBytes() int64 {
-	return pool.AccountedBytes(pa.buf) + pool.AccountedBytes(pa.chk)
-}
-
 // Release returns the pack buffer (and any checksum rows) to the scratch
 // pool. The PackedA must not be used afterwards.
 func (pa *PackedA) Release() {

@@ -80,11 +80,11 @@ type Options struct {
 	// width per merge is recorded in Result.Stats (MergeStat.NB).
 	PanelSize int
 	// MinPartition is the leaf cutoff of the D&C tree (leaves at most this
-	// size are solved by Dsteqr). The default (48) keeps the O(m³) QR
-	// iteration on the leaves from dominating heavily-deflating solves —
-	// with 128-wide leaves the leaf solves are over half the n=2000 wall
-	// time, while the extra merge level costs only a few small GEMMs.
-	// LAPACK's DSTEDC uses SMLSIZ=25 for the same reason.
+	// size are solved by Dsteqr). The default (DefaultMinPartition, 48)
+	// keeps the O(m³) QR iteration on the leaves from dominating
+	// heavily-deflating solves — with 128-wide leaves the leaf solves are
+	// over half the n=2000 wall time, while the extra merge level costs only
+	// a few small GEMMs. LAPACK's DSTEDC uses SMLSIZ=25 for the same reason.
 	MinPartition int
 	// ExtraWorkspace, as in the paper, permits PermuteV to overlap LAED4
 	// and CopyBackDeflated to overlap ComputeVect on the same panel, at
@@ -110,6 +110,9 @@ type Options struct {
 	ValuesOnly bool
 }
 
+// DefaultMinPartition is Options.MinPartition's default leaf cutoff.
+const DefaultMinPartition = 48
+
 func (o *Options) withDefaults() Options {
 	var v Options
 	if o != nil {
@@ -119,7 +122,7 @@ func (o *Options) withDefaults() Options {
 		v.PanelSize = 0 // adaptive
 	}
 	if v.MinPartition < 2 {
-		v.MinPartition = 48
+		v.MinPartition = DefaultMinPartition
 	}
 	return v
 }
@@ -225,15 +228,12 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		res.Graph = rt.Graph()
 	}
 	// Shutdown joins the workers, so after it no task can touch a merge
-	// state: sweep the workspaces that failed or cancelled merges abandoned
-	// (their release chain was skipped) and write them off the pool
-	// accountant so budget accounting stays honest.
+	// state: return the workspace of every merge whose release a failed or
+	// cancelled task skipped.
 	rt.Shutdown()
-	var leaked int64
 	for _, ms := range f.merges {
-		leaked += ms.sweepLeaked()
+		ms.release()
 	}
-	res.Stats.addLeaked(leaked)
 	f.lane.release()
 	if err != nil {
 		return res, err
@@ -521,50 +521,30 @@ func (ms *mergeState) name(kind string, p int) string {
 
 // done marks one workspace consumer finished; the last one returns the
 // merge scratch to the pool. Skipped tasks (cancelled merges, successors of
-// a failed task) never reach done, so a failing merge simply leaves its
-// buffers to the GC instead of risking a recycle of live data; sweepLeaked
-// accounts those abandoned buffers after the runtime stops.
+// a failed task) never reach done: while the solve runs, other tasks of the
+// merge may still read its workspace, so the solve releases such a merge
+// only after the runtime has shut down.
 func (ms *mergeState) done() {
 	if ms.pending.Add(-1) == 0 {
-		if ms.ws != nil {
-			ms.ws.Release()
-		}
-		pool.Put(ms.what)
-		ms.what = nil
-		pool.Put(ms.porg)
-		ms.porg = nil
-		pool.Put(ms.ptau)
-		ms.ptau = nil
-		pool.Put(ms.vgtop)
-		ms.vgtop = nil
-		pool.Put(ms.vgbot)
-		ms.vgbot = nil
+		ms.release()
 	}
 }
 
-// sweepLeaked reports the pooled bytes an abandoned merge still holds: when
-// any workspace consumer was skipped (pending never reached zero), the
-// buffers were deliberately leaked to the GC, and their accounted bytes are
-// written off the pool accountant (pool.Forget) so they do not read as
-// checked-out workspace forever. Must only be called after the runtime has
-// shut down, when no task can still touch ms.
-func (ms *mergeState) sweepLeaked() int64 {
-	if ms.pending.Load() <= 0 {
-		return 0
-	}
-	var b int64
+// release returns every pooled buffer the merge still holds and sets it to
+// nil, so a second call is a no-op.
+func (ms *mergeState) release() {
 	if ms.ws != nil {
-		b = ms.ws.PooledBytes()
+		ms.ws.Release()
+		ms.ws = nil
 	}
-	b += pool.AccountedBytes(ms.what) + pool.AccountedBytes(ms.porg) + pool.AccountedBytes(ms.ptau) +
-		pool.AccountedBytes(ms.vgtop) + pool.AccountedBytes(ms.vgbot)
-	for _, wl := range ms.wlocs {
-		b += pool.AccountedBytes(wl)
+	for _, b := range []*[]float64{&ms.what, &ms.porg, &ms.ptau, &ms.vgtop, &ms.vgbot} {
+		pool.Put(*b)
+		*b = nil
 	}
-	if b > 0 {
-		pool.Forget(b)
+	for p, wl := range ms.wlocs {
+		pool.Put(wl)
+		ms.wlocs[p] = nil
 	}
-	return b
 }
 
 // Merge task priorities, as the paper does in QUARK: merges nearer the root
@@ -839,7 +819,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 			}
 			wl := pool.Get(k)
 			// Publish the buffer before running the kernel: if LocalWPanel
-			// panics, sweepLeaked must see wl to write it off the accountant.
+			// panics, the post-shutdown release must see wl to return it.
 			ms.wlocs[p] = wl
 			for i := range wl {
 				wl[i] = 1

@@ -102,8 +102,8 @@ func (l *valuesLane) panels(ms *mergeState) {
 					// (pool.Get only on the first pass keeps the accountant
 					// honest); reinitializing to 1 makes the kernel idempotent.
 					// Publish the buffer before running the kernel: if the
-					// kernel panics, sweepLeaked must see wl to write it off
-					// the accountant.
+					// kernel panics, the post-shutdown release must see wl to
+					// return it.
 					if wl = ms.wlocs[p]; wl == nil {
 						wl = pool.Get(k)
 						ms.wlocs[p] = wl

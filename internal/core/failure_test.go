@@ -1,9 +1,11 @@
 package core
 
 import (
+	"context"
 	"math"
 	"math/rand"
 	"strings"
+	"sync/atomic"
 	"testing"
 
 	"tridiag/internal/faultinject"
@@ -68,46 +70,60 @@ func TestCorruptedInputSurfacesRootError(t *testing.T) {
 	}
 }
 
-// TestFailedMergeLeakAccounting: a mid-pipeline injected failure skips merge
-// release chains, abandoning pooled workspace to the GC. The solve must
-// report those bytes in Stats.LeakedBytes, and the sweep must write them off
-// the pool accountant so a long-lived process's budget arithmetic stays
-// honest across failed solves.
-func TestFailedMergeLeakAccounting(t *testing.T) {
+// TestFailedMergeReturnsWorkspace: an injected LAED4 failure or a mid-solve
+// cancellation skips the tasks that would release a merge's workspace. The
+// solve must return those buffers once the runtime has shut down, in both
+// lanes, so the pool accountant is back at its baseline after every solve.
+func TestFailedMergeReturnsWorkspace(t *testing.T) {
 	defer faultinject.Disable()
-	base := pool.InUseBytes()
 	rng := rand.New(rand.NewSource(31))
-	sawLeak := false
-	for i := 0; i < 20 && !sawLeak; i++ {
-		// LAED4 sits mid-merge: its failure strands the workspace already
-		// acquired by ComputeDeflation/Redistribute.
-		faultinject.Enable(int64(i), faultinject.Probe{Class: "LAED4", Kind: faultinject.KindError, P: 0.5})
-		m, err := testmat.Type(4, 160+rng.Intn(60), rng)
-		if err != nil {
-			t.Fatal(err)
+	for _, valuesOnly := range []bool{false, true} {
+		failed := map[string]int{}
+		for i := 0; i < 16; i++ {
+			m, err := testmat.Type(4, 160+rng.Intn(60), rng)
+			if err != nil {
+				t.Fatal(err)
+			}
+			n := m.N()
+			var q []float64
+			ldq := 0
+			if !valuesOnly {
+				q, ldq = make([]float64, n*n), n
+			}
+			ctx, cancel := context.WithCancel(context.Background())
+			opts := &Options{Workers: 4, MinPartition: 24, ValuesOnly: valuesOnly}
+			kind := "LAED4 failure"
+			if i%2 == 0 {
+				// LAED4 sits mid-merge: its failure strands the workspace
+				// ComputeDeflation already took.
+				faultinject.Enable(int64(i), faultinject.Probe{Class: "LAED4", Kind: faultinject.KindError, P: 0.5})
+			} else {
+				kind = "cancellation"
+				var beats atomic.Int64
+				stop := int64(10 + 9*i)
+				opts.Progress = func() {
+					if beats.Add(1) == stop {
+						cancel()
+					}
+				}
+			}
+			base := pool.InUseBytes()
+			_, serr := SolveDCContext(ctx, n, m.D, m.E, q, ldq, opts)
+			faultinject.Disable()
+			cancel()
+			if got := pool.InUseBytes(); got != base {
+				t.Errorf("valuesOnly=%v run %d (%s, err=%v): pool accountant %d bytes off baseline",
+					valuesOnly, i, kind, serr, got-base)
+			}
+			if serr != nil {
+				failed[kind]++
+			}
 		}
-		n := m.N()
-		q := make([]float64, n*n)
-		res, serr := SolveDC(n, m.D, m.E, q, n, &Options{Workers: 4, MinPartition: 24})
-		faultinject.Disable()
-		if serr == nil {
-			continue // probe never fired on this draw
+		for _, kind := range []string{"LAED4 failure", "cancellation"} {
+			if failed[kind] == 0 {
+				t.Errorf("valuesOnly=%v: no %s ever failed a solve; the release was not exercised", valuesOnly, kind)
+			}
 		}
-		if res == nil || res.Stats == nil {
-			t.Fatal("failed solve must still carry stats")
-		}
-		if lb := res.Stats.LeakedBytes(); lb > 0 {
-			sawLeak = true
-			t.Logf("run %d: leaked %d bytes after injected LAED4 failure", i, lb)
-		}
-	}
-	if !sawLeak {
-		t.Fatal("no failed solve ever reported leaked workspace; the sweep was not exercised")
-	}
-	// Whatever was leaked must have been written off the accountant: the
-	// books return to the baseline even though the buffers went to the GC.
-	if got := pool.InUseBytes(); got != base {
-		t.Errorf("pool accountant off baseline after failed solves: %d, want %d", got, base)
 	}
 }
 

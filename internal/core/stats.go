@@ -35,7 +35,6 @@ type Stats struct {
 
 	taskNanos   map[string]*atomic.Int64 // summed kernel wall time per class
 	otherNano   atomic.Int64             // classes not in taskClasses (defensive)
-	leaked      atomic.Int64             // pooled bytes abandoned by failed merges
 	abftRetries atomic.Int64             // kernels re-executed to heal detected SDC
 }
 
@@ -105,21 +104,6 @@ func (s *Stats) TaskTimes() map[string]time.Duration {
 	}
 	return out
 }
-
-// addLeaked records pooled workspace bytes that failed or cancelled merges
-// abandoned to the GC (their release chain was skipped, so recycling would
-// have risked handing out live data). The bytes have already been written
-// off the pool accountant via pool.Forget.
-func (s *Stats) addLeaked(bytes int64) {
-	if bytes > 0 {
-		s.leaked.Add(bytes)
-	}
-}
-
-// LeakedBytes returns the pooled workspace bytes this solve leaked to the GC
-// through failed or cancelled merges. Zero on every clean solve; nonzero
-// values mean the solve paid a one-off GC cost instead of recycling.
-func (s *Stats) LeakedBytes() int64 { return s.leaked.Load() }
 
 // recordMerge appends one merge record and returns its index, so the merge's
 // later join tasks (Dlamrg's trace check) can fill in fields computed after

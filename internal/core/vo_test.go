@@ -65,15 +65,11 @@ func checkValuesOnly(t *testing.T, name string, n int, d0, e0 []float64, opts *O
 	voOpts := *opts
 	voOpts.ValuesOnly = true
 	base := pool.InUseBytes()
-	res, err := SolveDC(n, vo, eVO, nil, 0, &voOpts)
-	if err != nil {
+	if _, err := SolveDC(n, vo, eVO, nil, 0, &voOpts); err != nil {
 		t.Fatalf("%s: values-only solve: %v", name, err)
 	}
 	if got := pool.InUseBytes(); got != base {
 		t.Errorf("%s: pool accountant moved: %d -> %d", name, base, got)
-	}
-	if leaked := res.Stats.LeakedBytes(); leaked != 0 {
-		t.Errorf("%s: leaked %d bytes", name, leaked)
 	}
 	for i := 1; i < n; i++ {
 		if vo[i] < vo[i-1] {

@@ -335,21 +335,6 @@ func (ws *MergeWorkspace) Release() {
 	ws.Q2Top, ws.Q2Bot, ws.S, ws.WLoc = nil, nil, nil, nil
 }
 
-// PooledBytes returns the pool-accounted bytes the workspace currently
-// holds (buffers plus packed operands). Leak sweeps of failed merges use
-// it to size their pool.Forget.
-func (ws *MergeWorkspace) PooledBytes() int64 {
-	b := pool.AccountedBytes(ws.Q2Top) + pool.AccountedBytes(ws.Q2Bot) +
-		pool.AccountedBytes(ws.S) + pool.AccountedBytes(ws.WLoc)
-	if ws.PackTop != nil {
-		b += ws.PackTop.PooledBytes()
-	}
-	if ws.PackBot != nil {
-		b += ws.PackBot.PooledBytes()
-	}
-	return b
-}
-
 // PermutePanel copies the non-deflated columns among grouped columns
 // [g0, g1) of w into the compressed workspace (the paper's PermuteV task):
 // the first n1 rows of type-1/2 columns into Q2Top, the last n2 rows of

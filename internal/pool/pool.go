@@ -25,10 +25,8 @@
 // reports the pooled workspace currently checked out process-wide. It is a
 // gauge, not an admission input: the solve service (eigen.Server) admits
 // against its own EstimateSolveBytes reservations and reports InUseBytes in
-// its stats, and the leak tests use it as ground truth that every solve
-// returned its workspace. Callers that deliberately leak a pooled slice to
-// the GC (e.g. the workspace of a failed merge, which may alias live data)
-// must report it via Forget so the accountant matches reality.
+// its stats, and the leak tests use it as ground truth that every solve,
+// failed and cancelled ones included, returned its workspace.
 //
 // The accounting assumes the package contract: only slices obtained from
 // Get are handed to Put, exactly once. Violations are defended in depth:
@@ -80,7 +78,7 @@ type shard struct {
 var shards [numShards]shard
 
 // inUse is the accountant: bytes of size-class capacity checked out by Get
-// and not yet returned by Put or written off by Forget (InUseBytes).
+// and not yet returned by Put (InUseBytes).
 var inUse atomic.Int64
 
 // retained is the idle bytes currently parked in the freelists (exact:
@@ -244,7 +242,7 @@ func (sh *shard) push(c int, s []float64) bool {
 }
 
 // InUseBytes returns the pooled bytes currently checked out: everything Get
-// charged minus everything Put and Forget credited back.
+// charged minus everything Put credited back.
 func InUseBytes() int64 { return inUse.Load() }
 
 // RetainedBytes returns the idle bytes currently parked in the freelists,
@@ -290,12 +288,6 @@ func TrimAll() int64 { return Trim(0) }
 // transient mid-solve overshoot never outlives the solve.
 func TrimToCap() int64 { return Trim(retainLimit.Load()) }
 
-// Forget credits bytes back to the accountant without recycling the backing
-// memory. Callers that intentionally abandon pooled slices to the GC (failed
-// merges whose buffers may alias live data) report the accounted bytes here
-// so the leak does not show up as permanently checked-out workspace.
-func Forget(bytes int64) { inUse.Add(-bytes) }
-
 // ClassBytes returns the bytes the accountant charges for Get(n): the
 // size-class capacity in bytes, or 0 when the request falls through to
 // plain (unaccounted) allocation. It is the unit admission-control
@@ -309,20 +301,6 @@ func ClassBytes(n int) int64 {
 		return 0
 	}
 	return 8 << c
-}
-
-// AccountedBytes returns what the accountant charged for a slice returned
-// by Get (its size-class capacity in bytes), 0 for slices the pool does not
-// track. Leak sweeps use it to size their Forget.
-func AccountedBytes(s []float64) int64 {
-	c := cap(s)
-	if c == 0 || c&(c-1) != 0 {
-		return 0
-	}
-	if bits.Len(uint(c-1)) > maxClass {
-		return 0
-	}
-	return int64(c) * 8
 }
 
 // CounterSnapshot is a point-in-time copy of the pool's diagnostic tallies.
