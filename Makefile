@@ -46,10 +46,13 @@ bench-gemm:
 	$(GO) test -run '^$$' -bench 'GemmKernels' -benchtime 0.2s ./internal/blas/
 
 # The secular-phase kernel benchmarks: the SIMD dispatch micro-kernels (the
-# secular sums, Dlaed4's delta shift and the leaf rotation) plus the
-# scalar-vs-SIMD Dlaed4/LocalW/ComputeVect comparison of dcbench secular.
+# secular sums, LocalW's and ComputeVect's ratios and UpdateZ's fused dots,
+# all taking the poles and one root's (org, tau), plus the delta column
+# Dlaed4 writes when asked and the leaf rotation) and dcbench secular's
+# scalar-vs-SIMD timing of Dlaed4 with and without a delta column and of
+# LocalW, ComputeVect and UpdateZ.
 bench-secular:
-	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|RatioSumSq|ShiftInto|Rot' -benchtime 10x ./internal/simd/
+	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|MulRatioDiff|RatioSumSq|RatioDots|ShiftInto|Rot' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
 
 # Time-boxed search of the two bit contracts, every GEMM micro-kernel

@@ -13,6 +13,7 @@
 //	dcbench fig9              accuracy comparison (Figure 9 a+b)
 //	dcbench fig10             application matrix set (Figure 10)
 //	dcbench secular           secular-phase kernels, scalar vs SIMD
+//	dcbench bits              hashes of λ and V over 72 solves (bits.go; -out/-against DIR)
 //	dcbench ablate            ablations: panel size, leaf size, extra workspace, Gatherv
 //	dcbench theory            orthogonality growth vs n (§V error model)
 //	dcbench all               every table and figure above in sequence
@@ -57,7 +58,7 @@ func main() {
 	quick := fs.Bool("quick", false, "smaller sizes for a fast smoke run")
 	bw := fs.Float64("bw", 0, "bandwidth cap in concurrent streams (0: default 4)")
 	fs.Usage = func() {
-		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|secular|ablate|theory|all>\n")
+		fmt.Fprintf(os.Stderr, "usage: dcbench [flags] <table1|table3|fig3|fig4|fig5|fig6|fig7|fig8|fig9|fig10|secular|ablate|theory|all>\n       dcbench bits [-out DIR] [-against DIR]\n")
 		fs.PrintDefaults()
 	}
 	if len(os.Args) < 2 {

@@ -68,6 +68,29 @@ func abftReport(st *core.Stats) string {
 	return b.String()
 }
 
+// secularReport formats the secular-function evaluations per root of each
+// tree level (core.MergeStat.Evals over the merges' K): Dlaed4's iteration
+// count, each evaluation one pass over the merge's K poles.
+func secularReport(st *core.Stats) string {
+	var roots, evals []int64 // indexed by level
+	for _, m := range st.Merges {
+		for len(roots) <= m.Level {
+			roots, evals = append(roots, 0), append(evals, 0)
+		}
+		roots[m.Level] += int64(m.K)
+		evals[m.Level] += m.Evals
+	}
+	var b strings.Builder
+	b.WriteString("secular evaluations per root:\n")
+	fmt.Fprintf(&b, "%-6s %7s %8s %9s\n", "level", "roots", "evals", "per-root")
+	for l := range roots {
+		if roots[l] > 0 {
+			fmt.Fprintf(&b, "%-6d %7d %8d %9.3f\n", l, roots[l], evals[l], float64(evals[l])/float64(roots[l]))
+		}
+	}
+	return b.String()
+}
+
 func main() {
 	typ := flag.Int("type", 4, "Table III matrix type")
 	n := flag.Int("n", 1000, "matrix size")
@@ -118,6 +141,7 @@ func main() {
 		statsLines += fmt.Sprintf("UpdateVect pack: hits=%d misses=%d packed_bytes=%d reuse_rate=%.3f\n", hits, misses, bytes, rate)
 	}
 	statsLines += abftReport(res.Stats)
+	statsLines += secularReport(res.Stats)
 
 	var tl *trace.Timeline
 	if *real {

@@ -78,6 +78,23 @@ func TestValuesOnlyTrace(t *testing.T) {
 		t.Error("empty breakdown report for values-only graph")
 	}
 
+	// The secular report has one row per merge level, each with at least
+	// one evaluation per root.
+	levels := map[int]bool{}
+	for _, m := range res.Stats.Merges {
+		if m.K > 0 {
+			levels[m.Level] = true
+		}
+		if m.K > 2 {
+			if m.Evals < int64(m.K) {
+				t.Errorf("merge at level %d: %d secular evaluations for %d roots", m.Level, m.Evals, m.K)
+			}
+		}
+	}
+	if rows := strings.Count(secularReport(res.Stats), "\n") - 2; rows != len(levels) {
+		t.Errorf("secular report has %d level rows, want %d:\n%s", rows, len(levels), secularReport(res.Stats))
+	}
+
 	// The per-class wall-time report must total only eigenvalue-side kernels.
 	report, csvLine := taskTimeReport(res.Stats.TaskTimes())
 	if report == "" || csvLine == "" {

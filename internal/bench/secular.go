@@ -13,17 +13,26 @@ import (
 
 // SecularPoint is one secular-phase kernel measurement at secular size k:
 // median times for the scalar (forced portable) and SIMD dispatch paths.
+// Dlaed4Delta solves all k roots writing each root's delta column, as
+// lapack.Dlaed4's callers get it; Dlaed4 solves them as the solver's LAED4
+// task does, recording (org, tau) per root and no column. LocalW, Vect and
+// UpdateZ are the tasks that read those roots: ComputeLocalW, ComputeVect
+// and the values-only UpdateZ.
 type SecularPoint struct {
-	K              int
-	Dlaed4ScalarUS float64
-	Dlaed4SimdUS   float64
-	Dlaed4Speedup  float64
-	LocalWScalarUS float64
-	LocalWSimdUS   float64
-	VectScalarUS   float64
-	VectSimdUS     float64
-	FinishScalarUS float64
-	FinishSimdUS   float64
+	K                   int
+	Dlaed4DeltaScalarUS float64
+	Dlaed4DeltaSimdUS   float64
+	Dlaed4ScalarUS      float64
+	Dlaed4SimdUS        float64
+	LocalWScalarUS      float64
+	LocalWSimdUS        float64
+	VectScalarUS        float64
+	VectSimdUS          float64
+	UpdateZScalarUS     float64
+	UpdateZSimdUS       float64
+	// EvalsPerRoot is the mean number of secular-function evaluations per
+	// root (the same on both dispatch paths).
+	EvalsPerRoot float64
 }
 
 // SecularRecord is the output of `dcbench secular`.
@@ -70,10 +79,11 @@ func medianTime(reps int, setup, f func()) float64 {
 	return times[len(times)/2]
 }
 
-// Secular benchmarks the secular-phase kernels — all-roots Dlaed4
-// (SecularPanel), LocalWPanel, VectorsPanel and FinishW — across k sizes with
-// the SIMD kernels forced off and on. The scalar column exercises the
-// portable fallbacks the solver uses on non-AVX2 hardware.
+// Secular benchmarks the secular-phase kernels across k sizes with the SIMD
+// kernels forced off and on: all-roots Dlaed4 with and without a delta
+// column, then LocalWPanel, VectorsPanel and UpdateZPanelVO from the roots'
+// (org, tau). The scalar column exercises the portable fallbacks the solver
+// uses on non-AVX2 hardware.
 func Secular(cfg *Config) (*SecularRecord, error) {
 	ks := []int{64, 256, 1024}
 	if len(cfg.Sizes) > 0 {
@@ -89,7 +99,8 @@ func Secular(cfg *Config) (*SecularRecord, error) {
 		fmt.Fprintf(cfg.out(), "note: no AVX2+FMA kernels on this platform; both columns run the portable path\n")
 	}
 	fmt.Fprintf(cfg.out(), "secular kernels, median of %d, scalar / SIMD µs (speedup):\n", reps)
-	fmt.Fprintf(cfg.out(), "  %5s  %26s  %22s  %22s  %20s\n", "k", "Dlaed4(all roots)", "ComputeLocalW", "ComputeVect", "FinishW")
+	fmt.Fprintf(cfg.out(), "  %5s  %24s  %24s  %22s  %22s  %22s  %6s\n", "k",
+		"Dlaed4(all, delta)", "Dlaed4(all, org+tau)", "ComputeLocalW", "ComputeVect", "UpdateZ", "evals")
 
 	rng := rand.New(rand.NewSource(cfg.seed()))
 	for _, k := range ks {
@@ -99,60 +110,71 @@ func Secular(cfg *Config) (*SecularRecord, error) {
 			perm[i] = i
 		}
 		df := &lapack.Deflation{N: k, N1: k / 2, K: k, Rho: rho, Dlamda: d, W: z, GroupToSecular: perm}
-		ws := &lapack.MergeWorkspace{S: make([]float64, k*k)}
+		s := make([]float64, k*k)
 		dd := make([]float64, k)
+		porg, ptau := make([]float64, k), make([]float64, k)
 		wloc := make([]float64, k)
-		what := make([]float64, k)
-		var sOrig []float64
+		what, poles := make([]float64, k), make([]float64, k)
+		gtop, gbot := make([]float64, k), make([]float64, k)
+		for i := range gtop {
+			gtop[i], gbot[i] = 2*rng.Float64()-1, 2*rng.Float64()-1
+		}
+		flp := make([]float64, 2*k)
 
-		var p SecularPoint
-		p.K = k
+		p := SecularPoint{K: k}
 		for _, mode := range []struct {
-			on              bool
-			laed4, lw, v, f *float64
+			on           bool
+			delta, laed4 *float64
+			lw, v, updz  *float64
 		}{
-			{false, &p.Dlaed4ScalarUS, &p.LocalWScalarUS, &p.VectScalarUS, &p.FinishScalarUS},
-			{true, &p.Dlaed4SimdUS, &p.LocalWSimdUS, &p.VectSimdUS, &p.FinishSimdUS},
+			{false, &p.Dlaed4DeltaScalarUS, &p.Dlaed4ScalarUS, &p.LocalWScalarUS, &p.VectScalarUS, &p.UpdateZScalarUS},
+			{true, &p.Dlaed4DeltaSimdUS, &p.Dlaed4SimdUS, &p.LocalWSimdUS, &p.VectSimdUS, &p.UpdateZSimdUS},
 		} {
 			simd.SetSIMD(mode.on)
 			var serr error
+			*mode.delta = medianTime(reps, func() {}, func() {
+				for j := 0; j < k; j++ {
+					if _, err := lapack.Dlaed4(k, j, d, z, s[j*k:j*k+k], rho); err != nil {
+						serr = err
+					}
+				}
+			})
+			var evals int
 			*mode.laed4 = medianTime(reps, func() {}, func() {
-				if _, err := df.SecularPanel(ws, dd, 0, k); err != nil {
+				ne, _, err := df.SecularPanel(dd, porg, ptau, 0, k)
+				if err != nil {
 					serr = err
 				}
+				evals = ne
 			})
 			if serr != nil {
 				return nil, fmt.Errorf("secular k=%d: %w", k, serr)
 			}
-			sOrig = append(sOrig[:0], ws.S...)
+			p.EvalsPerRoot = float64(evals) / float64(k)
 			*mode.lw = medianTime(reps, func() {
 				for i := range wloc {
 					wloc[i] = 1
 				}
 			}, func() {
-				df.LocalWPanel(ws, wloc, 0, k)
+				df.LocalWPanel(porg, ptau, wloc, 0, k)
 			})
-			*mode.f = medianTime(reps, func() {}, func() {
-				df.FinishW(what, wloc)
+			df.FinishW(what, poles, wloc)
+			*mode.v = medianTime(reps, func() {}, func() {
+				df.VectorsPanel(s, what, poles, porg, ptau, 0, k)
 			})
-			// VectorsPanel overwrites the delta columns of S in place, so the
-			// restore runs outside the timed region.
-			*mode.v = medianTime(reps, func() {
-				copy(ws.S, sOrig)
-			}, func() {
-				df.VectorsPanel(ws, what, 0, k)
+			*mode.updz = medianTime(reps, func() {}, func() {
+				df.UpdateZPanelVO(what, poles, porg, ptau, gtop, gbot, flp, 0, k)
 			})
-		}
-		if p.Dlaed4SimdUS > 0 {
-			p.Dlaed4Speedup = p.Dlaed4ScalarUS / p.Dlaed4SimdUS
 		}
 		rec.Points = append(rec.Points, p)
-		fmt.Fprintf(cfg.out(), "  %5d  %9.1f /%9.1f (%3.1fx)  %8.1f /%8.1f (%3.1fx)  %8.1f /%8.1f (%3.1fx)  %7.1f /%7.1f (%3.1fx)\n",
+		fmt.Fprintf(cfg.out(), "  %5d  %7.1f /%7.1f (%3.1fx)  %7.1f /%7.1f (%3.1fx)  %6.1f /%6.1f (%3.1fx)  %6.1f /%6.1f (%3.1fx)  %6.1f /%6.1f (%3.1fx)  %6.2f\n",
 			k,
-			p.Dlaed4ScalarUS, p.Dlaed4SimdUS, p.Dlaed4Speedup,
+			p.Dlaed4DeltaScalarUS, p.Dlaed4DeltaSimdUS, ratio(p.Dlaed4DeltaScalarUS, p.Dlaed4DeltaSimdUS),
+			p.Dlaed4ScalarUS, p.Dlaed4SimdUS, ratio(p.Dlaed4ScalarUS, p.Dlaed4SimdUS),
 			p.LocalWScalarUS, p.LocalWSimdUS, ratio(p.LocalWScalarUS, p.LocalWSimdUS),
 			p.VectScalarUS, p.VectSimdUS, ratio(p.VectScalarUS, p.VectSimdUS),
-			p.FinishScalarUS, p.FinishSimdUS, ratio(p.FinishScalarUS, p.FinishSimdUS))
+			p.UpdateZScalarUS, p.UpdateZSimdUS, ratio(p.UpdateZScalarUS, p.UpdateZSimdUS),
+			p.EvalsPerRoot)
 	}
 	return rec, nil
 }

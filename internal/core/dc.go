@@ -481,10 +481,15 @@ type mergeState struct {
 	hS                         *quark.Handle   // merge-wide workspace handle
 	hSec                       []*quark.Handle // secular panel handles
 
-	df    *lapack.Deflation
-	ws    *lapack.MergeWorkspace
-	what  []float64   // stabilized ẑ (ReduceW output)
-	wlocs [][]float64 // per-panel Gu partial products
+	df *lapack.Deflation
+	ws *lapack.MergeWorkspace
+	// The secular phase's per-merge state, in both lanes: each root as the
+	// two doubles λ_j = porg[j] + ptau[j] its LAED4 panel recorded (no delta
+	// column exists), the per-panel Gu partial products, and ReduceW's
+	// stabilized ẑ and poles in grouped order (lapack.Deflation.FinishW).
+	porg, ptau  []float64
+	wlocs       [][]float64
+	what, poles []float64
 	// nbSec is the panel width of the secular tasks (LAED4, ComputeLocalW,
 	// ComputeVect, UpdateVect, PackV). With a fixed Options.PanelSize it
 	// equals the submit-time nb; in adaptive mode the deflation task
@@ -493,12 +498,10 @@ type mergeState struct {
 	// parent handles, so the write is ordered before all reads).
 	nbSec int
 	// Values-only merge state (nil on the full path, and at the root of a
-	// values-only solve, whose carrier has no consumer): the per-secular-j
-	// Dlaed4 root representation (porg, ptau) for the O(k) eigenvector
-	// reconstruction, and the children's rotated outer carrier rows in
-	// grouped order (vgtop: row 0 over the C12 top-block columns, vgbot:
-	// row nm-1 over the C23 bottom-block columns).
-	porg, ptau   []float64
+	// values-only solve, whose carrier has no consumer): the children's
+	// rotated outer carrier rows in grouped order, zero-padded to length K
+	// (vgtop: row 0, nonzero on the C12 top-block columns; vgbot: row nm-1,
+	// nonzero on the C23 bottom-block columns).
 	vgtop, vgbot []float64
 	// ABFT trace invariant (DESIGN.md §18), filled by the deflation join:
 	// the merged spectrum must sum to traceWant within traceTol (checked by
@@ -530,6 +533,13 @@ func (ms *mergeState) done() {
 	}
 }
 
+// takeSecular takes the secular phase's per-merge buffers for a secular
+// problem of order k from the pool (the deflation join calls it).
+func (ms *mergeState) takeSecular(k int) {
+	ms.porg, ms.ptau = pool.Get(k), pool.Get(k)
+	ms.what, ms.poles = pool.Get(k), pool.Get(k)
+}
+
 // release returns every pooled buffer the merge still holds and sets it to
 // nil, so a second call is a no-op.
 func (ms *mergeState) release() {
@@ -537,7 +547,7 @@ func (ms *mergeState) release() {
 		ms.ws.Release()
 		ms.ws = nil
 	}
-	for _, b := range []*[]float64{&ms.what, &ms.porg, &ms.ptau, &ms.vgtop, &ms.vgbot} {
+	for _, b := range []*[]float64{&ms.what, &ms.poles, &ms.porg, &ms.ptau, &ms.vgtop, &ms.vgbot} {
 		pool.Put(*b)
 		*b = nil
 	}
@@ -646,8 +656,11 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 // mode the deflation task re-derives the width from the post-deflation k. An
 // interlacing violation is panicked as a corruption error, which re-executes
 // the panel in place (both lanes' kernels fully overwrite their outputs).
-// extra are the lane's accesses between the merge-wide and panel handles.
-func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, error), extra ...quark.Access) {
+// The kernel returns its secular-function evaluations and bisection rescues
+// (lapack.Deflation.SecularPanel); the evaluations of a panel that passed
+// the check go into the merge's MergeStat. extra are the lane's accesses
+// between the merge-wide and panel handles.
+func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (evals, fallbacks int, err error), extra ...quark.Access) {
 	st := f.st
 	acc := append([]quark.Access{quark.Gather(ms.hS), quark.Gather(ms.parent.hD)}, extra...)
 	label := ms.name("LAED4", p)
@@ -658,7 +671,7 @@ func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, 
 		if j0 >= j1 {
 			return
 		}
-		nfb, err := kernel(j0, j1)
+		evals, nfb, err := kernel(j0, j1)
 		if err != nil {
 			panic(err)
 		}
@@ -672,6 +685,7 @@ func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, 
 			st.count("ABFTInvariantFail", 1)
 			panic(ierr)
 		}
+		st.addMergeEvals(ms.statIdx, evals)
 	}, append(acc, quark.ReadWrite(ms.hSec[p]))...)
 }
 
@@ -679,7 +693,7 @@ func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (int, 
 func (f *flow) submitReduceW(ms *mergeState) {
 	label := "ReduceW" + ms.span
 	f.rt.SubmitPrio("ReduceW", label, ms.prio+prioJoin, func() {
-		ms.df.FinishW(ms.what, ms.wlocs...)
+		ms.df.FinishW(ms.what, ms.poles, ms.wlocs...)
 		for p, wl := range ms.wlocs {
 			pool.Put(wl)
 			ms.wlocs[p] = nil
@@ -738,7 +752,7 @@ func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.
 		return nil, err
 	}
 	ms.ws = lapack.NewMergeWorkspace(df)
-	ms.what = pool.Get(df.K)
+	ms.takeSecular(df.K)
 	return df, nil
 }
 
@@ -794,7 +808,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 		}, quark.Read(hV), quark.Gather(ms.hS), quark.ReadWrite(hPerm[p]))
 	}
 
-	// LAED4: solve the secular equation per panel of eigenvalues.
+	// LAED4: solve the secular equation per panel of eigenvalues, recording
+	// each root as (org, tau).
 	for p := 0; p < npanels; p++ {
 		var extra []quark.Access
 		if !o.ExtraWorkspace {
@@ -802,12 +817,13 @@ func (l *vectorLane) panels(ms *mergeState) {
 			// with the permutation buffer: serialize after PermuteV.
 			extra = append(extra, quark.Read(hPerm[p]))
 		}
-		l.submitLAED4(ms, p, func(j0, j1 int) (int, error) {
-			return ms.df.SecularPanel(ms.ws, dd, j0, j1)
+		l.submitLAED4(ms, p, func(j0, j1 int) (int, int, error) {
+			return ms.df.SecularPanel(dd, ms.porg, ms.ptau, j0, j1)
 		}, extra...)
 	}
 
-	// ComputeLocalW: panel-local factors of Gu's stabilization product.
+	// ComputeLocalW: panel-local factors of Gu's stabilization product, from
+	// the panel's (org, tau) roots.
 	for p := 0; p < npanels; p++ {
 		label := ms.name("ComputeLocalW", p)
 		rt.SubmitPrio("ComputeLocalW", label, prio+prioSecular, func() {
@@ -824,7 +840,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 			for i := range wl {
 				wl[i] = 1
 			}
-			ms.df.LocalWPanel(ms.ws, wl, j0, j1)
+			ms.df.LocalWPanel(ms.porg, ms.ptau, wl, j0, j1)
 			st.countTask("ComputeLocalW", label, int64(j1-j0)*int64(k))
 			corruptHook("ComputeLocalW", wl)
 		}, quark.Gather(ms.hS), quark.ReadWrite(ms.hSec[p]))
@@ -864,7 +880,8 @@ func (l *vectorLane) panels(ms *mergeState) {
 		}, quark.Gather(hV), quark.Gather(ms.parent.hD), quark.ReadWrite(hPerm[p]))
 	}
 
-	// ComputeVect: stabilize and form the updated eigenvectors X per panel.
+	// ComputeVect: form the panel's secular eigenvectors from ẑ and the
+	// (org, tau) roots, writing each column of S once.
 	for p := 0; p < npanels; p++ {
 		acc := []quark.Access{quark.Read(ms.hS)}
 		if !o.ExtraWorkspace {
@@ -881,7 +898,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 			if j0 >= j1 {
 				return
 			}
-			ms.df.VectorsPanel(ms.ws, ms.what, j0, j1)
+			ms.df.VectorsPanel(ms.ws.S, ms.what, ms.poles, ms.porg, ms.ptau, j0, j1)
 			st.countTask("ComputeVect", label, int64(j1-j0)*int64(k))
 			corruptHook("ComputeVect", ms.ws.S[j0*k:j1*k])
 		}, acc...)

@@ -17,12 +17,14 @@ import (
 // Deflation places carrier columns by index (CopyBackValuesVO, through the
 // same Deflation.Slot as the full lane's deflated vectors), the secular
 // panels fuse LAED4 with the LocalW stabilization update, and the UpdateZ
-// panels replace the UpdateVect GEMMs with two dot products per secular
-// column. Live pooled state is O(nm) per in-flight merge — O(n·depth) across
-// the solve — and eigenvalues are moved once, by a final O(n) gather at the
-// root, instead of per-merge column sorts. The root merge's carrier has no
-// consumer, so the whole stabilization/UpdateZ chain is skipped there: the
-// root costs one deflation scan plus the secular solves.
+// panels replace the UpdateVect GEMMs with one fused pass per secular column
+// (the vector and both carrier dots, formed in-lane from the root's (org,
+// tau)). The lane holds no delta or eigenvector scratch. Live pooled state
+// is O(nm) per in-flight merge — O(n·depth) across the solve — and
+// eigenvalues are moved once, by a final O(n) gather at the root, instead of
+// per-merge column sorts. The root merge's carrier has no consumer, so the
+// whole stabilization/UpdateZ chain is skipped there: the root costs one
+// deflation scan plus the secular solves.
 type valuesLane struct {
 	*flow
 	fl []float64
@@ -77,43 +79,47 @@ func (l *valuesLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.
 		df.CopyBackValuesVO(ms.dd, nil, nil)
 		return df, nil
 	}
-	ms.what = pool.Get(df.K)
-	ms.porg = pool.Get(df.K)
-	ms.ptau = pool.Get(df.K)
-	ms.vgtop = pool.Get(df.C12())
-	ms.vgbot = pool.Get(df.C23())
+	ms.takeSecular(df.K)
+	ms.vgtop = pool.Get(df.K)
+	ms.vgbot = pool.Get(df.K)
 	df.GatherCarrierRows(g2, ms.vgtop, ms.vgbot)
 	df.CopyBackValuesVO(ms.dd, g2, flm)
 	return df, nil
 }
 
-// panels submits the LAED4 panels, fused with the LocalW stabilization
-// update (the delta column exists only inside the panel loop, so there is no
-// separate ComputeLocalW task), then ReduceW and the UpdateZ panels that emit
-// the parent's carrier. The root skips the stabilization and the carrier.
+// panels submits the LAED4 panels, each fused with its LocalW stabilization
+// update (the same task reads the (org, tau) roots it just wrote, so there is
+// no separate ComputeLocalW task), then ReduceW and the UpdateZ panels that
+// emit the parent's carrier. The root skips the stabilization and the
+// carrier, and records no roots.
 func (l *valuesLane) panels(ms *mergeState) {
 	for p := 0; p < ms.npanels; p++ {
-		l.submitLAED4(ms, p, func(j0, j1 int) (int, error) {
-			var wl, porg, ptau []float64
-			if !ms.root {
-				porg, ptau = ms.porg, ms.ptau
-				if k := ms.df.K; k > 2 {
-					// Reuse the panel's buffer on an ABFT retry re-invocation
-					// (pool.Get only on the first pass keeps the accountant
-					// honest); reinitializing to 1 makes the kernel idempotent.
-					// Publish the buffer before running the kernel: if the
-					// kernel panics, the post-shutdown release must see wl to
-					// return it.
-					if wl = ms.wlocs[p]; wl == nil {
-						wl = pool.Get(k)
-						ms.wlocs[p] = wl
-					}
-					for i := range wl {
-						wl[i] = 1
-					}
+		l.submitLAED4(ms, p, func(j0, j1 int) (int, int, error) {
+			if ms.root {
+				return ms.df.SecularPanel(ms.dd, nil, nil, j0, j1)
+			}
+			k := ms.df.K
+			var wl []float64
+			if k > 2 {
+				// Reuse the panel's buffer on an ABFT retry re-invocation
+				// (pool.Get only on the first pass keeps the accountant
+				// honest); reinitializing to 1 makes the kernel idempotent.
+				// Publish the buffer before running the kernel: if the
+				// kernel panics, the post-shutdown release must see wl to
+				// return it.
+				if wl = ms.wlocs[p]; wl == nil {
+					wl = pool.Get(k)
+					ms.wlocs[p] = wl
+				}
+				for i := range wl {
+					wl[i] = 1
 				}
 			}
-			return ms.df.SecularPanelVO(ms.dd, porg, ptau, wl, j0, j1)
+			evals, nfb, err := ms.df.SecularPanel(ms.dd, ms.porg, ms.ptau, j0, j1)
+			if err == nil && wl != nil {
+				ms.df.LocalWPanel(ms.porg, ms.ptau, wl, j0, j1)
+			}
+			return evals, nfb, err
 		})
 	}
 	if ms.root {
@@ -125,8 +131,9 @@ func (l *valuesLane) panels(ms *mergeState) {
 	l.submitReduceW(ms)
 
 	// UpdateZ: the parent carrier entries per secular panel — the
-	// values-only replacement for the UpdateVect GEMMs (two dots per column
-	// against the gathered outer carrier rows).
+	// values-only replacement for the UpdateVect GEMMs (one fused pass per
+	// column: the secular vector, its norm and its dots with the gathered
+	// outer carrier rows).
 	flm := l.fl[2*ms.start:]
 	for p := 0; p < ms.npanels; p++ {
 		label := ms.name("UpdateZ", p)
@@ -138,7 +145,7 @@ func (l *valuesLane) panels(ms *mergeState) {
 			if j0 >= j1 {
 				return
 			}
-			ms.df.UpdateZPanelVO(ms.what, ms.porg, ms.ptau, ms.vgtop, ms.vgbot, flm, j0, j1)
+			ms.df.UpdateZPanelVO(ms.what, ms.poles, ms.porg, ms.ptau, ms.vgtop, ms.vgbot, flm, j0, j1)
 			l.st.countTask("UpdateZ", label, int64(j1-j0)*int64(k))
 			// Corrupt this panel's carrier columns; the parent merge's
 			// corrupted z makes the final spectrum inconsistent with the

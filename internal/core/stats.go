@@ -41,15 +41,19 @@ type Stats struct {
 // MergeStat describes one merge: its tree level, size, secular size
 // (n - k eigenpairs were deflated), the secular panel width nb the
 // scheduler used for it (the adaptive choice when Options.PanelSize == 0),
-// and the measured trace defect of the merged spectrum — how far Σd drifted
-// from the trace-preservation invariant (recorded by the Dlamrg join when
-// ABFT is enabled; ~1e-16·‖d‖ on a clean merge, and the quantity whose
-// tolerance breach classifies the merge as silently corrupted).
+// the secular-function evaluations its K roots took (Dlaed4's iterations
+// plus any bisection rescue, summed over the LAED4 panels; Evals/K is the
+// evaluations per root, each one pass over the K poles), and the measured
+// trace defect of the merged spectrum — how far Σd drifted from the
+// trace-preservation invariant (recorded by the Dlamrg join when ABFT is
+// enabled; ~1e-16·‖d‖ on a clean merge, and the quantity whose tolerance
+// breach classifies the merge as silently corrupted).
 type MergeStat struct {
 	Level       int
 	N           int
 	K           int
 	NB          int
+	Evals       int64
 	TraceDefect float64
 }
 
@@ -114,6 +118,16 @@ func (s *Stats) recordMerge(level, n, k, nb int) int {
 	s.Merges = append(s.Merges, MergeStat{Level: level, N: n, K: k, NB: nb})
 	s.mu.Unlock()
 	return idx
+}
+
+// addMergeEvals adds one LAED4 panel's secular-function evaluations to
+// merge idx.
+func (s *Stats) addMergeEvals(idx, evals int) {
+	s.mu.Lock()
+	if idx >= 0 && idx < len(s.Merges) {
+		s.Merges[idx].Evals += int64(evals)
+	}
+	s.mu.Unlock()
 }
 
 func (s *Stats) setMergeTraceDefect(idx int, defect float64) {

@@ -286,9 +286,10 @@ func Dlaed2DeflateRot(n, n1 int, d []float64, indxq []int, rho float64, z []floa
 // MergeWorkspace holds the compressed eigenvector storage for one merge:
 // Q2Top packs the first n1 rows of the grouped type-1 and type-2 columns,
 // Q2Bot the last n2 rows of the type-2 and type-3 columns, and S the k×k
-// secular matrix (delta columns, later overwritten by the updated
-// eigenvectors, as in LAPACK). Deflated vectors need no buffer: they stay
-// in q (see Deflation.Slot).
+// matrix of secular eigenvectors, each column written once by VectorsPanel
+// (LAPACK stores Dlaed4's delta columns there first; this solver carries
+// each root as two doubles instead, see SecularPanel). Deflated vectors
+// need no buffer: they stay in q (see Deflation.Slot).
 //
 // PackTop/PackBot, when non-nil, hold Q2Top/Q2Bot repacked for the blocked
 // GEMM (see Deflation.PackV): packed once per merge, shared read-only by
@@ -297,7 +298,6 @@ type MergeWorkspace struct {
 	Q2Top   []float64 // n1 × c12
 	Q2Bot   []float64 // n2 × c23
 	S       []float64 // k × k
-	WLoc    []float64 // k, scratch for Gu's product (sequential path)
 	PackTop *blas.PackedA
 	PackBot *blas.PackedA
 }
@@ -313,7 +313,6 @@ func NewMergeWorkspace(df *Deflation) *MergeWorkspace {
 		Q2Top: pool.Get(n1 * df.C12()),
 		Q2Bot: pool.Get(n2 * df.C23()),
 		S:     pool.Get(max(k*k, 1)),
-		WLoc:  pool.Get(k),
 	}
 }
 
@@ -331,8 +330,7 @@ func (ws *MergeWorkspace) Release() {
 	pool.Put(ws.Q2Top)
 	pool.Put(ws.Q2Bot)
 	pool.Put(ws.S)
-	pool.Put(ws.WLoc)
-	ws.Q2Top, ws.Q2Bot, ws.S, ws.WLoc = nil, nil, nil, nil
+	ws.Q2Top, ws.Q2Bot, ws.S = nil, nil, nil
 }
 
 // PermutePanel copies the non-deflated columns among grouped columns

@@ -5,69 +5,93 @@ import (
 	"math"
 
 	"tridiag/internal/blas"
-	"tridiag/internal/pool"
 	"tridiag/internal/simd"
 )
 
 // SecularPanel solves the secular equation for secular indices [j0, j1)
-// (the paper's LAED4 task). Column j of ws.S receives the delta vector
-// (d[i]-λ_j accurately) and d[j] the eigenvalue. For K <= 2 the closed forms
-// of Dlaed4 fill S columns with LAPACK's special-case semantics, handled by
-// VectorsPanel.
+// (the paper's LAED4 task), in both lanes. d[j] receives the eigenvalue λ_j,
+// and porg[j], ptau[j] its representation λ_j = org + tau (Dlaed4OrgTau): the
+// two doubles per root from which ComputeLocalW, ComputeVect and UpdateZ form
+// each delta_i = (Dlamda[i]-org)-tau in-lane, so no delta column is ever
+// stored. For K == 2 the pair holds instead the two eigenvector components
+// Dlaed5 computes (in secular row order), and for K == 1 it is not read.
+// porg and ptau may be nil when no later task reads the roots (the
+// values-only lane's root merge).
 //
 // When Dlaed4's rational iteration fails to converge, the root is recomputed
-// by the guaranteed-bracketed bisection Dlaed4Bisect instead of failing the
-// merge; the number of rescued roots is returned so callers can account for
-// degraded (slower but still correct) secular solves.
-func (df *Deflation) SecularPanel(ws *MergeWorkspace, d []float64, j0, j1 int) (fallbacks int, err error) {
+// by the guaranteed-bracketed bisection instead of failing the merge. The
+// panel returns how many secular-function evaluations it ran, the failed
+// iterations and the bisections included, and how many roots the bisection
+// rescued, so callers can account for degraded (slower but still correct)
+// secular solves.
+func (df *Deflation) SecularPanel(d, porg, ptau []float64, j0, j1 int) (evals, fallbacks int, err error) {
 	k := df.K
+	var v [2]float64 // Dlaed5's vector components when k == 2
+	var delta []float64
+	if k == 2 {
+		delta = v[:]
+	}
 	for j := j0; j < j1; j++ {
-		lam, err := Dlaed4(k, j, df.Dlamda, df.W, ws.S[j*k:j*k+k], df.Rho)
+		lam, org, tau, ne, err := Dlaed4OrgTau(k, j, df.Dlamda, df.W, delta, df.Rho)
+		evals += ne
 		if err != nil {
-			lam, err = Dlaed4Bisect(k, j, df.Dlamda, df.W, ws.S[j*k:j*k+k], df.Rho)
+			lam, org, tau, ne, err = Dlaed4BisectOrgTau(k, j, df.Dlamda, df.W, delta, df.Rho)
+			evals += ne
 			if err != nil {
-				return fallbacks, fmt.Errorf("secular equation failed at index %d: %w", j, err)
+				return evals, fallbacks, fmt.Errorf("secular equation failed at index %d: %w", j, err)
 			}
 			fallbacks++
 		}
 		d[j] = lam
+		if porg != nil {
+			if k == 2 {
+				org, tau = v[0], v[1]
+			}
+			porg[j], ptau[j] = org, tau
+		}
 	}
-	return fallbacks, nil
+	return evals, fallbacks, nil
 }
 
-// LocalWPanel accumulates this panel's factors of Gu's stabilization product
-// into wloc (the paper's ComputeLocalW task). wloc must be initialized to 1;
-// after all panels have been multiplied together, FinishW produces the
-// stabilized ẑ. A no-op for K <= 2, where LAPACK skips the recomputation.
-func (df *Deflation) LocalWPanel(ws *MergeWorkspace, wloc []float64, j0, j1 int) {
+// LocalWPanel accumulates the factors of Gu's stabilization product of the
+// roots [j0, j1) into wloc (the paper's ComputeLocalW task), reading each
+// root as the (org, tau) pair SecularPanel recorded and forming its deltas
+// in-lane — the same bits as the delta column Dlaed4 would have written.
+// wloc must be initialized to 1; after all panels have been multiplied
+// together, FinishW produces the stabilized ẑ. A no-op for K <= 2, where
+// LAPACK skips the recomputation.
+func (df *Deflation) LocalWPanel(porg, ptau, wloc []float64, j0, j1 int) {
 	k := df.K
 	if k <= 2 {
 		return
 	}
 	for j := j0; j < j1; j++ {
-		col := ws.S[j*k : j*k+k]
-		dj := df.Dlamda[j]
-		simd.MulRatioDiff(wloc[:j], col[:j], df.Dlamda[:j], dj)
-		wloc[j] *= col[j] // the diagonal factor dlamda(j) - λ_j
-		simd.MulRatioDiff(wloc[j+1:k], col[j+1:k], df.Dlamda[j+1:k], dj)
+		org, tau, dj := porg[j], ptau[j], df.Dlamda[j]
+		simd.MulRatioDiff(wloc[:j], df.Dlamda[:j], org, tau, dj)
+		wloc[j] *= (dj - org) - tau // the diagonal factor dlamda(j) - λ_j
+		simd.MulRatioDiff(wloc[j+1:k], df.Dlamda[j+1:k], org, tau, dj)
 	}
 }
 
 // FinishW combines the panel-local products (element-wise across wlocs) into
-// the stabilized secular weights ẑ, stored into what (length K), restoring
-// the signs of the original W (the paper's ReduceW join task). Nil entries in
-// wlocs are skipped: they correspond to panels whose index range lies beyond
-// K, which the matrix-independent DAG submits but which carry no work.
-func (df *Deflation) FinishW(what []float64, wlocs ...[]float64) {
+// the stabilized secular weights ẑ, restoring the signs of the original W
+// (the paper's ReduceW join task). It writes ẑ and the poles in grouped
+// column order, what[g] = ẑ[GroupToSecular[g]] and
+// poles[g] = Dlamda[GroupToSecular[g]] (both length K): the operands of
+// VectorsPanel and UpdateZPanelVO, which form each secular eigenvector
+// directly in the grouped row order of the GEMM operand and the carrier
+// rows. Nil entries in wlocs are skipped: they correspond to panels whose
+// index range lies beyond K, which the matrix-independent DAG submits but
+// which carry no work.
+func (df *Deflation) FinishW(what, poles []float64, wlocs ...[]float64) {
 	k := df.K
 	if k <= 2 {
 		return
 	}
-	// Accumulate the cross-panel product directly in what (it is fully
-	// overwritten below), so no temporary slice is needed: the buffer is
-	// per-merge pooled scratch already released by the caller's
-	// pending-counter mechanism.
-	p := what[:k]
+	// Accumulate the cross-panel product in secular order in poles, which
+	// is filled last, so no temporary slice is needed: both buffers are
+	// per-merge pooled scratch.
+	p := poles[:k]
 	first := true
 	for _, wl := range wlocs {
 		if wl == nil {
@@ -86,45 +110,45 @@ func (df *Deflation) FinishW(what []float64, wlocs ...[]float64) {
 		}
 	}
 	simd.NegSqrtSign(p, p, df.W[:k])
+	for g, i := range df.GroupToSecular {
+		what[g] = p[i]
+	}
+	for g, i := range df.GroupToSecular {
+		poles[g] = df.Dlamda[i]
+	}
 }
 
 // VectorsPanel forms the normalized eigenvectors of the rank-one secular
-// system for columns [j0, j1), overwriting the delta columns of ws.S in
-// place with rows in grouped order (the paper's ComputeVect task). what is
-// the stabilized ẑ from FinishW (ignored for K <= 2).
-func (df *Deflation) VectorsPanel(ws *MergeWorkspace, what []float64, j0, j1 int) {
+// system for columns [j0, j1) of the k×k matrix s (the paper's ComputeVect
+// task), rows in grouped order: one pass divides ẑ by the root's deltas,
+// formed in-lane from (porg[j], ptau[j]), and sums the squares; a second
+// scales the column. Each column is written once. what and poles are
+// FinishW's grouped ẑ and poles (ignored for K <= 2).
+func (df *Deflation) VectorsPanel(s, what, poles, porg, ptau []float64, j0, j1 int) {
 	k := df.K
 	if k == 1 {
-		ws.S[0] = 1
+		s[0] = 1
 		return
 	}
-	if k == 2 {
-		// Dlaed5 left normalized vector components in the delta columns
-		// (secular row order); permute rows into grouped order.
-		var tmp [2]float64
-		for j := j0; j < j1; j++ {
-			col := ws.S[j*k : j*k+k]
-			tmp[0], tmp[1] = col[0], col[1]
-			col[0] = tmp[df.GroupToSecular[0]]
-			col[1] = tmp[df.GroupToSecular[1]]
-		}
-		return
-	}
-	s := pool.Get(k)
-	defer pool.Put(s)
 	for j := j0; j < j1; j++ {
-		col := ws.S[j*k : j*k+k]
-		sumsq := simd.RatioSumSq(s[:k], what[:k], col)
+		col := s[j*k : j*k+k]
+		if k == 2 {
+			// Dlaed5's normalized components, in secular row order.
+			v := [2]float64{porg[j], ptau[j]}
+			col[0], col[1] = v[df.GroupToSecular[0]], v[df.GroupToSecular[1]]
+			continue
+		}
+		sumsq := simd.RatioSumSq(col, what[:k], poles[:k], porg[j], ptau[j])
 		// The fused sum of squares is safe only while it stays well inside
 		// the normal range; otherwise recompute with the scaled 2-norm.
 		var inv float64
 		if sumsq > 1e-280 && sumsq < 1e280 {
 			inv = 1 / math.Sqrt(sumsq)
 		} else {
-			inv = 1 / blas.Dnrm2(k, s, 1)
+			inv = 1 / blas.Dnrm2(k, col, 1)
 		}
-		for i := 0; i < k; i++ {
-			col[i] = s[df.GroupToSecular[i]] * inv
+		for i := range col {
+			col[i] *= inv
 		}
 	}
 }

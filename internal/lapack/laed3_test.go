@@ -49,17 +49,27 @@ func buildMerge(t *testing.T, n, cut int, d0, e0 []float64) (*Deflation, *MergeW
 	if df.K == 0 {
 		return df, ws, q, sp
 	}
-	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
+	secularPhase(t, df, ws, d)
+	return df, ws, q, sp
+}
+
+// secularPhase runs a merge's secular tasks in program order over all K
+// roots — SecularPanel, LocalWPanel, FinishW, VectorsPanel — leaving the
+// secular eigenvectors in ws.S, grouped rows, as Dlaed1 does.
+func secularPhase(t *testing.T, df *Deflation, ws *MergeWorkspace, d []float64) {
+	t.Helper()
+	k := df.K
+	porg, ptau, wloc := make([]float64, k), make([]float64, k), make([]float64, k)
+	what, poles := make([]float64, k), make([]float64, k)
+	if _, _, err := df.SecularPanel(d, porg, ptau, 0, k); err != nil {
 		t.Fatal(err)
 	}
-	for i := range ws.WLoc {
-		ws.WLoc[i] = 1
+	for i := range wloc {
+		wloc[i] = 1
 	}
-	df.LocalWPanel(ws, ws.WLoc, 0, df.K)
-	what := make([]float64, df.K)
-	df.FinishW(what, ws.WLoc)
-	df.VectorsPanel(ws, what, 0, df.K)
-	return df, ws, q, sp
+	df.LocalWPanel(porg, ptau, wloc, 0, k)
+	df.FinishW(what, poles, wloc)
+	df.VectorsPanel(ws.S, what, poles, porg, ptau, 0, k)
 }
 
 // TestUpdatePanelPackedMatchesUnpacked checks the per-merge pack-reuse path

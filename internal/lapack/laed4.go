@@ -19,50 +19,60 @@ import (
 // pole). For k == 1, delta[0] = 1; for k == 2 delta holds the normalized
 // eigenvector components instead (see Dlaed5), matching LAPACK semantics.
 func Dlaed4(k, i int, d, z, delta []float64, rho float64) (lam float64, err error) {
-	lam, _, _, err = Dlaed4OrgTau(k, i, d, z, delta, rho)
+	lam, _, _, _, err = Dlaed4OrgTau(k, i, d, z, delta, rho)
 	return lam, err
 }
 
-// Dlaed4OrgTau is Dlaed4 exposing the root's representation lam = org + tau,
+// Dlaed4OrgTau is Dlaed4 returning the root's representation lam = org + tau,
 // where org is the origin pole and tau the (cancellation-free) offset from
-// it. delta is recomputed as delta[j] = (d[j]-org) - tau at every return, so
-// a later pass holding only (org, tau) can rebuild the column bit-identically
-// in O(k) scratch — the values-only lane's eigenvector-free u-formation
-// depends on this. For k ≤ 2 the (org, tau) pair is not meaningful for delta
-// reconstruction (k == 2 stores eigenvector components per Dlaed5); callers
-// re-solve those orders directly.
-func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau float64, err error) {
+// it, and the number of secular-function evaluations it ran. The iteration
+// carries tau alone: every evaluation forms delta_j = (d[j]-org) - tau in the
+// register that uses it (simd.SecularSums), and the pole neighbours' deltas
+// are scalars. delta may be nil; when it is not, it receives the delta
+// column once, at return, as delta[j] = (d[j]-org) - tau — so a later pass
+// holding only (org, tau) forms the same bits in-lane, which is how the
+// merge's LocalW, ComputeVect and UpdateZ tasks read the root. For k ≤ 2 the
+// pair does not describe delta: k == 1 returns (d[0], rho·z[0]²), and
+// k == 2 returns (0, 0) and leaves Dlaed5's vector components in delta when
+// it is given.
+func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau float64, evals int, err error) {
 	const maxit = 75
 	switch {
 	case k <= 0:
-		return 0, 0, 0, fmt.Errorf("lapack: Dlaed4: k=%d", k)
+		return 0, 0, 0, 0, fmt.Errorf("lapack: Dlaed4: k=%d", k)
 	case i < 0 || i >= k:
-		return 0, 0, 0, fmt.Errorf("lapack: Dlaed4: index %d out of range [0,%d)", i, k)
+		return 0, 0, 0, 0, fmt.Errorf("lapack: Dlaed4: index %d out of range [0,%d)", i, k)
 	case k == 1:
-		delta[0] = 1
+		if delta != nil {
+			delta[0] = 1
+		}
 		t := rho * z[0] * z[0]
-		return d[0] + t, d[0], t, nil
+		return d[0] + t, d[0], t, 0, nil
 	case k == 2:
+		var v [2]float64
+		if delta == nil {
+			delta = v[:]
+		}
 		lam, err = Dlaed5(i, d, z, delta, rho)
-		return lam, 0, 0, err
+		return lam, 0, 0, 0, err
 	}
 
 	eps := Eps
 	rhoinv := 1 / rho
 
 	if i == k-1 {
-		// The last eigenvalue: root in (d[k-1], d[k-1]+rho).
+		// The last eigenvalue: root in (d[k-1], d[k-1]+rho), origin d[k-1].
 		n := k
 		ii := n - 2 // index of the second-to-last pole (0-based)
+		org = d[n-1]
 
 		// Initial guess: evaluate at the midpoint d[n-1] + rho/2.
 		midpt := rho / 2
-		simd.ShiftInto(delta[:n], d, d[n-1], midpt)
-		psi := simd.SumRatios(z[:n-2], delta[:n-2])
+		psi := simd.ShiftedSumRatios(d[:n-2], z[:n-2], org, midpt)
 		c := rhoinv + psi
-		w := c + z[ii]*z[ii]/delta[n-2] + z[n-1]*z[n-1]/delta[n-1]
+		w := c + z[ii]*z[ii]/((d[n-2]-org)-midpt) + z[n-1]*z[n-1]/((d[n-1]-org)-midpt)
 
-		var tau, dltlb, dltub float64
+		var dltlb, dltub float64
 		if w <= 0 {
 			// Root in [d[n-1]+rho/2, d[n-1]+rho].
 			temp := z[n-2]*z[n-2]/(d[n-1]-d[n-2]+rho) + z[n-1]*z[n-1]/rho
@@ -90,28 +100,30 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 			}
 			dltlb, dltub = 0, midpt
 		}
-		simd.ShiftInto(delta[:n], d, d[n-1], tau)
 
-		// Final delta is recomputed from (org, tau) rather than left in its
-		// incrementally-updated form, so the same expression replayed later
-		// reproduces it exactly (see Dlaed4OrgTau).
-		ret := func(ferr error) (float64, float64, float64, error) {
-			simd.ShiftInto(delta[:n], d, d[n-1], tau)
-			return d[n-1] + tau, d[n-1], tau, ferr
+		ret := func(ferr error) (float64, float64, float64, int, error) {
+			if delta != nil {
+				simd.ShiftInto(delta[:n], d, org, tau)
+			}
+			return org + tau, org, tau, evals, ferr
 		}
 
+		// The two pole neighbours' deltas at the current tau.
+		var dm2, dm1 float64
 		evaluate := func() (w, dpsi, dphi, erretm float64) {
-			// ψ over the leading n-1 terms in one vectorized pass. The
-			// reference adds the running prefix of ψ to erretm after every
-			// term, which weights term j by (n-1)-j: w0=n-1, wstep=-1. The
-			// pole terms j=n-2 and j=n-1 stay scalar.
-			psi, dpsiv, werr := simd.SecularSums(z[:n-2], delta[:n-2], float64(n-1), -1)
+			evals++
+			dm2, dm1 = (d[n-2]-org)-tau, (d[n-1]-org)-tau
+			// ψ over the leading n-2 terms in one fused pass. The reference
+			// adds the running prefix of ψ to erretm after every term, which
+			// weights term j by (n-1)-j: w0=n-1, wstep=-1. The pole terms
+			// j=n-2 and j=n-1 stay scalar.
+			psi, dpsiv, werr := simd.SecularSums(z[:n-2], d[:n-2], org, tau, float64(n-1), -1)
 			dpsi = dpsiv
-			temp := z[n-2] / delta[n-2]
+			temp := z[n-2] / dm2
 			psi += z[n-2] * temp
 			dpsi += temp * temp
 			erretm = math.Abs(werr + z[n-2]*temp)
-			temp = z[n-1] / delta[n-1]
+			temp = z[n-1] / dm1
 			phi := z[n-1] * temp
 			dphi = temp * temp
 			erretm = 8*(-phi-psi) + erretm - phi + rhoinv + math.Abs(tau)*(dpsi+dphi)
@@ -130,9 +142,9 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 		}
 
 		for iter := 0; iter < maxit; iter++ {
-			c := w - delta[n-2]*dpsi - delta[n-1]*dphi
-			a := (delta[n-2]+delta[n-1])*w - delta[n-2]*delta[n-1]*(dpsi+dphi)
-			b := delta[n-2] * delta[n-1] * w
+			c := w - dm2*dpsi - dm1*dphi
+			a := (dm2+dm1)*w - dm2*dm1*(dpsi+dphi)
+			b := dm2 * dm1 * w
 			if c < 0 {
 				c = math.Abs(c)
 			}
@@ -156,7 +168,6 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 					eta = (dltlb - tau) / 2
 				}
 			}
-			simd.ShiftInto(delta[:n], delta, 0, eta) // delta[j] -= eta
 			tau += eta
 
 			w, dpsi, dphi, erretm = evaluate()
@@ -176,12 +187,11 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 	ip1 := i + 1
 	del := d[ip1] - d[i]
 	midpt := del / 2
-	simd.ShiftInto(delta[:k], d, d[i], midpt)
 
-	psi0 := simd.SumRatios(z[:i], delta[:i])
-	phi0 := simd.SumRatios(z[i+2:k], delta[i+2:k])
+	psi0 := simd.ShiftedSumRatios(d[:i], z[:i], d[i], midpt)
+	phi0 := simd.ShiftedSumRatios(d[i+2:k], z[i+2:k], d[i], midpt)
 	c := rhoinv + psi0 + phi0
-	w := c + z[i]*z[i]/delta[i] + z[ip1]*z[ip1]/delta[ip1]
+	w := c + z[i]*z[i]/((d[i]-d[i])-midpt) + z[ip1]*z[ip1]/((d[ip1]-d[i])-midpt)
 
 	var orgati bool
 	var dltlb, dltub float64
@@ -209,46 +219,54 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 		dltlb, dltub = -midpt, 0
 	}
 
-	org = d[i]
-	ii := i
+	org, ii := d[i], i
 	if !orgati {
-		org = d[ip1]
-		ii = ip1
-	}
-	simd.ShiftInto(delta[:k], d, org, tau)
-
-	ret := func(ferr error) (float64, float64, float64, error) {
-		simd.ShiftInto(delta[:k], d, org, tau)
-		return org + tau, org, tau, ferr
+		org, ii = d[ip1], ip1
 	}
 
+	ret := func(ferr error) (float64, float64, float64, int, error) {
+		if delta != nil {
+			simd.ShiftInto(delta[:k], d, org, tau)
+		}
+		return org + tau, org, tau, evals, ferr
+	}
+
+	// The two pole neighbours' deltas at the current tau; the origin pole's
+	// is 0 - tau.
+	var di, dip1 float64
 	evaluate := func() (w, dw, dpsi, dphi, erretm float64) {
-		// ψ over [0,ii) and φ over (ii,k) in two vectorized passes. The
-		// reference accumulates erretm as a running prefix after every term:
-		// the forward ψ loop maps to weights ii-j (w0=ii, wstep=-1) and the
+		evals++
+		di, dip1 = (d[i]-org)-tau, (d[ip1]-org)-tau
+		// ψ over [0,ii) and φ over (ii,k) in two fused passes. The reference
+		// accumulates erretm as a running prefix after every term: the
+		// forward ψ loop maps to weights ii-j (w0=ii, wstep=-1) and the
 		// descending φ loop to weights j-ii over the ascending slice (w0=1,
 		// wstep=+1). The pole terms j==i and j==i+1 stay scalar so the
 		// iteration sees them at full precision.
 		var psi, phi, werrPsi, werrPhi float64
 		if orgati {
-			psi, dpsi, werrPsi = simd.SecularSums(z[:i], delta[:i], float64(i), -1)
-			phi, dphi, werrPhi = simd.SecularSums(z[i+2:k], delta[i+2:k], 2, 1)
-			t := z[ip1] / delta[ip1]
+			psi, dpsi, werrPsi = simd.SecularSums(z[:i], d[:i], org, tau, float64(i), -1)
+			phi, dphi, werrPhi = simd.SecularSums(z[i+2:k], d[i+2:k], org, tau, 2, 1)
+			t := z[ip1] / dip1
 			phi += z[ip1] * t
 			dphi += t * t
 			werrPhi += z[ip1] * t
 		} else {
-			psi, dpsi, werrPsi = simd.SecularSums(z[:i], delta[:i], float64(i+1), -1)
-			t := z[i] / delta[i]
+			psi, dpsi, werrPsi = simd.SecularSums(z[:i], d[:i], org, tau, float64(i+1), -1)
+			t := z[i] / di
 			psi += z[i] * t
 			dpsi += t * t
 			werrPsi += z[i] * t
-			phi, dphi, werrPhi = simd.SecularSums(z[ip1+1:k], delta[ip1+1:k], 1, 1)
+			phi, dphi, werrPhi = simd.SecularSums(z[ip1+1:k], d[ip1+1:k], org, tau, 1, 1)
 		}
 		erretm = math.Abs(math.Abs(werrPsi) + werrPhi)
 		w = rhoinv + phi + psi
 		// Add back the ii-th (origin) term.
-		temp := z[ii] / delta[ii]
+		dii := di
+		if !orgati {
+			dii = dip1
+		}
+		temp := z[ii] / dii
 		dw = dpsi + dphi + temp*temp
 		temp = z[ii] * temp
 		w += temp
@@ -270,22 +288,22 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 		// Middle-way rational step on the two neighbouring poles.
 		var cc float64
 		if orgati {
-			t := z[i] / delta[i]
-			cc = w - delta[ip1]*dw - (d[i]-d[ip1])*t*t
+			t := z[i] / di
+			cc = w - dip1*dw - (d[i]-d[ip1])*t*t
 		} else {
-			t := z[ip1] / delta[ip1]
-			cc = w - delta[i]*dw - (d[ip1]-d[i])*t*t
+			t := z[ip1] / dip1
+			cc = w - di*dw - (d[ip1]-d[i])*t*t
 		}
-		a := (delta[i]+delta[ip1])*w - delta[i]*delta[ip1]*dw
-		b := delta[i] * delta[ip1] * w
+		a := (di+dip1)*w - di*dip1*dw
+		b := di * dip1 * w
 		var eta float64
 		switch {
 		case cc == 0:
 			if a == 0 {
 				if orgati {
-					a = z[i]*z[i] + delta[ip1]*delta[ip1]*(dpsi+dphi)
+					a = z[i]*z[i] + dip1*dip1*(dpsi+dphi)
 				} else {
-					a = z[ip1]*z[ip1] + delta[i]*delta[i]*(dpsi+dphi)
+					a = z[ip1]*z[ip1] + di*di*(dpsi+dphi)
 				}
 			}
 			eta = b / a
@@ -304,7 +322,6 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 				eta = (dltlb - tau) / 2
 			}
 		}
-		simd.ShiftInto(delta[:k], delta, 0, eta) // delta[j] -= eta
 		tau += eta
 
 		w, dw, dpsi, dphi, erretm = evaluate()
@@ -328,32 +345,28 @@ func Dlaed4OrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau f
 // non-convergence, so a hard eigenvalue can degrade speed but never
 // correctness. Semantics of lam and delta match Dlaed4.
 func Dlaed4Bisect(k, i int, d, z, delta []float64, rho float64) (float64, error) {
-	lam, _, _, err := Dlaed4BisectOrgTau(k, i, d, z, delta, rho)
+	lam, _, _, _, err := Dlaed4BisectOrgTau(k, i, d, z, delta, rho)
 	return lam, err
 }
 
-// Dlaed4BisectOrgTau is Dlaed4Bisect exposing the lam = org + tau
-// representation, with the same delta-reconstruction contract as
-// Dlaed4OrgTau.
-func Dlaed4BisectOrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau float64, err error) {
+// Dlaed4BisectOrgTau is Dlaed4Bisect returning the lam = org + tau
+// representation and the number of secular-function evaluations, with the
+// same nil-able delta contract as Dlaed4OrgTau.
+func Dlaed4BisectOrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org, tau float64, evals int, err error) {
 	switch {
 	case k <= 0:
-		return 0, 0, 0, fmt.Errorf("lapack: Dlaed4Bisect: k=%d", k)
+		return 0, 0, 0, 0, fmt.Errorf("lapack: Dlaed4Bisect: k=%d", k)
 	case i < 0 || i >= k:
-		return 0, 0, 0, fmt.Errorf("lapack: Dlaed4Bisect: index %d out of range [0,%d)", i, k)
-	case k == 1:
-		delta[0] = 1
-		t := rho * z[0] * z[0]
-		return d[0] + t, d[0], t, nil
-	case k == 2:
-		lam, err = Dlaed5(i, d, z, delta, rho)
-		return lam, 0, 0, err
+		return 0, 0, 0, 0, fmt.Errorf("lapack: Dlaed4Bisect: index %d out of range [0,%d)", i, k)
+	case k <= 2:
+		return Dlaed4OrgTau(k, i, d, z, delta, rho)
 	}
 	rhoinv := 1 / rho
 	// w(tau) = 1/rho + Σ_j z_j² / ((d_j - org) - tau): strictly increasing
 	// in tau wherever it is finite, with the differences accumulated
 	// relative to the origin pole to avoid cancellation (as in Dlaed4).
 	eval := func(org, tau float64) float64 {
+		evals++
 		return rhoinv + simd.ShiftedSumRatios(d[:k], z[:k], org, tau)
 	}
 	var lo, hi float64
@@ -393,8 +406,10 @@ func Dlaed4BisectOrgTau(k, i int, d, z, delta []float64, rho float64) (lam, org,
 		}
 		tau = mid
 	}
-	simd.ShiftInto(delta[:k], d, org, tau)
-	return org + tau, org, tau, nil
+	if delta != nil {
+		simd.ShiftInto(delta[:k], d, org, tau)
+	}
+	return org + tau, org, tau, evals, nil
 }
 
 // Dlaed5 computes the i-th eigenvalue of a 2×2 rank-one modification

@@ -1,7 +1,6 @@
 package lapack
 
 import (
-	"fmt"
 	"math"
 
 	"tridiag/internal/blas"
@@ -20,131 +19,84 @@ import (
 // last-row entry). A merge consumes the inner rows of its children's
 // carriers as z, applies the deflation Givens rotations to a 2×nm scratch
 // holding the outer rows (Dlaed2DeflateRot's rot callback), and emits the
-// parent carrier via two dot products per secular column against the
-// secular eigenvector u_j, reconstructed on the fly from the stored
-// (origin, tau) of the Dlaed4 root in O(k) scratch. Live state is O(n) per
-// tree level; the O(n²) of the full path never appears.
-
-// SecularPanelVO is the values-only LAED4 task: it solves the secular
-// equation for secular indices [j0, j1), fused with the panel's LocalW
-// stabilization update (the delta column exists only inside this loop, so
-// the full path's separate ComputeLocalW task has nothing to read). For
-// each j it records in porg[j]/ptau[j] what UpdateZPanelVO needs to
-// reconstruct the secular eigenvector: for K > 2 the root's origin pole and
-// offset (delta[i] = (Dlamda[i]-org)-tau, bit-identical to the Dlaed4
-// recomputation), and for K <= 2 the two closed-form vector components
-// Dlaed5 left in the delta column (org/tau are not meaningful there).
-// wloc follows LocalWPanel's contract (initialized to 1, nil-able); the
-// root merge passes wloc=porg=ptau=nil since no parent consumes them.
-func (df *Deflation) SecularPanelVO(d, porg, ptau, wloc []float64, j0, j1 int) (fallbacks int, err error) {
-	k := df.K
-	col := pool.Get(k)
-	defer pool.Put(col)
-	for j := j0; j < j1; j++ {
-		lam, org, tau, err := Dlaed4OrgTau(k, j, df.Dlamda, df.W, col[:k], df.Rho)
-		if err != nil {
-			lam, org, tau, err = Dlaed4BisectOrgTau(k, j, df.Dlamda, df.W, col[:k], df.Rho)
-			if err != nil {
-				return fallbacks, fmt.Errorf("secular equation failed at index %d: %w", j, err)
-			}
-			fallbacks++
-		}
-		d[j] = lam
-		if porg != nil {
-			if k == 1 {
-				porg[j], ptau[j] = 1, 0
-			} else if k == 2 {
-				porg[j], ptau[j] = col[0], col[1]
-			} else {
-				porg[j], ptau[j] = org, tau
-			}
-		}
-		if wloc != nil && k > 2 {
-			// LocalWPanel's update, using the live delta column.
-			dj := df.Dlamda[j]
-			simd.MulRatioDiff(wloc[:j], col[:j], df.Dlamda[:j], dj)
-			wloc[j] *= col[j]
-			simd.MulRatioDiff(wloc[j+1:k], col[j+1:k], df.Dlamda[j+1:k], dj)
-		}
-	}
-	return fallbacks, nil
-}
+// parent carrier with one fused pass per secular column (UpdateZPanelVO)
+// that forms the secular eigenvector u_j in-lane from the Dlaed4 root's
+// (origin, tau) — no delta column, no u column. Live state is O(n) per tree
+// level; the O(n²) of the full path never appears.
 
 // UpdateZPanelVO emits the parent carrier entries for secular columns
-// [j0, j1): the first and last rows of V(:, j) = Q2·u_j, computed as two
-// dot products against the children's rotated outer carrier rows gathered
-// in grouped order (gtop: row 0 over the C12 top-block columns; gbot: row
-// nm-1 over the C23 bottom-block columns — see GatherCarrierRows). u_j is
-// rebuilt exactly as VectorsPanel builds S columns — same RatioSumSq, same
-// normal-range guard, same GroupToSecular row mapping — from the
-// (porg, ptau) stored by SecularPanelVO, in O(k) scratch. flp is the
-// parent's carrier segment for this merge (leading dimension 2). what is
-// the stabilized ẑ from FinishW (ignored for K <= 2).
-func (df *Deflation) UpdateZPanelVO(what, porg, ptau, gtop, gbot, flp []float64, j0, j1 int) {
+// [j0, j1): the first and last rows of V(:, j) = Q2·u_j. One simd.RatioDots
+// pass per column forms u_j = ẑ/delta_j in grouped order, with delta_j
+// formed in-lane from (porg[j], ptau[j]) as SecularPanel recorded them, and
+// accumulates ‖u_j‖² and u_j's dot products with the children's rotated
+// outer carrier rows (gtop: row 0, gbot: row nm-1, both zero-padded to
+// length K by GatherCarrierRows); the two dots are then scaled by 1/‖u_j‖.
+// flp is the parent's carrier segment for this merge (leading dimension 2).
+// what and poles are FinishW's grouped ẑ and poles (ignored for K <= 2).
+func (df *Deflation) UpdateZPanelVO(what, poles, porg, ptau, gtop, gbot, flp []float64, j0, j1 int) {
 	k := df.K
 	if k == 0 || j1 <= j0 {
 		return
 	}
-	c1 := df.Ctot[colTop]
-	c12 := df.C12()
-	c23 := df.C23()
-	u := pool.Get(k)
-	defer pool.Put(u)
-	var col, s []float64
-	if k > 2 {
-		col = pool.Get(k)
-		defer pool.Put(col)
-		s = pool.Get(k)
-		defer pool.Put(s)
-	}
 	for j := j0; j < j1; j++ {
-		switch {
-		case k == 1:
-			u[0] = 1
-		case k == 2:
+		var f, l float64
+		switch k {
+		case 1:
+			f, l = gtop[0], gbot[0]
+		case 2:
 			// porg/ptau hold Dlaed5's components in secular row order;
 			// permute into grouped order as VectorsPanel does.
-			var tmp [2]float64
-			tmp[0], tmp[1] = porg[j], ptau[j]
-			u[0] = tmp[df.GroupToSecular[0]]
-			u[1] = tmp[df.GroupToSecular[1]]
+			v := [2]float64{porg[j], ptau[j]}
+			u0, u1 := v[df.GroupToSecular[0]], v[df.GroupToSecular[1]]
+			f = gtop[0]*u0 + gtop[1]*u1
+			l = gbot[0]*u0 + gbot[1]*u1
 		default:
-			simd.ShiftInto(col[:k], df.Dlamda, porg[j], ptau[j])
-			sumsq := simd.RatioSumSq(s[:k], what[:k], col[:k])
-			var inv float64
-			if sumsq > 1e-280 && sumsq < 1e280 {
-				inv = 1 / math.Sqrt(sumsq)
+			ss, sx, sy := simd.RatioDots(what[:k], poles[:k], gtop[:k], gbot[:k], porg[j], ptau[j])
+			if ss > 1e-280 && ss < 1e280 {
+				inv := 1 / math.Sqrt(ss)
+				f, l = sx*inv, sy*inv
 			} else {
-				inv = 1 / blas.Dnrm2(k, s, 1)
+				f, l = df.carrierDotsScaled(what, poles, gtop, gbot, porg[j], ptau[j])
 			}
-			for i := 0; i < k; i++ {
-				u[i] = s[df.GroupToSecular[i]] * inv
-			}
-		}
-		var f, l float64
-		if c12 > 0 {
-			f = blas.Ddot(c12, gtop, 1, u, 1)
-		}
-		if c23 > 0 {
-			l = blas.Ddot(c23, gbot, 1, u[c1:], 1)
 		}
 		flp[2*j] = f
 		flp[2*j+1] = l
 	}
 }
 
-// GatherCarrierRows extracts, after the deflation rotations, the merge's
-// two outer carrier rows from the 2×nm scratch g2 in grouped column order:
-// gtop[g] = g2[0, Perm[g]] for the C12 top-block columns and
-// gbot[g-c1] = g2[1, Perm[g]] for g in [Ctot[0], K) — the exact operands of
-// the full path's two compressed GEMMs restricted to rows 0 and nm-1.
-func (df *Deflation) GatherCarrierRows(g2, gtop, gbot []float64) {
-	c1 := df.Ctot[colTop]
-	for g := 0; g < df.C12(); g++ {
-		gtop[g] = g2[2*df.Perm[g]]
+// carrierDotsScaled is UpdateZPanelVO's guard for a column whose squared
+// norm leaves the normal range: it forms u on pooled scratch, normalizes it
+// with the scaled 2-norm (as VectorsPanel does) and only then takes the two
+// carrier dots, so neither can overflow.
+func (df *Deflation) carrierDotsScaled(what, poles, gtop, gbot []float64, org, tau float64) (f, l float64) {
+	k := df.K
+	u := pool.Get(k)
+	defer pool.Put(u)
+	simd.RatioSumSq(u, what[:k], poles[:k], org, tau)
+	inv := 1 / blas.Dnrm2(k, u, 1)
+	for i := range u {
+		u[i] *= inv
 	}
-	for g := c1; g < df.K; g++ {
-		gbot[g-c1] = g2[2*df.Perm[g]+1]
+	return blas.Ddot(k, gtop, 1, u, 1), blas.Ddot(k, gbot, 1, u, 1)
+}
+
+// GatherCarrierRows extracts, after the deflation rotations, the merge's
+// two outer carrier rows from the 2×nm scratch g2 in grouped column order,
+// each zero-padded to length K: gtop[g] = g2[0, Perm[g]] for the C12
+// top-block columns (g < C12) and gbot[g] = g2[1, Perm[g]] for the C23
+// bottom-block columns (g ≥ Ctot[0]), 0 elsewhere — the exact operands of
+// the full path's two compressed GEMMs restricted to rows 0 and nm-1, laid
+// out so one pass over [0, K) serves both.
+func (df *Deflation) GatherCarrierRows(g2, gtop, gbot []float64) {
+	c1, c12 := df.Ctot[colTop], df.C12()
+	for g := 0; g < df.K; g++ {
+		gtop[g], gbot[g] = 0, 0
+		if g < c12 {
+			gtop[g] = g2[2*df.Perm[g]]
+		}
+		if g >= c1 {
+			gbot[g] = g2[2*df.Perm[g]+1]
+		}
 	}
 }
 

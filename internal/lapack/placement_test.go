@@ -290,16 +290,7 @@ func copyEverythingDlaed1(t *testing.T, n, cut int, d, q []float64, indxq []int,
 		ws := NewMergeWorkspace(df)
 		defer ws.Release()
 		df.PermutePanel(w, ws, 0, k)
-		if _, err := df.SecularPanel(ws, d, 0, k); err != nil {
-			t.Fatal(err)
-		}
-		for i := range ws.WLoc {
-			ws.WLoc[i] = 1
-		}
-		df.LocalWPanel(ws, ws.WLoc, 0, k)
-		what := make([]float64, k)
-		df.FinishW(what, ws.WLoc)
-		df.VectorsPanel(ws, what, 0, k)
+		secularPhase(t, df, ws, d)
 		df.UpdatePanel(w, ws, 0, k, nil)
 	}
 	for j := range df.DeflD {

@@ -33,23 +33,28 @@ func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm Ge
 		df.MergeOrder(d, indxq)
 		return nil
 	}
+	k := df.K
 	ws := NewMergeWorkspace(df)
 	defer ws.Release()
-	df.PermutePanel(w, ws, 0, df.K)
+	df.PermutePanel(w, ws, 0, k)
 
-	if _, err := df.SecularPanel(ws, d, 0, df.K); err != nil {
+	// The roots as (org, tau) pairs, Gu's product, and FinishW's grouped ẑ
+	// and poles.
+	sec := pool.Get(5 * k)
+	defer pool.Put(sec)
+	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
+	what, poles := sec[3*k:4*k], sec[4*k:5*k]
+	if _, _, err := df.SecularPanel(d, porg, ptau, 0, k); err != nil {
 		return err
 	}
-	for i := range ws.WLoc {
-		ws.WLoc[i] = 1
+	for i := range wloc {
+		wloc[i] = 1
 	}
-	df.LocalWPanel(ws, ws.WLoc, 0, df.K)
-	what := pool.Get(df.K)
-	defer pool.Put(what)
-	df.FinishW(what, ws.WLoc)
-	df.VectorsPanel(ws, what, 0, df.K)
-	df.CopyBackPanel(w, d, 0, df.K)
-	df.UpdatePanel(w, ws, 0, df.K, gemm)
+	df.LocalWPanel(porg, ptau, wloc, 0, k)
+	df.FinishW(what, poles, wloc)
+	df.VectorsPanel(ws.S, what, poles, porg, ptau, 0, k)
+	df.CopyBackPanel(w, d, 0, k)
+	df.UpdatePanel(w, ws, 0, k, gemm)
 	df.MergeOrder(d, indxq)
 	return nil
 }

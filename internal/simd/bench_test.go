@@ -41,11 +41,15 @@ func benchBoth(b *testing.B, k int, f func(z, den []float64)) {
 	}
 }
 
+// The secular kernels take the poles and one root's (org, tau); benchInputs'
+// den serves as the poles, and the shift keeps every delta away from zero.
+const benchOrg, benchTau = 0.1, 1e-8
+
 func BenchmarkSecularSums(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		b.Run(sizeName(k), func(b *testing.B) {
 			benchBoth(b, k, func(z, den []float64) {
-				SecularSums(z, den, float64(len(z)), -1)
+				SecularSums(z, den, benchOrg, benchTau, float64(len(z)), -1)
 			})
 		})
 	}
@@ -55,7 +59,18 @@ func BenchmarkShiftedSumRatios(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		b.Run(sizeName(k), func(b *testing.B) {
 			benchBoth(b, k, func(z, den []float64) {
-				ShiftedSumRatios(den, z, 0.1, 1e-8)
+				ShiftedSumRatios(den, z, benchOrg, benchTau)
+			})
+		})
+	}
+}
+
+func BenchmarkMulRatioDiff(b *testing.B) {
+	w := make([]float64, 1024)
+	for _, k := range []int{64, 256, 1024} {
+		b.Run(sizeName(k), func(b *testing.B) {
+			benchBoth(b, k, func(z, den []float64) {
+				MulRatioDiff(w[:len(z)], den, benchOrg, benchTau, 0.3)
 			})
 		})
 	}
@@ -66,15 +81,26 @@ func BenchmarkRatioSumSq(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		b.Run(sizeName(k), func(b *testing.B) {
 			benchBoth(b, k, func(z, den []float64) {
-				RatioSumSq(dst[:len(z)], z, den)
+				RatioSumSq(dst[:len(z)], z, den, benchOrg, benchTau)
 			})
 		})
 	}
 }
 
-// BenchmarkShiftInto measures Dlaed4's delta maintenance: one origin shift
-// of a k-term column (the per-iteration update is the same kernel with
-// org = 0).
+// BenchmarkRatioDots measures the values-only UpdateZ pass: one secular
+// vector formed in-lane and dotted with two carrier rows.
+func BenchmarkRatioDots(b *testing.B) {
+	for _, k := range []int{64, 256, 1024} {
+		b.Run(sizeName(k), func(b *testing.B) {
+			benchBoth(b, k, func(z, den []float64) {
+				RatioDots(z, den, z, den, benchOrg, benchTau)
+			})
+		})
+	}
+}
+
+// BenchmarkShiftInto measures the delta column Dlaed4 writes at return when
+// its caller passes one: one origin shift of a k-term column.
 func BenchmarkShiftInto(b *testing.B) {
 	for _, k := range []int{64, 256, 1024} {
 		b.Run(sizeName(k), func(b *testing.B) {

@@ -44,15 +44,16 @@ func decodeKernelInput(data []byte) (x, y, z []float64, a, b float64) {
 
 // kernelOutputs runs every kernel of the package once on the operands
 // (copying those a kernel writes in place) and returns all they produced in
-// a fixed order. SecularSums gets the integer weights Dlaed4 passes; its
-// contract requires exactly representable ones.
+// a fixed order. a and b are the root representation (org, tau) of the
+// shifted kernels, with y as their poles. SecularSums gets the integer
+// weights Dlaed4 passes; its contract requires exactly representable ones.
 func kernelOutputs(x, y, z []float64, a, b float64) []float64 {
 	n := len(x)
 	cp := func(v []float64) []float64 { return append([]float64(nil), v...) }
 	var out []float64
-	s1, d1, w1 := SecularSums(x, y, float64(n), -1)
-	s2, d2, w2 := SecularSums(x, y, 1, 1)
-	out = append(out, s1, d1, w1, s2, d2, w2, ShiftedSumRatios(y, x, a, b), SumRatios(x, y))
+	s1, d1, w1 := SecularSums(x, y, a, b, float64(n), -1)
+	s2, d2, w2 := SecularSums(x, y, a, b, 1, 1)
+	out = append(out, s1, d1, w1, s2, d2, w2, ShiftedSumRatios(y, x, a, b))
 
 	dst := make([]float64, n)
 	ShiftInto(dst, y, a, b)
@@ -66,10 +67,15 @@ func kernelOutputs(x, y, z []float64, a, b float64) []float64 {
 	out = append(append(out, u...), v...)
 
 	u = cp(z)
-	MulRatioDiff(u, x, y, a)
+	MulRatioDiff(u, y, a, b, a)
 	out = append(out, u...)
-	out = append(out, RatioSumSq(dst, x, y))
+	u = cp(z)
+	MulRatioDiff(u, y, a, b, b)
+	out = append(out, u...)
+	out = append(out, RatioSumSq(dst, x, y, a, b))
 	out = append(out, dst...)
+	ss, sx, sy := RatioDots(x, y, z, x, a, b)
+	out = append(out, ss, sx, sy)
 	u = cp(x)
 	MulInto(u, y)
 	out = append(out, u...)
@@ -87,8 +93,9 @@ func kernelOutputs(x, y, z []float64, a, b float64) []float64 {
 // FuzzSIMDKernels checks the package's bit contract on arbitrary operands:
 // every kernel gives the same bytes with the assembly kernels off and on
 // (any NaN matching any NaN). The seed corpus in testdata/fuzz covers every
-// tail length 0–3 and NaN, ±Inf, -0 and subnormal operands; `make fuzz`
-// searches further for a fixed time.
+// tail length 0–3 and NaN, ±Inf, -0 and subnormal operands, and the
+// shift-* files put ±0, subnormals, ±Inf and NaN in the shifted kernels'
+// (org, tau); `make fuzz` searches further for a fixed time.
 func FuzzSIMDKernels(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		if !Available() {

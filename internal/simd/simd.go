@@ -2,13 +2,20 @@
 // eigensolver: the ψ/φ/erretm partial sums of the secular function and its
 // derivative (Dlaed4's inner loops), the fused reciprocal-difference products
 // of Gu's stabilization (ComputeLocalW), the form-and-normalize ratios of the
-// secular eigenvectors (ComputeVect), and the cross-panel product reduction
-// (ReduceW), plus two elementwise kernels: the pole shift that maintains
-// Dlaed4's delta column (ShiftInto) and the plane rotation of blas.Drot's
-// unit-stride path (Rot). On amd64 with AVX2+FMA the kernels dispatch to
-// hand-written assembly (simd_amd64.s); everywhere else they run portable
-// Go. The package owns the module's one CPUID/XGETBV probe: CPULevel reports
-// what it found, and internal/blas picks its GEMM micro-kernel from it.
+// secular eigenvectors (ComputeVect), their dot products against the
+// values-only lane's carrier rows (UpdateZ), and the cross-panel product
+// reduction (ReduceW), plus two elementwise kernels: the pole shift that
+// writes Dlaed4's delta column (ShiftInto) and the plane rotation of
+// blas.Drot's unit-stride path (Rot). On amd64 with AVX2+FMA the kernels
+// dispatch to hand-written assembly (simd_amd64.s); everywhere else they run
+// portable Go. The package owns the module's one CPUID/XGETBV probe:
+// CPULevel reports what it found, and internal/blas picks its GEMM
+// micro-kernel from it.
+//
+// The secular kernels never read a delta column. They take the poles d and
+// one root's representation λ = org + tau, and form each
+// delta_j = (d_j − org) − tau in the register that uses it, the
+// cancellation-free expression Dlaed4 and ShiftInto use.
 //
 // Kernel semantics are fixed independently of dispatch: the assembly and the
 // portable fallbacks process elements in the same order — four interleaved
@@ -65,7 +72,8 @@ func Active() bool { return active }
 func SetSIMD(on bool) { active = on && haveSIMD }
 
 // SecularSums accumulates, over j in [0, len(z)), the three sums of one
-// secular-function evaluation pass with t_j = z[j]/delta[j]:
+// secular-function evaluation pass at the root estimate org+tau, with
+// delta_j = (d[j]-org)-tau formed in-lane and t_j = z[j]/delta_j:
 //
 //	s  = Σ z[j]·t_j          (ψ or φ, the secular partial sum)
 //	ds = Σ t_j·t_j           (its derivative)
@@ -76,19 +84,21 @@ func SetSIMD(on bool) { active = on && haveSIMD }
 // after every term, which weights term j by the number of remaining terms.
 // Forward (ascending) accumulation over m terms uses w0=m, wstep=-1; the
 // reference's descending φ loop maps to w0=1, wstep=+1 over the same slice
-// in ascending order. Weights must be exactly representable integers.
-func SecularSums(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
+// in ascending order. Weights must be exactly representable integers. d must
+// be at least as long as z.
+func SecularSums(z, d []float64, org, tau, w0, wstep float64) (s, ds, ws float64) {
 	n := len(z)
+	d = d[:n]
 	n4 := n &^ 3
 	if n4 > 0 {
 		if active {
-			s, ds, ws = secularSumsAVX(z[:n4], delta[:n4], w0, wstep)
+			s, ds, ws = secularSumsAVX(z[:n4], d[:n4], org, tau, w0, wstep)
 		} else {
-			s, ds, ws = secularSumsGo(z[:n4], delta[:n4], w0, wstep)
+			s, ds, ws = secularSumsGo(z[:n4], d[:n4], org, tau, w0, wstep)
 		}
 	}
 	for j := n4; j < n; j++ {
-		t := z[j] / delta[j]
+		t := z[j] / ((d[j] - org) - tau)
 		p := z[j] * t
 		s += p
 		ds += t * t
@@ -97,15 +107,15 @@ func SecularSums(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
 	return s, ds, ws
 }
 
-func secularSumsGo(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
+func secularSumsGo(z, d []float64, org, tau, w0, wstep float64) (s, ds, ws float64) {
 	var s0, s1, s2, s3, d0, d1, d2, d3, u0, u1, u2, u3 float64
 	wv0, wv1, wv2, wv3 := w0, w0+wstep, w0+2*wstep, w0+3*wstep
 	wstep4 := 4 * wstep
 	for j := 0; j+3 < len(z); j += 4 {
-		t0 := z[j] / delta[j]
-		t1 := z[j+1] / delta[j+1]
-		t2 := z[j+2] / delta[j+2]
-		t3 := z[j+3] / delta[j+3]
+		t0 := z[j] / ((d[j] - org) - tau)
+		t1 := z[j+1] / ((d[j+1] - org) - tau)
+		t2 := z[j+2] / ((d[j+2] - org) - tau)
+		t3 := z[j+3] / ((d[j+3] - org) - tau)
 		p0 := z[j] * t0
 		p1 := z[j+1] * t1
 		p2 := z[j+2] * t2
@@ -130,15 +140,10 @@ func secularSumsGo(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
 	return (s0 + s2) + (s1 + s3), (d0 + d2) + (d1 + d3), (u0 + u2) + (u1 + u3)
 }
 
-// SumRatios returns Σ (z[j]·z[j])/den[j], the plain secular partial sum used
-// by Dlaed4's initial-guess evaluations.
-func SumRatios(z, den []float64) float64 {
-	return ShiftedSumRatios(den, z, 0, 0)
-}
-
 // ShiftedSumRatios returns Σ z[j]·z[j] / ((d[j]-org)-tau), the secular
 // function body evaluated with the cancellation-free two-step shift — the
-// inner loop of the bisection safeguard Dlaed4Bisect.
+// inner loop of the bisection safeguard Dlaed4Bisect and of Dlaed4's
+// midpoint guess.
 func ShiftedSumRatios(d, z []float64, org, tau float64) (s float64) {
 	n := len(d)
 	n4 := n &^ 3
@@ -166,10 +171,10 @@ func shiftedSumGo(d, z []float64, org, tau float64) float64 {
 	return (s0 + s2) + (s1 + s3)
 }
 
-// ShiftInto sets dst[j] = (d[j]-org)-tau elementwise — Dlaed4's delta
-// column measured from the origin pole org, without cancellation. With
-// org = 0 it is the per-iteration update delta[j] -= tau, bit for bit:
-// x - 0 == x for every x, -0 and NaN included. dst may be d itself; d must
+// ShiftInto sets dst[j] = (d[j]-org)-tau elementwise — the delta column
+// Dlaed4 and Dlaed4Bisect write at return when their caller asks for one,
+// measured from the origin pole org without cancellation: the same bits the
+// other kernels of this package form in-lane. dst may be d itself; d must
 // be at least as long as dst. Elementwise, so both dispatch paths round
 // exactly as the scalar loop.
 func ShiftInto(dst, d []float64, org, tau float64) {
@@ -207,52 +212,57 @@ func Rot(x, y []float64, c, s float64) {
 	}
 }
 
-// MulRatioDiff performs w[i] *= num[i] / (den[i] - dj) elementwise — one
-// panel column's factors of Gu's stabilization product (ComputeLocalW),
-// with the pole term i==j carved out by the caller. The three slices must
-// have equal length.
-func MulRatioDiff(w, num, den []float64, dj float64) {
+// MulRatioDiff performs w[i] *= ((d[i]-org)-tau) / (d[i]-dj) elementwise
+// — one root's factors of Gu's stabilization product (ComputeLocalW): the
+// numerator is the root's delta, formed in-lane from its representation
+// λ = org + tau, and the denominator the pole gap to dj. The caller carves
+// out the pole term i==j. d must be at least as long as w.
+func MulRatioDiff(w, d []float64, org, tau, dj float64) {
 	n := len(w)
+	d = d[:n]
 	n4 := n &^ 3
 	if n4 > 0 && active {
-		mulRatioDiffAVX(w[:n4], num[:n4], den[:n4], dj)
+		mulRatioDiffAVX(w[:n4], d[:n4], org, tau, dj)
 	} else {
 		n4 = 0
 	}
 	for i := n4; i < n; i++ {
-		w[i] *= num[i] / (den[i] - dj)
+		w[i] *= ((d[i] - org) - tau) / (d[i] - dj)
 	}
 }
 
-// RatioSumSq sets dst[i] = num[i]/den[i] elementwise and returns Σ dst[i]²
-// — the fused form-and-sum-of-squares pass of ComputeVect. The caller is
-// responsible for guarding against overflow/underflow of the squared sum
-// (fall back to a scaled norm when the result is not a normal float).
-func RatioSumSq(dst, num, den []float64) (s float64) {
+// RatioSumSq sets dst[i] = num[i]/((d[i]-org)-tau) elementwise and returns
+// Σ dst[i]² — the fused form-and-sum-of-squares pass of ComputeVect, with
+// the root's delta formed in-lane. The caller is responsible for guarding
+// against overflow/underflow of the squared sum (fall back to a scaled norm
+// when the result is not a normal float). num and d must be at least as
+// long as dst.
+func RatioSumSq(dst, num, d []float64, org, tau float64) (s float64) {
 	n := len(dst)
+	num, d = num[:n], d[:n]
 	n4 := n &^ 3
 	if n4 > 0 {
 		if active {
-			s = ratioSumSqAVX(dst[:n4], num[:n4], den[:n4])
+			s = ratioSumSqAVX(dst[:n4], num[:n4], d[:n4], org, tau)
 		} else {
-			s = ratioSumSqGo(dst[:n4], num[:n4], den[:n4])
+			s = ratioSumSqGo(dst[:n4], num[:n4], d[:n4], org, tau)
 		}
 	}
 	for i := n4; i < n; i++ {
-		t := num[i] / den[i]
+		t := num[i] / ((d[i] - org) - tau)
 		dst[i] = t
 		s += t * t
 	}
 	return s
 }
 
-func ratioSumSqGo(dst, num, den []float64) float64 {
+func ratioSumSqGo(dst, num, d []float64, org, tau float64) float64 {
 	var s0, s1, s2, s3 float64
 	for i := 0; i+3 < len(dst); i += 4 {
-		t0 := num[i] / den[i]
-		t1 := num[i+1] / den[i+1]
-		t2 := num[i+2] / den[i+2]
-		t3 := num[i+3] / den[i+3]
+		t0 := num[i] / ((d[i] - org) - tau)
+		t1 := num[i+1] / ((d[i+1] - org) - tau)
+		t2 := num[i+2] / ((d[i+2] - org) - tau)
+		t3 := num[i+3] / ((d[i+3] - org) - tau)
 		dst[i] = t0
 		dst[i+1] = t1
 		dst[i+2] = t2
@@ -263,6 +273,57 @@ func ratioSumSqGo(dst, num, den []float64) float64 {
 		s3 += t3 * t3
 	}
 	return (s0 + s2) + (s1 + s3)
+}
+
+// RatioDots forms u[i] = num[i]/((d[i]-org)-tau) in-lane and returns, in
+// one pass and without storing u,
+//
+//	ss = Σ u[i]²      sx = Σ x[i]·u[i]      sy = Σ y[i]·u[i]
+//
+// — the values-only lane's UpdateZ: one unnormalized secular eigenvector
+// against the merge's two outer carrier rows, whose norm the caller divides
+// out afterwards. d, x and y must be at least as long as num.
+func RatioDots(num, d, x, y []float64, org, tau float64) (ss, sx, sy float64) {
+	n := len(num)
+	d, x, y = d[:n], x[:n], y[:n]
+	n4 := n &^ 3
+	if n4 > 0 {
+		if active {
+			ss, sx, sy = ratioDotsAVX(num[:n4], d[:n4], x[:n4], y[:n4], org, tau)
+		} else {
+			ss, sx, sy = ratioDotsGo(num[:n4], d[:n4], x[:n4], y[:n4], org, tau)
+		}
+	}
+	for i := n4; i < n; i++ {
+		u := num[i] / ((d[i] - org) - tau)
+		ss += u * u
+		sx += x[i] * u
+		sy += y[i] * u
+	}
+	return ss, sx, sy
+}
+
+func ratioDotsGo(num, d, x, y []float64, org, tau float64) (ss, sx, sy float64) {
+	var s0, s1, s2, s3, a0, a1, a2, a3, b0, b1, b2, b3 float64
+	for i := 0; i+3 < len(num); i += 4 {
+		u0 := num[i] / ((d[i] - org) - tau)
+		u1 := num[i+1] / ((d[i+1] - org) - tau)
+		u2 := num[i+2] / ((d[i+2] - org) - tau)
+		u3 := num[i+3] / ((d[i+3] - org) - tau)
+		s0 += u0 * u0
+		s1 += u1 * u1
+		s2 += u2 * u2
+		s3 += u3 * u3
+		a0 += x[i] * u0
+		a1 += x[i+1] * u1
+		a2 += x[i+2] * u2
+		a3 += x[i+3] * u3
+		b0 += y[i] * u0
+		b1 += y[i+1] * u1
+		b2 += y[i+2] * u2
+		b3 += y[i+3] * u3
+	}
+	return (s0 + s2) + (s1 + s3), (a0 + a2) + (a1 + a3), (b0 + b2) + (b1 + b3)
 }
 
 // MulInto performs dst[i] *= src[i] elementwise — the cross-panel reduction

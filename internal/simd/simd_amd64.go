@@ -42,7 +42,7 @@ func detectLevel() Level {
 // identical to the portable lane-ordered fallbacks (see the package comment).
 //
 //go:noescape
-func secularSumsAVX(z, delta []float64, w0, wstep float64) (s, ds, ws float64)
+func secularSumsAVX(z, d []float64, org, tau, w0, wstep float64) (s, ds, ws float64)
 
 //go:noescape
 func shiftedSumAVX(d, z []float64, org, tau float64) float64
@@ -54,10 +54,13 @@ func shiftIntoAVX(dst, d []float64, org, tau float64)
 func rotAVX(x, y []float64, c, s float64)
 
 //go:noescape
-func mulRatioDiffAVX(w, num, den []float64, dj float64)
+func mulRatioDiffAVX(w, d []float64, org, tau, dj float64)
 
 //go:noescape
-func ratioSumSqAVX(dst, num, den []float64) float64
+func ratioSumSqAVX(dst, num, d []float64, org, tau float64) float64
+
+//go:noescape
+func ratioDotsAVX(num, d, x, y []float64, org, tau float64) (ss, sx, sy float64)
 
 //go:noescape
 func mulIntoAVX(dst, src []float64)

@@ -33,30 +33,35 @@ DATA signmask<>+16(SB)/8, $0x8000000000000000
 DATA signmask<>+24(SB)/8, $0x8000000000000000
 GLOBL signmask<>(SB), RODATA, $32
 
-// func secularSumsAVX(z, delta []float64, w0, wstep float64) (s, ds, ws float64)
+// func secularSumsAVX(z, d []float64, org, tau, w0, wstep float64) (s, ds, ws float64)
 //
-// One pass of the secular evaluation over len(z) (a multiple of 4) terms:
-// t = z/delta, p = z*t, accumulating s += p, ds += t*t and ws += w*p with
+// One pass of the secular evaluation over len(z) (a multiple of 4) terms at
+// the root estimate org+tau: delta = (d-org)-tau formed in-lane, t = z/delta,
+// p = z*t, accumulating s += p, ds += t*t and ws += w*p with
 // w = w0 + j*wstep. Accumulators use separate VMULPD+VADDPD (no FMA) so the
 // lane sums match the portable fallback bitwise; the loop is bounded by the
 // VDIVPD anyway. Lane reduction is (l0+l2)+(l1+l3).
-TEXT ·secularSumsAVX(SB), NOSPLIT, $0-88
+TEXT ·secularSumsAVX(SB), NOSPLIT, $0-104
 	MOVQ z_base+0(FP), SI
 	MOVQ z_len+8(FP), CX
 	SHRQ $2, CX
-	MOVQ delta_base+24(FP), DI
+	MOVQ d_base+24(FP), DI
 	VXORPD Y0, Y0, Y0            // s lanes
 	VXORPD Y1, Y1, Y1            // ds lanes
 	VXORPD Y2, Y2, Y2            // ws lanes
-	VBROADCASTSD w0+48(FP), Y12
-	VBROADCASTSD wstep+56(FP), Y13
+	VBROADCASTSD org+48(FP), Y4
+	VBROADCASTSD tau+56(FP), Y5
+	VBROADCASTSD w0+64(FP), Y12
+	VBROADCASTSD wstep+72(FP), Y13
 	VMOVUPD lanes<>(SB), Y14
 	VFMADD231PD Y14, Y13, Y12    // wv = w0 + lane*wstep (exact: integer weights)
 	VADDPD Y13, Y13, Y13         // 2*wstep
 	VADDPD Y13, Y13, Y13         // 4*wstep
 loop:
+	VMOVUPD (DI), Y9             // d quad
+	VSUBPD Y4, Y9, Y9            // d - org
+	VSUBPD Y5, Y9, Y9            // delta = (d-org) - tau
 	VMOVUPD (SI), Y8             // z quad
-	VMOVUPD (DI), Y9             // delta quad
 	VDIVPD Y9, Y8, Y10           // t = z/delta
 	VMULPD Y10, Y8, Y11          // p = z*t
 	VADDPD Y11, Y0, Y0           // s += p
@@ -73,15 +78,15 @@ loop:
 	VEXTRACTF128 $1, Y0, X8
 	VADDPD X8, X0, X0
 	VHADDPD X0, X0, X0
-	MOVSD X0, s+64(FP)
+	MOVSD X0, s+80(FP)
 	VEXTRACTF128 $1, Y1, X8
 	VADDPD X8, X1, X1
 	VHADDPD X1, X1, X1
-	MOVSD X1, ds+72(FP)
+	MOVSD X1, ds+88(FP)
 	VEXTRACTF128 $1, Y2, X8
 	VADDPD X8, X2, X2
 	VHADDPD X2, X2, X2
-	MOVSD X2, ws+80(FP)
+	MOVSD X2, ws+96(FP)
 	VZEROUPPER
 	RET
 
@@ -119,10 +124,9 @@ loop:
 
 // func shiftIntoAVX(dst, d []float64, org, tau float64)
 //
-// dst = (d-org)-tau elementwise over len(dst) (a multiple of 4) — Dlaed4's
-// delta column and, with org = 0, its per-iteration update. Two quads per
-// trip, then one more when len(dst)/4 is odd. Purely lane-local; dst may be
-// d itself.
+// dst = (d-org)-tau elementwise over len(dst) (a multiple of 4) — the
+// delta column Dlaed4 writes at return. Two quads per trip, then one more
+// when len(dst)/4 is odd. Purely lane-local; dst may be d itself.
 TEXT ·shiftIntoAVX(SB), NOSPLIT, $0-64
 	MOVQ dst_base+0(FP), DI
 	MOVQ dst_len+8(FP), CX
@@ -186,49 +190,54 @@ loop:
 	VZEROUPPER
 	RET
 
-// func mulRatioDiffAVX(w, num, den []float64, dj float64)
+// func mulRatioDiffAVX(w, d []float64, org, tau, dj float64)
 //
-// w *= num/(den-dj) elementwise over len(w) (a multiple of 4) — the
-// ComputeLocalW inner loop. Purely lane-local: bitwise identical to the
-// scalar loop in any order.
-TEXT ·mulRatioDiffAVX(SB), NOSPLIT, $0-80
+// w *= ((d-org)-tau)/(d-dj) elementwise over len(w) (a multiple of 4) — the
+// ComputeLocalW inner loop, with the root's delta formed in-lane. Purely
+// lane-local: bitwise identical to the scalar loop in any order.
+TEXT ·mulRatioDiffAVX(SB), NOSPLIT, $0-72
 	MOVQ w_base+0(FP), SI
 	MOVQ w_len+8(FP), CX
 	SHRQ $2, CX
-	MOVQ num_base+24(FP), DI
-	MOVQ den_base+48(FP), R8
-	VBROADCASTSD dj+72(FP), Y12
+	MOVQ d_base+24(FP), DI
+	VBROADCASTSD org+48(FP), Y4
+	VBROADCASTSD tau+56(FP), Y5
+	VBROADCASTSD dj+64(FP), Y12
 loop:
-	VMOVUPD (R8), Y9             // den quad
-	VSUBPD Y12, Y9, Y9           // den - dj
-	VMOVUPD (DI), Y8             // num quad
-	VDIVPD Y9, Y8, Y8            // num/(den-dj)
+	VMOVUPD (DI), Y8             // d quad
+	VSUBPD Y12, Y8, Y9           // d - dj
+	VSUBPD Y4, Y8, Y8            // d - org
+	VSUBPD Y5, Y8, Y8            // delta = (d-org) - tau
+	VDIVPD Y9, Y8, Y8            // delta/(d-dj)
 	VMOVUPD (SI), Y10
 	VMULPD Y8, Y10, Y10
 	VMOVUPD Y10, (SI)
 	ADDQ $32, SI
 	ADDQ $32, DI
-	ADDQ $32, R8
 	DECQ CX
 	JNZ  loop
 	VZEROUPPER
 	RET
 
-// func ratioSumSqAVX(dst, num, den []float64) float64
+// func ratioSumSqAVX(dst, num, d []float64, org, tau float64) float64
 //
-// dst = num/den elementwise, returning Σ dst² — the fused form and
-// sum-of-squares pass of ComputeVect. Lengths are a multiple of 4.
-TEXT ·ratioSumSqAVX(SB), NOSPLIT, $0-80
+// dst = num/((d-org)-tau) elementwise, returning Σ dst² — the fused form
+// and sum-of-squares pass of ComputeVect. Lengths are a multiple of 4.
+TEXT ·ratioSumSqAVX(SB), NOSPLIT, $0-96
 	MOVQ dst_base+0(FP), SI
 	MOVQ dst_len+8(FP), CX
 	SHRQ $2, CX
 	MOVQ num_base+24(FP), DI
-	MOVQ den_base+48(FP), R8
+	MOVQ d_base+48(FP), R8
+	VBROADCASTSD org+72(FP), Y4
+	VBROADCASTSD tau+80(FP), Y5
 	VXORPD Y0, Y0, Y0
 loop:
+	VMOVUPD (R8), Y9             // d quad
+	VSUBPD Y4, Y9, Y9            // d - org
+	VSUBPD Y5, Y9, Y9            // delta = (d-org) - tau
 	VMOVUPD (DI), Y8             // num quad
-	VMOVUPD (R8), Y9             // den quad
-	VDIVPD Y9, Y8, Y8            // t = num/den
+	VDIVPD Y9, Y8, Y8            // t = num/delta
 	VMOVUPD Y8, (SI)
 	VMULPD Y8, Y8, Y8            // t²
 	VADDPD Y8, Y0, Y0
@@ -241,7 +250,60 @@ loop:
 	VEXTRACTF128 $1, Y0, X8
 	VADDPD X8, X0, X0
 	VHADDPD X0, X0, X0
-	MOVSD X0, ret+72(FP)
+	MOVSD X0, ret+88(FP)
+	VZEROUPPER
+	RET
+
+// func ratioDotsAVX(num, d, x, y []float64, org, tau float64) (ss, sx, sy float64)
+//
+// u = num/((d-org)-tau) formed in-lane over len(num) (a multiple of 4),
+// accumulating ss += u*u, sx += x*u and sy += y*u — the values-only UpdateZ
+// pass. Separate VMULPD+VADDPD (no FMA); reduction is (l0+l2)+(l1+l3).
+TEXT ·ratioDotsAVX(SB), NOSPLIT, $0-136
+	MOVQ num_base+0(FP), SI
+	MOVQ num_len+8(FP), CX
+	SHRQ $2, CX
+	MOVQ d_base+24(FP), DI
+	MOVQ x_base+48(FP), R8
+	MOVQ y_base+72(FP), R9
+	VBROADCASTSD org+96(FP), Y4
+	VBROADCASTSD tau+104(FP), Y5
+	VXORPD Y0, Y0, Y0            // ss lanes
+	VXORPD Y1, Y1, Y1            // sx lanes
+	VXORPD Y2, Y2, Y2            // sy lanes
+loop:
+	VMOVUPD (DI), Y9             // d quad
+	VSUBPD Y4, Y9, Y9            // d - org
+	VSUBPD Y5, Y9, Y9            // delta = (d-org) - tau
+	VMOVUPD (SI), Y8             // num quad
+	VDIVPD Y9, Y8, Y8            // u = num/delta
+	VMULPD Y8, Y8, Y10           // u*u
+	VADDPD Y10, Y0, Y0
+	VMOVUPD (R8), Y10            // x quad
+	VMULPD Y8, Y10, Y10          // x*u
+	VADDPD Y10, Y1, Y1
+	VMOVUPD (R9), Y11            // y quad
+	VMULPD Y8, Y11, Y11          // y*u
+	VADDPD Y11, Y2, Y2
+	ADDQ $32, SI
+	ADDQ $32, DI
+	ADDQ $32, R8
+	ADDQ $32, R9
+	DECQ CX
+	JNZ  loop
+
+	VEXTRACTF128 $1, Y0, X8
+	VADDPD X8, X0, X0
+	VHADDPD X0, X0, X0
+	MOVSD X0, ss+112(FP)
+	VEXTRACTF128 $1, Y1, X8
+	VADDPD X8, X1, X1
+	VHADDPD X1, X1, X1
+	MOVSD X1, sx+120(FP)
+	VEXTRACTF128 $1, Y2, X8
+	VADDPD X8, X2, X2
+	VHADDPD X2, X2, X2
+	MOVSD X2, sy+128(FP)
 	VZEROUPPER
 	RET
 

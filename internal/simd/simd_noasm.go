@@ -14,7 +14,7 @@ func rotAVX(x, y []float64, c, s float64) {
 	panic("simd: rotAVX called without assembly support")
 }
 
-func secularSumsAVX(z, delta []float64, w0, wstep float64) (s, ds, ws float64) {
+func secularSumsAVX(z, d []float64, org, tau, w0, wstep float64) (s, ds, ws float64) {
 	panic("simd: secularSumsAVX called without assembly support")
 }
 
@@ -22,12 +22,16 @@ func shiftedSumAVX(d, z []float64, org, tau float64) float64 {
 	panic("simd: shiftedSumAVX called without assembly support")
 }
 
-func mulRatioDiffAVX(w, num, den []float64, dj float64) {
+func mulRatioDiffAVX(w, d []float64, org, tau, dj float64) {
 	panic("simd: mulRatioDiffAVX called without assembly support")
 }
 
-func ratioSumSqAVX(dst, num, den []float64) float64 {
+func ratioSumSqAVX(dst, num, d []float64, org, tau float64) float64 {
 	panic("simd: ratioSumSqAVX called without assembly support")
+}
+
+func ratioDotsAVX(num, d, x, y []float64, org, tau float64) (ss, sx, sy float64) {
+	panic("simd: ratioDotsAVX called without assembly support")
 }
 
 func mulIntoAVX(dst, src []float64) {

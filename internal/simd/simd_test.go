@@ -129,47 +129,128 @@ func compareDispatch(t *testing.T, f func(z, den []float64) []float64) {
 	}
 }
 
-func TestSecularSumsMatchesScalar(t *testing.T) {
+// shiftScalars are the root representations (org, tau) the shifted kernels
+// are compared under: ordinary values plus ±0, subnormals, ±Inf and NaN in
+// either slot. The kernels form delta = (d-org)-tau in-lane, so a special
+// scalar reaches every lane.
+var shiftScalars = []float64{0, math.Copysign(0, -1), 5e-324, -0x1.8p-1060, math.Inf(1), math.Inf(-1), math.NaN(), 0.75, -1e-9}
+
+// compareShifted is compareDispatch for the kernels that take the poles and
+// one root's (org, tau) in place of a delta column: every input family and
+// length, under every pair of shiftScalars, with the assembly off and on.
+func compareShifted(t *testing.T, f func(z, d []float64, org, tau float64) []float64) {
 	compareDispatch(t, func(z, den []float64) []float64 {
+		var out []float64
+		for _, org := range shiftScalars {
+			for _, tau := range shiftScalars {
+				out = append(out, f(append([]float64(nil), z...), append([]float64(nil), den...), org, tau)...)
+			}
+		}
+		return out
+	})
+}
+
+func TestSecularSumsMatchesScalar(t *testing.T) {
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
 		// Forward ψ weights (w0=n, step -1) and descending-φ weights (w0=1,
 		// step +1), both as used by Dlaed4.
-		s1, d1, w1 := SecularSums(z, den, float64(len(z)), -1)
-		s2, d2, w2 := SecularSums(z, den, 1, 1)
+		s1, d1, w1 := SecularSums(z, d, org, tau, float64(len(z)), -1)
+		s2, d2, w2 := SecularSums(z, d, org, tau, 1, 1)
 		return []float64{s1, d1, w1, s2, d2, w2}
 	})
 }
 
 func TestShiftedSumRatiosMatchesScalar(t *testing.T) {
-	compareDispatch(t, func(z, den []float64) []float64 {
-		var org, tau float64
-		if len(den) > 0 {
-			org = den[0]
-			tau = den[len(den)-1] * 0x1p-30
-		}
-		return []float64{
-			ShiftedSumRatios(den, z, org, tau),
-			SumRatios(z, den),
-		}
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
+		return []float64{ShiftedSumRatios(d, z, org, tau)}
 	})
 }
 
 func TestShiftIntoMatchesScalar(t *testing.T) {
-	compareDispatch(t, func(z, den []float64) []float64 {
-		var org, tau float64
-		if len(z) > 0 {
-			org, tau = den[0], z[len(z)-1]*0x1p-20
-		}
-		dst := make([]float64, len(den))
-		ShiftInto(dst, den, org, tau)
-		// Dlaed4's per-iteration update: in place, origin 0.
-		ShiftInto(z, z, 0, tau)
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
+		dst := make([]float64, len(d))
+		ShiftInto(dst, d, org, tau)
+		// In place (dst == d).
+		ShiftInto(z, z, org, tau)
 		return append(dst, z...)
 	})
 }
 
-// TestShiftIntoZeroOriginIsSubtraction pins the identity Dlaed4's update
-// relies on: ShiftInto(x, x, 0, eta) is x[j] - eta bit for bit on both
-// dispatch paths, because x - 0 == x for every x, -0 included.
+// TestShiftedKernelsFormTheShift pins what the in-lane delta is: each
+// shifted kernel computes the same bits as its delta-column form fed
+// ShiftInto's output, on both dispatch paths. This is what lets Dlaed4 hand
+// out (org, tau) instead of a delta column.
+func TestShiftedKernelsFormTheShift(t *testing.T) {
+	defer SetSIMD(Available())
+	rng := rand.New(rand.NewSource(5))
+	for _, on := range []bool{false, true} {
+		SetSIMD(on)
+		for _, n := range testLengths {
+			z, d := inputCases[0].gen(rng, n)
+			x, y := inputCases[0].gen(rng, n)
+			org, tau := 0.25, 1e-7
+			delta := make([]float64, n)
+			ShiftInto(delta, d, org, tau)
+			// With org = tau = 0 the in-lane shift is the identity, so each
+			// kernel applied to delta is its delta-column form.
+			s1, d1, w1 := SecularSums(z, d, org, tau, float64(n), -1)
+			s2, d2, w2 := SecularSums(z, delta, 0, 0, float64(n), -1)
+			if !sameBits(s1, s2) || !sameBits(d1, d2) || !sameBits(w1, w2) {
+				t.Errorf("simd=%v n=%d: SecularSums (%g,%g,%g) from (org, tau), (%g,%g,%g) from delta", on, n, s1, d1, w1, s2, d2, w2)
+			}
+			u1, u2 := make([]float64, n), make([]float64, n)
+			r1, r2 := RatioSumSq(u1, z, d, org, tau), RatioSumSq(u2, z, delta, 0, 0)
+			q1, a1, b1 := RatioDots(z, d, x, y, org, tau)
+			q2, a2, b2 := laneDots(u2, x, y)
+			if !sameBits(r1, r2) || !sameBits(q1, q2) || !sameBits(a1, a2) || !sameBits(b1, b2) {
+				t.Errorf("simd=%v n=%d: RatioSumSq %g/%g, RatioDots (%g,%g,%g)/(%g,%g,%g)", on, n, r1, r2, q1, a1, b1, q2, a2, b2)
+			}
+			for i := range u1 {
+				if !sameBits(u1[i], u2[i]) {
+					t.Fatalf("simd=%v n=%d: RatioSumSq dst[%d] %g from (org, tau), %g from delta", on, n, i, u1[i], u2[i])
+				}
+			}
+			w1v, w2v := make([]float64, n), make([]float64, n)
+			for i := range w1v {
+				w1v[i], w2v[i] = 1, 1
+			}
+			MulRatioDiff(w1v, d, org, tau, 0.5)
+			for i := range w2v {
+				w2v[i] *= delta[i] / (d[i] - 0.5)
+			}
+			for i := range w1v {
+				if !sameBits(w1v[i], w2v[i]) {
+					t.Fatalf("simd=%v n=%d: MulRatioDiff w[%d] %g, want %g", on, n, i, w1v[i], w2v[i])
+				}
+			}
+		}
+	}
+}
+
+// laneDots is RatioDots over an already formed vector u, in the package's
+// lane order: four accumulators over the 4-aligned prefix, combined as
+// (l0+l2)+(l1+l3), then the tail.
+func laneDots(u, x, y []float64) (ss, sx, sy float64) {
+	var q, a, b [4]float64
+	n4 := len(u) &^ 3
+	for i := 0; i < n4; i++ {
+		q[i%4] += u[i] * u[i]
+		a[i%4] += x[i] * u[i]
+		b[i%4] += y[i] * u[i]
+	}
+	ss, sx, sy = (q[0]+q[2])+(q[1]+q[3]), (a[0]+a[2])+(a[1]+a[3]), (b[0]+b[2])+(b[1]+b[3])
+	for i := n4; i < len(u); i++ {
+		ss += u[i] * u[i]
+		sx += x[i] * u[i]
+		sy += y[i] * u[i]
+	}
+	return ss, sx, sy
+}
+
+// TestShiftIntoZeroOriginIsSubtraction pins that ShiftInto with a zero
+// origin is plain subtraction, x[j] - eta bit for bit on both dispatch
+// paths (x - 0 == x for every x, -0 included): the δ-updating Dlaed4
+// iteration kept as a reference in internal/lapack's tests relies on it.
 func TestShiftIntoZeroOriginIsSubtraction(t *testing.T) {
 	defer SetSIMD(Available())
 	rng := rand.New(rand.NewSource(3))
@@ -207,21 +288,38 @@ func TestRotMatchesScalar(t *testing.T) {
 }
 
 func TestMulRatioDiffMatchesScalar(t *testing.T) {
-	compareDispatch(t, func(z, den []float64) []float64 {
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
 		w := make([]float64, len(z))
 		for i := range w {
 			w[i] = 1 - float64(i%7)/3
 		}
-		MulRatioDiff(w, z, den, 0.25)
+		MulRatioDiff(w, d, org, tau, 0.25)
 		return w
 	})
 }
 
 func TestRatioSumSqMatchesScalar(t *testing.T) {
-	compareDispatch(t, func(z, den []float64) []float64 {
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
 		dst := make([]float64, len(z))
-		s := RatioSumSq(dst, z, den)
+		s := RatioSumSq(dst, z, d, org, tau)
 		return append(dst, s)
+	})
+}
+
+func TestRatioDotsMatchesScalar(t *testing.T) {
+	compareShifted(t, func(z, d []float64, org, tau float64) []float64 {
+		// The carrier rows: one dense, one zero-padded on its first half as
+		// UpdateZ's bottom row is.
+		x := make([]float64, len(z))
+		y := make([]float64, len(z))
+		for i := range x {
+			x[i] = 1 - float64(i%5)/2
+			if i >= len(z)/2 {
+				y[i] = z[len(z)-1-i]
+			}
+		}
+		ss, sx, sy := RatioDots(z, d, x, y, org, tau)
+		return []float64{ss, sx, sy}
 	})
 }
 
@@ -273,7 +371,7 @@ func TestSecularSumsAgainstNaive(t *testing.T) {
 		}
 		for _, on := range []bool{false, true} {
 			SetSIMD(on)
-			s, ds, ws := SecularSums(z, den, float64(n), -1)
+			s, ds, ws := SecularSums(z, den, 0, 0, float64(n), -1)
 			rel := func(a, b float64) float64 { return math.Abs(a-b) / math.Max(math.Abs(b), 1e-300) }
 			if rel(s, psi) > 1e-13 || rel(ds, dpsi) > 1e-13 || rel(ws, erretm) > 1e-13 {
 				t.Errorf("n=%d simd=%v: got (%g,%g,%g) want (%g,%g,%g)", n, on, s, ds, ws, psi, dpsi, erretm)
@@ -303,7 +401,7 @@ func TestDescendingWeightMapping(t *testing.T) {
 	}
 	for _, on := range []bool{false, true} {
 		SetSIMD(on)
-		s, _, ws := SecularSums(z, den, 1, 1)
+		s, _, ws := SecularSums(z, den, 0, 0, 1, 1)
 		if math.Abs(s-phi) > 1e-13*math.Abs(phi) || math.Abs(ws-erretm) > 1e-13*math.Abs(erretm) {
 			t.Errorf("simd=%v: got s=%g ws=%g want phi=%g erretm=%g", on, s, ws, phi, erretm)
 		}
