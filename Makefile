@@ -117,7 +117,7 @@ chaos-sdc:
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
-	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestExtraWorkspaceEquivalence|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestSolveDCReusedWorkspace' ./internal/lapack/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestSolveDCReusedWorkspace' ./internal/lapack/ ./internal/core/
 	$(GO) test -race -count=20 ./internal/quark/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
@@ -128,4 +128,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race cross bench-smoke perfbench-check chaos chaos-sdc stress stress-cluster fuzz
+ci: vet build test test-pooldebug race cross bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster fuzz

@@ -395,28 +395,6 @@ func BenchmarkReductionOneStage300(b *testing.B) {
 	}
 }
 
-func BenchmarkReductionTwoStage300(b *testing.B) {
-	n := 300
-	rng := rand.New(rand.NewSource(5))
-	a0 := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			v := rng.NormFloat64()
-			a0[i+j*n] = v
-			a0[j+i*n] = v
-		}
-	}
-	d := make([]float64, n)
-	e := make([]float64, n-1)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		a := append([]float64(nil), a0...)
-		if err := lapack.Dsytrd2Stage(n, a, n, 32, d, e, nil, 0); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func benchSolveDCValuesOnly(b *testing.B, n, workers int) {
 	d0, e0 := benchTridiag(n)
 	b.ResetTimer()

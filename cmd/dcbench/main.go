@@ -14,7 +14,7 @@
 //	dcbench fig10             application matrix set (Figure 10)
 //	dcbench secular           secular-phase kernels, scalar vs SIMD
 //	dcbench bits              hashes of λ and V over 72 solves (bits.go; -out/-against DIR)
-//	dcbench ablate            ablations: panel size, leaf size, extra workspace, Gatherv
+//	dcbench ablate            ablations: panel size, leaf size, Gatherv
 //	dcbench theory            orthogonality growth vs n (§V error model)
 //	dcbench all               every table and figure above in sequence
 //

@@ -67,10 +67,10 @@ func main() {
 	svdIn := flag.String("svd", "", "input dense file for SVD (m n, then m·n column-major values)")
 	typ := flag.Int("type", 0, "generate a Table III matrix of this type instead")
 	n := flag.Int("n", 500, "generated matrix size")
-	method := flag.String("method", "dc", "solver: dc | dc-seq | mrrr | qr (tridiagonal); pipeline | 2stage | jacobi (dense)")
+	method := flag.String("method", "dc", "solver: dc | dc-seq | mrrr | qr (tridiagonal); pipeline | jacobi (dense)")
 	workers := flag.Int("workers", 0, "worker goroutines (0: all cores)")
 	vectors := flag.Bool("vectors", false, "print eigenvectors too")
-	valuesOnly := flag.Bool("values-only", false, "compute eigenvalues only (root-free QR / dqds)")
+	valuesOnly := flag.Bool("values-only", false, "compute eigenvalues only: dc runs the task-flow D&C values lane (Dsterf if it fails), dc-seq, mrrr and qr run Dsterf; -dense pipeline skips the back-transformation, -svd the singular vectors")
 	seed := flag.Int64("seed", 1, "random seed for generated matrices")
 	flag.Parse()
 
@@ -79,7 +79,7 @@ func main() {
 		return
 	}
 	if *dense != "" {
-		runDense(*dense, *method, *workers, *vectors)
+		runDense(*dense, *method, *workers, *vectors, *valuesOnly)
 		return
 	}
 
@@ -99,17 +99,6 @@ func main() {
 		os.Exit(2)
 	}
 
-	if *valuesOnly {
-		t0 := time.Now()
-		w, err := eigen.Values(t)
-		fail(err)
-		fmt.Fprintf(os.Stderr, "eigenvalues in %v\n", time.Since(t0))
-		for _, v := range w {
-			fmt.Printf("%.17g\n", v)
-		}
-		return
-	}
-
 	var m eigen.Method
 	switch *method {
 	case "dc":
@@ -124,17 +113,21 @@ func main() {
 		fail(fmt.Errorf("unknown method %q", *method))
 	}
 
+	// A values-only solve falls back to Dsterf, as eigen.Values does.
+	opts := &eigen.Options{Method: m, Workers: *workers, ValuesOnly: *valuesOnly, Fallback: *valuesOnly}
 	t0 := time.Now()
-	res, err := eigen.Solve(t, &eigen.Options{Method: m, Workers: *workers})
+	res, err := eigen.Solve(t, opts)
 	fail(err)
 	el := time.Since(t0)
-	fmt.Fprintf(os.Stderr, "solved n=%d with %s in %v\n", t.N(), m, el)
-	fmt.Fprintf(os.Stderr, "orthogonality %.2e, residual %.2e\n",
-		eigen.Orthogonality(res), eigen.Residual(t, res))
+	fmt.Fprintf(os.Stderr, "solved n=%d with %s (tier %s) in %v\n", t.N(), m, res.Stats.Tier, el)
+	if !*valuesOnly {
+		fmt.Fprintf(os.Stderr, "orthogonality %.2e, residual %.2e\n",
+			eigen.Orthogonality(res), eigen.Residual(t, res))
+	}
 
 	for j, v := range res.Values {
 		fmt.Printf("%.17g", v)
-		if *vectors {
+		if *vectors && !*valuesOnly {
 			for _, x := range res.Vector(j) {
 				fmt.Printf(" %.17g", x)
 			}
@@ -181,7 +174,7 @@ func readDense(path string, headN int) ([]int, []float64, error) {
 	return head, vals, nil
 }
 
-func runDense(path, method string, workers int, vectors bool) {
+func runDense(path, method string, workers int, vectors, valuesOnly bool) {
 	head, vals, err := readDense(path, 1)
 	fail(err)
 	n := head[0]
@@ -192,10 +185,11 @@ func runDense(path, method string, workers int, vectors bool) {
 	var res *eigen.Result
 	switch method {
 	case "pipeline", "dc", "":
-		res, err = eigen.SymEigen(n, vals, n, &eigen.Options{Workers: workers})
-	case "2stage":
-		res, err = eigen.SymEigen2Stage(n, vals, n, 0, &eigen.Options{Workers: workers})
+		res, err = eigen.SymEigen(n, vals, n, &eigen.Options{Workers: workers, ValuesOnly: valuesOnly})
 	case "jacobi":
+		if valuesOnly {
+			fail(fmt.Errorf("jacobi has no values-only mode"))
+		}
 		w := make([]float64, n)
 		v := make([]float64, n*n)
 		err = lapack.JacobiEigen(n, vals, n, w, v, n)
@@ -206,11 +200,16 @@ func runDense(path, method string, workers int, vectors bool) {
 		fail(fmt.Errorf("unknown dense method %q", method))
 	}
 	fail(err)
-	fmt.Fprintf(os.Stderr, "dense n=%d solved with %s in %v (orthogonality %.2e)\n",
-		n, method, time.Since(t0), eigen.Orthogonality(res))
+	el := time.Since(t0)
+	if valuesOnly {
+		fmt.Fprintf(os.Stderr, "dense n=%d eigenvalues with %s in %v\n", n, method, el)
+	} else {
+		fmt.Fprintf(os.Stderr, "dense n=%d solved with %s in %v (orthogonality %.2e)\n",
+			n, method, el, eigen.Orthogonality(res))
+	}
 	for j, v := range res.Values {
 		fmt.Printf("%.17g", v)
-		if vectors {
+		if vectors && !valuesOnly {
 			for _, x := range res.Vector(j) {
 				fmt.Printf(" %.17g", x)
 			}

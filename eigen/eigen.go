@@ -115,8 +115,6 @@ type Options struct {
 	PanelSize int
 	// MinPartition is the D&C leaf cutoff (<=0: default).
 	MinPartition int
-	// ExtraWorkspace enables the paper's extra-workspace task overlap.
-	ExtraWorkspace bool
 	// ValuesOnly computes eigenvalues without eigenvectors through the
 	// values-only fast lane: the task-flow D&C propagates each merge's
 	// rank-one z-vector from O(n) per-node carrier rows instead of the n×n
@@ -453,12 +451,11 @@ func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, e
 			ldq = 0 // q is nil: the lane carries O(n) rows, not the matrix
 		}
 		cres, err := core.SolveDCContext(ctx, n, d, ework, q, ldq, &core.Options{
-			Workers:        o.Workers,
-			PanelSize:      o.PanelSize,
-			MinPartition:   o.MinPartition,
-			ExtraWorkspace: o.ExtraWorkspace,
-			ValuesOnly:     o.ValuesOnly,
-			Progress:       o.Progress,
+			Workers:      o.Workers,
+			PanelSize:    o.PanelSize,
+			MinPartition: o.MinPartition,
+			ValuesOnly:   o.ValuesOnly,
+			Progress:     o.Progress,
 		})
 		return coreTierStats(cres, err), err
 	case "dstedc":
@@ -526,37 +523,6 @@ func SymEigen(n int, a []float64, lda int, opts *Options) (*Result, error) {
 	}
 	if res.Vectors != nil { // nil for ValuesOnly
 		lapack.Dormtr(false, n, n, a, lda, tau, res.Vectors, n)
-	}
-	return res, nil
-}
-
-// SymEigen2Stage is SymEigen with the two-stage reduction (dense → band of
-// width b → tridiagonal; the successive-band-reduction approach of the
-// paper's companion reduction work): better locality for the reduction at
-// the cost of a costlier back-transformation, which here uses the explicitly
-// accumulated orthogonal factor. b <= 0 selects a default bandwidth.
-func SymEigen2Stage(n int, a []float64, lda, b int, opts *Options) (*Result, error) {
-	if n < 0 || lda < n {
-		return nil, fmt.Errorf("eigen: bad dimensions n=%d lda=%d", n, lda)
-	}
-	if b <= 0 {
-		b = max(8, min(64, n/16))
-	}
-	d := make([]float64, n)
-	e := make([]float64, max(n-1, 1))
-	q := make([]float64, n*n)
-	if err := lapack.Dsytrd2Stage(n, a, lda, b, d, e, q, n); err != nil {
-		return nil, fmt.Errorf("eigen: SymEigen2Stage(n=%d, b=%d): reduction: %w", n, b, err)
-	}
-	res, err := Solve(Tridiagonal{D: d, E: e[:max(n-1, 0)]}, opts)
-	if err != nil {
-		return nil, fmt.Errorf("eigen: SymEigen2Stage(n=%d, b=%d): %w", n, b, err)
-	}
-	if res.Vectors != nil { // nil for ValuesOnly
-		// V = Q · Z
-		v := make([]float64, n*n)
-		blas.Dgemm(false, false, n, n, n, 1, q, n, res.Vectors, n, 0, v, n)
-		res.Vectors = v
 	}
 	return res, nil
 }

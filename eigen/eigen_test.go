@@ -189,57 +189,6 @@ func TestMethodString(t *testing.T) {
 	}
 }
 
-func TestSymEigen2Stage(t *testing.T) {
-	rng := rand.New(rand.NewSource(411))
-	n := 90
-	a := make([]float64, n*n)
-	for j := 0; j < n; j++ {
-		for i := j; i < n; i++ {
-			v := rng.NormFloat64()
-			a[i+j*n] = v
-			a[j+i*n] = v
-		}
-	}
-	aorig := append([]float64(nil), a...)
-	res, err := SymEigen2Stage(n, a, n, 12, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	// A v = λ v
-	worst := 0.0
-	var anorm float64
-	for _, v := range aorig {
-		anorm = math.Max(anorm, math.Abs(v))
-	}
-	for j := 0; j < n; j++ {
-		v := res.Vector(j)
-		for i := 0; i < n; i++ {
-			var s float64
-			for l := 0; l < n; l++ {
-				s += aorig[i+l*n] * v[l]
-			}
-			worst = math.Max(worst, math.Abs(s-res.Values[j]*v[i]))
-		}
-	}
-	if worst/(anorm*float64(n)) > 1e-14 {
-		t.Errorf("two-stage residual %.3e", worst/(anorm*float64(n)))
-	}
-	if o := Orthogonality(res); o > 1e-14 {
-		t.Errorf("two-stage orthogonality %.3e", o)
-	}
-	// must match the one-stage pipeline's eigenvalues
-	a2 := append([]float64(nil), aorig...)
-	one, err := SymEigen(n, a2, n, nil)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for i := 0; i < n; i++ {
-		if math.Abs(res.Values[i]-one.Values[i]) > 1e-11*(anorm+1) {
-			t.Errorf("eig %d: two-stage %v one-stage %v", i, res.Values[i], one.Values[i])
-		}
-	}
-}
-
 func TestSymGeneralized(t *testing.T) {
 	rng := rand.New(rand.NewSource(421))
 	n := 60
@@ -345,7 +294,6 @@ func TestDenseDriversValuesOnly(t *testing.T) {
 		run  func(o *Options) (*Result, error)
 	}{
 		{"SymEigen", func(o *Options) (*Result, error) { return SymEigen(n, clone(a0), n, o) }},
-		{"SymEigen2Stage", func(o *Options) (*Result, error) { return SymEigen2Stage(n, clone(a0), n, 0, o) }},
 		{"SymGeneralized", func(o *Options) (*Result, error) {
 			return SymGeneralized(n, clone(a0), n, clone(b0), n, o)
 		}},

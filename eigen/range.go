@@ -79,10 +79,9 @@ func SVD(m, n int, a []float64, lda int, opts *Options) (*SVDResult, error) {
 	var co *core.Options
 	if opts != nil {
 		co = &core.Options{
-			Workers:        opts.Workers,
-			PanelSize:      opts.PanelSize,
-			MinPartition:   opts.MinPartition,
-			ExtraWorkspace: opts.ExtraWorkspace,
+			Workers:      opts.Workers,
+			PanelSize:    opts.PanelSize,
+			MinPartition: opts.MinPartition,
 		}
 	}
 	r, err := svd.Decompose(m, n, a, lda, co)

@@ -17,25 +17,45 @@ type AblationRow struct {
 	Edges    int
 	Makespan float64 // simulated at P workers
 	Speedup  float64 // vs one worker on the same graph
-	WallTime float64 // measured single-worker seconds
+	WallTime float64 // shortest measured single-worker seconds over the captures
 	CritPath float64
 }
 
-// captureWith captures a task-flow run with explicit solver options.
-func captureWith(m testmat.Matrix, panel, minpart int, extraWS bool) (*quark.Graph, time.Duration, error) {
+// captureWith captures a one-worker task-flow run with the given panel
+// width and leaf cutoff. It solves captureRuns times and keeps each task's
+// shortest duration and the shortest wall time: the DAG is the same on every
+// run, and a task the host preempted in one run would otherwise carry the
+// lost time into the replay, often as its critical path.
+func captureWith(m testmat.Matrix, panel, minpart int) (*quark.Graph, time.Duration, error) {
+	const captureRuns = 3
 	n := m.N()
-	d := append([]float64(nil), m.D...)
-	e := append([]float64(nil), m.E...)
-	q := mappedMatrix(n)
-	t0 := time.Now()
-	res, err := core.SolveDC(n, d, e, q, n, &core.Options{
-		Workers: 1, PanelSize: panel, MinPartition: minpart,
-		CaptureGraph: true, ExtraWorkspace: extraWS,
-	})
-	if err != nil {
-		return nil, 0, err
+	var g *quark.Graph
+	var wall time.Duration
+	for r := 0; r < captureRuns; r++ {
+		d := append([]float64(nil), m.D...)
+		e := append([]float64(nil), m.E...)
+		q := mappedMatrix(n)
+		t0 := time.Now()
+		res, err := core.SolveDC(n, d, e, q, n, &core.Options{
+			Workers: 1, PanelSize: panel, MinPartition: minpart,
+			CaptureGraph: true,
+		})
+		el := time.Since(t0)
+		if err != nil {
+			return nil, 0, err
+		}
+		if g == nil {
+			g, wall = res.Graph, el
+			continue
+		}
+		wall = min(wall, el)
+		for i := range g.Tasks {
+			if dt := res.Graph.Tasks[i].Duration(); dt < g.Tasks[i].Duration() {
+				g.Tasks[i].End = g.Tasks[i].Start + dt
+			}
+		}
 	}
-	return res.Graph, time.Since(t0), nil
+	return g, wall, nil
 }
 
 func ablateRow(param string, value int, g *quark.Graph, wall time.Duration, workers int, bw float64) (AblationRow, error) {
@@ -76,7 +96,7 @@ func AblatePanelSize(cfg *Config) ([]AblationRow, error) {
 	fmt.Fprintf(w, "%8s %8s %8s %12s %8s %12s\n", "nb", "tasks", "edges", "makespan", "speedup", "crit.path")
 	var rows []AblationRow
 	for _, nb := range []int{16, 32, 64, 128, 256, n} {
-		g, wall, err := captureWith(m, nb, n/8, false)
+		g, wall, err := captureWith(m, nb, n/8)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +133,7 @@ func AblateMinPartition(cfg *Config) ([]AblationRow, error) {
 		if mp >= n {
 			continue
 		}
-		g, wall, err := captureWith(m, max(16, n/8), mp, false)
+		g, wall, err := captureWith(m, max(16, n/8), mp)
 		if err != nil {
 			return nil, err
 		}
@@ -124,49 +144,6 @@ func AblateMinPartition(cfg *Config) ([]AblationRow, error) {
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%8d %8d %8d %12.4f %8.2f %12.4f %12.4f\n",
 			mp, row.Tasks, row.Edges, row.Makespan, row.Speedup, row.WallTime, row.CritPath)
-	}
-	return rows, nil
-}
-
-// AblateExtraWorkspace toggles the paper's extra-workspace option, which
-// lets PermuteV overlap LAED4 and CopyBack overlap ComputeVect. The paper:
-// "the effect of this option can be seen on a machine with large number of
-// cores".
-func AblateExtraWorkspace(cfg *Config) ([]AblationRow, error) {
-	n := 1000
-	if s := cfg.sizes(nil); len(s) > 0 {
-		n = s[0]
-	} else if cfg.Quick {
-		n = 500
-	}
-	m := rampMatrix(n)
-	w := cfg.out()
-	fmt.Fprintf(w, "Ablation: extra workspace (n=%d)\n", n)
-	fmt.Fprintf(w, "%8s %12s %12s %12s\n", "extraWS", "P=4", "P=16", "P=64")
-	var rows []AblationRow
-	for _, extra := range []bool{false, true} {
-		g, wall, err := captureWith(m, max(16, n/16), n/8, extra)
-		if err != nil {
-			return nil, err
-		}
-		val := 0
-		if extra {
-			val = 1
-		}
-		var mk [3]float64
-		for i, p := range []int{4, 16, 64} {
-			r, err := simulate(g, p, cfg.bandwidth())
-			if err != nil {
-				return nil, err
-			}
-			mk[i] = r.Makespan
-		}
-		row, err := ablateRow("extraWS", val, g, wall, 16, cfg.bandwidth())
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, row)
-		fmt.Fprintf(w, "%8v %12.4f %12.4f %12.4f\n", extra, mk[0], mk[1], mk[2])
 	}
 	return rows, nil
 }
@@ -182,7 +159,7 @@ func AblateGatherv(cfg *Config) error {
 		n = 500
 	}
 	m := rampMatrix(n)
-	g, _, err := captureWith(m, max(16, n/16), n/8, false)
+	g, _, err := captureWith(m, max(16, n/16), n/8)
 	if err != nil {
 		return err
 	}
@@ -220,10 +197,6 @@ func Ablate(cfg *Config) error {
 	}
 	fmt.Fprintln(cfg.out())
 	if _, err := AblateMinPartition(cfg); err != nil {
-		return err
-	}
-	fmt.Fprintln(cfg.out())
-	if _, err := AblateExtraWorkspace(cfg); err != nil {
 		return err
 	}
 	fmt.Fprintln(cfg.out())

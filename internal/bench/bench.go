@@ -119,7 +119,7 @@ func mappedMatrix(n int) []float64 {
 // captureRun solves the matrix with the task-flow solver on one worker,
 // capturing the task graph with clean per-task timings. Returns the graph,
 // the stats, and the wall time.
-func captureRun(m testmat.Matrix, mode core.Mode, extraWS bool) (*quark.Graph, *core.Stats, time.Duration, error) {
+func captureRun(m testmat.Matrix, mode core.Mode) (*quark.Graph, *core.Stats, time.Duration, error) {
 	n := m.N()
 	d := append([]float64(nil), m.D...)
 	e := append([]float64(nil), m.E...)
@@ -128,7 +128,7 @@ func captureRun(m testmat.Matrix, mode core.Mode, extraWS bool) (*quark.Graph, *
 	t0 := time.Now()
 	res, err := core.SolveDC(n, d, e, q, n, &core.Options{
 		Workers: 1, PanelSize: panel, MinPartition: minpart,
-		CaptureGraph: true, Mode: mode, ExtraWorkspace: extraWS,
+		CaptureGraph: true, Mode: mode,
 	})
 	el := time.Since(t0)
 	if err != nil {

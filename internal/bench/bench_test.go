@@ -203,9 +203,6 @@ func TestAblations(t *testing.T) {
 	if _, err := AblateMinPartition(cfg); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := AblateExtraWorkspace(cfg); err != nil {
-		t.Fatal(err)
-	}
 	if err := AblateGatherv(cfg); err != nil {
 		t.Fatal(err)
 	}

@@ -51,7 +51,7 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, st, _, err := captureRun(m, core.ModeTaskFlow, false)
+		g, st, _, err := captureRun(m, core.ModeTaskFlow)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +113,7 @@ func figRatio(cfg *Config, header string, transform func(*quark.Graph) *quark.Gr
 			if err != nil {
 				return nil, err
 			}
-			g, st, _, err := captureRun(m, core.ModeTaskFlow, false)
+			g, st, _, err := captureRun(m, core.ModeTaskFlow)
 			if err != nil {
 				return nil, err
 			}
@@ -151,11 +151,11 @@ func figRatioModes(cfg *Config, header string) ([]RatioRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			gTF, st, _, err := captureRun(m, core.ModeTaskFlow, false)
+			gTF, st, _, err := captureRun(m, core.ModeTaskFlow)
 			if err != nil {
 				return nil, err
 			}
-			gLS, _, _, err := captureRun(m, core.ModeScaLAPACK, false)
+			gLS, _, _, err := captureRun(m, core.ModeScaLAPACK)
 			if err != nil {
 				return nil, err
 			}

@@ -354,7 +354,10 @@ func Dsyr2kParallel(workers, n, k int, alpha float64, a []float64, lda int, b []
 	wg.Wait()
 }
 
-// syr2kCols updates lower-triangle columns [j0, j1) of the rank-2k update.
+// syr2kCols updates lower-triangle columns [j0, j1) of the rank-2k update:
+// each element is scaled by beta, then accumulated in l order. Dsyr2k runs
+// it over all columns and Dsyr2kParallel over one block per worker, so the
+// two give the same bits.
 func syr2kCols(j0, j1, n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 	for j := j0; j < j1; j++ {
 		cj := c[j*ldc:]
@@ -370,8 +373,6 @@ func syr2kCols(j0, j1, n, k int, alpha float64, a []float64, lda int, b []float6
 		if alpha == 0 || k == 0 {
 			continue
 		}
-		// identical loop structure to Dsyr2k so serial and parallel
-		// variants produce bitwise-equal results
 		l := 0
 		for ; l+2 <= k; l += 2 {
 			ta0 := alpha * a[j+l*lda]
@@ -406,51 +407,5 @@ func syr2kCols(j0, j1, n, k int, alpha float64, a []float64, lda int, b []float6
 // n×k. This is the update kernel of the blocked Householder tridiagonal
 // reduction.
 func Dsyr2k(n, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
-	if n == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		cj := c[j*ldc:]
-		if beta == 0 {
-			for i := j; i < n; i++ {
-				cj[i] = 0
-			}
-		} else if beta != 1 {
-			for i := j; i < n; i++ {
-				cj[i] *= beta
-			}
-		}
-	}
-	if alpha == 0 || k == 0 {
-		return
-	}
-	for j := 0; j < n; j++ {
-		cj := c[j*ldc:]
-		l := 0
-		for ; l+2 <= k; l += 2 {
-			ta0 := alpha * a[j+l*lda]
-			tb0 := alpha * b[j+l*ldb]
-			ta1 := alpha * a[j+(l+1)*lda]
-			tb1 := alpha * b[j+(l+1)*ldb]
-			ca0 := a[l*lda:]
-			cb0 := b[l*ldb:]
-			ca1 := a[(l+1)*lda:]
-			cb1 := b[(l+1)*ldb:]
-			for i := j; i < n; i++ {
-				cj[i] += cb0[i]*ta0 + ca0[i]*tb0 + cb1[i]*ta1 + ca1[i]*tb1
-			}
-		}
-		for ; l < k; l++ {
-			ta := alpha * a[j+l*lda]
-			tb := alpha * b[j+l*ldb]
-			if ta == 0 && tb == 0 {
-				continue
-			}
-			ca := a[l*lda:]
-			cb := b[l*ldb:]
-			for i := j; i < n; i++ {
-				cj[i] += cb[i]*ta + ca[i]*tb
-			}
-		}
-	}
+	syr2kCols(0, n, n, k, alpha, a, lda, b, ldb, beta, c, ldc)
 }

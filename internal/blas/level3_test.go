@@ -1,6 +1,7 @@
 package blas
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -237,7 +238,7 @@ func TestDsyr2kParallelMatchesSerial(t *testing.T) {
 		Dsyr2kParallel(4, n, k, -1, a, n, b, n, 1, c2, n)
 		for j := 0; j < n; j++ {
 			for i := j; i < n; i++ {
-				if !almostEqual(c1[i+j*n], c2[i+j*n], 1e-12) {
+				if math.Float64bits(c1[i+j*n]) != math.Float64bits(c2[i+j*n]) {
 					t.Fatalf("n=%d at (%d,%d): %v vs %v", n, i, j, c1[i+j*n], c2[i+j*n])
 				}
 			}

@@ -86,10 +86,6 @@ type Options struct {
 	// over half the n=2000 wall time, while the extra merge level costs only
 	// a few small GEMMs. LAPACK's DSTEDC uses SMLSIZ=25 for the same reason.
 	MinPartition int
-	// ExtraWorkspace, as in the paper, permits PermuteV to overlap LAED4
-	// and CopyBackDeflated to overlap ComputeVect on the same panel, at
-	// the cost of extra buffering (here: fewer induced dependencies).
-	ExtraWorkspace bool
 	// CaptureGraph records the task DAG with per-task timings.
 	CaptureGraph bool
 	// Mode selects the execution model (default ModeTaskFlow).
@@ -809,17 +805,17 @@ func (l *vectorLane) panels(ms *mergeState) {
 	}
 
 	// LAED4: solve the secular equation per panel of eigenvalues, recording
-	// each root as (org, tau).
+	// each root as (org, tau). Reading perm[p] orders LAED4 p after PermuteV
+	// p. The two share no storage (deflated vectors stay in q, and a root is
+	// two doubles), so the edge is a scheduling order. Dropping it and
+	// ComputeVect's (the paper's extra-workspace overlap) replayed no faster
+	// at n=1000: 0.0170 → 0.0188 s at P=4 and 0.0076 → 0.0082 s at P=16 in
+	// the last recorded ablation, and 0.0093 → 0.0103 s at P=16 (P=4 mixed)
+	// in the medians of six more (EXPERIMENTS.md, ablations).
 	for p := 0; p < npanels; p++ {
-		var extra []quark.Access
-		if !o.ExtraWorkspace {
-			// Without extra workspace the secular panel shares storage
-			// with the permutation buffer: serialize after PermuteV.
-			extra = append(extra, quark.Read(hPerm[p]))
-		}
 		l.submitLAED4(ms, p, func(j0, j1 int) (int, int, error) {
 			return ms.df.SecularPanel(dd, ms.porg, ms.ptau, j0, j1)
-		}, extra...)
+		}, quark.Read(hPerm[p]))
 	}
 
 	// ComputeLocalW: panel-local factors of Gu's stabilization product, from
@@ -881,15 +877,10 @@ func (l *vectorLane) panels(ms *mergeState) {
 	}
 
 	// ComputeVect: form the panel's secular eigenvectors from ẑ and the
-	// (org, tau) roots, writing each column of S once.
+	// (org, tau) roots, writing each column of S once. Reading perm[p] orders
+	// it after CopyBackDeflated p: a scheduling order like LAED4's, not a
+	// storage guard.
 	for p := 0; p < npanels; p++ {
-		acc := []quark.Access{quark.Read(ms.hS)}
-		if !o.ExtraWorkspace {
-			// Without extra workspace the deflated copy-back must vacate
-			// the buffer first: serialize after CopyBackDeflated.
-			acc = append(acc, quark.Read(hPerm[p]))
-		}
-		acc = append(acc, quark.ReadWrite(ms.hSec[p]))
 		label := ms.name("ComputeVect", p)
 		rt.SubmitPrio("ComputeVect", label, prio+prioSecular, func() {
 			k := ms.df.K
@@ -901,7 +892,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 			ms.df.VectorsPanel(ms.ws.S, ms.what, ms.poles, ms.porg, ms.ptau, j0, j1)
 			st.countTask("ComputeVect", label, int64(j1-j0)*int64(k))
 			corruptHook("ComputeVect", ms.ws.S[j0*k:j1*k])
-		}, acc...)
+		}, quark.Read(ms.hS), quark.Read(hPerm[p]), quark.ReadWrite(ms.hSec[p]))
 	}
 
 	// PackV: repack the compressed GEMM operands Q2Top/Q2Bot into blocked

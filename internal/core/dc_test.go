@@ -141,14 +141,6 @@ func TestSolveDCAllModes(t *testing.T) {
 	}
 }
 
-func TestSolveDCExtraWorkspace(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	n := 120
-	d0, e0 := randTridiag(rng, n)
-	checkSolve(t, "extra-ws", n, d0, e0,
-		&Options{Workers: 4, MinPartition: 16, PanelSize: 16, ExtraWorkspace: true})
-}
-
 func TestSolveDCPanelSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	n := 130

@@ -47,7 +47,6 @@ func TestSolveDCReusedWorkspace(t *testing.T) {
 		{"scalapack", Options{Workers: 2, Mode: ModeScaLAPACK}},
 		{"forkjoin", Options{Workers: 2, Mode: ModeForkJoin}},
 		{"sequential", Options{Mode: ModeSequential}},
-		{"extra-workspace", Options{Workers: 2, ExtraWorkspace: true}},
 		{"panel-37", Options{Workers: 2, PanelSize: 37}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
