@@ -32,10 +32,13 @@ cross:
 	cd perfbench && GOARCH=arm64 $(GO) vet .
 
 # A short benchmark pass that exercises the scheduler and the hot kernels
-# without running the full experiment suite.
+# without running the full experiment suite, then times one scratch-pool
+# Get+Put pair on one and two CPUs, with both halves on each goroutine
+# (RunParallel) and with the Put on another goroutine (a merge's pattern).
 bench-smoke:
 	$(GO) test -run '^$$' -bench 'SolveDCTaskFlow2000|Steqr400' -benchtime 1x .
 	$(GO) test -run '^$$' -bench . -benchtime 1x ./internal/quark/
+	$(GO) test -run '^$$' -bench 'GetPut' -cpu 1,2 ./internal/pool/
 
 # The GEMM kernel benchmarks: the square reference shape, the compressed
 # UpdateVect shapes, and the per-merge packed-operand reuse pattern, then
@@ -112,13 +115,15 @@ chaos-sdc:
 # while other panels run (the CopyBackDeflated → UpdateVect edge), the
 # closing sort's segments that write one V concurrently, and the solves
 # into a NaN-poisoned workspace in every mode, under the race detector; the
-# last line repeats the task runtime's own tests (ready heap, wakeups,
-# cancellation) the same way.
+# last two lines repeat the task runtime's own tests (ready heap, wakeups,
+# cancellation) and the scratch pool's (buffers handed between goroutines,
+# the retain limit, double-Put detection) the same way.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
 	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestSolveDCReusedWorkspace' ./internal/lapack/ ./internal/core/
 	$(GO) test -race -count=20 ./internal/quark/
+	$(GO) test -race -count=20 ./internal/pool/
 
 # Cluster-tier acceptance gate: the partition chaos suite under the race
 # detector — 3 httptest workers behind a real coordinator serving 220 mixed

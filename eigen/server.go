@@ -282,7 +282,7 @@ type ServerStats struct {
 	ReservedBytes, PeakReservedBytes int64
 	// PoolInUseBytes is the scratch currently checked out of the pool;
 	// PoolRetainedBytes is the idle scratch kept warm for the next solve
-	// (bounded by the retention cap and dropped after idle trimming).
+	// (bounded by the pool's retain limit and dropped after idle trimming).
 	PoolInUseBytes, PoolRetainedBytes int64
 	// Deprecated: CoalescedJobs is always 0. The server no longer coalesces
 	// small solves into shared batches.
@@ -742,12 +742,10 @@ func (s *Server) expectedLatencyLocked(valuesOnly bool) time.Duration {
 }
 
 // afterJob runs once per finished job, after its worker slot is released:
-// it enforces the pool's retention cap (covering the sequential and
-// fork-join tiers, which have no task-runtime shutdown of their own) and,
-// when the server just went idle, arms the idle trim that drops all pooled
-// scratch after PoolIdleTrimDelay of quiet.
+// when the server just went idle, it arms the idle trim that drops all
+// pooled scratch after PoolIdleTrimDelay of quiet. The pool bounds its own
+// retention at Put, so a busy server needs no trim between jobs.
 func (s *Server) afterJob() {
-	pool.TrimToCap()
 	d := s.cfg.PoolIdleTrimDelay
 	if d < 0 {
 		return

@@ -3,6 +3,7 @@ package eigen
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 	"time"
 
@@ -39,26 +40,36 @@ func TestServerIdleTrimReleasesPool(t *testing.T) {
 
 // TestServerBusyKeepsPoolWarm asserts the opposite direction: back-to-back
 // solves must not lose their warm buffers to the idle trimmer (the timer is
-// disarmed while work is queued or running), so steady traffic sees pool
-// hits, not fresh allocations.
+// disarmed while work is queued or running) or to the pool's own retention
+// rule, so steady traffic is served from the freelists. A solve's panel
+// tasks return buffers on whichever worker finishes last, and an
+// occasional solve still allocates when its schedule holds more buffers of
+// one class at once than any solve before it; the median over repeated
+// identical solves is the steady state.
 func TestServerBusyKeepsPoolWarm(t *testing.T) {
 	s := NewServer(ServerConfig{MaxConcurrent: 1, PoolIdleTrimDelay: time.Hour})
 	defer s.Shutdown(context.Background())
 	rng := rand.New(rand.NewSource(100))
 	tri := randomTridiag(rng, 400)
-	if _, err := s.Solve(context.Background(), tri, &Options{Workers: 2, MinPartition: 32}); err != nil {
-		t.Fatal(err)
+	solve := func() (gets, fresh int64) {
+		before := pool.Counters()
+		if _, err := s.Solve(context.Background(), tri, &Options{Workers: 2, MinPartition: 32}); err != nil {
+			t.Fatal(err)
+		}
+		after := pool.Counters()
+		gets = after.Gets - before.Gets
+		return gets, gets - (after.Hits - before.Hits)
 	}
-	warm := pool.RetainedBytes()
-	if warm == 0 {
-		t.Skip("first solve retained nothing; cannot observe reuse")
+	solve() // warm-up
+	const reps = 20
+	fresh := make([]int64, reps)
+	var gets int64
+	for i := range fresh {
+		gets, fresh[i] = solve()
 	}
-	before := pool.Counters()
-	if _, err := s.Solve(context.Background(), tri, &Options{Workers: 2, MinPartition: 32}); err != nil {
-		t.Fatal(err)
-	}
-	after := pool.Counters()
-	if hits := (after.Hits + after.Steals) - (before.Hits + before.Steals); hits == 0 {
-		t.Errorf("second solve reused no pooled buffers (gets %d)", after.Gets-before.Gets)
+	sorted := slices.Clone(fresh)
+	slices.Sort(sorted)
+	if med := sorted[reps/2]; med > gets/20 {
+		t.Errorf("median solve allocated %d of %d pooled Gets (bound %d); per solve: %v", med, gets, gets/20, fresh)
 	}
 }

@@ -6,7 +6,6 @@ import (
 
 	"tridiag/internal/core"
 	"tridiag/internal/quark"
-	"tridiag/internal/testmat"
 )
 
 // AblationRow is one configuration's outcome.
@@ -19,43 +18,6 @@ type AblationRow struct {
 	Speedup  float64 // vs one worker on the same graph
 	WallTime float64 // shortest measured single-worker seconds over the captures
 	CritPath float64
-}
-
-// captureWith captures a one-worker task-flow run with the given panel
-// width and leaf cutoff. It solves captureRuns times and keeps each task's
-// shortest duration and the shortest wall time: the DAG is the same on every
-// run, and a task the host preempted in one run would otherwise carry the
-// lost time into the replay, often as its critical path.
-func captureWith(m testmat.Matrix, panel, minpart int) (*quark.Graph, time.Duration, error) {
-	const captureRuns = 3
-	n := m.N()
-	var g *quark.Graph
-	var wall time.Duration
-	for r := 0; r < captureRuns; r++ {
-		d := append([]float64(nil), m.D...)
-		e := append([]float64(nil), m.E...)
-		q := mappedMatrix(n)
-		t0 := time.Now()
-		res, err := core.SolveDC(n, d, e, q, n, &core.Options{
-			Workers: 1, PanelSize: panel, MinPartition: minpart,
-			CaptureGraph: true,
-		})
-		el := time.Since(t0)
-		if err != nil {
-			return nil, 0, err
-		}
-		if g == nil {
-			g, wall = res.Graph, el
-			continue
-		}
-		wall = min(wall, el)
-		for i := range g.Tasks {
-			if dt := res.Graph.Tasks[i].Duration(); dt < g.Tasks[i].Duration() {
-				g.Tasks[i].End = g.Tasks[i].Start + dt
-			}
-		}
-	}
-	return g, wall, nil
 }
 
 func ablateRow(param string, value int, g *quark.Graph, wall time.Duration, workers int, bw float64) (AblationRow, error) {
@@ -96,7 +58,7 @@ func AblatePanelSize(cfg *Config) ([]AblationRow, error) {
 	fmt.Fprintf(w, "%8s %8s %8s %12s %8s %12s\n", "nb", "tasks", "edges", "makespan", "speedup", "crit.path")
 	var rows []AblationRow
 	for _, nb := range []int{16, 32, 64, 128, 256, n} {
-		g, wall, err := captureWith(m, nb, n/8)
+		g, _, wall, err := capture(m, core.ModeTaskFlow, nb, n/8)
 		if err != nil {
 			return nil, err
 		}
@@ -133,7 +95,7 @@ func AblateMinPartition(cfg *Config) ([]AblationRow, error) {
 		if mp >= n {
 			continue
 		}
-		g, wall, err := captureWith(m, max(16, n/8), mp)
+		g, _, wall, err := capture(m, core.ModeTaskFlow, max(16, n/8), mp)
 		if err != nil {
 			return nil, err
 		}
@@ -159,7 +121,7 @@ func AblateGatherv(cfg *Config) error {
 		n = 500
 	}
 	m := rampMatrix(n)
-	g, _, err := captureWith(m, max(16, n/16), n/8)
+	g, _, _, err := capture(m, core.ModeTaskFlow, max(16, n/16), n/8)
 	if err != nil {
 		return err
 	}

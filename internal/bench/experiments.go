@@ -30,7 +30,8 @@ func Table1(cfg *Config) ([]Table1Row, map[string]float64, error) {
 	var rows []Table1Row
 	for _, n := range sizes {
 		m := rampMatrix(n)
-		g, _, _, err := captureRun(m, core.ModeTaskFlow)
+		panel, minpart := dcOptions(n)
+		g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -191,7 +192,8 @@ func Fig3(cfg *Config) ([]TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, _, err := captureRun(m, core.ModeTaskFlow)
+	panel, minpart := dcOptions(n)
+	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 	if err != nil {
 		return nil, err
 	}
@@ -254,7 +256,8 @@ func Fig4(cfg *Config) (*TraceResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	g, _, _, err := captureRun(m, core.ModeTaskFlow)
+	panel, minpart := dcOptions(n)
+	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 	if err != nil {
 		return nil, err
 	}

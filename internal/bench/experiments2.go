@@ -51,7 +51,8 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		g, st, _, err := captureRun(m, core.ModeTaskFlow)
+		panel, minpart := dcOptions(n)
+		g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 		if err != nil {
 			return nil, err
 		}
@@ -113,7 +114,8 @@ func figRatio(cfg *Config, header string, transform func(*quark.Graph) *quark.Gr
 			if err != nil {
 				return nil, err
 			}
-			g, st, _, err := captureRun(m, core.ModeTaskFlow)
+			panel, minpart := dcOptions(n)
+			g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 			if err != nil {
 				return nil, err
 			}
@@ -151,11 +153,12 @@ func figRatioModes(cfg *Config, header string) ([]RatioRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			gTF, st, _, err := captureRun(m, core.ModeTaskFlow)
+			panel, minpart := dcOptions(n)
+			gTF, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
 			if err != nil {
 				return nil, err
 			}
-			gLS, _, _, err := captureRun(m, core.ModeScaLAPACK)
+			gLS, _, _, err := capture(m, core.ModeScaLAPACK, panel, minpart)
 			if err != nil {
 				return nil, err
 			}

@@ -150,7 +150,7 @@ func TestSolveDCSteadyState(t *testing.T) {
 				t.Errorf("steady-state slowdown: last-half median %v vs first-quarter %v (%.2fx)", last, first, ratio)
 			}
 
-			// Heap: after the retention caps, repeated solves must not grow
+			// Heap: under the pool's retain limit, repeated solves must not grow
 			// the live set (64 MiB slack for allocator/GC jitter).
 			endHeap := forcedHeapAlloc()
 			if endHeap > baseHeap+64<<20 {

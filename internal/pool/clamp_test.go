@@ -29,21 +29,38 @@ func TestForeignPutClampAndCount(t *testing.T) {
 	}
 }
 
+// TestDoublePutDetected makes the second Put from the same goroutine and
+// from another one: either way it is counted once and the accountant is
+// credited once.
 func TestDoublePutDetected(t *testing.T) {
-	TrimAll()
-	s := Get(256)
-	hold := Get(256) // keep the accountant above one class so no clamp fires
-	defer Put(hold)
-	before := Counters()
-	base := InUseBytes()
-	Put(s)
-	Put(s) // contract violation: same buffer again
-	after := Counters()
-	if after.DoublePuts != before.DoublePuts+1 {
-		t.Fatalf("DoublePuts = %d, want %d", after.DoublePuts, before.DoublePuts+1)
+	for _, tc := range []struct {
+		name   string
+		second func(s []float64)
+	}{
+		{"same goroutine", func(s []float64) { Put(s) }},
+		{"other goroutine", func(s []float64) {
+			done := make(chan struct{})
+			go func() { Put(s); close(done) }()
+			<-done
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			TrimAll()
+			s := Get(256)
+			hold := Get(256) // keep the accountant above one class so no clamp fires
+			defer Put(hold)
+			before := Counters()
+			base := InUseBytes()
+			Put(s)
+			tc.second(s) // contract violation: same buffer again
+			after := Counters()
+			if after.DoublePuts != before.DoublePuts+1 {
+				t.Fatalf("DoublePuts = %d, want %d", after.DoublePuts, before.DoublePuts+1)
+			}
+			if got := base - InUseBytes(); got != 2048 {
+				t.Fatalf("double Put credited the accountant twice: released %d bytes, want 2048", got)
+			}
+			TrimAll()
+		})
 	}
-	if got := base - InUseBytes(); got != 2048 {
-		t.Fatalf("double Put credited the accountant twice: released %d bytes, want 2048", got)
-	}
-	TrimAll()
 }

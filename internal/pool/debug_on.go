@@ -54,5 +54,5 @@ func debugOnPut(s []float64) {
 }
 
 func debugOnDoublePut(s []float64) {
-	panic(fmt.Sprintf("pool: double Put of slice (cap %d) still idle in its shard", cap(s)))
+	panic(fmt.Sprintf("pool: double Put of slice (cap %d) still idle in the pool", cap(s)))
 }

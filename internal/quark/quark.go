@@ -45,7 +45,6 @@ import (
 	"time"
 
 	"tridiag/internal/faultinject"
-	"tridiag/internal/pool"
 )
 
 // AccessMode declares how a task uses a handle.
@@ -663,10 +662,7 @@ func (rt *Runtime) Graph() *Graph {
 	return rt.graph
 }
 
-// Shutdown drains remaining tasks and stops the workers. Once the workers
-// have joined it also enforces the scratch pool's retention cap: runtime
-// shutdown is the solve-completion boundary, so transient mid-solve
-// overshoot in the freelists never outlives the solve that caused it.
+// Shutdown drains remaining tasks and stops the workers.
 func (rt *Runtime) Shutdown() {
 	rt.mu.Lock()
 	already := rt.closed
@@ -677,7 +673,4 @@ func (rt *Runtime) Shutdown() {
 		close(rt.stop)
 	}
 	rt.wg.Wait()
-	if !already {
-		pool.TrimToCap()
-	}
 }
