@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular fuzz perfbench-check chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular bits fuzz perfbench-check chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -58,6 +58,18 @@ bench-secular:
 	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|MulRatioDiff|RatioSumSq|RatioDots|ShiftInto|Rot' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
 
+# The result bits: dcbench bits hashes λ and V of 72 solves (both lib
+# families and a random matrix, three seeds, one and two workers, both
+# lanes, assembly on and off) and the lines must match the committed ones.
+# Every kernel gives the same bits on every ISA and each case fixes its
+# worker count, so the file holds on any host. A change that moves the bits
+# on purpose regenerates it with
+#   go run ./cmd/dcbench bits > cmd/dcbench/testdata/bits.txt
+# and records in CHANGES.md which cases moved and by how much (dcbench bits
+# -against a capture of the parent).
+bits:
+	$(GO) run ./cmd/dcbench bits | diff cmd/dcbench/testdata/bits.txt -
+
 # Time-boxed search of the two bit contracts, every GEMM micro-kernel
 # against its math.FMA reference and every simd kernel with the assembly
 # off and on, and of the closing sort's column permutation against the
@@ -113,15 +125,17 @@ chaos-sdc:
 # shows up here. The placement line repeats the deflated-vector placement
 # tests and the merge tests whose panels read and write the same columns
 # while other panels run (the CopyBackDeflated → UpdateVect edge), the
-# closing sort's segments that write one V concurrently, and the solves
-# into a NaN-poisoned workspace in every mode, under the race detector; the
-# last two lines repeat the task runtime's own tests (ready heap, wakeups,
-# cancellation) and the scratch pool's (buffers handed between goroutines,
-# the retain limit, double-Put detection) the same way.
+# closing sort's segments that write one V concurrently (in both write
+# modes), the solves into a NaN-poisoned workspace in every mode, and the
+# solves whose V is allocated while the leaves run and whose leaf blocks
+# are placed by the merges (also failed and cancelled), under the race
+# detector; the last two lines repeat the task runtime's own tests (ready
+# heap, wakeups, cancellation) and the scratch pool's (buffers handed
+# between goroutines, the retain limit, double-Put detection) the same way.
 stress:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestServerStress|LeaksNoGoroutines' ./eigen/
 	$(GO) test -race -count=20 -timeout 5m -run 'TestServer(QueueFull|ShutdownGraceful|BreakerCancelledProbe)' ./eigen/
-	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestSolveDCReusedWorkspace' ./internal/lapack/ ./internal/core/
+	$(GO) test -race -count=10 -run 'TestDeflationPlacement|TestMergeOrderMatchesDlamrg|TestDlaed1PlacementMatchesCopyEverything|TestPanelBoundaryAroundK|TestSolveDCHighDeflation|TestParallelModesIdenticalEigenpairs|TestFinalSortMatchesGather|TestFinalSortCleanModeWritesSpans|TestSolveDCReusedWorkspace|TestOwnedVectorsMatchCallerQ|TestLeafBlocksReturned' ./internal/lapack/ ./internal/core/
 	$(GO) test -race -count=20 ./internal/quark/
 	$(GO) test -race -count=20 ./internal/pool/
 
@@ -133,4 +147,4 @@ stress:
 stress-cluster:
 	$(GO) test -race -count=1 -timeout 5m -run 'TestCluster' ./eigen/cluster/
 
-ci: vet build test test-pooldebug race cross bench-smoke bench-gemm bench-secular perfbench-check chaos chaos-sdc stress stress-cluster fuzz
+ci: vet build test test-pooldebug race cross bench-smoke bench-gemm bench-secular bits perfbench-check chaos chaos-sdc stress stress-cluster fuzz

@@ -96,19 +96,29 @@ func verify(t Tridiagonal, res *Result, o *Options, degraded bool) error {
 // for vector solves (only a full sweep deterministically catches a single
 // corrupted column). Its cost is a few percent of the solve at most. Returns
 // the worst normalized column residual measured (0 for values-only solves)
-// and the first violation as a *CorruptionError.
+// and the first violation as a *CorruptionError, a spectrum failure ahead of
+// a column's.
 func auditResult(t Tridiagonal, res *Result, o *Options) (worst float64, err error) {
 	n := t.N()
 	if n == 0 {
 		return 0, nil
 	}
-	if verr := validateSpectrum(t, res.Values); verr != nil {
-		return 0, &CorruptionError{Check: "spectrum", Detail: verr.Error()}
+	sc, serr := newSpectrumCheck(t, res.Values)
+	if serr == nil {
+		if res.Vectors != nil {
+			// The Sturm counts run on the column sweep's workers.
+			worst, err = auditVectors(t, res, o, sc)
+		} else {
+			for g := range sc.groups() {
+				sc.count(g)
+			}
+		}
+		serr = sc.verdict()
 	}
-	if res.Vectors == nil {
-		return 0, nil
+	if serr != nil {
+		return 0, &CorruptionError{Check: "spectrum", Detail: serr.Error()}
 	}
-	return auditVectors(t, res, o)
+	return worst, err
 }
 
 // sturmCountBelow4 returns, for each of four shifts x, the number of
@@ -185,31 +195,44 @@ func sturmCountBelow4(d, e []float64, x [4]float64, pivmin float64) [4]int {
 	return [4]int{c0, c1, c2, c3}
 }
 
-// spectrumSamples is how many eigenvalue indices validateSpectrum probes.
+// spectrumSamples is how many eigenvalue indices spectrumCheck probes.
 // Each probe is two O(n) Sturm counts, so the whole check is O(n·samples) —
 // negligible next to any solve — while still bracketing the spectrum's ends
 // and a spread of interior eigenvalues.
 const spectrumSamples = 32
 
-// validateSpectrum checks a computed ascending spectrum w against the matrix
+// spectrumCheck checks a computed ascending spectrum w against the matrix
 // t by Sturm counts at spectrumSamples indices (always including the first
 // and last eigenvalue): for the i-th eigenvalue λᵢ, the inertia count at
 // λᵢ+tol must include at least i+1 eigenvalues and the count at λᵢ−tol at
 // most i. The tolerance is the spectrum analogue of the maxResidual bar:
-// maxResidual · n · ‖T‖.
-func validateSpectrum(t Tridiagonal, w []float64) error {
+// maxResidual · n · ‖T‖. It runs in three steps, so the audit of a vector
+// solve can spread the counts over its column sweep's workers:
+// newSpectrumCheck makes the O(n) checks and places the probes, count runs
+// one group of four Sturm counts, and verdict judges the counts once every
+// group has run. Groups write disjoint counts, so they may run concurrently.
+type spectrumCheck struct {
+	t      Tridiagonal
+	w      []float64
+	pivmin float64
+	idx    []int     // the probed eigenvalue indices
+	shifts []float64 // λᵢ+tol, λᵢ−tol for each probed index
+	counts []int     // the Sturm count at each shift
+}
+
+// newSpectrumCheck checks that w is ascending (and, for the zero matrix,
+// zero) and places the probes. A failure here needs no count.
+func newSpectrumCheck(t Tridiagonal, w []float64) (*spectrumCheck, error) {
 	n := t.N()
-	if n == 0 {
-		return nil
-	}
+	sc := &spectrumCheck{t: t, w: w}
 	if len(w) != n {
-		return fmt.Errorf("spectrum has %d values, want %d", len(w), n)
+		return nil, fmt.Errorf("spectrum has %d values, want %d", len(w), n)
 	}
 	// Every comparison below is written to fail on NaN: a single bit flip
 	// can turn a value in [1, 2) into NaN, and NaN compares false.
 	for i := 1; i < n; i++ {
 		if !(w[i] >= w[i-1]) {
-			return fmt.Errorf("eigenvalues not ascending at index %d", i)
+			return nil, fmt.Errorf("eigenvalues not ascending at index %d", i)
 		}
 	}
 	nrm := lapack.Dlanst('M', n, t.D, t.E)
@@ -217,57 +240,64 @@ func validateSpectrum(t Tridiagonal, w []float64) error {
 		// The zero matrix: every eigenvalue must be exactly zero.
 		for i, v := range w {
 			if v != 0 {
-				return fmt.Errorf("eigenvalue %d of the zero matrix is %g", i, v)
+				return nil, fmt.Errorf("eigenvalue %d of the zero matrix is %g", i, v)
 			}
 		}
-		return nil
+		return sc, nil
 	}
 	tol := maxResidual * float64(n) * nrm
 	var maxE2 float64
 	for _, v := range t.E {
 		maxE2 = math.Max(maxE2, v*v)
 	}
-	pivmin := math.Max(lapack.SafeMin, lapack.SafeMin*maxE2)
+	sc.pivmin = math.Max(lapack.SafeMin, lapack.SafeMin*maxE2)
 
 	samples := min(spectrumSamples, n)
-	// Gather every probe shift up front and run the counts four at a time:
-	// the LDLᵀ recurrences are independent, so interleaving four chains
-	// pipelines the per-pivot division latency that dominates a single
-	// count (~4× over sequential counts on the always-on audit path).
-	idx := make([]int, samples)
-	shifts := make([]float64, 2*samples)
+	sc.idx = make([]int, samples)
+	sc.shifts = make([]float64, 2*samples)
+	sc.counts = make([]int, 2*samples)
 	for s := 0; s < samples; s++ {
 		// Even spread over [0, n-1], endpoints always included.
 		i := 0
 		if samples > 1 {
 			i = s * (n - 1) / (samples - 1)
 		}
-		idx[s] = i
-		shifts[2*s] = w[i] + tol
-		shifts[2*s+1] = w[i] - tol
+		sc.idx[s] = i
+		sc.shifts[2*s] = w[i] + tol
+		sc.shifts[2*s+1] = w[i] - tol
 	}
-	counts := make([]int, len(shifts))
-	for s := 0; s < len(shifts); s += 4 {
-		var x [4]float64
-		for l := 0; l < 4; l++ {
-			if s+l < len(shifts) {
-				x[l] = shifts[s+l]
-			} else {
-				x[l] = shifts[len(shifts)-1]
-			}
-		}
-		c := sturmCountBelow4(t.D, t.E, x, pivmin)
-		for l := 0; l < 4 && s+l < len(shifts); l++ {
-			counts[s+l] = c[l]
-		}
+	return sc, nil
+}
+
+// groups returns the number of count groups.
+func (sc *spectrumCheck) groups() int { return (len(sc.shifts) + 3) / 4 }
+
+// count runs group g: the counts at four consecutive shifts, interleaved in
+// one pass. The LDLᵀ recurrences are independent, so interleaving four
+// chains pipelines the per-pivot division latency that dominates a single
+// count (~4× over sequential counts on the always-on audit path).
+func (sc *spectrumCheck) count(g int) {
+	s := 4 * g
+	var x [4]float64
+	for l := range x {
+		x[l] = sc.shifts[min(s+l, len(sc.shifts)-1)]
 	}
-	for s, i := range idx {
+	c := sturmCountBelow4(sc.t.D, sc.t.E, x, sc.pivmin)
+	for l := 0; l < 4 && s+l < len(sc.shifts); l++ {
+		sc.counts[s+l] = c[l]
+	}
+}
+
+// verdict judges the counts; every group must have run.
+func (sc *spectrumCheck) verdict() error {
+	w := sc.w
+	for s, i := range sc.idx {
 		// At least i+1 eigenvalues at or below λᵢ+tol…
-		if got := counts[2*s]; got < i+1 {
+		if got := sc.counts[2*s]; got < i+1 {
 			return fmt.Errorf("eigenvalue %d = %.6g: only %d eigenvalues below λ+tol, want ≥ %d", i, w[i], got, i+1)
 		}
 		// …and at most i strictly below λᵢ−tol.
-		if got := counts[2*s+1]; got > i {
+		if got := sc.counts[2*s+1]; got > i {
 			return fmt.Errorf("eigenvalue %d = %.6g: %d eigenvalues below λ−tol, want ≤ %d", i, w[i], got, i)
 		}
 	}
@@ -280,8 +310,10 @@ func validateSpectrum(t Tridiagonal, w []float64) error {
 // the orthogonality metric, which catches scaling corruption the residual is
 // blind to on near-diagonal matrices). The sweep is O(n) per column — T is
 // tridiagonal — and parallelized over the solve's worker budget. Each
-// column beats Options.Progress, so a watchdog sees the sweep progress.
-func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err error) {
+// worker first runs its share of sc's Sturm-count groups, so the spectrum
+// check adds no serial step. Each column beats Options.Progress, so a
+// watchdog sees the sweep progress.
+func auditVectors(t Tridiagonal, res *Result, o *Options, sc *spectrumCheck) (worst float64, err error) {
 	n := t.N()
 	nrm := lapack.Dlanst('M', n, t.D, t.E)
 	if nrm == 0 {
@@ -308,15 +340,16 @@ func auditVectors(t Tridiagonal, res *Result, o *Options) (worst float64, err er
 	)
 	var wg sync.WaitGroup
 	chunk := (n + workers - 1) / workers
+	workers = (n + chunk - 1) / chunk // no worker without columns
 	for w := 0; w < workers; w++ {
 		lo := w * chunk
 		hi := min(lo+chunk, n)
-		if lo >= hi {
-			break
-		}
 		wg.Add(1)
 		go func(lo, hi int) {
 			defer wg.Done()
+			for g := w; g < sc.groups(); g += workers {
+				sc.count(g)
+			}
 			localWorst := 0.0
 			var lerr error
 			for j := lo; j < hi; j++ {

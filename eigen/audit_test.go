@@ -1,6 +1,7 @@
 package eigen
 
 import (
+	"errors"
 	"math"
 	"math/rand"
 	"testing"
@@ -61,6 +62,18 @@ func TestAuditResultDetectsCorruption(t *testing.T) {
 		}
 	}); err == nil {
 		t.Error("rescaled eigenvector escaped the unit-norm audit")
+	}
+	// The Sturm counts run on the column sweep's workers, but a spectrum
+	// failure is still reported ahead of a column's. Lowering the smallest
+	// eigenvalue keeps the spectrum ascending, so only the counts see it.
+	var ce *CorruptionError
+	if err := corrupt(func(r *Result) {
+		r.Values[0] -= 1
+		for i := 0; i < r.N; i++ {
+			r.Vectors[i] *= 2
+		}
+	}); !errors.As(err, &ce) || ce.Check != "spectrum" {
+		t.Errorf("a shifted eigenvalue and a corrupted column gave %v, want the spectrum failure", err)
 	}
 
 	// NaN compares false, so a bound written as x > bound lets it through.

@@ -318,12 +318,10 @@ func solve(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior
 	if prior != nil {
 		res.Stats.TierErrors = []error{prior}
 	}
-	if !o.ValuesOnly {
-		// The values-only lane never touches an n×n block; the allocation
-		// alone would defeat its O(n·depth) workspace bound.
-		res.Vectors = make([]float64, n*n)
-	}
 	if n == 0 {
+		if !o.ValuesOnly {
+			res.Vectors = []float64{}
+		}
 		return res, nil
 	}
 
@@ -346,10 +344,11 @@ func solve(ctx context.Context, t Tridiagonal, o *Options, tiers []string, prior
 		}
 		// Fresh inputs per attempt. A failed tier leaves partial data in
 		// res.Vectors; every vector tier ignores it and writes every entry
-		// (TestTiersIgnoreDirtyVectors).
+		// (TestTiersIgnoreDirtyVectors), so a later tier reuses the matrix.
 		copy(res.Values, d)
 		copy(ework, e)
-		ts, err := runTier(ctx, tier, n, o, res.Values, ework, res.Vectors, e)
+		ts, q, err := runTier(ctx, tier, n, o, res.Values, ework, res.Vectors, e)
+		res.Vectors = q
 		res.Stats.Fallbacks += ts.fallbacks
 		res.Stats.CorruptionsDetected += ts.detected
 		res.Stats.CorruptionsHealed += ts.healed
@@ -442,8 +441,15 @@ func coreTierStats(cres *core.Result, err error) tierStats {
 
 // runTier executes one tier: d/ework are working copies (overwritten), q
 // receives the eigenvectors, eorig is the untouched off-diagonal for solvers
-// that read rather than consume their input.
-func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, eorig []float64) (tierStats, error) {
+// that read rather than consume their input. It returns the matrix holding
+// the eigenvectors: q, or, when q is nil on a full solve, the one the tier
+// allocated. The task-flow tier lets core allocate it beside the leaves
+// (core.Result.Q); the others allocate it up front. Values-only solves
+// return nil.
+func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, eorig []float64) (tierStats, []float64, error) {
+	if q == nil && !o.ValuesOnly && tier != "task-flow" {
+		q = make([]float64, n*n)
+	}
 	switch tier {
 	case "task-flow":
 		ldq := n
@@ -457,30 +463,33 @@ func runTier(ctx context.Context, tier string, n int, o *Options, d, ework, q, e
 			ValuesOnly:   o.ValuesOnly,
 			Progress:     o.Progress,
 		})
-		return coreTierStats(cres, err), err
+		if q == nil && cres != nil {
+			q = cres.Q
+		}
+		return coreTierStats(cres, err), q, err
 	case "dstedc":
 		cres, err := core.SolveDCContext(ctx, n, d, ework, q, n, &core.Options{
 			Mode:         core.ModeSequential,
 			MinPartition: o.MinPartition,
 			Progress:     o.Progress,
 		})
-		return coreTierStats(cres, err), err
+		return coreTierStats(cres, err), q, err
 	case "mrrr":
 		w := make([]float64, n)
 		err := mrrr.Solve(n, d, eorig, w, q, n, &mrrr.Options{Workers: o.Workers})
 		copy(d, w)
-		return tierStats{}, err
+		return tierStats{}, q, err
 	case "qr":
 		fellBack, err := lapack.DsteqrRobust(n, d, ework, q, n)
 		var ts tierStats
 		if fellBack {
 			ts.fallbacks = 1
 		}
-		return ts, err
+		return ts, q, err
 	case "dsterf":
-		return tierStats{}, lapack.Dsterf(n, d, ework)
+		return tierStats{}, q, lapack.Dsterf(n, d, ework)
 	}
-	return tierStats{}, fmt.Errorf("unknown tier %q", tier)
+	return tierStats{}, q, fmt.Errorf("unknown tier %q", tier)
 }
 
 // Values computes the eigenvalues only (ascending) through the values-only

@@ -388,7 +388,7 @@ func TestTiersIgnoreDirtyVectors(t *testing.T) {
 				for i := range q {
 					q[i] = fill
 				}
-				if _, err := runTier(context.Background(), tier, n, o, d, ework, q, eorig); err != nil {
+				if _, _, err := runTier(context.Background(), tier, n, o, d, ework, q, eorig); err != nil {
 					t.Fatalf("n=%d tier %s: %v", n, tier, err)
 				}
 				return d, q

@@ -58,7 +58,7 @@ func AblatePanelSize(cfg *Config) ([]AblationRow, error) {
 	fmt.Fprintf(w, "%8s %8s %8s %12s %8s %12s\n", "nb", "tasks", "edges", "makespan", "speedup", "crit.path")
 	var rows []AblationRow
 	for _, nb := range []int{16, 32, 64, 128, 256, n} {
-		g, _, wall, err := capture(m, core.ModeTaskFlow, nb, n/8)
+		g, _, wall, err := capture(m, core.ModeTaskFlow, nb, n/8, measuredRuns)
 		if err != nil {
 			return nil, err
 		}
@@ -95,7 +95,7 @@ func AblateMinPartition(cfg *Config) ([]AblationRow, error) {
 		if mp >= n {
 			continue
 		}
-		g, _, wall, err := capture(m, core.ModeTaskFlow, max(16, n/8), mp)
+		g, _, wall, err := capture(m, core.ModeTaskFlow, max(16, n/8), mp, measuredRuns)
 		if err != nil {
 			return nil, err
 		}
@@ -121,7 +121,7 @@ func AblateGatherv(cfg *Config) error {
 		n = 500
 	}
 	m := rampMatrix(n)
-	g, _, _, err := capture(m, core.ModeTaskFlow, max(16, n/16), n/8)
+	g, _, _, err := capture(m, core.ModeTaskFlow, max(16, n/16), n/8, measuredRuns)
 	if err != nil {
 		return err
 	}

@@ -116,20 +116,24 @@ func mappedMatrix(n int) []float64 {
 	return q
 }
 
+// measuredRuns is how many solves a capture whose replay uses the measured
+// task times takes.
+const measuredRuns = 3
+
 // capture solves the matrix with the task-flow solver in the given mode on
 // one worker, with panel width panel and leaf cutoff minpart, capturing the
-// task graph. It solves captureRuns times and keeps each task's shortest
-// duration and the shortest wall time: the DAG is the same on every run,
-// and a task the host preempted in one run would otherwise carry the lost
-// time into the replay, often as its critical path. The stats are the
-// first run's; operation counts and deflation do not change between runs.
-func capture(m testmat.Matrix, mode core.Mode, panel, minpart int) (*quark.Graph, *core.Stats, time.Duration, error) {
-	const captureRuns = 3
+// task graph. It solves runs times and keeps each task's shortest duration
+// and the shortest wall time: the DAG is the same on every run, and a task
+// the host preempted in one run would otherwise carry the lost time into
+// the replay, often as its critical path. A replay of operation counts
+// (opCosts) needs no timing, so it takes one run. The stats are the first
+// run's; operation counts and deflation do not change between runs.
+func capture(m testmat.Matrix, mode core.Mode, panel, minpart, runs int) (*quark.Graph, *core.Stats, time.Duration, error) {
 	n := m.N()
 	var g *quark.Graph
 	var st *core.Stats
 	var wall time.Duration
-	for r := 0; r < captureRuns; r++ {
+	for r := 0; r < runs; r++ {
 		d := append([]float64(nil), m.D...)
 		e := append([]float64(nil), m.E...)
 		q := mappedMatrix(n)

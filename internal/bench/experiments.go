@@ -31,7 +31,7 @@ func Table1(cfg *Config) ([]Table1Row, map[string]float64, error) {
 	for _, n := range sizes {
 		m := rampMatrix(n)
 		panel, minpart := dcOptions(n)
-		g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+		g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart, measuredRuns)
 		if err != nil {
 			return nil, nil, err
 		}
@@ -193,7 +193,7 @@ func Fig3(cfg *Config) ([]TraceResult, error) {
 		return nil, err
 	}
 	panel, minpart := dcOptions(n)
-	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart, measuredRuns)
 	if err != nil {
 		return nil, err
 	}
@@ -257,7 +257,7 @@ func Fig4(cfg *Config) (*TraceResult, error) {
 		return nil, err
 	}
 	panel, minpart := dcOptions(n)
-	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+	g, _, _, err := capture(m, core.ModeTaskFlow, panel, minpart, measuredRuns)
 	if err != nil {
 		return nil, err
 	}

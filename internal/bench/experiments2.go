@@ -52,7 +52,7 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 			return nil, err
 		}
 		panel, minpart := dcOptions(n)
-		g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+		g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart, 1)
 		if err != nil {
 			return nil, err
 		}
@@ -115,7 +115,7 @@ func figRatio(cfg *Config, header string, transform func(*quark.Graph) *quark.Gr
 				return nil, err
 			}
 			panel, minpart := dcOptions(n)
-			g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+			g, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart, measuredRuns)
 			if err != nil {
 				return nil, err
 			}
@@ -154,11 +154,11 @@ func figRatioModes(cfg *Config, header string) ([]RatioRow, error) {
 				return nil, err
 			}
 			panel, minpart := dcOptions(n)
-			gTF, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart)
+			gTF, st, _, err := capture(m, core.ModeTaskFlow, panel, minpart, measuredRuns)
 			if err != nil {
 				return nil, err
 			}
-			gLS, _, _, err := capture(m, core.ModeScaLAPACK, panel, minpart)
+			gLS, _, _, err := capture(m, core.ModeScaLAPACK, panel, minpart, measuredRuns)
 			if err != nil {
 				return nil, err
 			}

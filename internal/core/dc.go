@@ -128,6 +128,10 @@ func (o *Options) withDefaults() Options {
 type Result struct {
 	Graph *quark.Graph
 	Stats *Stats
+	// Q holds the eigenvectors (n×n, leading dimension n) when the caller
+	// passed a nil q to a full solve and the solve allocated them; nil
+	// otherwise. A failed solve may return a Q with partial contents.
+	Q []float64
 }
 
 // SolveDC computes all eigenpairs of the symmetric tridiagonal matrix
@@ -136,7 +140,11 @@ type Result struct {
 // destroyed. The entry contents of q are ignored — callers may hand the
 // solver a dirty, reused workspace: the solve tracks each column's valid
 // row span (lapack.Span), no kernel reads a row outside it, and the closing
-// sort writes every entry of q.
+// sort writes every entry of q. With q == nil a full solve allocates the
+// eigenvectors itself (ldq is then ignored) and returns them in Result.Q;
+// the task flow allocates them while the leaves run, and its closing sort
+// writes only span rows, since the rest of a fresh allocation is already +0
+// (DESIGN.md §12).
 func SolveDC(n int, d, e []float64, q []float64, ldq int, opts *Options) (*Result, error) {
 	return SolveDCContext(context.Background(), n, d, e, q, ldq, opts)
 }
@@ -160,7 +168,7 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	if n == 0 {
 		return res, nil
 	}
-	if !o.ValuesOnly && ldq < n {
+	if !o.ValuesOnly && q != nil && ldq < n {
 		return nil, fmt.Errorf("core: ldq=%d < n=%d", ldq, n)
 	}
 	if o.ValuesOnly {
@@ -176,11 +184,22 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		}
 	}
 
+	// The baselines and the single leaf write q from their first step on,
+	// so they allocate it up front; the task flow allocates it beside the
+	// leaves (flow.submit).
+	allocate := func() {
+		if q == nil && !o.ValuesOnly {
+			q, ldq = make([]float64, n*n), n
+			res.Q = q
+		}
+	}
 	switch o.Mode {
 	case ModeSequential:
+		allocate()
 		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Progress: o.Progress})
 		return res, err
 	case ModeForkJoin:
+		allocate()
 		workers := o.Workers
 		gemm := func(ta, tb bool, m, nn, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 			blas.DgemmParallel(workers, ta, tb, m, nn, k, alpha, a, lda, b, ldb, beta, c, ldc)
@@ -191,6 +210,7 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 
 	if n <= o.MinPartition {
 		// Single leaf: no tree, solve directly (with the QR retry net).
+		allocate()
 		fellBack, err := lapack.DsteqrRobust(n, d, e, q, ldq)
 		if fellBack {
 			res.Stats.count("STEDCFallback", 1)
@@ -209,15 +229,20 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	}
 	rt := quark.New(o.Workers, rtOpts...)
 
-	f := &flow{rt: rt, n: n, d: d, e: e, o: &o, st: res.Stats}
+	f := &flow{ctx: ctx, rt: rt, n: n, d: d, e: e, o: &o, st: res.Stats}
+	var vl *vectorLane
 	if o.ValuesOnly {
 		// The 2×n eigenvector-row carrier, the lane's only O(n) shared
 		// buffer; released once the runtime has stopped.
 		f.lane = &valuesLane{flow: f, fl: pool.Get(2 * n)}
 	} else {
-		f.lane = &vectorLane{flow: f, q: q, ldq: ldq, sp: make([]lapack.Span, n)}
+		vl = &vectorLane{flow: f, q: q, ldq: ldq, sp: make([]lapack.Span, n)}
+		f.lane = vl
 	}
 	err := f.submit()
+	if vl != nil && vl.owned {
+		res.Q = vl.q
+	}
 	werr := rt.Wait()
 	res.Stats.setABFTRetries(rt.Retries())
 	if o.CaptureGraph {
@@ -287,6 +312,9 @@ func kahanSum(v []float64) (sum, absSum, maxAbs float64) {
 type node struct {
 	start, size int
 	hV, hD      *quark.Handle
+	// blk is a vector-lane leaf's eigenvector block (size×size, pooled)
+	// until the parent merge places it into V; nil otherwise.
+	blk []float64
 }
 
 // lane is the set of kernels that differ between the full eigenvector solve
@@ -296,10 +324,15 @@ type node struct {
 // merge's deflation and Dlamrg joins, and the kernels inside the shared
 // tasks.
 type lane interface {
+	// output makes sure the lane's result storage exists; the vector lane
+	// allocates V here when the caller passed none. It runs on the
+	// submitting goroutine once the leaves are submitted, and returns
+	// ctx.Err() instead if the solve is already cancelled.
+	output() error
 	// zero handles the zero matrix, which needs no tree.
 	zero()
-	// leaf solves the leaf block [st0, st0+sz) in place.
-	leaf(st0, sz int) (fellBack bool, err error)
+	// leaf solves leaf nd's block of (d, e) in place.
+	leaf(nd *node) (fellBack bool, err error)
 	// deflate forms merge ms's z-vector, runs the deflation scan and
 	// allocates the lane's merge workspace.
 	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
@@ -317,6 +350,7 @@ type lane interface {
 // flow is one task-flow solve being submitted: the tree shared by both lanes
 // plus the lane that fills in its kernels.
 type flow struct {
+	ctx   context.Context
 	rt    *quark.Runtime
 	n     int
 	d, e  []float64
@@ -324,15 +358,19 @@ type flow struct {
 	lane  lane
 	o     *Options
 	st    *Stats
-	// merges collects every merge's runtime state so the caller can sweep
-	// abandoned workspaces after the runtime stops.
+	// leaves and merges collect the tree's nodes and merge states so the
+	// caller can sweep abandoned scratch after the runtime stops.
+	leaves []*node
 	merges []*mergeState
 }
 
 // submit submits the whole task graph in sequential program order: Scale,
-// one STEDC task per leaf, the merge levels bottom-up and the root sort. The
-// level-synchronized modes (ModeLevelSync, ModeScaLAPACK) barrier on rt.Wait
-// between tree levels.
+// one STEDC task per leaf, the merge levels bottom-up and the root sort.
+// Between the leaves and the merges it lets the lane allocate its output,
+// so that the allocation's zeroing runs on this goroutine while the workers
+// solve the leaves (the paper's LASET tasks overlap them the same way). The
+// level-synchronized modes (ModeLevelSync, ModeScaLAPACK) barrier on
+// rt.Wait between tree levels.
 func (f *flow) submit() error {
 	rt, n, d, e, st := f.rt, f.n, f.d, f.e, f.st
 	sizes := lapack.PartitionSizes(n, f.o.MinPartition)
@@ -345,6 +383,9 @@ func (f *flow) submit() error {
 	// front on the master (O(n)), the scaling itself is the Scale task.
 	orgnrm := lapack.Dlanst('M', n, d, e)
 	if orgnrm == 0 {
+		if err := f.lane.output(); err != nil {
+			return err
+		}
 		f.lane.zero()
 		return nil
 	}
@@ -377,7 +418,7 @@ func (f *flow) submit() error {
 		level[i] = nd
 		label := fmt.Sprintf("leaf[%d:%d]", st0, st0+sz)
 		rt.Submit("STEDC", label, func() {
-			fellBack, err := f.lane.leaf(st0, sz)
+			fellBack, err := f.lane.leaf(nd)
 			if err != nil {
 				panic(err)
 			}
@@ -390,6 +431,10 @@ func (f *flow) submit() error {
 			st.countTask("STEDC", label, int64(sz)*int64(sz)*int64(sz))
 			corruptHook("STEDC", d[st0:st0+sz])
 		}, quark.Read(hScale), quark.Write(nd.hV), quark.Write(nd.hD))
+	}
+	f.leaves = level
+	if err := f.lane.output(); err != nil {
+		return err
 	}
 
 	// Merge levels, bottom-up.
@@ -469,6 +514,7 @@ type mergeState struct {
 	// child n1 wide. nb and npanels are the submit-time panel width and
 	// count; root marks the merge of width n.
 	start, nm, n1, nb, npanels int
+	left, right                *node
 	root                       bool
 	prio                       int
 	span                       string // "[start:start+nm]", the merge's label suffix
@@ -581,7 +627,7 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 	}
 	npanels := (nm + nb - 1) / nb
 	ms := &mergeState{parent: parent, start: start, nm: nm, n1: left.size, nb: nb, npanels: npanels,
-		root: nm == f.n, prio: lvl * prioStride, span: fmt.Sprintf("[%d:%d]", start, start+nm),
+		left: left, right: right, root: nm == f.n, prio: lvl * prioStride, span: fmt.Sprintf("[%d:%d]", start, start+nm),
 		dd: f.d[start : start+nm], ixq: f.indxq[start : start+nm],
 		hS: rt.Handle(fmt.Sprintf("ws[%d:%d]", start, start+nm)), hSec: make([]*quark.Handle, npanels),
 		wlocs: make([][]float64, npanels), nbSec: nb}
@@ -591,8 +637,10 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 	f.merges = append(f.merges, ms)
 	rhoAddr := start + left.size - 1 // e index of the coupling element
 
-	// Compute deflation: the first join. The lane forms z and scans for
-	// deflation; the join around it records the merge.
+	// Compute deflation: the first join. The lane places leaf children into
+	// V, forms z and scans for deflation; the join around it records the
+	// merge. The placement writes the children's blocks, hence the
+	// ReadWrite on their handles.
 	deflLabel := "deflate" + ms.span
 	rt.SubmitPrio("ComputeDeflation", deflLabel, ms.prio+prioJoin, func() {
 		// Trace invariant: capture Σd over the block at merge entry; the
@@ -618,7 +666,7 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 		// every later task reads.
 		corruptHook("ComputeDeflation", df.Dlamda)
 	}, quark.ReadWrite(parent.hV), quark.ReadWrite(parent.hD),
-		quark.Read(left.hV), quark.Read(right.hV),
+		quark.ReadWrite(left.hV), quark.ReadWrite(right.hV),
 		quark.Read(left.hD), quark.Read(right.hD),
 		quark.Write(ms.hS))
 
@@ -703,14 +751,32 @@ func (f *flow) submitReduceW(ms *mergeState) {
 // its diagonal block of q, and every merge rebuilds its block with the
 // PermuteV, ComputeLocalW, CopyBackDeflated, ComputeVect, PackV and
 // UpdateVect panels around the shared joins. Column j of q is valid on rows
-// sp[j] only (DESIGN.md §12): the leaves set the spans, the merge kernels
-// keep them, and the root sort writes every entry of q.
+// sp[j] only (DESIGN.md §12): the leaves' placement sets the spans, the
+// merge kernels keep them, and the root sort writes every entry of q that
+// is not already +0.
 type vectorLane struct {
 	*flow
-	q   []float64
+	q   []float64 // nil until output allocates it, when the caller passed none
 	ldq int
-	sp  []lapack.Span
-	fs  *lapack.FinalSort // the root sort's plan, set by its plan task
+	// owned marks a q this solve allocated. It stays +0 outside every
+	// column's span, so the root sort writes span rows only.
+	owned bool
+	sp    []lapack.Span
+	fs    *lapack.FinalSort // the root sort's plan, set by its plan task
+}
+
+// output allocates q when the caller passed none. The merges are submitted
+// after it returns, and the leaves do not touch q, so no task can see q
+// before it exists.
+func (l *vectorLane) output() error {
+	if l.q != nil {
+		return nil
+	}
+	if err := l.ctx.Err(); err != nil {
+		return err // no merge would run: skip the n² allocation
+	}
+	l.q, l.ldq, l.owned = make([]float64, l.n*l.n), l.n, true
+	return nil
 }
 
 // window returns merge ms's block of q.
@@ -731,16 +797,38 @@ func (l *vectorLane) zero() {
 	})
 }
 
-// leaf solves the block and marks its columns valid on the block's rows:
-// the rest of each column is a structural zero, never written here.
-func (l *vectorLane) leaf(st0, sz int) (bool, error) {
-	for j := st0; j < st0+sz; j++ {
-		l.sp[j] = lapack.Span{Lo: st0, Hi: st0 + sz}
+// leaf solves the block into a pooled sz×sz buffer, not into q, which the
+// submitting goroutine may still be allocating; the parent merge places it
+// (place). The arithmetic is the same as in q, at leading dimension sz.
+// The buffer is published before the solve, so a failed leaf's buffer is
+// returned by release.
+func (l *vectorLane) leaf(nd *node) (bool, error) {
+	st0, sz := nd.start, nd.size
+	nd.blk = pool.Get(sz * sz)
+	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], nd.blk, sz)
+}
+
+// place copies leaf nd's block into its diagonal block of q and marks its
+// columns valid on the block's rows: the rest of each column is a
+// structural zero, never written here. It does nothing for a node that is
+// not a leaf.
+func (l *vectorLane) place(nd *node) {
+	if nd.blk == nil {
+		return
 	}
-	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.q[st0+st0*l.ldq:], l.ldq)
+	st0, sz := nd.start, nd.size
+	for j := range sz {
+		c := st0 + j
+		copy(l.q[st0+c*l.ldq:st0+c*l.ldq+sz], nd.blk[j*sz:j*sz+sz])
+		l.sp[c] = lapack.Span{Lo: st0, Hi: st0 + sz}
+	}
+	pool.Put(nd.blk)
+	nd.blk = nil
 }
 
 func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
+	l.place(ms.left)
+	l.place(ms.right)
 	w := l.window(ms)
 	w.FormZ(ms.n1, z)
 	df, err := lapack.Dlaed2Deflate(w, ms.n1, ms.dd, ms.ixq, rho, z)
@@ -982,14 +1070,16 @@ func (l *vectorLane) panels(ms *mergeState) {
 // class SortEigenvectors. The plan orders d (lapack.SortOrder), scales it
 // back and splits the column permutation's cycles into the panels'
 // segments (lapack.NewFinalSort); each panel then writes its destination
-// columns, so every entry of q is written by the end, by every worker.
+// columns. On a caller's q every entry is written by the end; on an owned
+// q, which is +0 outside the spans, only the source span rows and the
+// destination's old span rows are.
 func (l *vectorLane) sort(root *node, orgnrm float64) {
 	const class = "SortEigenvectors"
 	rt, n, st := l.rt, l.n, l.st
 	segs := 2 * rt.Workers()
 	rt.Submit(class, "sort", func() {
 		lapack.SortOrder(n, l.d, l.indxq, orgnrm)
-		l.fs = lapack.NewFinalSort(n, l.indxq, l.q, l.ldq, l.sp, segs)
+		l.fs = lapack.NewFinalSort(n, l.indxq, l.q, l.ldq, l.sp, segs, l.owned)
 		st.countTask(class, "sort", int64(n))
 		corruptHook(class, l.d[:n])
 	}, quark.ReadWrite(root.hV), quark.ReadWrite(root.hD))
@@ -1003,9 +1093,14 @@ func (l *vectorLane) sort(root *node, orgnrm float64) {
 	}
 }
 
-// release returns the root sort's saved vectors to the pool; the plan may
-// have run while a failed or cancelled solve skipped its panels.
+// release returns the leaf blocks no merge placed and the root sort's saved
+// vectors to the pool: a failed or cancelled solve may have skipped the
+// placing merge, or run the sort's plan but not its panels.
 func (l *vectorLane) release() {
+	for _, nd := range l.leaves {
+		pool.Put(nd.blk)
+		nd.blk = nil
+	}
 	if l.fs != nil {
 		l.fs.Release()
 	}

@@ -31,11 +31,14 @@ type valuesLane struct {
 }
 
 // zero: d is already identically zero, nothing to do.
+func (l *valuesLane) output() error { return nil }
+
 func (l *valuesLane) zero() {}
 
 // leaf computes the leaf eigenvalues plus the 2-row carrier; the d/e
 // trajectory is bit-identical to the full lane's DsteqrRobust leaves.
-func (l *valuesLane) leaf(st0, sz int) (bool, error) {
+func (l *valuesLane) leaf(nd *node) (bool, error) {
+	st0, sz := nd.start, nd.size
 	return lapack.DsteqrCarrier(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.fl[2*st0:])
 }
 

@@ -32,10 +32,14 @@ func SortOrder(n int, d []float64, indxq []int, scale float64) {
 }
 
 // FinalSort is the second half of the closing sort: it moves the columns
-// of q in place into the order SortOrder chose, writing each moved column
-// in full (the source's span rows, +0 elsewhere) and +0 outside the span of
-// a column that stays, so the structural zeros the spans stand for become
-// real ones and a reused q keeps nothing of its old contents.
+// of q in place into the order SortOrder chose, so that the structural
+// zeros the spans stand for become real ones. Each destination column gets
+// its source's span rows, and +0 over the rows it may still hold outside
+// them. On a caller's q those are all of its rows, since a reused q may
+// hold anything: each moved column is written in full and a column that
+// stays gets +0 outside its span. On a clean q, one that is +0 outside
+// every column's span (a q the solve allocated, DESIGN.md §12), they are
+// the old vector's span rows only, and a column that stays is not touched.
 //
 // The permutation is applied by following its cycles (O(n) scratch, no n×n
 // shadow copy), split into segments that may run concurrently: the plan
@@ -56,16 +60,18 @@ type FinalSort struct {
 	seg    []int       // segment s writes the destination columns ord[seg[s]:seg[s+1]]
 	heads  []int       // the columns whose vectors the plan saved
 	saved  [][]float64 // saved[h] holds heads[h]'s span rows, at their row positions
+	clean  bool        // q is +0 outside every column's span
 }
 
 // NewFinalSort plans the column permutation perm (destination column i
 // receives the vector in column perm[i]) of the n×n matrix q, whose column
-// j is valid on rows sp[j], as segs segments. It reads q (the vectors it
-// saves) and keeps q, sp and perm, which must stay unchanged until every
-// segment has run.
-func NewFinalSort(n int, perm []int, q []float64, ldq int, sp []Span, segs int) *FinalSort {
+// j is valid on rows sp[j], as segs segments. clean says that q is +0
+// outside every column's span, so only span rows need writing. It reads q
+// (the vectors it saves) and keeps q, sp and perm, which must stay
+// unchanged until every segment has run.
+func NewFinalSort(n int, perm []int, q []float64, ldq int, sp []Span, segs int, clean bool) *FinalSort {
 	fs := &FinalSort{n: n, ldq: ldq, q: q, sp: sp, perm: perm[:n],
-		ord: make([]int, n), seg: make([]int, segs+1)}
+		ord: make([]int, n), seg: make([]int, segs+1), clean: clean}
 	for s := range fs.seg {
 		fs.seg[s] = s * n / segs
 	}
@@ -115,47 +121,60 @@ func (fs *FinalSort) savedVec(c int) []float64 {
 	return nil
 }
 
-// Segment writes the destination columns of segment s and returns the
-// number of entries written. Segments write disjoint columns, and each
-// reads from q only columns that it overwrites itself later, so they may
-// run concurrently.
+// Segment writes the destination columns of segment s and returns its
+// work in entries: n per column on a caller's q, every entry of which it
+// sets, and the entries it writes on a clean q. Segments write disjoint
+// columns, and each reads from q only columns that it overwrites itself
+// later, so they may run concurrently.
 func (fs *FinalSort) Segment(s int) int64 {
 	n, q, ldq, sp, perm, ord := fs.n, fs.q, fs.ldq, fs.sp, fs.perm, fs.ord
 	a, b := fs.seg[s], fs.seg[s+1]
 	var head []float64 // the vector heading a cycle that closes in this segment
 	defer func() { pool.Put(head) }()
 	open := -1 // the column whose vector head holds
+	var words int64
 	for t := a; t < b; t++ {
 		dst := ord[t]
 		src := perm[dst]
 		col := q[dst*ldq : dst*ldq+n]
-		lo, hi := sp[src].Lo, sp[src].Hi
-		if src == dst {
-			clearOutside(col, lo, hi)
-			continue
-		}
-		if (t == a || perm[ord[t-1]] != dst) && fs.savedVec(dst) == nil {
-			// dst heads a cycle that closes inside this segment: keep its
-			// vector for the closing write.
-			if head == nil {
-				head = pool.Get(n)
+		var from []float64 // nil when the vector is already in place
+		if src != dst {
+			if (t == a || perm[ord[t-1]] != dst) && fs.savedVec(dst) == nil {
+				// dst heads a cycle that closes inside this segment: keep its
+				// vector for the closing write.
+				if head == nil {
+					head = pool.Get(n)
+				}
+				hl, hh := sp[dst].Lo, sp[dst].Hi
+				copy(head[hl:hh], col[hl:hh])
+				open = dst
 			}
-			hl, hh := sp[dst].Lo, sp[dst].Hi
-			copy(head[hl:hh], col[hl:hh])
-			open = dst
+			switch {
+			case t+1 < b && ord[t+1] == src:
+				from = q[src*ldq : src*ldq+n] // overwritten by this segment's next step
+			case src == open:
+				from = head
+			default:
+				from = fs.savedVec(src)
+			}
 		}
-		var from []float64
-		switch {
-		case t+1 < b && ord[t+1] == src:
-			from = q[src*ldq : src*ldq+n] // overwritten by this segment's next step
-		case src == open:
-			from = head
-		default:
-			from = fs.savedVec(src)
+		// The rows col may hold outside the new span: the old vector's span
+		// on a clean q, every row on a caller's.
+		old := Span{0, n}
+		if fs.clean {
+			old = sp[dst]
 		}
-		spanCopy(col, from, lo, hi)
+		lo, hi := sp[src].Lo, sp[src].Hi
+		words += int64(clearExcept(col, old, lo, hi))
+		if from != nil {
+			copy(col[lo:hi], from[lo:hi])
+			words += int64(hi - lo)
+		}
 	}
-	return int64(n) * int64(b-a)
+	if !fs.clean {
+		return int64(n) * int64(b-a)
+	}
+	return words
 }
 
 // Release returns the plan's saved vectors to the pool. It is idempotent.

@@ -4,6 +4,7 @@ import (
 	"math"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"tridiag/internal/pool"
@@ -14,9 +15,16 @@ import (
 // compares q against the explicit gather: column i must hold column
 // perm[i]'s span rows bit for bit and +0 on every other row of [0, n), rows
 // [n, ldq) must be untouched, and the plan's saved vectors and the
-// segments' buffers must all be back in the pool.
-func checkFinalSort(t *testing.T, label string, n, ldq int, q []float64, perm []int, sp []Span, segs int) {
+// segments' buffers must all be back in the pool. With clean set, q's rows
+// [0, n) outside the spans are first set to +0 and the sort is told so. It
+// returns the entries the segments report.
+func checkFinalSort(t *testing.T, label string, n, ldq int, q []float64, perm []int, sp []Span, segs int, clean bool) int64 {
 	t.Helper()
+	if clean {
+		for j, s := range sp {
+			clearOutside(q[j*ldq:j*ldq+n], s.Lo, s.Hi)
+		}
+	}
 	want := make([]float64, len(q))
 	copy(want, q)
 	for i, src := range perm {
@@ -25,13 +33,14 @@ func checkFinalSort(t *testing.T, label string, n, ldq int, q []float64, perm []
 		}
 	}
 	before := pool.InUseBytes()
-	fs := NewFinalSort(n, perm, q, ldq, sp, segs)
+	fs := NewFinalSort(n, perm, q, ldq, sp, segs, clean)
 	var wg sync.WaitGroup
+	var words atomic.Int64
 	for s := range segs {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
-			fs.Segment(s)
+			words.Add(fs.Segment(s))
 		}()
 	}
 	wg.Wait()
@@ -41,9 +50,10 @@ func checkFinalSort(t *testing.T, label string, n, ldq int, q []float64, perm []
 	}
 	for i := range want {
 		if math.Float64bits(q[i]) != math.Float64bits(want[i]) {
-			t.Fatalf("%s: q[%d] (row %d, column %d) = %v, want %v", label, i, i%ldq, i/ldq, q[i], want[i])
+			t.Fatalf("%s (clean=%v): q[%d] (row %d, column %d) = %v, want %v", label, clean, i, i%ldq, i/ldq, q[i], want[i])
 		}
 	}
+	return words.Load()
 }
 
 // spannedMatrix fills an n×n matrix (leading dimension ldq) with NaN and
@@ -94,13 +104,7 @@ func TestFinalSortMatchesGather(t *testing.T) {
 			}
 			return p
 		},
-		"identity": func(n int) []int {
-			p := make([]int, n)
-			for i := range p {
-				p[i] = i
-			}
-			return p
-		},
+		"identity": identityPerm,
 		"fixed-points": func(n int) []int {
 			// A random permutation of a random half of the columns; the
 			// rest stay put.
@@ -125,11 +129,62 @@ func TestFinalSortMatchesGather(t *testing.T) {
 				for trial := 0; trial < 3; trial++ {
 					ldq := n + trial // exercise ldq > n
 					q, sp := spannedMatrix(rng, n, ldq)
-					checkFinalSort(t, name, n, ldq, q, shape(n), sp, segs)
+					perm := shape(n)
+					qc := append([]float64(nil), q...)
+					checkFinalSort(t, name, n, ldq, q, perm, sp, segs, false)
+					checkFinalSort(t, name, n, ldq, qc, perm, sp, segs, true)
 				}
 			}
 		}
 	}
+}
+
+// TestFinalSortCleanModeWritesSpans checks the two write rules against each
+// other on a q that is +0 outside its spans: the clean mode must leave the
+// same bytes as the full clear, while writing only the source's span rows
+// and the destination's old span rows of each moved column. A column that
+// stays costs nothing, so the identity writes no entry at all.
+func TestFinalSortCleanModeWritesSpans(t *testing.T) {
+	rng := rand.New(rand.NewSource(91))
+	for _, n := range []int{1, 5, 64, 200} {
+		for _, segs := range []int{1, 3} {
+			q, sp := spannedMatrix(rng, n, n)
+			for j, s := range sp {
+				clearOutside(q[j*n:j*n+n], s.Lo, s.Hi)
+			}
+			for name, perm := range map[string][]int{"random": rng.Perm(n), "identity": identityPerm(n)} {
+				var bound int64
+				for dst, src := range perm {
+					if src != dst {
+						a, b := min(sp[src].Lo, sp[dst].Lo), max(sp[src].Hi, sp[dst].Hi)
+						bound += int64(b - a)
+					}
+				}
+				full := append([]float64(nil), q...)
+				clean := append([]float64(nil), q...)
+				if got := checkFinalSort(t, name, n, n, full, perm, sp, segs, false); got != int64(n)*int64(n) {
+					t.Errorf("%s n=%d: full-clear mode reports %d entries, want n² = %d", name, n, got, n*n)
+				}
+				got := checkFinalSort(t, name, n, n, clean, perm, sp, segs, true)
+				for i := range full {
+					if math.Float64bits(full[i]) != math.Float64bits(clean[i]) {
+						t.Fatalf("%s n=%d S=%d: entry %d differs between the modes: %v vs %v", name, n, segs, i, full[i], clean[i])
+					}
+				}
+				if got > bound {
+					t.Errorf("%s n=%d: clean mode wrote %d entries, more than the %d rows its moved columns' spans cover", name, n, got, bound)
+				}
+			}
+		}
+	}
+}
+
+func identityPerm(n int) []int {
+	p := make([]int, n)
+	for i := range p {
+		p[i] = i
+	}
+	return p
 }
 
 // TestSortOrderMatchesTwoStep checks SortOrder against LAPACK's two steps
@@ -195,7 +250,7 @@ func TestFinalSortScratchIsLinear(t *testing.T) {
 			for i := 0; i < b.N; i++ {
 				copy(indxq, perm)
 				SortOrder(n, d, indxq, 1)
-				fs := NewFinalSort(n, indxq, q, n, sp, segs)
+				fs := NewFinalSort(n, indxq, q, n, sp, segs, false)
 				for s := range segs {
 					fs.Segment(s)
 				}
@@ -210,8 +265,10 @@ func TestFinalSortScratchIsLinear(t *testing.T) {
 
 // FuzzFinalPermutation drives the closing column permutation with
 // fuzz-chosen sizes (n ≤ 64), permutations, spans and segment counts (1–8),
-// and compares it against the explicit gather. The seed corpus lives in
-// testdata/fuzz/FuzzFinalPermutation.
+// in both write modes: the full clear over NaN-filled storage, and the
+// clean mode over the same q with +0 outside the spans. Each is compared
+// against the explicit gather, so the two leave the same bytes. The seed
+// corpus lives in testdata/fuzz/FuzzFinalPermutation.
 func FuzzFinalPermutation(f *testing.F) {
 	f.Add([]byte{7, 2, 3, 1, 4, 1, 5, 9, 2, 6})
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -247,6 +304,8 @@ func FuzzFinalPermutation(f *testing.F) {
 				q[r+j*ldq] = float64(j*n + r + 1)
 			}
 		}
-		checkFinalSort(t, "fuzz", n, ldq, q, perm, sp, segs)
+		qc := append([]float64(nil), q...)
+		checkFinalSort(t, "fuzz", n, ldq, q, perm, sp, segs, false)
+		checkFinalSort(t, "fuzz", n, ldq, qc, perm, sp, segs, true)
 	})
 }

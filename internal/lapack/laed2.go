@@ -383,9 +383,11 @@ func (df *Deflation) PermutedColumn(ws *MergeWorkspace, g int) []float64 {
 // overwrites them (the paper's CopyBackDeflated task): each deflated vector
 // sitting there moves, with its eigenvalue and its span, to its Slot
 // column. Only the span rows are copied; the Slot column's other rows
-// become structural zeros. That column held a non-deflated vector, so
-// PermutePanel must have read it first. Deflated vectors at or beyond K
-// never move. Returns the number of words copied.
+// become structural zeros, and the rows of its old span that the new one
+// does not cover get +0, so a q that was +0 outside every span stays so
+// (DESIGN.md §12). That column held a non-deflated vector, so PermutePanel
+// must have read it first. Deflated vectors at or beyond K never move.
+// Returns the number of words copied.
 func (df *Deflation) CopyBackPanel(w Window, d []float64, c0, c1 int) (words int) {
 	for c := c0; c < min(c1, df.K); c++ {
 		j := df.Move[c]
@@ -394,6 +396,8 @@ func (df *Deflation) CopyBackPanel(w Window, d []float64, c0, c1 int) (words int
 		}
 		s := df.Slot[j]
 		lo, hi := w.rows(c)
+		olo, ohi := w.rows(s)
+		clearExcept(w.col(s), Span{olo, ohi}, lo, hi)
 		copy(w.col(s)[lo:hi], w.col(c)[lo:hi])
 		w.Sp[s] = w.Sp[c]
 		d[s] = df.DeflD[j]

@@ -398,3 +398,40 @@ func TestDlaed1PlacementMatchesCopyEverything(t *testing.T) {
 		}
 	}
 }
+
+// TestCopyBackClearsStaleRows moves a deflated vector of the first child
+// into a column that held a second-child vector. The rows of the old vector
+// that the moved one does not cover must become +0, so a q that was +0
+// outside every span (one the solve allocated) stays so; the column takes
+// the moved vector's span and eigenvalue, and no other column changes.
+func TestCopyBackClearsStaleRows(t *testing.T) {
+	const n, cut = 6, 3
+	q := make([]float64, n*n)
+	sp := childSpans(n, cut)
+	for j, s := range sp {
+		for r := s.Lo; r < s.Hi; r++ {
+			q[r+j*n] = float64(10*j + r + 1)
+		}
+	}
+	want := append([]float64(nil), q...)
+	// Column 1, below K = 2, holds deflated vector 0, whose slot is column
+	// 4; the other deflated vectors stay in their own columns.
+	df := &Deflation{N: n, N1: cut, K: 2, Move: []int{-1, 0},
+		Slot: []int{4, 2, 3, 5}, DeflD: []float64{7, 6, 5, 4}}
+	for r := range n {
+		want[r+4*n] = 0
+	}
+	copy(want[4*n:4*n+cut], q[1*n:1*n+cut])
+	d := make([]float64, n)
+	if words := df.CopyBackPanel(NewWindow(q, n, sp, 0, n), d, 0, 2); words != cut {
+		t.Errorf("CopyBackPanel reports %d words, want %d", words, cut)
+	}
+	for i := range q {
+		if math.Float64bits(q[i]) != math.Float64bits(want[i]) {
+			t.Fatalf("q[%d] (row %d, column %d) = %v, want %v", i, i%n, i/n, q[i], want[i])
+		}
+	}
+	if sp[4] != (Span{0, cut}) || d[4] != 7 {
+		t.Errorf("slot column 4: span %v and eigenvalue %v, want %v and 7", sp[4], d[4], Span{0, cut})
+	}
+}

@@ -76,13 +76,25 @@ func (w Window) rot(pj, nj int, c, s float64) {
 
 // clearOutside writes +0 over col outside rows [lo, hi) (clipped to col).
 func clearOutside(col []float64, lo, hi int) {
-	lo, hi = max(lo, 0), min(hi, len(col))
-	if lo >= hi {
-		clear(col)
-		return
+	clearExcept(col, Span{0, len(col)}, lo, hi)
+}
+
+// clearExcept writes +0 over the rows of old that lie outside [lo, hi),
+// both clipped to col, and returns how many entries it wrote. On a column
+// that is +0 outside old, that leaves it +0 outside [lo, hi).
+func clearExcept(col []float64, old Span, lo, hi int) int {
+	a, b := max(old.Lo, 0), min(old.Hi, len(col))
+	if a >= b {
+		return 0
 	}
-	clear(col[:lo])
-	clear(col[hi:])
+	lo, hi = max(lo, a), min(hi, b)
+	if lo >= hi {
+		clear(col[a:b])
+		return b - a
+	}
+	clear(col[a:lo])
+	clear(col[hi:b])
+	return lo - a + b - hi
 }
 
 // spanCopy writes src's rows [lo, hi) (clipped to dst) into dst and +0 over

@@ -192,7 +192,7 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	// Final sort into ascending order (the paper's SortEigenvectors task),
 	// one segment.
 	SortOrder(n, d, indxq, orgnrm)
-	fs := NewFinalSort(n, indxq, q, ldq, sp, 1)
+	fs := NewFinalSort(n, indxq, q, ldq, sp, 1, false)
 	defer fs.Release()
 	fs.Segment(0)
 	return nil

@@ -37,7 +37,7 @@ func solveHalvesAndMerge(t *testing.T, n, cut int, d0, e0 []float64) (d, q []flo
 		t.Fatal(err)
 	}
 	SortOrder(n, d, indxq, 1)
-	fs := NewFinalSort(n, indxq, q, n, sp, 1)
+	fs := NewFinalSort(n, indxq, q, n, sp, 1, false)
 	fs.Segment(0)
 	fs.Release()
 	return d, q
