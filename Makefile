@@ -103,7 +103,9 @@ chaos:
 
 # Silent-data-corruption gate: randomized bit flips injected into packed GEMM
 # operands, merge outputs, and served results across every lane (direct solve,
-# values-only, server) under the race detector. Asserts every injected
+# values-only, server) under the race detector, and into the merges inside a
+# leaf task at a 128-row leaf cutoff (TestChaosSDCGateInLeafMerges, matched by
+# the gate's pattern). Asserts every injected
 # corruption is either detected-and-healed or surfaces as a classified error —
 # zero silent wrong-answer escapes — plus the ABFT checksum/invariant unit
 # tests, the pathological no-false-positive audit suite, the checks verify

@@ -113,7 +113,9 @@ type Options struct {
 	// PanelSize is the D&C task panel width nb (<=0: adaptive, chosen per
 	// merge from the merge width, post-deflation size and worker count).
 	PanelSize int
-	// MinPartition is the D&C leaf cutoff (<=0: default).
+	// MinPartition is the D&C task leaf cutoff (<=0: the default, 128
+	// rows). Each leaf task solves its block with the sequential divide and
+	// conquer over QR leaves of min(MinPartition, 25) rows.
 	MinPartition int
 	// ValuesOnly computes eigenvalues without eigenvectors through the
 	// values-only fast lane: the task-flow D&C propagates each merge's

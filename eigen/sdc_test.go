@@ -2,6 +2,8 @@ package eigen
 
 import (
 	"context"
+	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
@@ -9,6 +11,7 @@ import (
 	"time"
 
 	"tridiag/internal/faultinject"
+	"tridiag/internal/lapack"
 	"tridiag/internal/pool"
 )
 
@@ -200,6 +203,86 @@ func TestChaosSDCGate(t *testing.T) {
 		t.Fatalf("server shutdown: %v", err)
 	}
 
+	checkGoroutines(t, before)
+}
+
+// TestChaosSDCGateInLeafMerges extends the SDC gate to the merges inside
+// the leaf tasks, which the gate's 24-row leaves never run. At a 128-row
+// leaf cutoff (QR leaves of at most 25 rows) a matrix of 96–128 rows is one
+// STEDC task, whose corrupt hooks fire in a fixed order: each in-leaf
+// merge's secular roots right after the secular solve, then its merged
+// eigenvalues right before the trace check. A single-shot flip therefore
+// lands on the first merge's secular roots, or — when that merge's coupling
+// is zero, so everything deflates and it has no secular roots — on its
+// merged eigenvalues. Each flip must be detected inside the leaf, by the
+// interlacing check (attributed to LAED4) or the trace check (Dlamrg),
+// fail its STEDC task, and be healed by the ladder, in both lanes: every
+// served result verifies test-side, the ledger shows the detection healed,
+// and the pool accountant is back at its baseline.
+func TestChaosSDCGateInLeafMerges(t *testing.T) {
+	before := runtime.NumGoroutine()
+	baseline := pool.InUseBytes()
+	defer faultinject.Disable()
+	rng := rand.New(rand.NewSource(45))
+	for _, vo := range []bool{false, true} {
+		for _, flip := range []struct {
+			name, kernel string
+			cut          bool // zero the first in-leaf merge's coupling
+		}{{"secular root", "LAED4", false}, {"drifted eigenvalue", "Dlamrg", true}} {
+			label := fmt.Sprintf("values-only=%v/%s", vo, flip.name)
+			for it := 0; it < 10; it++ {
+				n := 96 + rng.Intn(33)
+				tri := randomTridiag(rng, n)
+				if flip.cut {
+					tri.E[lapack.PartitionSizes(n, lapack.DefaultSmallSize)[0]-1] = 0
+				}
+				opts := &Options{Workers: 4, MinPartition: 128, Fallback: true, ValuesOnly: vo}
+				var ref *Result
+				if vo {
+					var err error
+					if ref, err = SolveContext(context.Background(), tri, opts); err != nil {
+						t.Fatalf("%s it=%d: clean reference solve failed: %v", label, it, err)
+					}
+				}
+				sdcProbe(int64(5000+it), "STEDC")
+				res, err := SolveContext(context.Background(), tri, opts)
+				fired := faultinject.Fired()["STEDC"]
+				faultinject.Disable()
+				checkAccountant(t, label, baseline)
+				if err != nil {
+					t.Fatalf("%s it=%d: corruption was not healed: %v", label, it, err)
+				}
+				if fired != 1 {
+					t.Fatalf("%s it=%d: probe fired %d times, want 1", label, it, fired)
+				}
+				if vo {
+					tol := 1e-8 * spectrumScale(ref.Values)
+					for j := range ref.Values {
+						if d := math.Abs(res.Values[j] - ref.Values[j]); d > tol {
+							t.Errorf("%s it=%d: WRONG ANSWER ESCAPED: eigenvalue %d off by %.3e (tier %s)", label, it, j, d, res.Stats.Tier)
+							break
+						}
+					}
+				} else {
+					if r := Residual(tri, res); r > 1e-12 {
+						t.Errorf("%s it=%d: WRONG ANSWER ESCAPED: residual %.3e (tier %s)", label, it, r, res.Stats.Tier)
+					}
+					if o := Orthogonality(res); o > 1e-12 {
+						t.Errorf("%s it=%d: WRONG ANSWER ESCAPED: orthogonality %.3e (tier %s)", label, it, o, res.Stats.Tier)
+					}
+				}
+				sdcLedgerCheck(t, label, res.Stats)
+				if res.Stats.CorruptionsDetected == 0 || len(res.Stats.TierErrors) == 0 {
+					t.Fatalf("%s it=%d: the flip was not detected (tier %s)", label, it, res.Stats.Tier)
+				}
+				cause := res.Stats.TierErrors[0]
+				var ie *lapack.InvariantError
+				if faultinject.ClassOf(cause) != "STEDC" || !errors.As(cause, &ie) || ie.Kernel != flip.kernel {
+					t.Errorf("%s it=%d: detected as %v, want the in-leaf %s check failing its STEDC task", label, it, cause, flip.kernel)
+				}
+			}
+		}
+	}
 	checkGoroutines(t, before)
 }
 

@@ -14,6 +14,7 @@ import (
 
 	"tridiag/internal/core"
 	"tridiag/internal/faultinject"
+	"tridiag/internal/lapack"
 	"tridiag/internal/pool"
 	"tridiag/internal/resilience"
 )
@@ -401,16 +402,17 @@ func EstimateValuesOnlySolveBytes(n, workers int) int64 {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	// Values-only leaves solve on a pooled m×m scratch with m bounded by the
-	// default leaf cutoff, the only super-linear term of the lane's footprint.
+	// A values-only leaf task runs the sequential divide and conquer over the
+	// carrier: a QR leaf's pooled m×m scratch (m at most SMLSIZ, 25), the
+	// only super-linear term of the lane's footprint, then per in-leaf merge
+	// O(leaf) scratch (z and the rotated outer rows, 3·leaf; the secular
+	// roots, weights and gathered rows, 7·leaf).
 	const cutoff = core.DefaultMinPartition
-	leaf := int64(cutoff * cutoff)
-	if nn := int64(n) * int64(n); nn < leaf {
-		leaf = nn
-	}
+	qr, m := int64(min(n, lapack.DefaultSmallSize)), int64(min(n, cutoff))
+	leaf := poolClassBytes(qr*qr) + poolClassBytes(3*m) + poolClassBytes(7*m)
 	depth := bits.Len(uint((n + cutoff - 1) / cutoff))
 	est := poolClassBytes(int64(2*n)) + int64(depth+1)*poolClassBytes(int64(8*n)+1) +
-		int64(workers+1)*(poolClassBytes(leaf)+poolClassBytes(int64(4*n)+1))
+		int64(workers+1)*(leaf+poolClassBytes(int64(4*n)+1))
 	if full := EstimateSolveBytes(n, workers); est > full {
 		return full
 	}

@@ -12,24 +12,24 @@ import (
 	"testing"
 	"time"
 
+	"tridiag/internal/core"
 	"tridiag/internal/faultinject"
 	"tridiag/internal/lapack"
 	"tridiag/internal/pool"
 )
 
 // voSpectrumUlps mirrors the calibrated bar of the core values-only tests:
-// 8 ulp of spectrum scale per merge level of the D&C tree (the two lanes form
-// each merge's z-vector differently — sequential dot products vs. rows of a
-// blocked GEMM — so the secular roots drift a few ulp per level, and a
-// borderline deflation flip perturbs the spectrum by the threshold itself).
-// Single-leaf problems run Dsterf against DsteqrRobust, two different
-// algorithms, and get a flat 64-ulp bar.
+// 8 ulp of spectrum scale per merge level of the D&C tree at the default
+// leaf cutoff — the task flow's levels plus those inside its deepest leaf —
+// (the two lanes form each merge's z-vector differently — sequential dot
+// products vs. rows of a blocked GEMM — so the secular roots drift a few ulp
+// per level, and a borderline deflation flip perturbs the spectrum by the
+// threshold itself). Both lanes run the same tree at every n, so a matrix
+// that is one QR leaf must match exactly.
 func voSpectrumUlps(n int) float64 {
-	leaves := len(lapack.PartitionSizes(n, 48))
-	if leaves <= 1 {
-		return 64
-	}
-	return 8 * float64(bits.Len(uint(leaves-1)))
+	leaves := lapack.PartitionSizes(n, core.DefaultMinPartition)
+	qr := lapack.PartitionSizes(leaves[len(leaves)-1], min(core.DefaultMinPartition, lapack.DefaultSmallSize))
+	return 8 * float64(bits.Len(uint(len(leaves)-1))+bits.Len(uint(len(qr)-1)))
 }
 
 // voSpectrumTol converts the ulp bar to an absolute tolerance at the

@@ -17,6 +17,7 @@ import (
 	"context"
 	"fmt"
 	"math"
+	"math/bits"
 	"sync"
 	"sync/atomic"
 
@@ -79,12 +80,15 @@ type Options struct {
 	// overhead, smaller panels for big k to feed all workers). The chosen
 	// width per merge is recorded in Result.Stats (MergeStat.NB).
 	PanelSize int
-	// MinPartition is the leaf cutoff of the D&C tree (leaves at most this
-	// size are solved by Dsteqr). The default (DefaultMinPartition, 48)
-	// keeps the O(m³) QR iteration on the leaves from dominating
-	// heavily-deflating solves — with 128-wide leaves the leaf solves are
-	// over half the n=2000 wall time, while the extra merge level costs only
-	// a few small GEMMs. LAPACK's DSTEDC uses SMLSIZ=25 for the same reason.
+	// MinPartition is the leaf cutoff of the task flow: the tree's leaves
+	// are at most this size, and each is one STEDC task that solves its
+	// block with the sequential divide and conquer (lapack.Dstedc). Inside
+	// a leaf the QR leaves are min(MinPartition, 25) rows, LAPACK's SMLSIZ,
+	// in every mode. A merge inside a leaf runs inline and pays no task
+	// overhead, so small QR leaves pay off there; in the task flow, where
+	// every merge is 10–16 panel tasks, leaf cutoffs from 16 to 64 measured
+	// the same. The default (DefaultMinPartition, 128) halves the task count
+	// of the 48-row cutoff on the high-deflation workload.
 	MinPartition int
 	// CaptureGraph records the task DAG with per-task timings.
 	CaptureGraph bool
@@ -92,7 +96,8 @@ type Options struct {
 	Mode Mode
 	// Progress, when non-nil, is called after every executed task of a
 	// task-flow solve (the quark WithProgress heartbeat), and after every
-	// leaf and merge of a ModeSequential or ModeForkJoin solve. External
+	// leaf and merge of the sequential divide and conquer: inside each
+	// task-flow leaf, and in a ModeSequential or ModeForkJoin solve. External
 	// watchdogs use it to detect stalled solves. It runs on worker
 	// goroutines, so it must be concurrency-safe and cheap.
 	Progress func()
@@ -107,7 +112,17 @@ type Options struct {
 }
 
 // DefaultMinPartition is Options.MinPartition's default leaf cutoff.
-const DefaultMinPartition = 48
+const DefaultMinPartition = 128
+
+// qrLeaf is the QR leaf size of the sequential divide and conquer, inside a
+// task-flow leaf and in the sequential and fork-join modes.
+func (o *Options) qrLeaf() int { return min(o.MinPartition, lapack.DefaultSmallSize) }
+
+// dcConfig is the sequential drivers' configuration: QR leaves of
+// qrLeaf rows, and Progress after every leaf and merge.
+func (o *Options) dcConfig(gemm lapack.GemmFunc) *lapack.DCConfig {
+	return &lapack.DCConfig{SmallSize: o.qrLeaf(), Gemm: gemm, Progress: o.Progress}
+}
 
 func (o *Options) withDefaults() Options {
 	var v Options
@@ -179,14 +194,10 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 		case ModeLevelSync, ModeScaLAPACK:
 			return nil, fmt.Errorf("core: ValuesOnly supports the %s and sequential modes only (got %s)", ModeTaskFlow, o.Mode)
 		}
-		if n <= o.MinPartition {
-			return res, lapack.Dsterf(n, d, e)
-		}
 	}
 
-	// The baselines and the single leaf write q from their first step on,
-	// so they allocate it up front; the task flow allocates it beside the
-	// leaves (flow.submit).
+	// The baselines write q from their first step on, so they allocate it
+	// up front; the task flow allocates it beside the leaves (flow.submit).
 	allocate := func() {
 		if q == nil && !o.ValuesOnly {
 			q, ldq = make([]float64, n*n), n
@@ -196,26 +207,14 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	switch o.Mode {
 	case ModeSequential:
 		allocate()
-		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Progress: o.Progress})
-		return res, err
+		return res, lapack.Dstedc(n, d, e, q, ldq, o.dcConfig(nil))
 	case ModeForkJoin:
 		allocate()
 		workers := o.Workers
 		gemm := func(ta, tb bool, m, nn, k int, alpha float64, a []float64, lda int, b []float64, ldb int, beta float64, c []float64, ldc int) {
 			blas.DgemmParallel(workers, ta, tb, m, nn, k, alpha, a, lda, b, ldb, beta, c, ldc)
 		}
-		err := lapack.Dstedc(n, d, e, q, ldq, &lapack.DCConfig{SmallSize: o.MinPartition, Gemm: gemm, Progress: o.Progress})
-		return res, err
-	}
-
-	if n <= o.MinPartition {
-		// Single leaf: no tree, solve directly (with the QR retry net).
-		allocate()
-		fellBack, err := lapack.DsteqrRobust(n, d, e, q, ldq)
-		if fellBack {
-			res.Stats.count("STEDCFallback", 1)
-		}
-		return res, err
+		return res, lapack.Dstedc(n, d, e, q, ldq, o.dcConfig(gemm))
 	}
 
 	rtOpts := []quark.Option{quark.WithContext(ctx), quark.WithTaskTimer(res.Stats.addTaskTime),
@@ -287,27 +286,6 @@ func corruptHook(class string, data []float64) {
 	}
 }
 
-// kahanSum returns the compensated sum, the absolute-value sum, and the
-// absolute maximum of v: the trace invariant compares Σd across a merge
-// against a ~256·eps tolerance, which naive n-term summation noise
-// (O(n·eps·Σ|d|)) would exceed for large one-signed spectra; compensation
-// makes the summation error O(eps·Σ|d|) independent of n.
-func kahanSum(v []float64) (sum, absSum, maxAbs float64) {
-	var c float64
-	for _, x := range v {
-		a := math.Abs(x)
-		absSum += a
-		if a > maxAbs {
-			maxAbs = a
-		}
-		y := x - c
-		t := sum + y
-		c = (t - sum) - y
-		sum = t
-	}
-	return sum, absSum, maxAbs
-}
-
 // node is one subtree of the D&C partition.
 type node struct {
 	start, size int
@@ -331,8 +309,10 @@ type lane interface {
 	output() error
 	// zero handles the zero matrix, which needs no tree.
 	zero()
-	// leaf solves leaf nd's block of (d, e) in place.
-	leaf(nd *node) (fellBack bool, err error)
+	// leaf solves leaf nd's block of (d, e) in place with the sequential
+	// divide and conquer, whose merges run the checks of run: ascending
+	// eigenvalues, and the lane's vectors in the same order.
+	leaf(nd *node, run *lapack.DCRun) error
 	// deflate forms merge ms's z-vector, runs the deflation scan and
 	// allocates the lane's merge workspace.
 	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
@@ -358,6 +338,9 @@ type flow struct {
 	lane  lane
 	o     *Options
 	st    *Stats
+	// leafLevels is the merge depth inside the deepest leaf: the task
+	// flow's merges sit that many levels above the QR leaves.
+	leafLevels int
 	// leaves and merges collect the tree's nodes and merge states so the
 	// caller can sweep abandoned scratch after the runtime stops.
 	leaves []*node
@@ -365,12 +348,13 @@ type flow struct {
 }
 
 // submit submits the whole task graph in sequential program order: Scale,
-// one STEDC task per leaf, the merge levels bottom-up and the root sort.
-// Between the leaves and the merges it lets the lane allocate its output,
-// so that the allocation's zeroing runs on this goroutine while the workers
-// solve the leaves (the paper's LASET tasks overlap them the same way). The
-// level-synchronized modes (ModeLevelSync, ModeScaLAPACK) barrier on
-// rt.Wait between tree levels.
+// one STEDC task per leaf, the merge levels bottom-up and the root sort. A
+// matrix of at most MinPartition rows is one leaf, so every solve runs
+// through the runtime. Between the leaves and the merges it lets the lane
+// allocate its output, so that the allocation's zeroing runs on this
+// goroutine while the workers solve the leaves (the paper's LASET tasks
+// overlap them the same way). The level-synchronized modes (ModeLevelSync,
+// ModeScaLAPACK) barrier on rt.Wait between tree levels.
 func (f *flow) submit() error {
 	rt, n, d, e, st := f.rt, f.n, f.d, f.e, f.st
 	sizes := lapack.PartitionSizes(n, f.o.MinPartition)
@@ -378,6 +362,7 @@ func (f *flow) submit() error {
 	for i, s := range sizes {
 		starts[i+1] = starts[i] + s
 	}
+	f.leafLevels = bits.Len(uint(len(lapack.PartitionSizes(sizes[len(sizes)-1], f.o.qrLeaf())) - 1))
 
 	// The matrix may need scaling to the safe range; orgnrm is computed up
 	// front on the master (O(n)), the scaling itself is the Scale task.
@@ -388,6 +373,9 @@ func (f *flow) submit() error {
 		}
 		f.lane.zero()
 		return nil
+	}
+	if len(sizes) == 1 {
+		orgnrm = 1 // a single leaf's driver scales its block itself
 	}
 
 	hScale := rt.Handle("scale")
@@ -418,17 +406,15 @@ func (f *flow) submit() error {
 		level[i] = nd
 		label := fmt.Sprintf("leaf[%d:%d]", st0, st0+sz)
 		rt.Submit("STEDC", label, func() {
-			fellBack, err := f.lane.leaf(nd)
+			run := &lapack.DCRun{Corrupt: func(data []float64) { corruptHook("STEDC", data) }}
+			err := f.lane.leaf(nd, run)
+			f.recordLeaf(label, run)
 			if err != nil {
 				panic(err)
-			}
-			if fellBack {
-				st.count("STEDCFallback", 1)
 			}
 			for j := 0; j < sz; j++ {
 				f.indxq[st0+j] = j
 			}
-			st.countTask("STEDC", label, int64(sz)*int64(sz)*int64(sz))
 			corruptHook("STEDC", d[st0:st0+sz])
 		}, quark.Read(hScale), quark.Write(nd.hV), quark.Write(nd.hD))
 	}
@@ -447,7 +433,7 @@ func (f *flow) submit() error {
 			parent := &node{start: left.start, size: left.size + right.size,
 				hV: rt.Handle(fmt.Sprintf("V[%d:%d]", left.start, left.start+left.size+right.size)),
 				hD: rt.Handle(fmt.Sprintf("d[%d:%d]", left.start, left.start+left.size+right.size))}
-			f.submitMerge(parent, left, right, lvl)
+			f.submitMerge(parent, left, right, f.leafLevels+lvl)
 			next = append(next, parent)
 		}
 		if len(level)%2 == 1 {
@@ -471,6 +457,33 @@ func (f *flow) submit() error {
 
 	f.lane.sort(level[0], orgnrm)
 	return nil
+}
+
+// recordLeaf files leaf task label's run in the stats: every merge inside
+// the leaf as a task-flow merge is filed (Stats.addLeafMerge), the QR
+// fallbacks, and the task's operation count — its QR leaves' m³ plus, per
+// merge, the Table I terms its panel tasks would have counted:
+// ComputeDeflation and Dlamrg nm each, LAED4 k², ReduceW k, then
+// ComputeLocalW and ComputeVect k² each, the moved PermuteV and
+// CopyBackDeflated words and UpdateVect's 2·nm·k² in the vector lane, and
+// UpdateZ's k² in the values lane.
+func (f *flow) recordLeaf(label string, run *lapack.DCRun) {
+	_, vectors := f.lane.(*vectorLane)
+	ops := run.LeafCubes
+	for _, m := range run.Merges {
+		f.st.addLeafMerge(m)
+		nm, k := int64(m.N), int64(m.K)
+		ops += 2*nm + k*k + k
+		if vectors {
+			ops += 2*k*k + int64(m.Moved) + 2*nm*k*k
+		} else {
+			ops += k * k
+		}
+	}
+	if run.FellBack > 0 {
+		f.st.count("STEDCFallback", int64(run.FellBack))
+	}
+	f.st.countTask("STEDC", label, ops)
 }
 
 // adaptivePanelNB picks the submit-time panel width for a merge of width nm:
@@ -647,7 +660,7 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 		// deflation rotations preserve it exactly and the rank-one update
 		// adds df.Rho, so the merged spectrum must sum to traceIn + Rho
 		// (checked by the Dlamrg join).
-		traceIn, absIn, dmaxIn := kahanSum(ms.dd)
+		traceIn, absIn, dmaxIn := lapack.TraceSum(ms.dd)
 		z := pool.Get(nm)
 		defer pool.Put(z)
 		df, err := f.lane.deflate(ms, f.e[rhoAddr], z)
@@ -797,21 +810,23 @@ func (l *vectorLane) zero() {
 	})
 }
 
-// leaf solves the block into a pooled sz×sz buffer, not into q, which the
-// submitting goroutine may still be allocating; the parent merge places it
-// (place). The arithmetic is the same as in q, at leading dimension sz.
-// The buffer is published before the solve, so a failed leaf's buffer is
-// returned by release.
-func (l *vectorLane) leaf(nd *node) (bool, error) {
+// leaf solves the block with lapack.DstedcChecked into a pooled sz×sz
+// buffer, not into q, which the submitting goroutine may still be
+// allocating; the parent merge places it (place), or the root sort when the
+// leaf is the whole matrix. The arithmetic is the same as in q, at leading
+// dimension sz, and the driver writes every entry of the buffer. The buffer
+// is published before the solve, so a failed leaf's buffer is returned by
+// release.
+func (l *vectorLane) leaf(nd *node, run *lapack.DCRun) error {
 	st0, sz := nd.start, nd.size
 	nd.blk = pool.Get(sz * sz)
-	return lapack.DsteqrRobust(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], nd.blk, sz)
+	return lapack.DstedcChecked(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], nd.blk, sz, l.o.dcConfig(nil), run)
 }
 
 // place copies leaf nd's block into its diagonal block of q and marks its
 // columns valid on the block's rows: the rest of each column is a
 // structural zero, never written here. It does nothing for a node that is
-// not a leaf.
+// not a leaf, or whose block was already placed.
 func (l *vectorLane) place(nd *node) {
 	if nd.blk == nil {
 		return
@@ -1078,6 +1093,7 @@ func (l *vectorLane) sort(root *node, orgnrm float64) {
 	rt, n, st := l.rt, l.n, l.st
 	segs := 2 * rt.Workers()
 	rt.Submit(class, "sort", func() {
+		l.place(root) // a single leaf has no merge to place it
 		lapack.SortOrder(n, l.d, l.indxq, orgnrm)
 		l.fs = lapack.NewFinalSort(n, l.indxq, l.q, l.ldq, l.sp, segs, l.owned)
 		st.countTask(class, "sort", int64(n))

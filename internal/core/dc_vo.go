@@ -1,7 +1,6 @@
 package core
 
 import (
-	"tridiag/internal/blas"
 	"tridiag/internal/lapack"
 	"tridiag/internal/pool"
 	"tridiag/internal/quark"
@@ -35,46 +34,26 @@ func (l *valuesLane) output() error { return nil }
 
 func (l *valuesLane) zero() {}
 
-// leaf computes the leaf eigenvalues plus the 2-row carrier; the d/e
-// trajectory is bit-identical to the full lane's DsteqrRobust leaves.
-func (l *valuesLane) leaf(nd *node) (bool, error) {
+// leaf computes the leaf eigenvalues plus the 2-row carrier with the
+// sequential divide and conquer over the carrier (lapack.DstedcCarrier).
+func (l *valuesLane) leaf(nd *node, run *lapack.DCRun) error {
 	st0, sz := nd.start, nd.size
-	return lapack.DsteqrCarrier(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.fl[2*st0:])
+	return lapack.DstedcCarrier(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.fl[2*st0:], l.o.dcConfig(nil), run)
 }
 
-// deflate forms z from the children's inner carrier rows, runs the
-// deflation scan with its Givens rotations applied to a pooled 2-row copy of
-// the outer carrier rows, then places the deflated eigenvalues and carrier
-// columns by index permutation — the work of the full lane's
-// ComputeDeflation + every PermuteV + every CopyBackDeflated panel.
+// deflate runs the carrier deflation (lapack.DeflateCarrier), rotating a
+// pooled 2-row copy of the outer carrier rows, then places the deflated
+// eigenvalues and carrier columns by index permutation — the work of the
+// full lane's ComputeDeflation + every PermuteV + every CopyBackDeflated
+// panel. The root's carrier has no consumer: it rotates nothing.
 func (l *valuesLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
-	nm, n1 := ms.nm, ms.n1
 	flm := l.fl[2*ms.start:] // this merge's 2×nm carrier window
-	for j := 0; j < n1; j++ {
-		z[j] = flm[2*j+1] // last row of the left child's block
-	}
-	for j := n1; j < nm; j++ {
-		z[j] = flm[2*j] // first row of the right child's block
-	}
 	var g2 []float64
-	var rot func(pj, nj int, c, s float64)
 	if !ms.root {
-		// The outer rows: row 0 lives only in the left block's columns,
-		// row nm-1 only in the right block's (the off-block rows are
-		// structural zeros). g2 is consumed within this task.
-		g2 = pool.Get(2 * nm)
+		g2 = pool.Get(2 * ms.nm) // consumed within this task
 		defer pool.Put(g2)
-		for j := 0; j < n1; j++ {
-			g2[2*j], g2[2*j+1] = flm[2*j], 0
-		}
-		for j := n1; j < nm; j++ {
-			g2[2*j], g2[2*j+1] = 0, flm[2*j+1]
-		}
-		rot = func(pj, nj int, c, s float64) {
-			blas.Drot(2, g2[2*pj:], 1, g2[2*nj:], 1, c, s)
-		}
 	}
-	df, err := lapack.Dlaed2DeflateRot(nm, n1, ms.dd, ms.ixq, rho, z, rot)
+	df, err := lapack.DeflateCarrier(ms.nm, ms.n1, ms.dd, ms.ixq, rho, flm, z, g2)
 	if err != nil {
 		return nil, err
 	}

@@ -129,25 +129,45 @@ func TestPanelChainEdges(t *testing.T) {
 	}
 }
 
-// TestLeafOnlyProblem: a problem at most one leaf wide takes the direct
-// Dsteqr path.
+// TestLeafOnlyProblem: a problem at most one leaf wide is one STEDC task
+// through the runtime, in both lanes, and the merges inside the leaf reach
+// the stats.
 func TestLeafOnlyProblem(t *testing.T) {
 	n := 30
 	rng := rand.New(rand.NewSource(807))
 	d0, e0 := randTridiag(rng, n)
-	d := append([]float64(nil), d0...)
-	e := append([]float64(nil), e0...)
-	q := make([]float64, n*n)
-	res, err := SolveDC(n, d, e, q, n, &Options{MinPartition: 64, CaptureGraph: true})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if res.Graph != nil && len(res.Graph.Tasks) > 0 {
-		t.Error("single-leaf problems should not build a task graph")
-	}
-	r, orth := residualAndOrth(n, d0, e0, d, q, n)
-	if r > 1e-12 || orth > 1e-13 {
-		t.Errorf("leaf-only: res %.2e orth %.2e", r, orth)
+	for _, vo := range []bool{false, true} {
+		d := append([]float64(nil), d0...)
+		e := append([]float64(nil), e0...)
+		var q []float64
+		if !vo {
+			q = make([]float64, n*n)
+		}
+		res, err := SolveDC(n, d, e, q, n, &Options{MinPartition: 64, CaptureGraph: true, ValuesOnly: vo})
+		if err != nil {
+			t.Fatal(err)
+		}
+		classes := map[string]int{}
+		for _, ti := range res.Graph.Tasks {
+			classes[ti.Class]++
+		}
+		if classes["STEDC"] != 1 || classes["ComputeDeflation"] != 0 {
+			t.Errorf("values-only=%v: task classes %v, want one STEDC task and no merge", vo, classes)
+		}
+		// 30 rows split into two QR leaves of 15: one merge inside the leaf.
+		if len(res.Stats.Merges) != 1 || res.Stats.Merges[0].N != n {
+			t.Errorf("values-only=%v: merges %+v, want the one in-leaf merge of %d rows", vo, res.Stats.Merges, n)
+		}
+		if ab := res.Stats.ABFT(); ab.Invariants < 2 {
+			t.Errorf("values-only=%v: %d invariant checks, want the in-leaf merge's two", vo, ab.Invariants)
+		}
+		if vo {
+			continue
+		}
+		r, orth := residualAndOrth(n, d0, e0, d, q, n)
+		if r > 1e-12 || orth > 1e-13 {
+			t.Errorf("leaf-only: res %.2e orth %.2e", r, orth)
+		}
 	}
 }
 

@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"tridiag/internal/faultinject"
+	"tridiag/internal/lapack"
 	"tridiag/internal/pool"
 	"tridiag/internal/testmat"
 )
@@ -178,6 +179,61 @@ func TestLeafBlocksReturned(t *testing.T) {
 		for _, kind := range []string{"leaf failure", "cancellation"} {
 			if failed[kind] == 0 {
 				t.Errorf("owned=%v: no %s ever failed a solve; the release was not exercised", owned, kind)
+			}
+		}
+	}
+}
+
+// TestInLeafMergeReturnsBuffers: at the default leaf cutoff every leaf task
+// merges inside its leaf. A merge there that fails its interlacing or trace
+// check (an injected flip of its secular roots or merged eigenvalues) and a
+// cancellation that arrives while the leaf tasks run their merges both end
+// the solve early; every pooled buffer — the in-leaf merges' scratch, the
+// leaf blocks, the carrier, the task-flow merges' workspace — is back in
+// the pool afterwards, in both lanes.
+func TestInLeafMergeReturnsBuffers(t *testing.T) {
+	defer faultinject.Disable()
+	rng := rand.New(rand.NewSource(41))
+	const n = 600 // leaves of 75 rows, two merge levels inside each
+	for _, valuesOnly := range []bool{false, true} {
+		for _, kind := range []string{"failed check", "cancellation"} {
+			for i := 0; i < 4; i++ {
+				d, e := gluedW21(rng, n)
+				var q []float64
+				ldq := 0
+				if !valuesOnly {
+					q, ldq = make([]float64, n*n), n
+				}
+				ctx, cancel := context.WithCancel(context.Background())
+				opts := &Options{Workers: 2, ValuesOnly: valuesOnly}
+				if kind == "failed check" {
+					// A leaf's first hook is its first merge's.
+					faultinject.Enable(int64(i), faultinject.Probe{Class: "STEDC", Kind: faultinject.KindCorrupt, P: 1, MaxFires: 1})
+				} else {
+					// Beat 1 is the Scale task; the next ones come from the
+					// QR leaves and merges inside the first leaf tasks.
+					var beats atomic.Int64
+					stop := int64(4 + 2*i)
+					opts.Progress = func() {
+						if beats.Add(1) == stop {
+							cancel()
+						}
+					}
+				}
+				base := pool.InUseBytes()
+				_, err := SolveDCContext(ctx, n, d, e, q, ldq, opts)
+				faultinject.Disable()
+				cancel()
+				if got := pool.InUseBytes(); got != base {
+					t.Errorf("valuesOnly=%v %s run %d (err=%v): pool accountant %d bytes off baseline", valuesOnly, kind, i, err, got-base)
+				}
+				var ie *lapack.InvariantError
+				switch {
+				case kind == "failed check" && !errors.As(err, &ie):
+					t.Errorf("valuesOnly=%v run %d: got %v, want the in-leaf check's invariant error", valuesOnly, i, err)
+				case kind == "cancellation" && !errors.Is(err, context.Canceled):
+					t.Errorf("valuesOnly=%v run %d: got %v, want context.Canceled", valuesOnly, i, err)
+				}
 			}
 		}
 	}

@@ -1,12 +1,16 @@
 package core
 
 import (
+	"errors"
 	"fmt"
 	"sort"
 	"strings"
 	"sync"
 	"sync/atomic"
 	"time"
+
+	"tridiag/internal/faultinject"
+	"tridiag/internal/lapack"
 )
 
 // taskClasses is every kernel class the solver submits. Pre-seeding the
@@ -120,6 +124,27 @@ func (s *Stats) recordMerge(level, n, k, nb int) int {
 	return idx
 }
 
+// addLeafMerge files one merge that ran inside a leaf task (lapack.DCRun)
+// as the task flow files its own: a MergeStat with the secular panel width
+// K (the merge is one panel), its evaluations and trace defect, and its
+// checks, detections and bisection rescues in the ABFT and fallback
+// counters.
+func (s *Stats) addLeafMerge(m lapack.MergeRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	s.Merges = append(s.Merges, MergeStat{Level: m.Level, N: m.N, K: m.K, NB: m.K, Evals: int64(m.Evals), TraceDefect: m.TraceDefect})
+	s.Ops["ABFTInvariant"] += int64(m.Invariants)
+	s.Ops["ABFTChecksum"] += int64(m.Checksums)
+	s.Ops["LAED4Bisect"] += int64(m.Bisections)
+	var ie *lapack.InvariantError
+	switch {
+	case errors.As(m.Err, &ie):
+		s.Ops["ABFTInvariantFail"]++
+	case faultinject.Corruption(m.Err):
+		s.Ops["ABFTChecksumFail"]++
+	}
+}
+
 // addMergeEvals adds one LAED4 panel's secular-function evaluations to
 // merge idx.
 func (s *Stats) addMergeEvals(idx, evals int) {
@@ -151,7 +176,8 @@ type ABFTStats struct {
 	// operand checksum rows (UpdateVect panels through PackV operands).
 	Checksums int64
 	// Invariants is the number of merge-invariant checks that ran: one trace
-	// check per merge plus one interlacing sweep per secular panel.
+	// check per merge plus one interlacing sweep per secular panel (one per
+	// merge inside a leaf task).
 	Invariants int64
 	// ChecksumFailures and InvariantFailures count detections (each one either
 	// healed by a task retry or escalated as a corruption error).
@@ -166,8 +192,8 @@ type ABFTStats struct {
 }
 
 // ABFT returns the solve's silent-corruption defense counters. The defenses
-// are always on in the task-flow modes; the counters are all zeros for the
-// sequential and fork-join modes and for single-leaf solves.
+// are always on in the task-flow modes, inside the leaf tasks too; the
+// counters are all zeros for the sequential and fork-join modes.
 func (s *Stats) ABFT() ABFTStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()

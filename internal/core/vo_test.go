@@ -27,25 +27,30 @@ func ulpTol(d []float64, ulps float64) float64 {
 
 // voUlps is the spectrum-comparison bar between the values-only lane and the
 // full task-flow path: 8 ulp (at spectrum scale) per merge level of the D&C
-// tree. The two paths share bit-identical leaf and deflation trajectories,
-// but each merge's z-vector is formed differently — two sequential dot
-// products per column in the lane versus rows of a blocked GEMM in the full
-// path — so the secular roots drift by a few ulp per level, and when that
-// drift pushes a borderline z entry across the deflation threshold the flip
-// perturbs the spectrum by the threshold itself (~8 ulp at scale; both
-// results are within the algorithm's error bound). Single-leaf problems
-// (n <= MinPartition) have no shared trajectory at all (Dsterf vs
-// DsteqrRobust) and get a flat 64-ulp bar.
+// tree (mergeLevels). The two paths share bit-identical QR leaf and
+// deflation trajectories, but each merge's z-vector is formed differently —
+// two sequential dot products per column in the lane versus rows of a
+// blocked GEMM in the full path — so the secular roots drift by a few ulp per
+// level, and when that drift pushes a borderline z entry across the
+// deflation threshold the flip perturbs the spectrum by the threshold itself
+// (~8 ulp at scale; both results are within the algorithm's error bound).
+// Both lanes run the same tree at every n, so a matrix that is one QR leaf
+// (no merge level) must match exactly.
 func voUlps(n, minPartition int) float64 {
+	return 8 * float64(mergeLevels(n, minPartition))
+}
+
+// mergeLevels is the merge depth of a task-flow solve's tree: the task
+// flow's levels over leaves of at most minPartition rows (<2: the default),
+// plus the levels inside the deepest leaf over QR leaves of
+// min(minPartition, 25) rows.
+func mergeLevels(n, minPartition int) int {
 	if minPartition < 2 {
-		minPartition = 48
+		minPartition = DefaultMinPartition
 	}
-	leaves := len(lapack.PartitionSizes(n, minPartition))
-	if leaves <= 1 {
-		return 64
-	}
-	levels := bits.Len(uint(leaves - 1))
-	return 8 * float64(levels)
+	leaves := lapack.PartitionSizes(n, minPartition)
+	qr := lapack.PartitionSizes(leaves[len(leaves)-1], min(minPartition, lapack.DefaultSmallSize))
+	return bits.Len(uint(len(leaves)-1)) + bits.Len(uint(len(qr)-1))
 }
 
 // checkValuesOnly solves (d0, e0) with the values-only lane and the full

@@ -70,6 +70,28 @@ func (df *Deflation) CheckInterlacing(d []float64, j0, j1 int) error {
 	return nil
 }
 
+// TraceSum returns the compensated sum, the absolute-value sum and the
+// absolute maximum of v, a merge's TraceBudget inputs: the invariant
+// compares Σd across a merge against a ~256·eps tolerance, which naive
+// n-term summation noise (O(n·eps·Σ|d|)) would exceed for large one-signed
+// spectra; compensation makes the summation error O(eps·Σ|d|) independent
+// of n.
+func TraceSum(v []float64) (sum, absSum, maxAbs float64) {
+	var c float64
+	for _, x := range v {
+		a := math.Abs(x)
+		absSum += a
+		if a > maxAbs {
+			maxAbs = a
+		}
+		y := x - c
+		t := sum + y
+		c = (t - sum) - y
+		sum = t
+	}
+	return sum, absSum, maxAbs
+}
+
 // TraceBudget returns the trace-preservation invariant of this merge: the
 // sum of the merged block's eigenvalues (K secular roots plus N−K deflated
 // values) must equal traceIn + Rho, where traceIn is Σd over the block at

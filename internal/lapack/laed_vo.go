@@ -116,12 +116,12 @@ func (df *Deflation) CopyBackValuesVO(d, g2, flp []float64) {
 	}
 }
 
-// DsteqrCarrier is the values-only leaf: full eigenvalues of the m×m leaf
-// plus the 2-row eigenvector carrier (first and last rows of the leaf's Q),
-// computed by DsteqrRobust on pooled m×m scratch (Dsteqr initializes it to
-// identity itself, so dirty pool memory is fine). The d/e trajectory — and
-// hence d — is bit-identical to the full path's leaf. fl is the leaf's
-// carrier segment with leading dimension 2.
+// DsteqrCarrier is the values-only QR leaf: full eigenvalues of the m×m
+// leaf plus the 2-row eigenvector carrier (first and last rows of the
+// leaf's Q), computed by DsteqrRobust on pooled m×m scratch (Dsteqr
+// initializes it to identity itself, so dirty pool memory is fine). The d/e
+// trajectory — and hence d — is bit-identical to the full path's leaf. fl
+// is the leaf's carrier segment with leading dimension 2.
 func DsteqrCarrier(m int, d, e, fl []float64) (fellBack bool, err error) {
 	if m == 1 {
 		fl[0], fl[1] = 1, 1
@@ -138,4 +138,119 @@ func DsteqrCarrier(m int, d, e, fl []float64) (fellBack bool, err error) {
 		fl[2*j+1] = z[j*m+m-1]
 	}
 	return fellBack, nil
+}
+
+// DeflateCarrier is a values-only merge's deflation step on the 2×nm
+// carrier window fl of its two solved children (the left one n1 wide): z
+// receives the inner rows (the last row of the left child's block, the
+// first row of the right child's), and the deflation scan runs with its
+// Givens rotations applied to g2, a 2×nm copy of the outer rows (row 0
+// lives only in the left block's columns, row nm-1 only in the right
+// block's; the off-block rows are structural zeros). A merge whose carrier
+// has no consumer passes nil g2 and skips the rotations.
+func DeflateCarrier(nm, n1 int, d []float64, indxq []int, rho float64, fl, z, g2 []float64) (*Deflation, error) {
+	for j := 0; j < n1; j++ {
+		z[j] = fl[2*j+1]
+	}
+	for j := n1; j < nm; j++ {
+		z[j] = fl[2*j]
+	}
+	var rot func(pj, nj int, c, s float64)
+	if g2 != nil {
+		for j := 0; j < n1; j++ {
+			g2[2*j], g2[2*j+1] = fl[2*j], 0
+		}
+		for j := n1; j < nm; j++ {
+			g2[2*j], g2[2*j+1] = 0, fl[2*j+1]
+		}
+		rot = func(pj, nj int, c, s float64) {
+			blas.Drot(2, g2[2*pj:], 1, g2[2*nj:], 1, c, s)
+		}
+	}
+	return Dlaed2DeflateRot(nm, n1, d, indxq, rho, z, rot)
+}
+
+// DstedcCarrier is the sequential divide and conquer of Dstedc over the
+// 2-row carrier instead of q: on exit d holds the ascending eigenvalues and
+// fl (leading dimension 2, 2n long) the first and last rows of their
+// eigenvectors; e is destroyed. Its merges run the values-only lane's
+// kernels inline, with the checks of run (nil: none).
+func DstedcCarrier(n int, d, e, fl []float64, cfg *DCConfig, run *DCRun) error {
+	if n <= 0 {
+		return nil
+	}
+	return dcSolve(n, d, e, cfg, carrierDC(fl), run)
+}
+
+// carrierDC is the carrier lane of the sequential driver: the 2×n carrier
+// of the whole problem.
+type carrierDC []float64
+
+func (fl carrierDC) leaf(d, e []float64, st, sz int) (bool, error) {
+	return DsteqrCarrier(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], fl[2*st:])
+}
+
+// merge is the values-only lane's merge run inline: the deflation scan
+// (DeflateCarrier), the deflated eigenvalues and carrier columns placed by
+// index, the secular solve with Gu's stabilization, and the parent carrier
+// from one fused pass per secular column (UpdateZPanelVO).
+func (fl carrierDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error {
+	flm := fl[2*st:]
+	mc.enter(d[:nm])
+	buf := pool.Get(3 * nm)
+	defer pool.Put(buf)
+	z, g2 := buf[:nm], buf[nm:3*nm]
+	df, err := DeflateCarrier(nm, n1, d, indxq, rho, flm, z, g2)
+	if err != nil {
+		return err
+	}
+	mc.deflated(df)
+	k := df.K
+	// porg, ptau and wloc, FinishW's grouped ẑ and poles, and the gathered
+	// outer carrier rows.
+	sec := pool.Get(max(7*k, 1))
+	defer pool.Put(sec)
+	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
+	what, poles := sec[3*k:4*k], sec[4*k:5*k]
+	gtop, gbot := sec[5*k:6*k], sec[6*k:7*k]
+	df.GatherCarrierRows(g2, gtop, gbot)
+	df.CopyBackValuesVO(d, g2, flm)
+	if k > 0 {
+		evals, nfb, err := df.SecularPanel(d, porg, ptau, 0, k)
+		if err != nil {
+			return err
+		}
+		if err := mc.secular(df, d, evals, nfb); err != nil {
+			return err
+		}
+		for i := range wloc {
+			wloc[i] = 1
+		}
+		df.LocalWPanel(porg, ptau, wloc, 0, k)
+		df.FinishW(what, poles, wloc)
+		df.UpdateZPanelVO(what, poles, porg, ptau, gtop, gbot, flm, 0, k)
+	}
+	if err := mc.trace(d, nm); err != nil {
+		return err
+	}
+	df.MergeOrder(d, indxq)
+	return nil
+}
+
+// sort is SortOrder with the carrier's columns gathered along.
+func (fl carrierDC) sort(n int, d []float64, indxq []int, orgnrm float64) {
+	SortOrder(n, d, indxq, orgnrm)
+	tmp := pool.Get(2 * n)
+	defer pool.Put(tmp)
+	for i, j := range indxq[:n] {
+		tmp[2*i], tmp[2*i+1] = fl[2*j], fl[2*j+1]
+	}
+	copy(fl[:2*n], tmp)
+}
+
+// identity sets the carrier of the identity: row 0 is e_0ᵀ, row n-1 is
+// e_{n-1}ᵀ.
+func (fl carrierDC) identity(n int) {
+	clear(fl[:2*n])
+	fl[0], fl[2*n-1] = 1, 1
 }

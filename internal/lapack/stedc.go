@@ -17,10 +17,18 @@ import (
 // describe the new columns, and indxq is the permutation sorting d
 // ascending. gemm may be nil (serial) or a parallel substitute.
 func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm GemmFunc) error {
+	return dlaed1(w, cutpnt, d, indxq, rho, gemm, nil)
+}
+
+// dlaed1 is Dlaed1 with the checks of mc (nil: none). A checked merge also
+// packs its GEMM operands (PackV) where that pays, so that every packed
+// product is verified against the operand's checksum rows.
+func dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm GemmFunc, mc *mergeCheck) error {
 	n := w.N
 	if cutpnt < 1 || cutpnt >= n {
 		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, n)
 	}
+	mc.enter(d[:n])
 	z := pool.Get(n)
 	defer pool.Put(z)
 	w.FormZ(cutpnt, z)
@@ -29,14 +37,18 @@ func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm Ge
 	if err != nil {
 		return err
 	}
+	mc.deflated(df)
 	if df.K == 0 {
+		if err := mc.trace(d, n); err != nil {
+			return err
+		}
 		df.MergeOrder(d, indxq)
 		return nil
 	}
 	k := df.K
 	ws := NewMergeWorkspace(df)
 	defer ws.Release()
-	df.PermutePanel(w, ws, 0, k)
+	moved := df.PermutePanel(w, ws, 0, k)
 
 	// The roots as (org, tau) pairs, Gu's product, and FinishW's grouped ẑ
 	// and poles.
@@ -44,7 +56,11 @@ func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm Ge
 	defer pool.Put(sec)
 	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
 	what, poles := sec[3*k:4*k], sec[4*k:5*k]
-	if _, _, err := df.SecularPanel(d, porg, ptau, 0, k); err != nil {
+	evals, nfb, err := df.SecularPanel(d, porg, ptau, 0, k)
+	if err != nil {
+		return err
+	}
+	if err := mc.secular(df, d, evals, nfb); err != nil {
 		return err
 	}
 	for i := range wloc {
@@ -53,16 +69,31 @@ func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm Ge
 	df.LocalWPanel(porg, ptau, wloc, 0, k)
 	df.FinishW(what, poles, wloc)
 	df.VectorsPanel(ws.S, what, poles, porg, ptau, 0, k)
-	df.CopyBackPanel(w, d, 0, k)
+	moved += df.CopyBackPanel(w, d, 0, k)
+	if mc != nil {
+		mc.rec.Moved = moved
+		df.PackV(ws, k)
+	}
 	df.UpdatePanel(w, ws, 0, k, gemm)
+	if err := mc.verify(df, w, ws); err != nil {
+		return err
+	}
+	if err := mc.trace(d, n); err != nil {
+		return err
+	}
 	df.MergeOrder(d, indxq)
 	return nil
 }
 
+// DefaultSmallSize is the sequential drivers' default leaf cutoff, LAPACK's
+// SMLSIZ.
+const DefaultSmallSize = 25
+
 // DCConfig tunes the divide & conquer drivers.
 type DCConfig struct {
 	// SmallSize is the leaf cutoff (the paper's "minimal partition size"):
-	// subproblems of at most this size are solved directly by Dsteqr.
+	// subproblems of at most this size are solved directly by Dsteqr
+	// (default DefaultSmallSize).
 	SmallSize int
 	// Gemm substitutes the matrix-product kernel of the merge update; nil
 	// means the serial blas.Dgemm. Vendor-library behaviour (fork/join
@@ -76,7 +107,7 @@ type DCConfig struct {
 
 func (c *DCConfig) smallSize() int {
 	if c == nil || c.SmallSize < 2 {
-		return 25
+		return DefaultSmallSize
 	}
 	return c.SmallSize
 }
@@ -94,39 +125,163 @@ func (c *DCConfig) progress() {
 	}
 }
 
-// Dstedc computes all eigenvalues and eigenvectors of a symmetric
-// tridiagonal matrix using the divide & conquer method (LAPACK
-// DSTEDC/DLAED0, sequential task order). On exit d holds the ascending
-// eigenvalues, q (n×n) the eigenvectors; e is destroyed. The entry
-// contents of q are ignored: callers may reuse a dirty workspace, and
-// every entry of q is written. On a non-nil error the contents of d and q
-// are unspecified.
-func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
-	if n < 0 {
-		return fmt.Errorf("lapack: Dstedc: negative n")
+// DCRun is one checked run of a sequential driver (DstedcChecked,
+// DstedcCarrier): the task-flow solver's leaf task passes one so that the
+// merges inside its leaf keep the flow's per-merge checks and reach its
+// statistics. Every merge checks its secular roots' interlacing and the
+// trace invariant (TraceBudget, CheckTrace), and an eigenvector merge
+// verifies each GEMM that PackV packed (VerifyUpdatePanel); the first
+// failed check fails the driver with its error. Plain Dstedc and Dlaed1
+// run no checks.
+type DCRun struct {
+	// Corrupt, when non-nil, is handed each merge's secular roots right
+	// after the secular solve and its merged eigenvalues right before the
+	// trace check: where a fault-injection probe flips a bit.
+	Corrupt func(data []float64)
+
+	// Filled in by the driver.
+	Merges    []MergeRecord // one per merge that ran, in order
+	LeafCubes int64         // Σ m³ over the QR leaves
+	FellBack  int           // QR leaves retried through Dsterf + inverse iteration
+}
+
+// MergeRecord is one checked merge of a sequential driver: its level above
+// the driver's QR leaves (1 for the lowest merges), width N, secular size K,
+// the secular-function evaluations and bisection rescues of its K roots, the
+// eigenvector words its PermuteV and CopyBackDeflated steps moved (0 in the
+// carrier lane), the checks it ran and the trace defect it measured, and the
+// error that failed it (nil when it passed).
+type MergeRecord struct {
+	Level, N, K           int
+	Evals, Bisections     int
+	Moved                 int
+	Invariants, Checksums int
+	TraceDefect           float64
+	Err                   error
+}
+
+// mergeCheck runs one merge's checks for a DCRun. Its methods do nothing
+// on a nil receiver, the unchecked merge.
+type mergeCheck struct {
+	rec                 MergeRecord
+	corrupt             func([]float64)
+	sum, abs, dmax      float64 // Σd, Σ|d| and |d|∞ over the block at merge entry
+	traceWant, traceTol float64
+}
+
+func (c *mergeCheck) enter(d []float64) {
+	if c != nil {
+		c.sum, c.abs, c.dmax = TraceSum(d)
 	}
-	if n == 0 {
+}
+
+func (c *mergeCheck) deflated(df *Deflation) {
+	if c != nil {
+		c.rec.K = df.K
+		c.traceWant, c.traceTol = TraceBudget(c.sum, c.abs, c.dmax, df.Rho, df.N)
+	}
+}
+
+// secular records the secular solve's counts and checks the roots in
+// d[0:K] against their interlacing brackets.
+func (c *mergeCheck) secular(df *Deflation, d []float64, evals, bisections int) error {
+	if c == nil {
 		return nil
 	}
-	if ldq < n {
-		return fmt.Errorf("lapack: Dstedc: ldq=%d < n=%d", ldq, n)
+	c.rec.Evals, c.rec.Bisections = evals, bisections
+	if c.corrupt != nil {
+		c.corrupt(d[:df.K])
 	}
+	c.rec.Invariants++
+	return df.CheckInterlacing(d, 0, df.K)
+}
+
+// verify checks the merge's packed UpdatePanel GEMMs.
+func (c *mergeCheck) verify(df *Deflation, w Window, ws *MergeWorkspace) error {
+	if c == nil {
+		return nil
+	}
+	n, err := df.VerifyUpdatePanel(w.Q, w.LDQ, ws, 0, df.K)
+	c.rec.Checksums += n
+	return err
+}
+
+// trace checks the merged spectrum d[0:n] against the trace budget.
+func (c *mergeCheck) trace(d []float64, n int) error {
+	if c == nil {
+		return nil
+	}
+	if c.corrupt != nil {
+		c.corrupt(d[:n])
+	}
+	c.rec.Invariants++
+	defect, err := CheckTrace(d, n, c.traceWant, c.traceTol)
+	c.rec.TraceDefect = defect
+	return err
+}
+
+// merge starts the check of one merge of the run (nil for an unchecked
+// run).
+func (r *DCRun) merge(level, n int) *mergeCheck {
+	if r == nil {
+		return nil
+	}
+	return &mergeCheck{rec: MergeRecord{Level: level, N: n}, corrupt: r.Corrupt}
+}
+
+// done files merge mc's record with its outcome.
+func (r *DCRun) done(mc *mergeCheck, err error) {
+	if r != nil {
+		mc.rec.Err = err
+		r.Merges = append(r.Merges, mc.rec)
+	}
+}
+
+// leaf counts one QR leaf of m rows.
+func (r *DCRun) leaf(m int, fellBack bool) {
+	if r == nil {
+		return
+	}
+	r.LeafCubes += int64(m) * int64(m) * int64(m)
+	if fellBack {
+		r.FellBack++
+	}
+}
+
+// dcLane is what the sequential driver's two lanes do differently: the
+// eigenvector lane (Dstedc) keeps the vectors in q, the carrier lane
+// (DstedcCarrier) only their first and last rows.
+type dcLane interface {
+	// leaf solves block [st, st+sz) of (d, e) in place: eigenvalues
+	// ascending, the lane's vectors in the same order.
+	leaf(d, e []float64, st, sz int) (fellBack bool, err error)
+	// merge merges the solved blocks [st, st+n1) and [st+n1, st+nm) of d
+	// through the coupling rho, leaving d and indxq (both the merge's
+	// slices) as Dlaed1 does.
+	merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error
+	// sort puts d[0:n] in ascending order through indxq, scales it back by
+	// orgnrm and moves the vectors along.
+	sort(n int, d []float64, indxq []int, orgnrm float64)
+	// identity sets the vectors of the zero matrix.
+	identity(n int)
+}
+
+// dcSolve is the sequential divide and conquer (LAPACK DSTEDC/DLAED0 in
+// sequential task order) over one lane: scale, tear at every internal
+// boundary, solve the leaves, merge pairwise bottom-up, sort. A matrix of
+// at most the leaf cutoff is one leaf, solved unscaled.
+func dcSolve(n int, d, e []float64, cfg *DCConfig, lane dcLane, run *DCRun) error {
 	smlsiz := cfg.smallSize()
 	if n <= smlsiz {
-		return Dsteqr(CompIdentity, n, d, e, q, ldq)
+		fellBack, err := lane.leaf(d, e, 0, n)
+		run.leaf(n, fellBack)
+		return err
 	}
 
 	// Scale the matrix to unit max-norm.
 	orgnrm := Dlanst('M', n, d, e)
 	if orgnrm == 0 {
-		// Zero matrix: eigenvalues are zero, eigenvectors the identity.
-		for j := 0; j < n; j++ {
-			col := q[j*ldq : j*ldq+n]
-			for i := range col {
-				col[i] = 0
-			}
-			col[j] = 1
-		}
+		lane.identity(n)
 		return nil
 	}
 	Dlascl(n, 1, orgnrm, 1, d, n)
@@ -145,18 +300,13 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	}
 
 	// Solve the leaf subproblems; a QR non-convergence on a leaf retries
-	// via Dsterf + inverse iteration instead of failing the whole solve. A
-	// leaf's columns are valid on its block's rows only (sp): the rest of
-	// q is never zeroed, the merge kernels read 0 there, and the final sort
-	// writes +0 there.
+	// via Dsterf + inverse iteration instead of failing the whole solve.
 	indxq := make([]int, n)
-	sp := make([]Span, n)
 	for i, st := range starts[:len(starts)-1] {
 		sz := sizes[i]
-		for j := st; j < st+sz; j++ {
-			sp[j] = Span{st, st + sz}
-		}
-		if _, err := DsteqrRobust(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], q[st+st*ldq:], ldq); err != nil {
+		fellBack, err := lane.leaf(d, e, st, sz)
+		run.leaf(sz, fellBack)
+		if err != nil {
 			return fmt.Errorf("leaf [%d,%d): %w", st, st+sz, err)
 		}
 		for j := 0; j < sz; j++ {
@@ -166,15 +316,17 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 	}
 
 	// Merge pairwise, bottom-up.
-	for len(sizes) > 1 {
+	for level := 1; len(sizes) > 1; level++ {
 		var nsizes []int
 		var nstarts []int
 		for i := 0; i+1 < len(sizes); i += 2 {
 			st := starts[i]
 			cut := sizes[i]
 			msz := sizes[i] + sizes[i+1]
-			rho := e[st+cut-1]
-			if err := Dlaed1(NewWindow(q, ldq, sp, st, msz), cut, d[st:st+msz], indxq[st:st+msz], rho, cfg.gemm()); err != nil {
+			mc := run.merge(level, msz)
+			err := lane.merge(mc, d[st:st+msz], indxq[st:st+msz], st, cut, msz, e[st+cut-1])
+			run.done(mc, err)
+			if err != nil {
 				return fmt.Errorf("merge [%d,%d): %w", st, st+msz, err)
 			}
 			cfg.progress()
@@ -189,13 +341,72 @@ func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
 		starts = append(nstarts, n)
 	}
 
-	// Final sort into ascending order (the paper's SortEigenvectors task),
-	// one segment.
+	lane.sort(n, d, indxq, orgnrm)
+	return nil
+}
+
+// Dstedc computes all eigenvalues and eigenvectors of a symmetric
+// tridiagonal matrix using the divide & conquer method (LAPACK
+// DSTEDC/DLAED0, sequential task order). On exit d holds the ascending
+// eigenvalues, q (n×n) the eigenvectors; e is destroyed. The entry
+// contents of q are ignored: callers may reuse a dirty workspace, and
+// every entry of q is written. On a non-nil error the contents of d and q
+// are unspecified.
+func Dstedc(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig) error {
+	return DstedcChecked(n, d, e, q, ldq, cfg, nil)
+}
+
+// DstedcChecked is Dstedc with the merge checks of run (nil: none), which
+// also collects the solve's merge records.
+func DstedcChecked(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig, run *DCRun) error {
+	if n < 0 {
+		return fmt.Errorf("lapack: Dstedc: negative n")
+	}
+	if n == 0 {
+		return nil
+	}
+	if ldq < n {
+		return fmt.Errorf("lapack: Dstedc: ldq=%d < n=%d", ldq, n)
+	}
+	return dcSolve(n, d, e, cfg, &vectorDC{q: q, ldq: ldq, sp: make([]Span, n), gemm: cfg.gemm()}, run)
+}
+
+// vectorDC is the eigenvector lane of the sequential driver. A leaf's
+// columns are valid on its block's rows only (sp): the rest of q is never
+// zeroed, the merge kernels read 0 there, and the final sort writes +0
+// there.
+type vectorDC struct {
+	q    []float64
+	ldq  int
+	sp   []Span
+	gemm GemmFunc
+}
+
+func (l *vectorDC) leaf(d, e []float64, st, sz int) (bool, error) {
+	for j := st; j < st+sz; j++ {
+		l.sp[j] = Span{st, st + sz}
+	}
+	return DsteqrRobust(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], l.q[st+st*l.ldq:], l.ldq)
+}
+
+func (l *vectorDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error {
+	return dlaed1(NewWindow(l.q, l.ldq, l.sp, st, nm), n1, d, indxq, rho, l.gemm, mc)
+}
+
+// sort is the paper's SortEigenvectors task in one segment.
+func (l *vectorDC) sort(n int, d []float64, indxq []int, orgnrm float64) {
 	SortOrder(n, d, indxq, orgnrm)
-	fs := NewFinalSort(n, indxq, q, ldq, sp, 1, false)
+	fs := NewFinalSort(n, indxq, l.q, l.ldq, l.sp, 1, false)
 	defer fs.Release()
 	fs.Segment(0)
-	return nil
+}
+
+func (l *vectorDC) identity(n int) {
+	for j := 0; j < n; j++ {
+		col := l.q[j*l.ldq : j*l.ldq+n]
+		clear(col)
+		col[j] = 1
+	}
 }
 
 // PartitionSizes splits n into the leaf sizes of the D&C tree by repeated
