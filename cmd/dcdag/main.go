@@ -12,7 +12,6 @@ import (
 	"os"
 
 	"tridiag/internal/core"
-	"tridiag/internal/lapack"
 	"tridiag/internal/testmat"
 )
 
@@ -27,7 +26,7 @@ func main() {
 	flag.Parse()
 
 	if *tree {
-		sizes := lapack.PartitionSizes(*n, *minpart)
+		sizes := core.LeafSizes(*n, *minpart)
 		fmt.Printf("partition of n=%d with minimal size %d: %d leaves\n", *n, *minpart, len(sizes))
 		level := sizes
 		for len(level) >= 1 {

@@ -133,7 +133,8 @@ func main() {
 	})
 	fail(err)
 	g := res.Graph
-	statsLines := fmt.Sprintf("matrix %s n=%d, deflation %.1f%%\n", m.Name, *n, 100*res.Stats.DeflationRatio())
+	statsLines := fmt.Sprintf("matrix %s n=%d, deflation %.1f%% over the task flow's merges, %.1f%% over every merge\n",
+		m.Name, *n, 100*res.Stats.DeflationRatio(), 100*res.Stats.TreeDeflationRatio())
 	if *valuesOnly {
 		statsLines += "values-only lane: no eigenvector tasks, no n×n block\n"
 	} else {

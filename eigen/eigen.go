@@ -114,8 +114,10 @@ type Options struct {
 	// merge from the merge width, post-deflation size and worker count).
 	PanelSize int
 	// MinPartition is the D&C task leaf cutoff (<=0: the default, 128
-	// rows). Each leaf task solves its block with the sequential divide and
-	// conquer over QR leaves of min(MinPartition, 25) rows.
+	// rows; a matrix of at most MinPartition rows is split once into two
+	// leaf tasks when its halves exceed a QR leaf). Each leaf task solves
+	// its block with the sequential divide and conquer over QR leaves of
+	// min(MinPartition, 25) rows.
 	MinPartition int
 	// ValuesOnly computes eigenvalues without eigenvectors through the
 	// values-only fast lane: the task-flow D&C propagates each merge's

@@ -208,17 +208,18 @@ func TestChaosSDCGate(t *testing.T) {
 
 // TestChaosSDCGateInLeafMerges extends the SDC gate to the merges inside
 // the leaf tasks, which the gate's 24-row leaves never run. At a 128-row
-// leaf cutoff (QR leaves of at most 25 rows) a matrix of 96–128 rows is one
-// STEDC task, whose corrupt hooks fire in a fixed order: each in-leaf
-// merge's secular roots right after the secular solve, then its merged
-// eigenvalues right before the trace check. A single-shot flip therefore
-// lands on the first merge's secular roots, or — when that merge's coupling
-// is zero, so everything deflates and it has no secular roots — on its
-// merged eigenvalues. Each flip must be detected inside the leaf, by the
-// interlacing check (attributed to LAED4) or the trace check (Dlamrg),
-// fail its STEDC task, and be healed by the ladder, in both lanes: every
-// served result verifies test-side, the ledger shows the detection healed,
-// and the pool accountant is back at its baseline.
+// leaf cutoff (QR leaves of at most 25 rows) a matrix of 96–128 rows is two
+// STEDC tasks of 48–64 rows (core.LeafSizes). With one worker they run in
+// submission order, and a leaf's corrupt hooks fire in a fixed order: each
+// in-leaf merge's secular roots right after the secular solve, then its
+// merged eigenvalues right before the trace check. A single-shot flip
+// therefore lands on the first leaf's first merge's secular roots, or —
+// when that merge's coupling is zero, so everything deflates and it has no
+// secular roots — on its merged eigenvalues. Each flip must be detected
+// inside the leaf, by the interlacing check (attributed to LAED4) or the
+// trace check (Dlamrg), fail its STEDC task, and be healed by the ladder,
+// in both lanes: every served result verifies test-side, the ledger shows
+// the detection healed, and the pool accountant is back at its baseline.
 func TestChaosSDCGateInLeafMerges(t *testing.T) {
 	before := runtime.NumGoroutine()
 	baseline := pool.InUseBytes()
@@ -236,7 +237,7 @@ func TestChaosSDCGateInLeafMerges(t *testing.T) {
 				if flip.cut {
 					tri.E[lapack.PartitionSizes(n, lapack.DefaultSmallSize)[0]-1] = 0
 				}
-				opts := &Options{Workers: 4, MinPartition: 128, Fallback: true, ValuesOnly: vo}
+				opts := &Options{Workers: 1, MinPartition: 128, Fallback: true, ValuesOnly: vo}
 				var ref *Result
 				if vo {
 					var err error

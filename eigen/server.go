@@ -404,12 +404,13 @@ func EstimateValuesOnlySolveBytes(n, workers int) int64 {
 	}
 	// A values-only leaf task runs the sequential divide and conquer over the
 	// carrier: a QR leaf's pooled m×m scratch (m at most SMLSIZ, 25), the
-	// only super-linear term of the lane's footprint, then per in-leaf merge
-	// O(leaf) scratch (z and the rotated outer rows, 3·leaf; the secular
-	// roots, weights and gathered rows, 7·leaf).
+	// only super-linear term of the lane's footprint, then O(leaf) scratch
+	// per in-leaf merge (lapack.CarrierScratch).
 	const cutoff = core.DefaultMinPartition
-	qr, m := int64(min(n, lapack.DefaultSmallSize)), int64(min(n, cutoff))
-	leaf := poolClassBytes(qr*qr) + poolClassBytes(3*m) + poolClassBytes(7*m)
+	var leaf int64
+	for _, words := range lapack.CarrierScratch(min(n, cutoff), nil) {
+		leaf += poolClassBytes(int64(words))
+	}
 	depth := bits.Len(uint((n + cutoff - 1) / cutoff))
 	est := poolClassBytes(int64(2*n)) + int64(depth+1)*poolClassBytes(int64(8*n)+1) +
 		int64(workers+1)*(leaf+poolClassBytes(int64(4*n)+1))

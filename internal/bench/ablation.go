@@ -73,8 +73,9 @@ func AblatePanelSize(cfg *Config) ([]AblationRow, error) {
 	return rows, nil
 }
 
-// AblateMinPartition sweeps the leaf cutoff: small leaves deepen the tree
-// (more merge overhead), large leaves grow the cubic Dsteqr leaf cost.
+// AblateMinPartition sweeps the leaf cutoff: small leaves deepen the task
+// flow's tree (more merge tasks), large leaves run more of the tree inside
+// their sequential divide and conquer, on one worker each.
 func AblateMinPartition(cfg *Config) ([]AblationRow, error) {
 	n := 1000
 	if s := cfg.sizes(nil); len(s) > 0 {

@@ -146,7 +146,7 @@ func Table3(cfg *Config) ([]Table3Row, error) {
 		}
 		row := Table3Row{
 			Type: typ, Name: m.Name, N: m.N(),
-			DeflationRatio: st.DeflationRatio(),
+			DeflationRatio: st.TreeDeflationRatio(),
 			TimeDCms:       tDC.Seconds() * 1000,
 			TimeMRms:       tMR.Seconds() * 1000,
 		}

@@ -61,7 +61,7 @@ func Fig5(cfg *Config) ([]SpeedupRow, error) {
 		if err != nil {
 			return nil, err
 		}
-		row := SpeedupRow{Type: typ, Deflation: st.DeflationRatio(), Workers: workers, Speedup: curve}
+		row := SpeedupRow{Type: typ, Deflation: st.TreeDeflationRatio(), Workers: workers, Speedup: curve}
 		rows = append(rows, row)
 		fmt.Fprintf(w, "%-6d %9.1f%%", typ, 100*row.Deflation)
 		for _, s := range curve {
@@ -127,7 +127,7 @@ func figRatio(cfg *Config, header string, transform func(*quark.Graph) *quark.Gr
 			if err != nil {
 				return nil, err
 			}
-			row := RatioRow{Type: typ, N: n, Deflation: st.DeflationRatio(), Ratio: base.Makespan / tf.Makespan}
+			row := RatioRow{Type: typ, N: n, Deflation: st.TreeDeflationRatio(), Ratio: base.Makespan / tf.Makespan}
 			rows = append(rows, row)
 			fmt.Fprintf(w, "%-6d %8d %9.1f%% %10.2f\n", typ, n, 100*row.Deflation, row.Ratio)
 		}
@@ -174,7 +174,7 @@ func figRatioModes(cfg *Config, header string) ([]RatioRow, error) {
 			if err != nil {
 				return nil, err
 			}
-			row := RatioRow{Type: typ, N: n, Deflation: st.DeflationRatio(), Ratio: base.Makespan / tf.Makespan}
+			row := RatioRow{Type: typ, N: n, Deflation: st.TreeDeflationRatio(), Ratio: base.Makespan / tf.Makespan}
 			rows = append(rows, row)
 			fmt.Fprintf(w, "%-6d %8d %9.1f%% %10.2f\n", typ, n, 100*row.Deflation, row.Ratio)
 		}

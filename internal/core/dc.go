@@ -81,14 +81,16 @@ type Options struct {
 	// width per merge is recorded in Result.Stats (MergeStat.NB).
 	PanelSize int
 	// MinPartition is the leaf cutoff of the task flow: the tree's leaves
-	// are at most this size, and each is one STEDC task that solves its
-	// block with the sequential divide and conquer (lapack.Dstedc). Inside
-	// a leaf the QR leaves are min(MinPartition, 25) rows, LAPACK's SMLSIZ,
-	// in every mode. A merge inside a leaf runs inline and pays no task
-	// overhead, so small QR leaves pay off there; in the task flow, where
-	// every merge is 10–16 panel tasks, leaf cutoffs from 16 to 64 measured
-	// the same. The default (DefaultMinPartition, 128) halves the task count
-	// of the 48-row cutoff on the high-deflation workload.
+	// are at most this size (LeafSizes: a matrix of at most this size is
+	// split once if its halves exceed a QR leaf), and each is one STEDC
+	// task that solves its block with the sequential divide and conquer
+	// (lapack.Dstedc). Inside a leaf the QR leaves are min(MinPartition,
+	// 25) rows, LAPACK's SMLSIZ, in every mode. A merge inside a leaf runs
+	// inline and pays no task overhead, so small QR leaves pay off there;
+	// in the task flow, where every merge is 10–16 panel tasks, leaf
+	// cutoffs from 16 to 64 measured the same. The default
+	// (DefaultMinPartition, 128) halves the task count of the 48-row cutoff
+	// on the high-deflation workload.
 	MinPartition int
 	// CaptureGraph records the task DAG with per-task timings.
 	CaptureGraph bool
@@ -116,7 +118,24 @@ const DefaultMinPartition = 128
 
 // qrLeaf is the QR leaf size of the sequential divide and conquer, inside a
 // task-flow leaf and in the sequential and fork-join modes.
-func (o *Options) qrLeaf() int { return min(o.MinPartition, lapack.DefaultSmallSize) }
+func (o *Options) qrLeaf() int { return qrLeafRows(o.MinPartition) }
+
+func qrLeafRows(minPartition int) int { return min(minPartition, lapack.DefaultSmallSize) }
+
+// LeafSizes is the task flow's leaf partition of an order-n matrix at leaf
+// cutoff minPartition: blocks of at most minPartition rows
+// (lapack.PartitionSizes), except that a matrix of at most minPartition
+// rows whose halves are still larger than a QR leaf is split once. As one
+// leaf task it would run its whole divide and conquer on one worker; as
+// two, two workers share everything below the root merge. The partition
+// depends on n and minPartition only, never on the worker count.
+func LeafSizes(n, minPartition int) []int {
+	sizes := lapack.PartitionSizes(n, minPartition)
+	if len(sizes) == 1 && n/2 > qrLeafRows(minPartition) {
+		return []int{n / 2, (n + 1) / 2}
+	}
+	return sizes
+}
 
 // dcConfig is the sequential drivers' configuration: QR leaves of
 // qrLeaf rows, and Progress after every leaf and merge.
@@ -313,6 +332,10 @@ type lane interface {
 	// divide and conquer, whose merges run the checks of run: ascending
 	// eigenvalues, and the lane's vectors in the same order.
 	leaf(nd *node, run *lapack.DCRun) error
+	// leafMergeOps is the operation count of one merge inside a leaf beyond
+	// the joins both lanes share: the Table I terms of the lane's panel
+	// tasks.
+	leafMergeOps(m lapack.MergeRecord) int64
 	// deflate forms merge ms's z-vector, runs the deflation scan and
 	// allocates the lane's merge workspace.
 	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
@@ -348,16 +371,16 @@ type flow struct {
 }
 
 // submit submits the whole task graph in sequential program order: Scale,
-// one STEDC task per leaf, the merge levels bottom-up and the root sort. A
-// matrix of at most MinPartition rows is one leaf, so every solve runs
-// through the runtime. Between the leaves and the merges it lets the lane
-// allocate its output, so that the allocation's zeroing runs on this
-// goroutine while the workers solve the leaves (the paper's LASET tasks
-// overlap them the same way). The level-synchronized modes (ModeLevelSync,
+// one STEDC task per leaf (LeafSizes), the merge levels bottom-up and the
+// root sort. Every solve runs through the runtime, a matrix of one leaf
+// too. Between the leaves and the merges it lets the lane allocate its
+// output, so that the allocation's zeroing runs on this goroutine while
+// the workers solve the leaves (the paper's LASET tasks overlap them the
+// same way). The level-synchronized modes (ModeLevelSync,
 // ModeScaLAPACK) barrier on rt.Wait between tree levels.
 func (f *flow) submit() error {
 	rt, n, d, e, st := f.rt, f.n, f.d, f.e, f.st
-	sizes := lapack.PartitionSizes(n, f.o.MinPartition)
+	sizes := LeafSizes(n, f.o.MinPartition)
 	starts := make([]int, len(sizes)+1)
 	for i, s := range sizes {
 		starts[i+1] = starts[i] + s
@@ -462,23 +485,15 @@ func (f *flow) submit() error {
 // recordLeaf files leaf task label's run in the stats: every merge inside
 // the leaf as a task-flow merge is filed (Stats.addLeafMerge), the QR
 // fallbacks, and the task's operation count — its QR leaves' m³ plus, per
-// merge, the Table I terms its panel tasks would have counted:
-// ComputeDeflation and Dlamrg nm each, LAED4 k², ReduceW k, then
-// ComputeLocalW and ComputeVect k² each, the moved PermuteV and
-// CopyBackDeflated words and UpdateVect's 2·nm·k² in the vector lane, and
-// UpdateZ's k² in the values lane.
+// merge, the Table I terms its tasks would have counted: ComputeDeflation
+// and Dlamrg nm each, LAED4 k² and ReduceW k, then the lane's panel tasks
+// (leafMergeOps).
 func (f *flow) recordLeaf(label string, run *lapack.DCRun) {
-	_, vectors := f.lane.(*vectorLane)
 	ops := run.LeafCubes
 	for _, m := range run.Merges {
 		f.st.addLeafMerge(m)
 		nm, k := int64(m.N), int64(m.K)
-		ops += 2*nm + k*k + k
-		if vectors {
-			ops += 2*k*k + int64(m.Moved) + 2*nm*k*k
-		} else {
-			ops += k * k
-		}
+		ops += 2*nm + k*k + k + f.lane.leafMergeOps(m)
 	}
 	if run.FellBack > 0 {
 		f.st.count("STEDCFallback", int64(run.FellBack))
@@ -821,6 +836,13 @@ func (l *vectorLane) leaf(nd *node, run *lapack.DCRun) error {
 	st0, sz := nd.start, nd.size
 	nd.blk = pool.Get(sz * sz)
 	return lapack.DstedcChecked(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], nd.blk, sz, l.o.dcConfig(nil), run)
+}
+
+// leafMergeOps counts ComputeLocalW and ComputeVect k² each, the moved
+// PermuteV and CopyBackDeflated words and UpdateVect's 2·nm·k².
+func (l *vectorLane) leafMergeOps(m lapack.MergeRecord) int64 {
+	nm, k := int64(m.N), int64(m.K)
+	return 2*k*k + int64(m.Moved) + 2*nm*k*k
 }
 
 // place copies leaf nd's block into its diagonal block of q and marks its

@@ -41,6 +41,9 @@ func (l *valuesLane) leaf(nd *node, run *lapack.DCRun) error {
 	return lapack.DstedcCarrier(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.fl[2*st0:], l.o.dcConfig(nil), run)
 }
 
+// leafMergeOps counts UpdateZ's k².
+func (l *valuesLane) leafMergeOps(m lapack.MergeRecord) int64 { return int64(m.K) * int64(m.K) }
+
 // deflate runs the carrier deflation (lapack.DeflateCarrier), rotating a
 // pooled 2-row copy of the outer carrier rows, then places the deflated
 // eigenvalues and carrier columns by index permutation — the work of the

@@ -3,6 +3,7 @@ package core
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"strings"
 	"testing"
 
@@ -129,9 +130,37 @@ func TestPanelChainEdges(t *testing.T) {
 	}
 }
 
-// TestLeafOnlyProblem: a problem at most one leaf wide is one STEDC task
-// through the runtime, in both lanes, and the merges inside the leaf reach
-// the stats.
+// TestLeafSizes: the task flow's leaves are at most MinPartition rows; a
+// matrix of at most MinPartition rows is split once when its halves exceed
+// a QR leaf, and is one leaf otherwise; at MinPartition ≤ 25 the leaves are
+// the QR leaves, as lapack.PartitionSizes cuts them.
+func TestLeafSizes(t *testing.T) {
+	for _, tc := range []struct {
+		n, minPart int
+		want       []int
+	}{
+		{2000, 128, []int{125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125, 125}},
+		{300, 128, []int{75, 75, 75, 75}},
+		{129, 128, []int{64, 65}},
+		{128, 128, []int{64, 64}},
+		{101, 128, []int{50, 51}},
+		{52, 128, []int{26, 26}},
+		{51, 128, []int{51}},
+		{30, 64, []int{30}},
+		{1, 128, []int{1}},
+		{40, 25, []int{20, 20}},
+		{20, 25, []int{20}},
+		{48, 16, []int{12, 12, 12, 12}},
+	} {
+		if got := LeafSizes(tc.n, tc.minPart); !slices.Equal(got, tc.want) {
+			t.Errorf("LeafSizes(%d, %d) = %v, want %v", tc.n, tc.minPart, got, tc.want)
+		}
+	}
+}
+
+// TestLeafOnlyProblem: a problem whose halves fit a QR leaf is one STEDC
+// task through the runtime, in both lanes, and the merges inside the leaf
+// reach the stats.
 func TestLeafOnlyProblem(t *testing.T) {
 	n := 30
 	rng := rand.New(rand.NewSource(807))
@@ -155,8 +184,10 @@ func TestLeafOnlyProblem(t *testing.T) {
 			t.Errorf("values-only=%v: task classes %v, want one STEDC task and no merge", vo, classes)
 		}
 		// 30 rows split into two QR leaves of 15: one merge inside the leaf.
-		if len(res.Stats.Merges) != 1 || res.Stats.Merges[0].N != n {
+		if len(res.Stats.Merges) != 1 || res.Stats.Merges[0].N != n || !res.Stats.Merges[0].InLeaf {
 			t.Errorf("values-only=%v: merges %+v, want the one in-leaf merge of %d rows", vo, res.Stats.Merges, n)
+		} else if m := res.Stats.Merges[0]; res.Stats.DeflationRatio() != 0 || res.Stats.TreeDeflationRatio() != float64(m.N-m.K)/float64(m.N) {
+			t.Errorf("values-only=%v: deflation ratios %v (task flow) and %v (tree), want 0 and the in-leaf merge's", vo, res.Stats.DeflationRatio(), res.Stats.TreeDeflationRatio())
 		}
 		if ab := res.Stats.ABFT(); ab.Invariants < 2 {
 			t.Errorf("values-only=%v: %d invariant checks, want the in-leaf merge's two", vo, ab.Invariants)
@@ -167,6 +198,67 @@ func TestLeafOnlyProblem(t *testing.T) {
 		r, orth := residualAndOrth(n, d0, e0, d, q, n)
 		if r > 1e-12 || orth > 1e-13 {
 			t.Errorf("leaf-only: res %.2e orth %.2e", r, orth)
+		}
+	}
+}
+
+// TestDeflationRatios: DeflationRatio counts the task flow's merges and
+// TreeDeflationRatio every merge, the ones inside the leaf tasks too; with
+// QR leaves as task leaves (MinPartition 25) no merge runs inside a leaf
+// and the two agree.
+func TestDeflationRatios(t *testing.T) {
+	n := 400
+	d0, e0 := gluedW21(rand.New(rand.NewSource(811)), n)
+	ratio := func(ms []MergeStat, inLeaf bool) float64 {
+		var tot, defl int
+		for _, m := range ms {
+			if !m.InLeaf || inLeaf {
+				tot += m.N
+				defl += m.N - m.K
+			}
+		}
+		return float64(defl) / float64(tot)
+	}
+	for _, minPart := range []int{100, 25} {
+		for _, vo := range []bool{false, true} {
+			d := append([]float64(nil), d0...)
+			e := append([]float64(nil), e0...)
+			var q []float64
+			if !vo {
+				q = make([]float64, n*n)
+			}
+			res, err := SolveDC(n, d, e, q, n, &Options{Workers: 2, MinPartition: minPart, ValuesOnly: vo})
+			if err != nil {
+				t.Fatal(err)
+			}
+			st := res.Stats
+			var leafMerges, flowMerges int
+			for _, m := range st.Merges {
+				if m.InLeaf {
+					leafMerges++
+				} else {
+					flowMerges++
+				}
+			}
+			// 400 rows: task leaves of 100 rows over QR leaves of 25 (four
+			// in-leaf merges per leaf task) under three task-flow merges,
+			// or 16 task leaves of 25 rows under fifteen.
+			wantLeaf, wantFlow := 12, 3
+			if minPart == 25 {
+				wantLeaf, wantFlow = 0, 15
+			}
+			if leafMerges != wantLeaf || flowMerges != wantFlow {
+				t.Fatalf("MinPartition %d, values-only=%v: %d in-leaf and %d task-flow merges, want %d and %d", minPart, vo, leafMerges, flowMerges, wantLeaf, wantFlow)
+			}
+			if got, want := st.DeflationRatio(), ratio(st.Merges, false); got != want {
+				t.Errorf("MinPartition %d, values-only=%v: DeflationRatio %v, want %v over the task-flow merges", minPart, vo, got, want)
+			}
+			if got, want := st.TreeDeflationRatio(), ratio(st.Merges, true); got != want {
+				t.Errorf("MinPartition %d, values-only=%v: TreeDeflationRatio %v, want %v over every merge", minPart, vo, got, want)
+			}
+			if minPart == 25 && st.DeflationRatio() != st.TreeDeflationRatio() {
+				t.Errorf("values-only=%v: no in-leaf merge, but the ratios differ: %v and %v", vo, st.DeflationRatio(), st.TreeDeflationRatio())
+			}
 		}
 	}
 }

@@ -51,7 +51,9 @@ type Stats struct {
 // trace defect of the merged spectrum — how far Σd drifted from the
 // trace-preservation invariant (recorded by the Dlamrg join when ABFT is
 // enabled; ~1e-16·‖d‖ on a clean merge, and the quantity whose tolerance
-// breach classifies the merge as silently corrupted).
+// breach classifies the merge as silently corrupted). InLeaf marks a merge
+// that ran inside a leaf task's sequential divide and conquer rather than
+// as the task flow's panel tasks.
 type MergeStat struct {
 	Level       int
 	N           int
@@ -59,6 +61,7 @@ type MergeStat struct {
 	NB          int
 	Evals       int64
 	TraceDefect float64
+	InLeaf      bool
 }
 
 func newStats() *Stats {
@@ -132,7 +135,7 @@ func (s *Stats) recordMerge(level, n, k, nb int) int {
 func (s *Stats) addLeafMerge(m lapack.MergeRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.Merges = append(s.Merges, MergeStat{Level: m.Level, N: m.N, K: m.K, NB: m.K, Evals: int64(m.Evals), TraceDefect: m.TraceDefect})
+	s.Merges = append(s.Merges, MergeStat{Level: m.Level, N: m.N, K: m.K, NB: m.K, Evals: int64(m.Evals), TraceDefect: m.TraceDefect, InLeaf: true})
 	s.Ops["ABFTInvariant"] += int64(m.Invariants)
 	s.Ops["ABFTChecksum"] += int64(m.Checksums)
 	s.Ops["LAED4Bisect"] += int64(m.Bisections)
@@ -238,13 +241,25 @@ func (s *Stats) PackReuse() (hits, misses, packedBytes int64, rate float64) {
 	return hits, misses, packedBytes, rate
 }
 
-// DeflationRatio returns the fraction of eigenvalues deflated across all
-// merges (0 = nothing deflated, 1 = everything deflated).
-func (s *Stats) DeflationRatio() float64 {
+// DeflationRatio returns the fraction of eigenvalues deflated across the
+// task flow's merges, the ones above the leaf tasks (0 = nothing deflated,
+// 1 = everything deflated): the deflation that shrinks the merges' panel
+// tasks. TreeDeflationRatio counts the merges inside the leaves too.
+func (s *Stats) DeflationRatio() float64 { return s.deflation(false) }
+
+// TreeDeflationRatio returns the fraction of eigenvalues deflated across
+// every merge of the tree, the ones inside the leaf tasks included, where
+// the small merges near the QR leaves usually deflate less.
+func (s *Stats) TreeDeflationRatio() float64 { return s.deflation(true) }
+
+func (s *Stats) deflation(inLeaf bool) float64 {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	var tot, defl int
 	for _, m := range s.Merges {
+		if m.InLeaf && !inLeaf {
+			continue
+		}
 		tot += m.N
 		defl += m.N - m.K
 	}

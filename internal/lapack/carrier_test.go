@@ -5,6 +5,8 @@ import (
 	"math/bits"
 	"math/rand"
 	"testing"
+
+	"tridiag/internal/pool"
 )
 
 // TestDstedcCarrierMatchesDstedc: the carrier driver runs the sequential
@@ -97,6 +99,44 @@ func TestDstedcCarrierMatchesDstedc(t *testing.T) {
 					break
 				}
 			}
+		}
+	}
+}
+
+// TestCarrierScratchCoversMerges: every carrier merge holds exactly its
+// named buffers — z and the outer-row copy, carrierMergeWords per row, and
+// carrierSecularWords per secular root — sampled through the run's Corrupt
+// hook, whose last call per merge (the trace check's) comes with every merge
+// buffer checked out; and those stay within the pool classes of
+// CarrierScratch, which the values-only admission estimate charges.
+func TestCarrierScratchCoversMerges(t *testing.T) {
+	rng := rand.New(rand.NewSource(67))
+	for _, n := range []int{26, 60, 128, 300} {
+		d, e := randTridiag(rng, n)
+		base := pool.InUseBytes()
+		var held []int64 // pooled bytes at each hook call
+		run := &DCRun{Corrupt: func([]float64) { held = append(held, pool.InUseBytes()-base) }}
+		if err := DstedcCarrier(n, d, e, make([]float64, 2*n), nil, run); err != nil {
+			t.Fatal(err)
+		}
+		var bound int64
+		for _, words := range CarrierScratch(n, nil) {
+			bound += pool.ClassBytes(words)
+		}
+		call := 0
+		for _, m := range run.Merges {
+			if m.K > 0 {
+				call++ // the secular roots' hook
+			}
+			got := held[call]
+			call++
+			want := pool.ClassBytes(carrierMergeWords*m.N) + pool.ClassBytes(max(carrierSecularWords*m.K, 1))
+			if got != want || got > bound {
+				t.Errorf("n=%d: merge of %d rows (K=%d) held %d pooled bytes, want its buffers' %d within CarrierScratch's %d", n, m.N, m.K, got, want, bound)
+			}
+		}
+		if call != len(held) {
+			t.Errorf("n=%d: %d hook calls for %d merges", n, len(held), len(run.Merges))
 		}
 	}
 }

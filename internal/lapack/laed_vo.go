@@ -186,6 +186,24 @@ func DstedcCarrier(n int, d, e, fl []float64, cfg *DCConfig, run *DCRun) error {
 // of the whole problem.
 type carrierDC []float64
 
+// The pooled scratch of one carrier merge: per merge row z and the 2-row
+// copy of the outer rows, per secular root porg, ptau, wloc, FinishW's ẑ and
+// poles, and the two gathered outer rows.
+const (
+	carrierMergeWords   = 3
+	carrierSecularWords = 7
+)
+
+// CarrierScratch returns the sizes, in elements, of the largest pooled
+// buffers DstedcCarrier checks out on an order-n problem with the leaf
+// cutoff of cfg: a QR leaf's m×m scratch, and a merge's z and outer-row copy
+// and its secular slices (K ≤ n roots). Their pool classes bound the
+// driver's pooled footprint; the closing sort's 2n gather is smaller.
+func CarrierScratch(n int, cfg *DCConfig) []int {
+	m := min(n, cfg.smallSize())
+	return []int{m * m, carrierMergeWords * n, carrierSecularWords * n}
+}
+
 func (fl carrierDC) leaf(d, e []float64, st, sz int) (bool, error) {
 	return DsteqrCarrier(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], fl[2*st:])
 }
@@ -197,7 +215,7 @@ func (fl carrierDC) leaf(d, e []float64, st, sz int) (bool, error) {
 func (fl carrierDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error {
 	flm := fl[2*st:]
 	mc.enter(d[:nm])
-	buf := pool.Get(3 * nm)
+	buf := pool.Get(carrierMergeWords * nm)
 	defer pool.Put(buf)
 	z, g2 := buf[:nm], buf[nm:3*nm]
 	df, err := DeflateCarrier(nm, n1, d, indxq, rho, flm, z, g2)
@@ -206,9 +224,7 @@ func (fl carrierDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm i
 	}
 	mc.deflated(df)
 	k := df.K
-	// porg, ptau and wloc, FinishW's grouped ẑ and poles, and the gathered
-	// outer carrier rows.
-	sec := pool.Get(max(7*k, 1))
+	sec := pool.Get(max(carrierSecularWords*k, 1))
 	defer pool.Put(sec)
 	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
 	what, poles := sec[3*k:4*k], sec[4*k:5*k]
