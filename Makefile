@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular bits fuzz perfbench-check chaos chaos-sdc stress stress-cluster ci clean
+.PHONY: all build vet test test-pooldebug race cross bench-smoke bench-gemm bench-secular bits fuzz loc perfbench-check chaos chaos-sdc stress stress-cluster ci clean
 
 all: build
 
@@ -58,9 +58,11 @@ bench-secular:
 	$(GO) test -run '^$$' -bench 'SecularSums|ShiftedSumRatios|MulRatioDiff|RatioSumSq|RatioDots|ShiftInto|Rot' -benchtime 10x ./internal/simd/
 	$(GO) run ./cmd/dcbench -quick secular
 
-# The result bits: dcbench bits hashes λ and V of 72 solves (both lib
-# families and a random matrix, three seeds, one and two workers, both
-# lanes, assembly on and off) and the lines must match the committed ones.
+# The result bits: dcbench bits hashes λ and V of 72 task-flow solves (both
+# lib families and a random matrix, three seeds, one and two workers, both
+# lanes, assembly on and off) and of the same matrices' 18 full solves by the
+# sequential divide and conquer (assembly on and off), and the lines must
+# match the committed ones.
 # Every kernel gives the same bits on every ISA and each case fixes its
 # worker count, so the file holds on any host. A change that moves the bits
 # on purpose regenerates it with
@@ -72,15 +74,28 @@ bits:
 
 # Time-boxed search of the two bit contracts, every GEMM micro-kernel
 # against its math.FMA reference and every simd kernel with the assembly
-# off and on, and of the closing sort's column permutation against the
-# explicit gather. `go test -fuzz` takes one target per run. New coverage inputs
-# are minimized for at most 5 s each so the budget goes to the search. A
-# failing input is written under the package's testdata/fuzz, where plain
-# `go test` replays it: commit it as a corpus file.
+# off and on, of the closing sort's column permutation against the
+# explicit gather, and of the task flow's merges against the sequential
+# driver's inline ones. `go test -fuzz` takes one target per run. New
+# coverage inputs are minimized for at most 5 s each so the budget goes to
+# the search. A failing input is written under the package's testdata/fuzz,
+# where plain `go test` replays it: commit it as a corpus file.
 fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzGemmKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/blas/
 	$(GO) test -run '^$$' -fuzz '^FuzzSIMDKernels$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/simd/
 	$(GO) test -run '^$$' -fuzz '^FuzzFinalPermutation$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/lapack/
+	$(GO) test -run '^$$' -fuzz '^FuzzInlineMergeMatchesTaskFlow$$' -fuzztime 30s -fuzzminimizetime 5s ./internal/core/
+
+# The code lines of the non-test Go files, comments and blank lines
+# excluded, per package directory and in total; perfbench, the nested
+# benchmark module, is counted on its own line and left out of the total.
+loc:
+	@find . -name '*.go' ! -name '*_test.go' ! -path './.*' | LC_ALL=C sort | xargs awk ' \
+		{ sub(/^[ \t]+/, "") } \
+		$$0 == "" || /^\/\// { next } \
+		{ d = FILENAME; sub(/\/[^\/]*$$/, "", d); sub(/^\.\/?/, "", d); if (d == "") d = "."; n[d]++; if (d ~ /^perfbench/) pb++; else tot++ } \
+		END { for (d in n) if (d !~ /^perfbench/) printf "%6d  %s\n", n[d], d | "LC_ALL=C sort -k2"; \
+			close("LC_ALL=C sort -k2"); printf "%6d  total, perfbench excluded\n%6d  perfbench\n", tot, pb }'
 
 # The repository's benchmark (perfbench/, run by BENCHMARK.json) is a nested
 # module, so `go build ./...` never compiles it even though it imports the

@@ -10,9 +10,11 @@ package main
 // The cases are perturbed Legendre n=1200, glued Wilkinson W21 n=2000 and a
 // random N(0,1) tridiagonal n=1000 (the two lib benchmark families and a
 // generic spectrum), seeds 1–3, W ∈ {1, 2}, full and values-only solves,
-// with the assembly kernels on and off: 72 solves. A comparison prints, per
-// case, how many eigenvalues differ and the largest |Δλ| in units of
-// ε·‖λ‖∞ (ε = 2⁻⁵²).
+// with the assembly kernels on and off: 72 task-flow solves. Then the same
+// matrices' full solves by the sequential divide and conquer
+// (MethodDCSequential, the dstedc tier), assembly on and off: 18 more. A
+// comparison prints, per case, how many eigenvalues differ and the largest
+// |Δλ| in units of ε·‖λ‖∞ (ε = 2⁻⁵²).
 //
 // The file uses only the eigen package's public API and simd.SetSIMD, and
 // dispatches from init, ahead of dcbench's own flag parsing, so it can be
@@ -108,46 +110,68 @@ func runBits(args []string) error {
 	defer simd.SetSIMD(simd.Available())
 	var cases, moved, differing int
 	var worst float64
+	// solve runs one case and prints its line.
+	solve := func(name string, t eigen.Tridiagonal, opts *eigen.Options, asm bool) error {
+		simd.SetSIMD(asm)
+		res, err := eigen.SolveContext(context.Background(), t, opts)
+		if err != nil {
+			return fmt.Errorf("%s: %w", name, err)
+		}
+		line := fmt.Sprintf("%-34s lambda=%016x V=%s", name, fnvFloats(res.Values), "-")
+		if !opts.ValuesOnly {
+			line = fmt.Sprintf("%-34s lambda=%016x V=%016x", name, fnvFloats(res.Values), fnvFloats(res.Vectors))
+		}
+		if *out != "" {
+			if err := os.WriteFile(filepath.Join(*out, name+".bin"), floatBytes(res.Values), 0o644); err != nil {
+				return err
+			}
+		}
+		if *against != "" {
+			raw, err := os.ReadFile(filepath.Join(*against, name+".bin"))
+			if err != nil {
+				return err
+			}
+			nd, rel, err := compareValues(res.Values, raw)
+			if err != nil {
+				return fmt.Errorf("%s: %w", name, err)
+			}
+			line += fmt.Sprintf("  differ=%d max=%.2fε‖λ‖", nd, rel)
+			moved += nd
+			if nd > 0 {
+				differing++
+			}
+			worst = math.Max(worst, rel)
+		}
+		cases++
+		fmt.Println(line)
+		return nil
+	}
 	for _, m := range bitsMatrices {
 		for seed := int64(1); seed <= 3; seed++ {
 			t := m.gen(rand.New(rand.NewSource(seed)), m.n)
 			for _, w := range []int{1, 2} {
 				for _, vo := range []bool{false, true} {
 					for _, asm := range []bool{true, false} {
-						name := bitsCaseName(m.name, m.n, seed, w, vo, asm)
-						simd.SetSIMD(asm)
-						res, err := eigen.SolveContext(context.Background(), t, &eigen.Options{Workers: w, ValuesOnly: vo})
-						if err != nil {
-							return fmt.Errorf("%s: %w", name, err)
+						opts := &eigen.Options{Workers: w, ValuesOnly: vo}
+						if err := solve(bitsCaseName(m.name, m.n, seed, w, vo, asm), t, opts, asm); err != nil {
+							return err
 						}
-						line := fmt.Sprintf("%-34s lambda=%016x V=%s", name, fnvFloats(res.Values), "-")
-						if !vo {
-							line = fmt.Sprintf("%-34s lambda=%016x V=%016x", name, fnvFloats(res.Values), fnvFloats(res.Vectors))
-						}
-						if *out != "" {
-							if err := os.WriteFile(filepath.Join(*out, name+".bin"), floatBytes(res.Values), 0o644); err != nil {
-								return err
-							}
-						}
-						if *against != "" {
-							raw, err := os.ReadFile(filepath.Join(*against, name+".bin"))
-							if err != nil {
-								return err
-							}
-							nd, rel, err := compareValues(res.Values, raw)
-							if err != nil {
-								return fmt.Errorf("%s: %w", name, err)
-							}
-							line += fmt.Sprintf("  differ=%d max=%.2fε‖λ‖", nd, rel)
-							moved += nd
-							if nd > 0 {
-								differing++
-							}
-							worst = math.Max(worst, rel)
-						}
-						cases++
-						fmt.Println(line)
 					}
+				}
+			}
+		}
+	}
+	for _, m := range bitsMatrices {
+		for seed := int64(1); seed <= 3; seed++ {
+			t := m.gen(rand.New(rand.NewSource(seed)), m.n)
+			for _, asm := range []bool{true, false} {
+				kern := "asm"
+				if !asm {
+					kern = "go"
+				}
+				name := fmt.Sprintf("%s%d-s%d-seq-full-%s", m.name, m.n, seed, kern)
+				if err := solve(name, t, &eigen.Options{Method: eigen.MethodDCSequential}, asm); err != nil {
+					return err
 				}
 			}
 		}
