@@ -266,12 +266,15 @@ func SolveDCContext(ctx context.Context, n int, d, e []float64, q []float64, ldq
 	if o.CaptureGraph {
 		res.Graph = rt.Graph()
 	}
-	// Shutdown joins the workers, so after it no task can touch a merge
-	// state: return the workspace of every merge whose release a failed or
-	// cancelled task skipped.
+	// Shutdown joins the workers, so after it no task can touch a merge:
+	// file every merge that ran its deflation, and return the workspace of
+	// every merge whose release a failed or cancelled task skipped.
 	rt.Shutdown()
 	for _, ms := range f.merges {
-		ms.release()
+		if ms.m.Deflated() {
+			res.Stats.addMerge(ms.m.Record(), false)
+		}
+		ms.m.Release()
 	}
 	f.lane.release()
 	if err != nil {
@@ -314,12 +317,11 @@ type node struct {
 	blk []float64
 }
 
-// lane is the set of kernels that differ between the full eigenvector solve
-// (vectorLane) and the values-only solve (valuesLane, dc_vo.go). Both lanes
-// share one tree (flow.submit) and one set of merge joins (flow.submitMerge,
-// submitLAED4, submitReduceW); a lane adds only the panel tasks between a
-// merge's deflation and Dlamrg joins, and the kernels inside the shared
-// tasks.
+// lane is what differs between the full eigenvector solve (vectorLane) and
+// the values-only solve (valuesLane, dc_vo.go). Both lanes share one tree
+// (flow.submit) and one set of merge joins (flow.submitMerge, submitLAED4,
+// submitReduceW); a lane builds its kind of lapack.Merge and submits its
+// steps between a merge's deflation and Dlamrg joins.
 type lane interface {
 	// output makes sure the lane's result storage exists; the vector lane
 	// allocates V here when the caller passed none. It runs on the
@@ -329,17 +331,16 @@ type lane interface {
 	// zero handles the zero matrix, which needs no tree.
 	zero()
 	// leaf solves leaf nd's block of (d, e) in place with the sequential
-	// divide and conquer, whose merges run the checks of run: ascending
-	// eigenvalues, and the lane's vectors in the same order.
+	// divide and conquer, whose merges are checked and recorded in run:
+	// ascending eigenvalues, and the lane's vectors in the same order.
 	leaf(nd *node, run *lapack.DCRun) error
-	// leafMergeOps is the operation count of one merge inside a leaf beyond
-	// the joins both lanes share: the Table I terms of the lane's panel
-	// tasks.
-	leafMergeOps(m lapack.MergeRecord) int64
-	// deflate forms merge ms's z-vector, runs the deflation scan and
-	// allocates the lane's merge workspace.
-	deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error)
-	// panels submits the lane's panel tasks of merge ms.
+	// merge builds merge ms's lapack.Merge over d and indxq, the merge's
+	// slices of the solve's.
+	merge(ms *mergeState, d []float64, indxq []int, cfg lapack.MergeConfig) *lapack.Merge
+	// deflate runs merge ms's Deflate step with coupling rho, once the
+	// vector lane has placed the merge's leaf children.
+	deflate(ms *mergeState, rho float64) (int64, error)
+	// panels submits the lane's panel steps of merge ms.
 	panels(ms *mergeState)
 	// sort submits the root sort: it moves the eigenvalues (and vectors)
 	// through the root permutation into ascending order and scales the
@@ -429,9 +430,15 @@ func (f *flow) submit() error {
 		level[i] = nd
 		label := fmt.Sprintf("leaf[%d:%d]", st0, st0+sz)
 		rt.Submit("STEDC", label, func() {
-			run := &lapack.DCRun{Corrupt: func(data []float64) { corruptHook("STEDC", data) }}
+			run := &lapack.DCRun{Corrupt: leafHook}
 			err := f.lane.leaf(nd, run)
-			f.recordLeaf(label, run)
+			for _, r := range run.Merges {
+				st.addMerge(r, true)
+			}
+			if run.FellBack > 0 {
+				st.count("STEDCFallback", int64(run.FellBack))
+			}
+			st.countTask("STEDC", label, run.Ops)
 			if err != nil {
 				panic(err)
 			}
@@ -482,23 +489,13 @@ func (f *flow) submit() error {
 	return nil
 }
 
-// recordLeaf files leaf task label's run in the stats: every merge inside
-// the leaf as a task-flow merge is filed (Stats.addLeafMerge), the QR
-// fallbacks, and the task's operation count — its QR leaves' m³ plus, per
-// merge, the Table I terms its tasks would have counted: ComputeDeflation
-// and Dlamrg nm each, LAED4 k² and ReduceW k, then the lane's panel tasks
-// (leafMergeOps).
-func (f *flow) recordLeaf(label string, run *lapack.DCRun) {
-	ops := run.LeafCubes
-	for _, m := range run.Merges {
-		f.st.addLeafMerge(m)
-		nm, k := int64(m.N), int64(m.K)
-		ops += 2*nm + k*k + k + f.lane.leafMergeOps(m)
+// leafHook is the fault hook of the merges inside a leaf task: under the
+// leaf's class, at the two points before a check, a merge's secular roots
+// and its merged eigenvalues.
+func leafHook(class string, data []float64) {
+	if class == "LAED4" || class == "Dlamrg" {
+		corruptHook("STEDC", data)
 	}
-	if run.FellBack > 0 {
-		f.st.count("STEDCFallback", int64(run.FellBack))
-	}
-	f.st.countTask("STEDC", label, ops)
 }
 
 // adaptivePanelNB picks the submit-time panel width for a merge of width nm:
@@ -533,57 +530,24 @@ func secularPanelNB(k, npanels, workers int) int {
 	return max(nb, (k+npanels-1)/npanels)
 }
 
-// mergeState is one merge node: its geometry and handles, fixed at submit
-// time, and the runtime-shared state filled by the Compute-deflation task and
-// consumed by the panel tasks.
+// mergeState is one merge node of the task flow: its geometry and handles,
+// fixed at submit time, and its lapack.Merge, whose steps the tasks run.
 type mergeState struct {
-	parent *node
-	// start, nm and n1 place the merge: columns [start, start+nm), the left
+	parent, left, right *node
+	// start and nm place the merge: columns [start, start+nm), the left
 	// child n1 wide. nb and npanels are the submit-time panel width and
 	// count; root marks the merge of width n.
 	start, nm, n1, nb, npanels int
-	left, right                *node
 	root                       bool
 	prio                       int
-	span                       string // "[start:start+nm]", the merge's label suffix
-	dd                         []float64
-	ixq                        []int
+	span                       string          // "[start:start+nm]", the merge's label suffix
 	hS                         *quark.Handle   // merge-wide workspace handle
 	hSec                       []*quark.Handle // secular panel handles
-
-	df *lapack.Deflation
-	ws *lapack.MergeWorkspace
-	// The secular phase's per-merge state, in both lanes: each root as the
-	// two doubles λ_j = porg[j] + ptau[j] its LAED4 panel recorded (no delta
-	// column exists), the per-panel Gu partial products, and ReduceW's
-	// stabilized ẑ and poles in grouped order (lapack.Deflation.FinishW).
-	porg, ptau  []float64
-	wlocs       [][]float64
-	what, poles []float64
-	// nbSec is the panel width of the secular tasks (LAED4, ComputeLocalW,
-	// ComputeVect, UpdateVect, PackV). With a fixed Options.PanelSize it
-	// equals the submit-time nb; in adaptive mode the deflation task
-	// recomputes it from the post-deflation k before any secular task runs
-	// (every secular task depends on the deflation join through hS or the
-	// parent handles, so the write is ordered before all reads).
-	nbSec int
-	// Values-only merge state (nil on the full path, and at the root of a
-	// values-only solve, whose carrier has no consumer): the children's
-	// rotated outer carrier rows in grouped order, zero-padded to length K
-	// (vgtop: row 0, nonzero on the C12 top-block columns; vgbot: row nm-1,
-	// nonzero on the C23 bottom-block columns).
-	vgtop, vgbot []float64
-	// ABFT trace invariant (DESIGN.md §18), filled by the deflation join:
-	// the merged spectrum must sum to traceWant within traceTol (checked by
-	// the Dlamrg join, which is ordered after every eigenvalue writer of the
-	// merge). statIdx is the merge's MergeStat index so the measured defect
-	// lands in the stats.
-	traceWant, traceTol float64
-	statIdx             int
+	m                          *lapack.Merge
 	// pending counts the merge's not-yet-finished workspace consumers
 	// (UpdateVect and CopyBackDeflated panels plus PackV on the full path,
 	// the UpdateZ panels on the values-only path); when the last one
-	// finishes, the pooled workspace and packed operands are recycled.
+	// finishes, the merge's pooled workspace is recycled.
 	pending atomic.Int32
 }
 
@@ -599,31 +563,7 @@ func (ms *mergeState) name(kind string, p int) string {
 // only after the runtime has shut down.
 func (ms *mergeState) done() {
 	if ms.pending.Add(-1) == 0 {
-		ms.release()
-	}
-}
-
-// takeSecular takes the secular phase's per-merge buffers for a secular
-// problem of order k from the pool (the deflation join calls it).
-func (ms *mergeState) takeSecular(k int) {
-	ms.porg, ms.ptau = pool.Get(k), pool.Get(k)
-	ms.what, ms.poles = pool.Get(k), pool.Get(k)
-}
-
-// release returns every pooled buffer the merge still holds and sets it to
-// nil, so a second call is a no-op.
-func (ms *mergeState) release() {
-	if ms.ws != nil {
-		ms.ws.Release()
-		ms.ws = nil
-	}
-	for _, b := range []*[]float64{&ms.what, &ms.poles, &ms.porg, &ms.ptau, &ms.vgtop, &ms.vgbot} {
-		pool.Put(*b)
-		*b = nil
-	}
-	for p, wl := range ms.wlocs {
-		pool.Put(wl)
-		ms.wlocs[p] = nil
+		ms.m.Release()
 	}
 }
 
@@ -645,7 +585,8 @@ const (
 )
 
 // submitMerge submits the paper's Algorithm 1 for one merge node: the
-// Compute-deflation join, the lane's panel tasks, and the Dlamrg join.
+// Compute-deflation join, the lane's panel tasks, and the Dlamrg join, each
+// one step of the merge's lapack.Merge, which the task flow always checks.
 func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 	rt, o, st := f.rt, f.o, f.st
 	start, nm := parent.start, parent.size
@@ -654,45 +595,34 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 		nb = adaptivePanelNB(nm, rt.Workers())
 	}
 	npanels := (nm + nb - 1) / nb
-	ms := &mergeState{parent: parent, start: start, nm: nm, n1: left.size, nb: nb, npanels: npanels,
-		left: left, right: right, root: nm == f.n, prio: lvl * prioStride, span: fmt.Sprintf("[%d:%d]", start, start+nm),
-		dd: f.d[start : start+nm], ixq: f.indxq[start : start+nm],
-		hS: rt.Handle(fmt.Sprintf("ws[%d:%d]", start, start+nm)), hSec: make([]*quark.Handle, npanels),
-		wlocs: make([][]float64, npanels), nbSec: nb}
+	ms := &mergeState{parent: parent, left: left, right: right, start: start, nm: nm, n1: left.size, nb: nb, npanels: npanels,
+		root: nm == f.n, prio: lvl * prioStride, span: fmt.Sprintf("[%d:%d]", start, start+nm),
+		hS: rt.Handle(fmt.Sprintf("ws[%d:%d]", start, start+nm)), hSec: make([]*quark.Handle, npanels)}
 	for p := range ms.hSec {
 		ms.hSec[p] = rt.Handle(fmt.Sprintf("sec[%d]@%d", p, start))
 	}
+	m := f.lane.merge(ms, f.d[start:start+nm], f.indxq[start:start+nm],
+		lapack.MergeConfig{Level: lvl, Panels: npanels, Checked: true, Corrupt: corruptHook})
+	ms.m = m
 	f.merges = append(f.merges, ms)
 	rhoAddr := start + left.size - 1 // e index of the coupling element
 
-	// Compute deflation: the first join. The lane places leaf children into
-	// V, forms z and scans for deflation; the join around it records the
-	// merge. The placement writes the children's blocks, hence the
-	// ReadWrite on their handles.
+	// Compute deflation: the first join, which also fixes the secular panel
+	// width. The vector lane places leaf children into V first, hence the
+	// ReadWrite on the children's handles. In adaptive mode the width comes
+	// from the post-deflation k, before any secular task runs: every one of
+	// them depends on this join through hS or the parent handles.
 	deflLabel := "deflate" + ms.span
 	rt.SubmitPrio("ComputeDeflation", deflLabel, ms.prio+prioJoin, func() {
-		// Trace invariant: capture Σd over the block at merge entry; the
-		// deflation rotations preserve it exactly and the rank-one update
-		// adds df.Rho, so the merged spectrum must sum to traceIn + Rho
-		// (checked by the Dlamrg join).
-		traceIn, absIn, dmaxIn := lapack.TraceSum(ms.dd)
-		z := pool.Get(nm)
-		defer pool.Put(z)
-		df, err := f.lane.deflate(ms, f.e[rhoAddr], z)
+		ops, err := f.lane.deflate(ms, f.e[rhoAddr])
 		if err != nil {
 			panic(err)
 		}
-		ms.df = df
+		m.NB = nb
 		if o.PanelSize <= 0 {
-			ms.nbSec = secularPanelNB(df.K, npanels, rt.Workers())
+			m.NB = secularPanelNB(m.K(), npanels, rt.Workers())
 		}
-		ms.traceWant, ms.traceTol = lapack.TraceBudget(traceIn, absIn, dmaxIn, df.Rho, nm)
-		st.countTask("ComputeDeflation", deflLabel, int64(nm))
-		ms.statIdx = st.recordMerge(lvl, nm, df.K, ms.nbSec)
-		// A corrupted pole propagates into every secular root of the merge
-		// and breaks the trace invariant; Dlamda is the join's output that
-		// every later task reads.
-		corruptHook("ComputeDeflation", df.Dlamda)
+		st.countTask("ComputeDeflation", deflLabel, ops)
 	}, quark.ReadWrite(parent.hV), quark.ReadWrite(parent.hD),
 		quark.ReadWrite(left.hV), quark.ReadWrite(right.hV),
 		quark.Read(left.hD), quark.Read(right.hD),
@@ -700,64 +630,44 @@ func (f *flow) submitMerge(parent, left, right *node, lvl int) {
 
 	f.lane.panels(ms)
 
-	// Dlamrg: build the sorting permutation for the merged spectrum, reading
-	// the deflated eigenvalues where the lane placed them (Deflation.Slot).
-	// Its ReadWrite on the parent d-handle orders it after every eigenvalue
-	// writer of the merge, so this is where the trace invariant is checked.
+	// Dlamrg: check the merged spectrum's trace and build the sorting
+	// permutation, reading the deflated eigenvalues where the lane placed
+	// them (Deflation.Slot). Its ReadWrite on the parent d-handle orders it
+	// after every eigenvalue writer of the merge. A merge that deflated
+	// everything counts no work here.
 	mrgLabel := "Dlamrg" + ms.span
 	rt.SubmitPrio("Dlamrg", mrgLabel, ms.prio+prioDlamrg, func() {
-		k := ms.df.K
-		corruptHook("Dlamrg", ms.dd)
-		st.count("ABFTInvariant", 1)
-		defect, terr := lapack.CheckTrace(ms.dd, nm, ms.traceWant, ms.traceTol)
-		st.setMergeTraceDefect(ms.statIdx, defect)
-		if terr != nil {
-			st.count("ABFTInvariantFail", 1)
-			panic(terr)
+		ops, err := m.Order()
+		if m.K() == 0 {
+			ops = 0
 		}
-		ms.df.MergeOrder(ms.dd, ms.ixq)
-		if k > 0 {
-			st.countTask("Dlamrg", mrgLabel, int64(nm))
-		}
+		f.file("Dlamrg", mrgLabel, ops, err)
 	}, quark.ReadWrite(parent.hD))
 }
 
-// submitLAED4 submits secular panel p of merge ms: the lane's secular kernel
-// over the panel's columns, then the interlacing invariant. The panel range
-// comes from ms.nbSec at run time, not from the submit-time nb: in adaptive
-// mode the deflation task re-derives the width from the post-deflation k. An
-// interlacing violation is panicked as a corruption error, which re-executes
-// the panel in place (both lanes' kernels fully overwrite their outputs).
-// The kernel returns its secular-function evaluations and bisection rescues
-// (lapack.Deflation.SecularPanel); the evaluations of a panel that passed
-// the check go into the merge's MergeStat. extra are the lane's accesses
+// file counts a merge step's Table I operations under its task's label,
+// when the step did work, then fails the task with the step's error: a
+// detected corruption in LAED4 or UpdateVect is re-run in place
+// (corruptionRetryPred).
+func (f *flow) file(class, label string, ops int64, err error) {
+	if ops > 0 {
+		f.st.countTask(class, label, ops)
+	}
+	if err != nil {
+		panic(err)
+	}
+}
+
+// submitLAED4 submits secular panel p of merge ms, the Secular step over
+// the panel's columns (lapack.Merge.Panel): the width is read at run time,
+// after the deflation join has fixed it. extra are the lane's accesses
 // between the merge-wide and panel handles.
-func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (evals, fallbacks int, err error), extra ...quark.Access) {
-	st := f.st
+func (f *flow) submitLAED4(ms *mergeState, p int, extra ...quark.Access) {
 	acc := append([]quark.Access{quark.Gather(ms.hS), quark.Gather(ms.parent.hD)}, extra...)
 	label := ms.name("LAED4", p)
 	f.rt.SubmitPrio("LAED4", label, ms.prio+prioSecular, func() {
-		k := ms.df.K
-		j0 := p * ms.nbSec
-		j1 := min(j0+ms.nbSec, k)
-		if j0 >= j1 {
-			return
-		}
-		evals, nfb, err := kernel(j0, j1)
-		if err != nil {
-			panic(err)
-		}
-		if nfb > 0 {
-			st.count("LAED4Bisect", int64(nfb))
-		}
-		st.countTask("LAED4", label, int64(j1-j0)*int64(k))
-		corruptHook("LAED4", ms.dd[j0:j1])
-		st.count("ABFTInvariant", 1)
-		if ierr := ms.df.CheckInterlacing(ms.dd, j0, j1); ierr != nil {
-			st.count("ABFTInvariantFail", 1)
-			panic(ierr)
-		}
-		st.addMergeEvals(ms.statIdx, evals)
+		ops, err := ms.m.Secular(ms.m.Panel(p))
+		f.file("LAED4", label, ops, err)
 	}, append(acc, quark.ReadWrite(ms.hSec[p]))...)
 }
 
@@ -765,13 +675,7 @@ func (f *flow) submitLAED4(ms *mergeState, p int, kernel func(j0, j1 int) (evals
 func (f *flow) submitReduceW(ms *mergeState) {
 	label := "ReduceW" + ms.span
 	f.rt.SubmitPrio("ReduceW", label, ms.prio+prioJoin, func() {
-		ms.df.FinishW(ms.what, ms.poles, ms.wlocs...)
-		for p, wl := range ms.wlocs {
-			pool.Put(wl)
-			ms.wlocs[p] = nil
-		}
-		f.st.countTask("ReduceW", label, int64(ms.df.K))
-		corruptHook("ReduceW", ms.what)
+		f.st.countTask("ReduceW", label, ms.m.ReduceW())
 	}, quark.ReadWrite(ms.hS))
 }
 
@@ -838,13 +742,6 @@ func (l *vectorLane) leaf(nd *node, run *lapack.DCRun) error {
 	return lapack.DstedcChecked(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], nd.blk, sz, l.o.dcConfig(nil), run)
 }
 
-// leafMergeOps counts ComputeLocalW and ComputeVect k² each, the moved
-// PermuteV and CopyBackDeflated words and UpdateVect's 2·nm·k².
-func (l *vectorLane) leafMergeOps(m lapack.MergeRecord) int64 {
-	nm, k := int64(m.N), int64(m.K)
-	return 2*k*k + int64(m.Moved) + 2*nm*k*k
-}
-
 // place copies leaf nd's block into its diagonal block of q and marks its
 // columns valid on the block's rows: the rest of each column is a
 // structural zero, never written here. It does nothing for a node that is
@@ -863,25 +760,20 @@ func (l *vectorLane) place(nd *node) {
 	nd.blk = nil
 }
 
-func (l *vectorLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
+func (l *vectorLane) merge(ms *mergeState, d []float64, indxq []int, cfg lapack.MergeConfig) *lapack.Merge {
+	return lapack.NewVectorMerge(l.window(ms), ms.n1, d, indxq, cfg)
+}
+
+func (l *vectorLane) deflate(ms *mergeState, rho float64) (int64, error) {
 	l.place(ms.left)
 	l.place(ms.right)
-	w := l.window(ms)
-	w.FormZ(ms.n1, z)
-	df, err := lapack.Dlaed2Deflate(w, ms.n1, ms.dd, ms.ixq, rho, z)
-	if err != nil {
-		return nil, err
-	}
-	ms.ws = lapack.NewMergeWorkspace(df)
-	ms.takeSecular(df.K)
-	return df, nil
+	return ms.m.Deflate(rho)
 }
 
 func (l *vectorLane) panels(ms *mergeState) {
-	rt, o, st := l.rt, l.o, l.st
-	ldq, nm, nb, npanels, prio, dd := l.ldq, ms.nm, ms.nb, ms.npanels, ms.prio, ms.dd
-	w := l.window(ms)
-	qq := w.Q
+	rt, o, st, m := l.rt, l.o, l.st, ms.m
+	ldq, nm, nb, npanels, prio := l.ldq, ms.nm, ms.nb, ms.npanels, ms.prio
+	qq := l.window(ms).Q
 	hV := ms.parent.hV
 	// Workspace consumers: every UpdateVect and CopyBackDeflated panel plus
 	// the PackV task; the last to finish recycles the merge scratch.
@@ -918,14 +810,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 		g0, g1 := p*nb, min((p+1)*nb, nm)
 		label := ms.name("PermuteV", p)
 		rt.SubmitPrio("PermuteV", label, prio+prioPermute, func() {
-			words := ms.df.PermutePanel(w, ms.ws, g0, g1)
-			if words == 0 {
-				return
-			}
-			st.countTask("PermuteV", label, int64(words))
-			// Corrupt only the first column this panel wrote — the other
-			// panels' regions are being written concurrently.
-			corruptHook("PermuteV", ms.df.PermutedColumn(ms.ws, g0))
+			l.file("PermuteV", label, m.Permute(g0, g1), nil)
 		}, quark.Read(hV), quark.Gather(ms.hS), quark.ReadWrite(hPerm[p]))
 	}
 
@@ -938,9 +823,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 	// the last recorded ablation, and 0.0093 → 0.0103 s at P=16 (P=4 mixed)
 	// in the medians of six more (EXPERIMENTS.md, ablations).
 	for p := 0; p < npanels; p++ {
-		l.submitLAED4(ms, p, func(j0, j1 int) (int, int, error) {
-			return ms.df.SecularPanel(dd, ms.porg, ms.ptau, j0, j1)
-		}, quark.Read(hPerm[p]))
+		l.submitLAED4(ms, p, quark.Read(hPerm[p]))
 	}
 
 	// ComputeLocalW: panel-local factors of Gu's stabilization product, from
@@ -948,56 +831,24 @@ func (l *vectorLane) panels(ms *mergeState) {
 	for p := 0; p < npanels; p++ {
 		label := ms.name("ComputeLocalW", p)
 		rt.SubmitPrio("ComputeLocalW", label, prio+prioSecular, func() {
-			k := ms.df.K
-			j0 := p * ms.nbSec
-			j1 := min(j0+ms.nbSec, k)
-			if j0 >= j1 {
-				return
-			}
-			wl := pool.Get(k)
-			// Publish the buffer before running the kernel: if LocalWPanel
-			// panics, the post-shutdown release must see wl to return it.
-			ms.wlocs[p] = wl
-			for i := range wl {
-				wl[i] = 1
-			}
-			ms.df.LocalWPanel(ms.porg, ms.ptau, wl, j0, j1)
-			st.countTask("ComputeLocalW", label, int64(j1-j0)*int64(k))
-			corruptHook("ComputeLocalW", wl)
+			l.file("ComputeLocalW", label, m.LocalW(m.Panel(p)), nil)
 		}, quark.Gather(ms.hS), quark.ReadWrite(ms.hSec[p]))
 	}
 
 	l.submitReduceW(ms)
 
 	// CopyBackDeflated: empty the columns UpdateVect panel p is about to
-	// write — the same runtime partition, [p·nbSec, (p+1)·nbSec) ∩ [0, K) —
-	// by moving each deflated vector there, with its eigenvalue, into a
-	// column >= K that a non-deflated vector vacated. Deflated vectors at or
-	// beyond K never move. Runs concurrently with ReduceW/ComputeLocalW
-	// (Figure 2): the Gatherv-vs-readers rule on hV orders it after every
-	// PermuteV read of the columns it fills, and UpdateVect p reads hPerm[p]
-	// to run after it.
+	// write — the same runtime partition, m.Panel(p) — by moving each
+	// deflated vector there, with its eigenvalue, into a column >= K that a
+	// non-deflated vector vacated. Deflated vectors at or beyond K never
+	// move. Runs concurrently with ReduceW/ComputeLocalW (Figure 2): the
+	// Gatherv-vs-readers rule on hV orders it after every PermuteV read of
+	// the columns it fills, and UpdateVect p reads hPerm[p] to run after it.
 	for p := 0; p < npanels; p++ {
 		label := ms.name("CopyBack", p)
 		rt.SubmitPrio("CopyBackDeflated", label, prio+prioCopy, func() {
 			defer ms.done()
-			c0 := p * ms.nbSec
-			words := ms.df.CopyBackPanel(w, dd, c0, c0+ms.nbSec)
-			if words == 0 {
-				return
-			}
-			st.countTask("CopyBackDeflated", label, int64(words))
-			if faultinject.Active() {
-				// Corrupt the first eigenvalue this panel moved: the trace
-				// check in Dlamrg catches any drift in the merged spectrum.
-				for c := c0; ; c++ {
-					if j := ms.df.Move[c]; j >= 0 {
-						s := ms.df.Slot[j]
-						corruptHook("CopyBackDeflated", dd[s:s+1])
-						break
-					}
-				}
-			}
+			l.file("CopyBackDeflated", label, m.CopyBack(m.Panel(p)), nil)
 		}, quark.Gather(hV), quark.Gather(ms.parent.hD), quark.ReadWrite(hPerm[p]))
 	}
 
@@ -1008,15 +859,7 @@ func (l *vectorLane) panels(ms *mergeState) {
 	for p := 0; p < npanels; p++ {
 		label := ms.name("ComputeVect", p)
 		rt.SubmitPrio("ComputeVect", label, prio+prioSecular, func() {
-			k := ms.df.K
-			j0 := p * ms.nbSec
-			j1 := min(j0+ms.nbSec, k)
-			if j0 >= j1 {
-				return
-			}
-			ms.df.VectorsPanel(ms.ws.S, ms.what, ms.poles, ms.porg, ms.ptau, j0, j1)
-			st.countTask("ComputeVect", label, int64(j1-j0)*int64(k))
-			corruptHook("ComputeVect", ms.ws.S[j0*k:j1*k])
+			l.file("ComputeVect", label, m.Vectors(m.Panel(p)), nil)
 		}, quark.Read(ms.hS), quark.Read(hPerm[p]), quark.ReadWrite(ms.hSec[p]))
 	}
 
@@ -1029,61 +872,29 @@ func (l *vectorLane) panels(ms *mergeState) {
 	packLabel := "PackV" + ms.span
 	rt.SubmitPrio("PackV", packLabel, prio+prioSecular, func() {
 		defer ms.done()
-		k := ms.df.K
-		if k == 0 {
-			return
-		}
-		if bytes := ms.df.PackV(ms.ws, min(ms.nbSec, k)); bytes > 0 {
-			st.countTask("PackV", packLabel, int64(bytes))
-		}
-		// Corrupt the packed operand itself, after its checksum rows were
-		// computed from the clean data: every UpdateVect GEMM through it must
-		// then fail verification.
-		if faultinject.Active() {
-			if ms.ws.PackTop != nil {
-				faultinject.Corrupt("PackV", ms.ws.PackTop.PackedData())
-			} else if ms.ws.PackBot != nil {
-				faultinject.Corrupt("PackV", ms.ws.PackBot.PackedData())
-			}
-		}
+		l.file("PackV", packLabel, m.Pack(), nil)
 	}, quark.Gather(hV), quark.Write(hPack))
 
 	// UpdateVect: V = Ṽ × X, two compressed GEMMs per panel (through the
 	// shared packed operands where PackV judged the shape worthwhile), once
 	// CopyBackDeflated p has moved the deflated vectors out of the panel's
 	// columns (the hPerm[p] read). The merge-done bookkeeping runs through a
-	// sync.Once on the success path — not a defer — so a panel panicking on
-	// a failed ABFT checksum does not release the shared workspace its
-	// in-place re-execution is about to read, and the retry's own completion
-	// still releases it exactly once.
+	// sync.Once on the success path — not a defer — so a panel failing its
+	// ABFT checksum does not release the shared workspace its in-place
+	// re-execution is about to read, and the retry's own completion still
+	// releases it exactly once.
 	for p := 0; p < npanels; p++ {
 		var once sync.Once
 		label := ms.name("UpdateVect", p)
 		rt.SubmitPrio("UpdateVect", label, prio+prioUpdate, func() {
-			k := ms.df.K
-			j0 := p * ms.nbSec
-			j1 := min(j0+ms.nbSec, k)
-			if j0 >= j1 {
-				once.Do(ms.done)
-				return
-			}
-			hits, misses := ms.df.UpdatePanel(w, ms.ws, j0, j1, nil)
+			ops, hits, misses, err := m.Update(m.Panel(p))
 			if hits > 0 {
 				st.count("UpdateVectPackHit", int64(hits))
 			}
 			if misses > 0 {
 				st.count("UpdateVectPackMiss", int64(misses))
 			}
-			st.countTask("UpdateVect", label, 2*int64(j1-j0)*int64(nm)*int64(k))
-			corruptHook("UpdateVect", qq[j0*ldq:j0*ldq+nm])
-			checked, cerr := ms.df.VerifyUpdatePanel(qq, ldq, ms.ws, j0, j1)
-			if checked > 0 {
-				st.count("ABFTChecksum", int64(checked))
-			}
-			if cerr != nil {
-				st.count("ABFTChecksumFail", 1)
-				panic(cerr)
-			}
+			l.file("UpdateVect", label, ops, err)
 			once.Do(ms.done)
 		}, quark.Gather(hV), quark.Read(hPack), quark.Read(hPerm[p]), quark.Read(ms.hSec[p]))
 	}

@@ -331,7 +331,12 @@ func TestSolveDCStatsCubicDominance(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	perLevel := res.Stats.OpsPerLevel()
+	// The two compressed GEMMs of one merge take 2·n·k² flops: summed per
+	// tree level, the dominant cubic term of Eq. 8.
+	perLevel := map[int]int64{}
+	for _, m := range res.Stats.Merges {
+		perLevel[m.Level] += 2 * int64(m.N) * int64(m.K) * int64(m.K)
+	}
 	maxLvl := 0
 	for l := range perLevel {
 		if l > maxLvl {

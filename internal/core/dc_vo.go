@@ -41,71 +41,26 @@ func (l *valuesLane) leaf(nd *node, run *lapack.DCRun) error {
 	return lapack.DstedcCarrier(sz, l.d[st0:st0+sz], l.e[st0:st0+max(sz-1, 0)], l.fl[2*st0:], l.o.dcConfig(nil), run)
 }
 
-// leafMergeOps counts UpdateZ's k².
-func (l *valuesLane) leafMergeOps(m lapack.MergeRecord) int64 { return int64(m.K) * int64(m.K) }
-
-// deflate runs the carrier deflation (lapack.DeflateCarrier), rotating a
-// pooled 2-row copy of the outer carrier rows, then places the deflated
-// eigenvalues and carrier columns by index permutation — the work of the
-// full lane's ComputeDeflation + every PermuteV + every CopyBackDeflated
-// panel. The root's carrier has no consumer: it rotates nothing.
-func (l *valuesLane) deflate(ms *mergeState, rho float64, z []float64) (*lapack.Deflation, error) {
-	flm := l.fl[2*ms.start:] // this merge's 2×nm carrier window
-	var g2 []float64
-	if !ms.root {
-		g2 = pool.Get(2 * ms.nm) // consumed within this task
-		defer pool.Put(g2)
-	}
-	df, err := lapack.DeflateCarrier(ms.nm, ms.n1, ms.dd, ms.ixq, rho, flm, z, g2)
-	if err != nil {
-		return nil, err
-	}
-	if ms.root {
-		df.CopyBackValuesVO(ms.dd, nil, nil)
-		return df, nil
-	}
-	ms.takeSecular(df.K)
-	ms.vgtop = pool.Get(df.K)
-	ms.vgbot = pool.Get(df.K)
-	df.GatherCarrierRows(g2, ms.vgtop, ms.vgbot)
-	df.CopyBackValuesVO(ms.dd, g2, flm)
-	return df, nil
+// merge builds the carrier lane's merge over the merge's window of the
+// carrier. Its Deflate step places the deflated eigenvalues and carrier
+// columns by index permutation: the work of the full lane's PermuteV and
+// CopyBackDeflated panels. The root's carrier has no consumer: it rotates
+// nothing and keeps no roots.
+func (l *valuesLane) merge(ms *mergeState, d []float64, indxq []int, cfg lapack.MergeConfig) *lapack.Merge {
+	return lapack.NewCarrierMerge(l.fl[2*ms.start:], ms.n1, d, indxq, !ms.root, cfg)
 }
 
+func (l *valuesLane) deflate(ms *mergeState, rho float64) (int64, error) { return ms.m.Deflate(rho) }
+
 // panels submits the LAED4 panels, each fused with its LocalW stabilization
-// update (the same task reads the (org, tau) roots it just wrote, so there is
-// no separate ComputeLocalW task), then ReduceW and the UpdateZ panels that
-// emit the parent's carrier. The root skips the stabilization and the
-// carrier, and records no roots.
+// update (the Secular step of a carrier merge multiplies in the roots'
+// factors itself, so there is no ComputeLocalW task), then ReduceW and the
+// UpdateZ panels that emit the parent's carrier. The root skips the
+// stabilization and the carrier.
 func (l *valuesLane) panels(ms *mergeState) {
+	m := ms.m
 	for p := 0; p < ms.npanels; p++ {
-		l.submitLAED4(ms, p, func(j0, j1 int) (int, int, error) {
-			if ms.root {
-				return ms.df.SecularPanel(ms.dd, nil, nil, j0, j1)
-			}
-			k := ms.df.K
-			var wl []float64
-			if k > 2 {
-				// Reuse the panel's buffer on an ABFT retry re-invocation
-				// (pool.Get only on the first pass keeps the accountant
-				// honest); reinitializing to 1 makes the kernel idempotent.
-				// Publish the buffer before running the kernel: if the
-				// kernel panics, the post-shutdown release must see wl to
-				// return it.
-				if wl = ms.wlocs[p]; wl == nil {
-					wl = pool.Get(k)
-					ms.wlocs[p] = wl
-				}
-				for i := range wl {
-					wl[i] = 1
-				}
-			}
-			evals, nfb, err := ms.df.SecularPanel(ms.dd, ms.porg, ms.ptau, j0, j1)
-			if err == nil && wl != nil {
-				ms.df.LocalWPanel(ms.porg, ms.ptau, wl, j0, j1)
-			}
-			return evals, nfb, err
-		})
+		l.submitLAED4(ms, p)
 	}
 	if ms.root {
 		return
@@ -119,23 +74,11 @@ func (l *valuesLane) panels(ms *mergeState) {
 	// values-only replacement for the UpdateVect GEMMs (one fused pass per
 	// column: the secular vector, its norm and its dots with the gathered
 	// outer carrier rows).
-	flm := l.fl[2*ms.start:]
 	for p := 0; p < ms.npanels; p++ {
 		label := ms.name("UpdateZ", p)
 		l.rt.SubmitPrio("UpdateZ", label, ms.prio+prioUpdate, func() {
 			defer ms.done()
-			k := ms.df.K
-			j0 := p * ms.nbSec
-			j1 := min(j0+ms.nbSec, k)
-			if j0 >= j1 {
-				return
-			}
-			ms.df.UpdateZPanelVO(ms.what, ms.poles, ms.porg, ms.ptau, ms.vgtop, ms.vgbot, flm, j0, j1)
-			l.st.countTask("UpdateZ", label, int64(j1-j0)*int64(k))
-			// Corrupt this panel's carrier columns; the parent merge's
-			// corrupted z makes the final spectrum inconsistent with the
-			// original matrix, which the solve-level inertia audit flags.
-			corruptHook("UpdateZ", flm[2*j0:2*j1])
+			l.file("UpdateZ", label, m.UpdateZ(m.Panel(p)), nil)
 		}, quark.Gather(ms.hS), quark.Gather(ms.parent.hV), quark.ReadWrite(ms.hSec[p]))
 	}
 }

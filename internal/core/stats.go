@@ -1,7 +1,6 @@
 package core
 
 import (
-	"errors"
 	"fmt"
 	"sort"
 	"strings"
@@ -9,7 +8,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"tridiag/internal/faultinject"
 	"tridiag/internal/lapack"
 )
 
@@ -49,11 +47,11 @@ type Stats struct {
 // plus any bisection rescue, summed over the LAED4 panels; Evals/K is the
 // evaluations per root, each one pass over the K poles), and the measured
 // trace defect of the merged spectrum — how far Σd drifted from the
-// trace-preservation invariant (recorded by the Dlamrg join when ABFT is
-// enabled; ~1e-16·‖d‖ on a clean merge, and the quantity whose tolerance
-// breach classifies the merge as silently corrupted). InLeaf marks a merge
-// that ran inside a leaf task's sequential divide and conquer rather than
-// as the task flow's panel tasks.
+// trace-preservation invariant (measured by the merge's Dlamrg step;
+// ~1e-16·‖d‖ on a clean merge, and the quantity whose tolerance breach
+// classifies the merge as silently corrupted). InLeaf marks a merge that ran
+// inside a leaf task's sequential divide and conquer rather than as the task
+// flow's panel tasks. Both come from the merge's lapack.MergeRecord.
 type MergeStat struct {
 	Level       int
 	N           int
@@ -116,54 +114,22 @@ func (s *Stats) TaskTimes() map[string]time.Duration {
 	return out
 }
 
-// recordMerge appends one merge record and returns its index, so the merge's
-// later join tasks (Dlamrg's trace check) can fill in fields computed after
-// the deflation scan.
-func (s *Stats) recordMerge(level, n, k, nb int) int {
-	s.mu.Lock()
-	idx := len(s.Merges)
-	s.Merges = append(s.Merges, MergeStat{Level: level, N: n, K: k, NB: nb})
-	s.mu.Unlock()
-	return idx
-}
-
-// addLeafMerge files one merge that ran inside a leaf task (lapack.DCRun)
-// as the task flow files its own: a MergeStat with the secular panel width
-// K (the merge is one panel), its evaluations and trace defect, and its
-// checks, detections and bisection rescues in the ABFT and fallback
-// counters.
-func (s *Stats) addLeafMerge(m lapack.MergeRecord) {
+// addMerge files one merge's record (lapack.MergeRecord), in the task flow
+// or inside a leaf task (inLeaf): a MergeStat, and its checks, detections
+// and bisection rescues in the ABFT and fallback counters.
+func (s *Stats) addMerge(r lapack.MergeRecord, inLeaf bool) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	s.Merges = append(s.Merges, MergeStat{Level: m.Level, N: m.N, K: m.K, NB: m.K, Evals: int64(m.Evals), TraceDefect: m.TraceDefect, InLeaf: true})
-	s.Ops["ABFTInvariant"] += int64(m.Invariants)
-	s.Ops["ABFTChecksum"] += int64(m.Checksums)
-	s.Ops["LAED4Bisect"] += int64(m.Bisections)
-	var ie *lapack.InvariantError
-	switch {
-	case errors.As(m.Err, &ie):
-		s.Ops["ABFTInvariantFail"]++
-	case faultinject.Corruption(m.Err):
-		s.Ops["ABFTChecksumFail"]++
+	s.Merges = append(s.Merges, MergeStat{Level: r.Level, N: r.N, K: r.K, NB: r.NB, Evals: r.Evals, TraceDefect: r.TraceDefect, InLeaf: inLeaf})
+	s.Ops["ABFTInvariant"] += r.Invariants
+	s.Ops["ABFTChecksum"] += r.Checksums
+	s.Ops["LAED4Bisect"] += r.Bisections
+	if r.InvariantFails > 0 {
+		s.Ops["ABFTInvariantFail"] += r.InvariantFails
 	}
-}
-
-// addMergeEvals adds one LAED4 panel's secular-function evaluations to
-// merge idx.
-func (s *Stats) addMergeEvals(idx, evals int) {
-	s.mu.Lock()
-	if idx >= 0 && idx < len(s.Merges) {
-		s.Merges[idx].Evals += int64(evals)
+	if r.ChecksumFails > 0 {
+		s.Ops["ABFTChecksumFail"] += r.ChecksumFails
 	}
-	s.mu.Unlock()
-}
-
-func (s *Stats) setMergeTraceDefect(idx int, defect float64) {
-	s.mu.Lock()
-	if idx >= 0 && idx < len(s.Merges) {
-		s.Merges[idx].TraceDefect = defect
-	}
-	s.mu.Unlock()
 }
 
 // setABFTRetries records how many kernels the runtime re-executed in place
@@ -267,19 +233,6 @@ func (s *Stats) deflation(inLeaf bool) float64 {
 		return 0
 	}
 	return float64(defl) / float64(tot)
-}
-
-// OpsPerLevel sums UpdateVect operations per tree level, the dominant cubic
-// term of Eq. 8 (the last merge should dominate).
-func (s *Stats) OpsPerLevel() map[int]int64 {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	out := make(map[int]int64)
-	for _, m := range s.Merges {
-		// 2*n*k² flops for the two compressed GEMMs of one merge.
-		out[m.Level] += 2 * int64(m.N) * int64(m.K) * int64(m.K)
-	}
-	return out
 }
 
 // String formats the statistics as a small report.

@@ -77,7 +77,7 @@ func TestDstedcCarrierMatchesDstedc(t *testing.T) {
 			t.Errorf("%s n=%d: %d merge records, want one per merge", c.name, n, got)
 		}
 		for _, m := range run.Merges {
-			if m.Err != nil || m.Invariants == 0 {
+			if m.InvariantFails > 0 || m.Invariants == 0 {
 				t.Errorf("%s n=%d: merge %+v failed or ran no check", c.name, n, m)
 			}
 		}
@@ -103,19 +103,25 @@ func TestDstedcCarrierMatchesDstedc(t *testing.T) {
 	}
 }
 
-// TestCarrierScratchCoversMerges: every carrier merge holds exactly its
-// named buffers — z and the outer-row copy, carrierMergeWords per row, and
-// carrierSecularWords per secular root — sampled through the run's Corrupt
-// hook, whose last call per merge (the trace check's) comes with every merge
-// buffer checked out; and those stay within the pool classes of
-// CarrierScratch, which the values-only admission estimate charges.
+// TestCarrierScratchCoversMerges: every carrier merge holds exactly the
+// buffers its type declares (mergeWords): at its ComputeDeflation fault
+// point, the Deflate step's z and outer-row copy and the secular state of
+// its K roots in one panel, and at every later point the secular state
+// alone, sampled through the run's hook. Those stay within the pool classes
+// of CarrierScratch, which the values-only admission estimate charges.
 func TestCarrierScratchCoversMerges(t *testing.T) {
 	rng := rand.New(rand.NewSource(67))
 	for _, n := range []int{26, 60, 128, 300} {
 		d, e := randTridiag(rng, n)
 		base := pool.InUseBytes()
-		var held []int64 // pooled bytes at each hook call
-		run := &DCRun{Corrupt: func([]float64) { held = append(held, pool.InUseBytes()-base) }}
+		type sample struct {
+			deflate bool
+			held    int64
+		}
+		var held []sample // pooled bytes at each hook call
+		run := &DCRun{Corrupt: func(class string, _ []float64) {
+			held = append(held, sample{class == "ComputeDeflation", pool.InUseBytes() - base})
+		}}
 		if err := DstedcCarrier(n, d, e, make([]float64, 2*n), nil, run); err != nil {
 			t.Fatal(err)
 		}
@@ -123,20 +129,26 @@ func TestCarrierScratchCoversMerges(t *testing.T) {
 		for _, words := range CarrierScratch(n, nil) {
 			bound += pool.ClassBytes(words)
 		}
-		call := 0
-		for _, m := range run.Merges {
-			if m.K > 0 {
-				call++ // the secular roots' hook
+		merge := -1
+		var want int64
+		for _, s := range held {
+			if s.deflate {
+				merge++
+				m := run.Merges[merge]
+				deflate, secular := mergeWords(true, m.N, m.K, 1)
+				want = pool.ClassBytes(secular)
+				if s.held != pool.ClassBytes(deflate)+want {
+					t.Errorf("n=%d: merge of %d rows (K=%d) held %d pooled bytes in Deflate, want %d", n, m.N, m.K, s.held, pool.ClassBytes(deflate)+want)
+				}
+			} else if s.held != want {
+				t.Errorf("n=%d: merge %d held %d pooled bytes after Deflate, want its secular state's %d", n, merge, s.held, want)
 			}
-			got := held[call]
-			call++
-			want := pool.ClassBytes(carrierMergeWords*m.N) + pool.ClassBytes(max(carrierSecularWords*m.K, 1))
-			if got != want || got > bound {
-				t.Errorf("n=%d: merge of %d rows (K=%d) held %d pooled bytes, want its buffers' %d within CarrierScratch's %d", n, m.N, m.K, got, want, bound)
+			if s.held > bound {
+				t.Errorf("n=%d: merge %d held %d pooled bytes, beyond CarrierScratch's %d", n, merge, s.held, bound)
 			}
 		}
-		if call != len(held) {
-			t.Errorf("n=%d: %d hook calls for %d merges", n, len(held), len(run.Merges))
+		if merge+1 != len(run.Merges) {
+			t.Errorf("n=%d: %d deflation hooks for %d merges", n, merge+1, len(run.Merges))
 		}
 	}
 }

@@ -73,17 +73,16 @@ func (df *Deflation) LocalWPanel(porg, ptau, wloc []float64, j0, j1 int) {
 	}
 }
 
-// FinishW combines the panel-local products (element-wise across wlocs) into
-// the stabilized secular weights ẑ, restoring the signs of the original W
-// (the paper's ReduceW join task). It writes ẑ and the poles in grouped
-// column order, what[g] = ẑ[GroupToSecular[g]] and
+// FinishW combines the panel-local products into the stabilized secular
+// weights ẑ, restoring the signs of the original W (the paper's ReduceW
+// join task): wloc holds one K-long product per secular panel that ran,
+// back to back, multiplied element-wise in panel order. It writes ẑ and
+// the poles in grouped column order, what[g] = ẑ[GroupToSecular[g]] and
 // poles[g] = Dlamda[GroupToSecular[g]] (both length K): the operands of
 // VectorsPanel and UpdateZPanelVO, which form each secular eigenvector
 // directly in the grouped row order of the GEMM operand and the carrier
-// rows. Nil entries in wlocs are skipped: they correspond to panels whose
-// index range lies beyond K, which the matrix-independent DAG submits but
-// which carry no work.
-func (df *Deflation) FinishW(what, poles []float64, wlocs ...[]float64) {
+// rows.
+func (df *Deflation) FinishW(what, poles, wloc []float64) {
 	k := df.K
 	if k <= 2 {
 		return
@@ -92,22 +91,9 @@ func (df *Deflation) FinishW(what, poles []float64, wlocs ...[]float64) {
 	// is filled last, so no temporary slice is needed: both buffers are
 	// per-merge pooled scratch.
 	p := poles[:k]
-	first := true
-	for _, wl := range wlocs {
-		if wl == nil {
-			continue
-		}
-		if first {
-			copy(p, wl[:k])
-			first = false
-		} else {
-			simd.MulInto(p, wl[:k])
-		}
-	}
-	if first {
-		for i := range p {
-			p[i] = 1
-		}
+	copy(p, wloc[:k])
+	for o := k; o+k <= len(wloc); o += k {
+		simd.MulInto(p, wloc[o:o+k])
 	}
 	simd.NegSqrtSign(p, p, df.W[:k])
 	for g, i := range df.GroupToSecular {

@@ -104,11 +104,12 @@ func (df *Deflation) GatherCarrierRows(g2, gtop, gbot []float64) {
 // carrier columns in the values-only lane, where the full lane places its
 // deflated vectors: deflated j goes to column Slot[j] of d and of the parent
 // carrier segment flp — index arithmetic only, no column movement. The root
-// merge, whose carrier has no consumer, passes nil g2 and flp.
+// merge, whose carrier has no consumer, passes nil g2 and places the
+// eigenvalues only.
 func (df *Deflation) CopyBackValuesVO(d, g2, flp []float64) {
 	for j, s := range df.Slot {
 		d[s] = df.DeflD[j]
-		if flp != nil {
+		if g2 != nil {
 			src := df.Perm[df.K+j]
 			flp[2*s] = g2[2*src]
 			flp[2*s+1] = g2[2*src+1]
@@ -186,71 +187,23 @@ func DstedcCarrier(n int, d, e, fl []float64, cfg *DCConfig, run *DCRun) error {
 // of the whole problem.
 type carrierDC []float64
 
-// The pooled scratch of one carrier merge: per merge row z and the 2-row
-// copy of the outer rows, per secular root porg, ptau, wloc, FinishW's ẑ and
-// poles, and the two gathered outer rows.
-const (
-	carrierMergeWords   = 3
-	carrierSecularWords = 7
-)
-
 // CarrierScratch returns the sizes, in elements, of the largest pooled
 // buffers DstedcCarrier checks out on an order-n problem with the leaf
-// cutoff of cfg: a QR leaf's m×m scratch, and a merge's z and outer-row copy
-// and its secular slices (K ≤ n roots). Their pool classes bound the
+// cutoff of cfg: a QR leaf's m×m scratch, and a merge's two buffers
+// (mergeWords, K ≤ n roots in one panel). Their pool classes bound the
 // driver's pooled footprint; the closing sort's 2n gather is smaller.
 func CarrierScratch(n int, cfg *DCConfig) []int {
 	m := min(n, cfg.smallSize())
-	return []int{m * m, carrierMergeWords * n, carrierSecularWords * n}
+	deflate, secular := mergeWords(true, n, n, 1)
+	return []int{m * m, deflate, secular}
 }
 
 func (fl carrierDC) leaf(d, e []float64, st, sz int) (bool, error) {
 	return DsteqrCarrier(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], fl[2*st:])
 }
 
-// merge is the values-only lane's merge run inline: the deflation scan
-// (DeflateCarrier), the deflated eigenvalues and carrier columns placed by
-// index, the secular solve with Gu's stabilization, and the parent carrier
-// from one fused pass per secular column (UpdateZPanelVO).
-func (fl carrierDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error {
-	flm := fl[2*st:]
-	mc.enter(d[:nm])
-	buf := pool.Get(carrierMergeWords * nm)
-	defer pool.Put(buf)
-	z, g2 := buf[:nm], buf[nm:3*nm]
-	df, err := DeflateCarrier(nm, n1, d, indxq, rho, flm, z, g2)
-	if err != nil {
-		return err
-	}
-	mc.deflated(df)
-	k := df.K
-	sec := pool.Get(max(carrierSecularWords*k, 1))
-	defer pool.Put(sec)
-	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
-	what, poles := sec[3*k:4*k], sec[4*k:5*k]
-	gtop, gbot := sec[5*k:6*k], sec[6*k:7*k]
-	df.GatherCarrierRows(g2, gtop, gbot)
-	df.CopyBackValuesVO(d, g2, flm)
-	if k > 0 {
-		evals, nfb, err := df.SecularPanel(d, porg, ptau, 0, k)
-		if err != nil {
-			return err
-		}
-		if err := mc.secular(df, d, evals, nfb); err != nil {
-			return err
-		}
-		for i := range wloc {
-			wloc[i] = 1
-		}
-		df.LocalWPanel(porg, ptau, wloc, 0, k)
-		df.FinishW(what, poles, wloc)
-		df.UpdateZPanelVO(what, poles, porg, ptau, gtop, gbot, flm, 0, k)
-	}
-	if err := mc.trace(d, nm); err != nil {
-		return err
-	}
-	df.MergeOrder(d, indxq)
-	return nil
+func (fl carrierDC) merge(d []float64, indxq []int, st, n1 int, cfg MergeConfig) *Merge {
+	return NewCarrierMerge(fl[2*st:], n1, d, indxq, true, cfg)
 }
 
 // sort is SortOrder with the carrier's columns gathered along.

@@ -3,86 +3,24 @@ package lapack
 import (
 	"fmt"
 	"math"
-
-	"tridiag/internal/pool"
 )
 
 // Dlaed1 performs one merge step of the divide & conquer algorithm
 // (LAPACK DLAED1, tridiagonal eigenvector case): the two solved subproblems
 // d[0:cutpnt]/d[cutpnt:n] with block-diagonal eigenvectors in w (n = w.N)
-// are combined through the rank-one modification with weight rho.
+// are combined through the rank-one modification with weight rho, by an
+// unchecked Merge run inline.
 //
 // On exit d[0:k] and w's first k columns hold the secular eigenpairs, the
 // deflated pairs sit in the columns Deflation.Slot names, w's spans
 // describe the new columns, and indxq is the permutation sorting d
 // ascending. gemm may be nil (serial) or a parallel substitute.
 func Dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm GemmFunc) error {
-	return dlaed1(w, cutpnt, d, indxq, rho, gemm, nil)
-}
-
-// dlaed1 is Dlaed1 with the checks of mc (nil: none). A checked merge also
-// packs its GEMM operands (PackV) where that pays, so that every packed
-// product is verified against the operand's checksum rows.
-func dlaed1(w Window, cutpnt int, d []float64, indxq []int, rho float64, gemm GemmFunc, mc *mergeCheck) error {
-	n := w.N
-	if cutpnt < 1 || cutpnt >= n {
-		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, n)
+	if cutpnt < 1 || cutpnt >= w.N {
+		return fmt.Errorf("lapack: Dlaed1: invalid cutpnt %d of %d", cutpnt, w.N)
 	}
-	mc.enter(d[:n])
-	z := pool.Get(n)
-	defer pool.Put(z)
-	w.FormZ(cutpnt, z)
-
-	df, err := Dlaed2Deflate(w, cutpnt, d, indxq, rho, z)
-	if err != nil {
-		return err
-	}
-	mc.deflated(df)
-	if df.K == 0 {
-		if err := mc.trace(d, n); err != nil {
-			return err
-		}
-		df.MergeOrder(d, indxq)
-		return nil
-	}
-	k := df.K
-	ws := NewMergeWorkspace(df)
-	defer ws.Release()
-	moved := df.PermutePanel(w, ws, 0, k)
-
-	// The roots as (org, tau) pairs, Gu's product, and FinishW's grouped ẑ
-	// and poles.
-	sec := pool.Get(5 * k)
-	defer pool.Put(sec)
-	porg, ptau, wloc := sec[:k], sec[k:2*k], sec[2*k:3*k]
-	what, poles := sec[3*k:4*k], sec[4*k:5*k]
-	evals, nfb, err := df.SecularPanel(d, porg, ptau, 0, k)
-	if err != nil {
-		return err
-	}
-	if err := mc.secular(df, d, evals, nfb); err != nil {
-		return err
-	}
-	for i := range wloc {
-		wloc[i] = 1
-	}
-	df.LocalWPanel(porg, ptau, wloc, 0, k)
-	df.FinishW(what, poles, wloc)
-	df.VectorsPanel(ws.S, what, poles, porg, ptau, 0, k)
-	moved += df.CopyBackPanel(w, d, 0, k)
-	if mc != nil {
-		mc.rec.Moved = moved
-		df.PackV(ws, k)
-	}
-	df.UpdatePanel(w, ws, 0, k, gemm)
-	if err := mc.verify(df, w, ws); err != nil {
-		return err
-	}
-	if err := mc.trace(d, n); err != nil {
-		return err
-	}
-	df.MergeOrder(d, indxq)
-	return nil
+	_, err := NewVectorMerge(w, cutpnt, d, indxq, MergeConfig{Gemm: gemm}).Run(rho)
+	return err
 }
 
 // DefaultSmallSize is the sequential drivers' default leaf cutoff, LAPACK's
@@ -126,115 +64,19 @@ func (c *DCConfig) progress() {
 }
 
 // DCRun is one checked run of a sequential driver (DstedcChecked,
-// DstedcCarrier): the task-flow solver's leaf task passes one so that the
-// merges inside its leaf keep the flow's per-merge checks and reach its
-// statistics. Every merge checks its secular roots' interlacing and the
-// trace invariant (TraceBudget, CheckTrace), and an eigenvector merge
-// verifies each GEMM that PackV packed (VerifyUpdatePanel); the first
-// failed check fails the driver with its error. Plain Dstedc and Dlaed1
-// run no checks.
+// DstedcCarrier): the task flow's leaf task passes one so that the merges
+// inside its leaf keep the flow's checks and reach its statistics. Its
+// merges are checked (MergeConfig.Checked), and the first failed check
+// fails the driver with its error. Plain Dstedc and Dlaed1 run no checks.
 type DCRun struct {
-	// Corrupt, when non-nil, is handed each merge's secular roots right
-	// after the secular solve and its merged eigenvalues right before the
-	// trace check: where a fault-injection probe flips a bit.
-	Corrupt func(data []float64)
+	// Corrupt, when non-nil, is every merge's fault hook
+	// (MergeConfig.Corrupt).
+	Corrupt func(class string, data []float64)
 
 	// Filled in by the driver.
-	Merges    []MergeRecord // one per merge that ran, in order
-	LeafCubes int64         // Σ m³ over the QR leaves
-	FellBack  int           // QR leaves retried through Dsterf + inverse iteration
-}
-
-// MergeRecord is one checked merge of a sequential driver: its level above
-// the driver's QR leaves (1 for the lowest merges), width N, secular size K,
-// the secular-function evaluations and bisection rescues of its K roots, the
-// eigenvector words its PermuteV and CopyBackDeflated steps moved (0 in the
-// carrier lane), the checks it ran and the trace defect it measured, and the
-// error that failed it (nil when it passed).
-type MergeRecord struct {
-	Level, N, K           int
-	Evals, Bisections     int
-	Moved                 int
-	Invariants, Checksums int
-	TraceDefect           float64
-	Err                   error
-}
-
-// mergeCheck runs one merge's checks for a DCRun. Its methods do nothing
-// on a nil receiver, the unchecked merge.
-type mergeCheck struct {
-	rec                 MergeRecord
-	corrupt             func([]float64)
-	sum, abs, dmax      float64 // Σd, Σ|d| and |d|∞ over the block at merge entry
-	traceWant, traceTol float64
-}
-
-func (c *mergeCheck) enter(d []float64) {
-	if c != nil {
-		c.sum, c.abs, c.dmax = TraceSum(d)
-	}
-}
-
-func (c *mergeCheck) deflated(df *Deflation) {
-	if c != nil {
-		c.rec.K = df.K
-		c.traceWant, c.traceTol = TraceBudget(c.sum, c.abs, c.dmax, df.Rho, df.N)
-	}
-}
-
-// secular records the secular solve's counts and checks the roots in
-// d[0:K] against their interlacing brackets.
-func (c *mergeCheck) secular(df *Deflation, d []float64, evals, bisections int) error {
-	if c == nil {
-		return nil
-	}
-	c.rec.Evals, c.rec.Bisections = evals, bisections
-	if c.corrupt != nil {
-		c.corrupt(d[:df.K])
-	}
-	c.rec.Invariants++
-	return df.CheckInterlacing(d, 0, df.K)
-}
-
-// verify checks the merge's packed UpdatePanel GEMMs.
-func (c *mergeCheck) verify(df *Deflation, w Window, ws *MergeWorkspace) error {
-	if c == nil {
-		return nil
-	}
-	n, err := df.VerifyUpdatePanel(w.Q, w.LDQ, ws, 0, df.K)
-	c.rec.Checksums += n
-	return err
-}
-
-// trace checks the merged spectrum d[0:n] against the trace budget.
-func (c *mergeCheck) trace(d []float64, n int) error {
-	if c == nil {
-		return nil
-	}
-	if c.corrupt != nil {
-		c.corrupt(d[:n])
-	}
-	c.rec.Invariants++
-	defect, err := CheckTrace(d, n, c.traceWant, c.traceTol)
-	c.rec.TraceDefect = defect
-	return err
-}
-
-// merge starts the check of one merge of the run (nil for an unchecked
-// run).
-func (r *DCRun) merge(level, n int) *mergeCheck {
-	if r == nil {
-		return nil
-	}
-	return &mergeCheck{rec: MergeRecord{Level: level, N: n}, corrupt: r.Corrupt}
-}
-
-// done files merge mc's record with its outcome.
-func (r *DCRun) done(mc *mergeCheck, err error) {
-	if r != nil {
-		mc.rec.Err = err
-		r.Merges = append(r.Merges, mc.rec)
-	}
+	Merges   []MergeRecord // one per merge that ran, in order
+	Ops      int64         // Σ m³ over the QR leaves plus the merges' step counts
+	FellBack int           // QR leaves retried through Dsterf + inverse iteration
 }
 
 // leaf counts one QR leaf of m rows.
@@ -242,9 +84,17 @@ func (r *DCRun) leaf(m int, fellBack bool) {
 	if r == nil {
 		return
 	}
-	r.LeafCubes += int64(m) * int64(m) * int64(m)
+	r.Ops += int64(m) * int64(m) * int64(m)
 	if fellBack {
 		r.FellBack++
+	}
+}
+
+// merged files merge m's record and its steps' count.
+func (r *DCRun) merged(m *Merge, ops int64) {
+	if r != nil {
+		r.Merges = append(r.Merges, m.Record())
+		r.Ops += ops
 	}
 }
 
@@ -255,10 +105,9 @@ type dcLane interface {
 	// leaf solves block [st, st+sz) of (d, e) in place: eigenvalues
 	// ascending, the lane's vectors in the same order.
 	leaf(d, e []float64, st, sz int) (fellBack bool, err error)
-	// merge merges the solved blocks [st, st+n1) and [st+n1, st+nm) of d
-	// through the coupling rho, leaving d and indxq (both the merge's
-	// slices) as Dlaed1 does.
-	merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error
+	// merge returns the lane's merge of the solved blocks [st, st+n1) and
+	// [st+n1, st+len(d)), whose eigenvalues and order are d and indxq.
+	merge(d []float64, indxq []int, st, n1 int, cfg MergeConfig) *Merge
 	// sort puts d[0:n] in ascending order through indxq, scales it back by
 	// orgnrm and moves the vectors along.
 	sort(n int, d []float64, indxq []int, orgnrm float64)
@@ -315,7 +164,11 @@ func dcSolve(n int, d, e []float64, cfg *DCConfig, lane dcLane, run *DCRun) erro
 		cfg.progress()
 	}
 
-	// Merge pairwise, bottom-up.
+	// Merge pairwise, bottom-up; each merge runs its steps inline.
+	mcfg := MergeConfig{Gemm: cfg.gemm()}
+	if run != nil {
+		mcfg.Checked, mcfg.Corrupt = true, run.Corrupt
+	}
 	for level := 1; len(sizes) > 1; level++ {
 		var nsizes []int
 		var nstarts []int
@@ -323,9 +176,10 @@ func dcSolve(n int, d, e []float64, cfg *DCConfig, lane dcLane, run *DCRun) erro
 			st := starts[i]
 			cut := sizes[i]
 			msz := sizes[i] + sizes[i+1]
-			mc := run.merge(level, msz)
-			err := lane.merge(mc, d[st:st+msz], indxq[st:st+msz], st, cut, msz, e[st+cut-1])
-			run.done(mc, err)
+			mcfg.Level = level
+			m := lane.merge(d[st:st+msz], indxq[st:st+msz], st, cut, mcfg)
+			ops, err := m.Run(e[st+cut-1])
+			run.merged(m, ops)
 			if err != nil {
 				return fmt.Errorf("merge [%d,%d): %w", st, st+msz, err)
 			}
@@ -368,7 +222,7 @@ func DstedcChecked(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig, r
 	if ldq < n {
 		return fmt.Errorf("lapack: Dstedc: ldq=%d < n=%d", ldq, n)
 	}
-	return dcSolve(n, d, e, cfg, &vectorDC{q: q, ldq: ldq, sp: make([]Span, n), gemm: cfg.gemm()}, run)
+	return dcSolve(n, d, e, cfg, &vectorDC{q: q, ldq: ldq, sp: make([]Span, n)}, run)
 }
 
 // vectorDC is the eigenvector lane of the sequential driver. A leaf's
@@ -376,10 +230,9 @@ func DstedcChecked(n int, d, e []float64, q []float64, ldq int, cfg *DCConfig, r
 // zeroed, the merge kernels read 0 there, and the final sort writes +0
 // there.
 type vectorDC struct {
-	q    []float64
-	ldq  int
-	sp   []Span
-	gemm GemmFunc
+	q   []float64
+	ldq int
+	sp  []Span
 }
 
 func (l *vectorDC) leaf(d, e []float64, st, sz int) (bool, error) {
@@ -389,8 +242,8 @@ func (l *vectorDC) leaf(d, e []float64, st, sz int) (bool, error) {
 	return DsteqrRobust(sz, d[st:st+sz], e[st:st+max(sz-1, 0)], l.q[st+st*l.ldq:], l.ldq)
 }
 
-func (l *vectorDC) merge(mc *mergeCheck, d []float64, indxq []int, st, n1, nm int, rho float64) error {
-	return dlaed1(NewWindow(l.q, l.ldq, l.sp, st, nm), n1, d, indxq, rho, l.gemm, mc)
+func (l *vectorDC) merge(d []float64, indxq []int, st, n1 int, cfg MergeConfig) *Merge {
+	return NewVectorMerge(NewWindow(l.q, l.ldq, l.sp, st, len(d)), n1, d, indxq, cfg)
 }
 
 // sort is the paper's SortEigenvectors task in one segment.
