@@ -9,15 +9,17 @@ import (
 	"testing"
 )
 
-// TestTaskGraphGolden pins the task flow's DAG and counts on five W=2
+// TestTaskGraphGolden pins the task flow's DAG and counts on six W=2
 // solves: the two lib workloads' families (a glued Wilkinson W21 matrix in
-// both lanes, a perturbed Legendre matrix), and a random matrix in the two
-// level-synchronized baselines. Per solve it checks the task and edge
-// counts and four FNV-64a hashes: every captured task's ID, class, label
-// and priority; the sorted edge list; the sorted per-class Stats.Ops; and
-// the sorted MergeStat list (level, N, K, NB, evaluations, in-leaf). A
-// change that claims to keep the DAG and the Table I counts must keep all
-// four.
+// both lanes, a perturbed Legendre matrix), a random matrix in the two
+// level-synchronized baselines, and a unit diagonal with couplings of at
+// most 1e-300, whose merges all deflate everything (a task-flow merge with
+// K = 0 counts no Dlamrg work, one inside a leaf counts its N). Per solve
+// it checks the task and edge counts and four FNV-64a hashes: every
+// captured task's ID, class, label and priority; the sorted edge list; the
+// sorted per-class Stats.Ops; and the sorted MergeStat list (level, N, K,
+// NB, evaluations, in-leaf). A change that claims to keep the DAG and the
+// Table I counts must keep all four.
 func TestTaskGraphGolden(t *testing.T) {
 	type golden struct {
 		tasks, edges               int
@@ -29,10 +31,12 @@ func TestTaskGraphGolden(t *testing.T) {
 		"legendre-1200/full":         {418, 2002, 0x0b6de1888bb20055, 0x21013d2e5e350200, 0x6b96b47f152c54a6, 0xc8189e3b11ccc6dd},
 		"random-600/scalapack-model": {229, 1361, 0xdba1da50efbca726, 0xbfe1ffa92b0a9fdd, 0xc89bfe1521ccc523, 0x19993890a2e428ed},
 		"random-600/level-sync":      {183, 789, 0xfd04f00864d63945, 0xa7d9083bffdb4e03, 0xea4726ce088797be, 0x19993890a2e428ed},
+		"tiny-couplings-600/full":    {180, 785, 0x0dba96ab9357005a, 0xe94e5169dd8a6f5e, 0xf0cd954ca0be589c, 0x79fce4076c18a0f5},
 	}
 	w21d, w21e := gluedW21(rand.New(rand.NewSource(1)), 2000)
 	legd, lege := perturbedLegendre(rand.New(rand.NewSource(1)), 1200)
 	rndd, rnde := randTridiag(rand.New(rand.NewSource(1)), 600)
+	tinyd, tinye := inlineFamilies[3](rand.New(rand.NewSource(1)), 600)
 	for _, c := range []struct {
 		name string
 		d, e []float64
@@ -43,6 +47,7 @@ func TestTaskGraphGolden(t *testing.T) {
 		{"legendre-1200/full", legd, lege, Options{}},
 		{"random-600/scalapack-model", rndd, rnde, Options{Mode: ModeScaLAPACK}},
 		{"random-600/level-sync", rndd, rnde, Options{Mode: ModeLevelSync}},
+		{"tiny-couplings-600/full", tinyd, tinye, Options{}},
 	} {
 		n := len(c.d)
 		d, e := slices.Clone(c.d), slices.Clone(c.e)

@@ -16,12 +16,13 @@ import (
 // the gathered carrier rows and its checks.
 //
 // The sequential driver runs the steps in order over one panel, [0, K)
-// (Run). The task flow submits each step as the paper's task of the same
-// name, the panel steps once per column range. Each step returns its
-// Table I operation count, and the steps whose output has an invariant
+// (Run). The task flow submits each step as the paper's task whose class
+// its doc names, the panel steps once per column range. Each step returns
+// its Table I operation count, and the steps whose output has an invariant
 // check it in a checked merge: Secular the interlacing of its roots,
-// Update each packed product against its operand's checksum rows, and Order
-// the trace of the merged spectrum. A failed check is the step's error.
+// Update each packed product against its operand's checksum rows, and
+// Order the trace of the merged spectrum. A failed check is the step's
+// error.
 type Merge struct {
 	N, N1 int
 	// NB is the width of the secular steps' panels: Deflate sets it to K,
